@@ -1,8 +1,9 @@
 """Closed-form link budgets for the device-to-UAV uplink and UAV-to-device downlink.
 
-Everything is SI: watts, meters, hertz, bits, seconds. Channels are scalar
+Everything is SI: watts, meters, hertz, bits, seconds. Channels are
 block-Rayleigh fades: squared magnitudes are drawn once per communication
-round (elsewhere) and passed in here as plain nonnegative numbers. The
+round (elsewhere) and passed in here as nonnegative arrays over devices.
+Every function is array-valued: a budget covers all devices at once. The
 downlink receiver is a power splitter: a fraction ``delta`` of the received
 power feeds the decoder, the remaining ``1 - delta`` feeds the energy
 harvester.
@@ -10,7 +11,6 @@ harvester.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -76,9 +76,9 @@ class ChannelRealization:
                 f"length mismatch: {len(self.gains_sq)} gains vs "
                 f"{len(self.distances_m)} distances"
             )
-        if np.any(self.gains_sq < 0):
+        if (self.gains_sq < 0).any():
             raise ValueError("gains_sq must be >= 0")
-        if np.any(self.distances_m <= 0):
+        if not (self.distances_m > 0).all():
             raise ValueError("distances_m must be > 0")
 
     @property
@@ -88,126 +88,118 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Derived link quantities for one device in one direction."""
+    """Derived link quantities in one direction, one entry per device."""
 
-    prx_w: float
-    interference_w: float
-    sinr: float
-    rate_bps: float
-    tx_time_s: float
+    prx_w: np.ndarray
+    interference_w: np.ndarray
+    sinr: np.ndarray
+    rate_bps: np.ndarray
+    tx_time_s: np.ndarray
 
 
-def received_power(ptx_w: float, distance_m: float, alpha: float, gain_sq: float) -> float:
-    """Power-law received power: ptx * d^(-alpha) * |g|^2."""
-    if not distance_m > 0:
+def received_power(ptx_w: float, distance_m, alpha: float, gain_sq):
+    """Power-law received power: ptx * d^(-alpha) * |g|^2, elementwise."""
+    distance_m = np.asarray(distance_m, dtype=float)
+    if not (distance_m > 0).all():
         raise ValueError(f"distance_m must be > 0, got {distance_m!r}")
-    if ptx_w < 0 or gain_sq < 0:
+    if ptx_w < 0 or (np.asarray(gain_sq) < 0).any():
         raise ValueError("ptx_w and gain_sq must be >= 0")
     return ptx_w * distance_m ** (-alpha) * gain_sq
 
 
-def interference_power(
-    ptx_w: float,
-    realization: ChannelRealization,
-    alpha: float,
-    excluded_device: int,
-) -> float:
-    """Aggregate co-channel power from every device except ``excluded_device``.
+def interference_power(prx_w) -> np.ndarray:
+    """Co-channel power at each device: the sum of every other device's power.
 
-    Both directions use the same form: each interferer contributes through
-    its own gain and distance to the UAV, at the common transmit power.
+    Every device transmits (or is served) at the common power through its
+    own gain and distance, so device j interferes with exactly its own
+    received power. The sums come from prefix and suffix sums, never
+    ``total - own``, which loses all precision when one device dominates.
     """
-    m = realization.n_devices
-    if not 0 <= excluded_device < m:
-        raise IndexError(f"excluded_device {excluded_device} out of range for M={m}")
-    total = 0.0
-    for j in range(m):
-        if j == excluded_device:
-            continue
-        total += received_power(ptx_w, realization.distances_m[j], alpha, realization.gains_sq[j])
-    return total
+    prx = np.asarray(prx_w, dtype=float)
+    out = np.concatenate(([0.0], prx[:-1].cumsum()))
+    out[:-1] += prx[::-1].cumsum()[-2::-1]
+    return out
 
 
-def sinr(prx_decode_w: float, interference_w: float, noise_w: float) -> float:
-    """Signal-to-interference-plus-noise ratio.
+def sinr(prx_decode_w, interference_w, noise_w: float):
+    """Signal-to-interference-plus-noise ratio, elementwise.
 
     For the downlink, pass ``delta * prx`` as the decode power: only the
     decoder branch of the power splitter sees the signal.
     """
     if not noise_w > 0:
         raise ValueError(f"noise_w must be > 0, got {noise_w!r}")
-    if prx_decode_w < 0 or interference_w < 0:
+    prx_decode_w, interference_w = np.asarray(prx_decode_w), np.asarray(interference_w)
+    if (prx_decode_w < 0).any() or (interference_w < 0).any():
         raise ValueError("powers must be >= 0")
     return prx_decode_w / (interference_w + noise_w)
 
 
-def achievable_rate(bandwidth_hz: float, sinr_value: float) -> float:
+def achievable_rate(bandwidth_hz: float, sinr_value):
     """Shannon-style rate: bandwidth * log2(1 + sinr), in bits/s."""
     if not bandwidth_hz > 0:
         raise ValueError(f"bandwidth_hz must be > 0, got {bandwidth_hz!r}")
-    if sinr_value < 0:
+    sinr_value = np.asarray(sinr_value)
+    if (sinr_value < 0).any():
         raise ValueError("sinr must be >= 0")
-    return bandwidth_hz * math.log2(1.0 + sinr_value)
+    return bandwidth_hz * np.log2(1.0 + sinr_value)
 
 
-def tx_time(payload_bits: float, rate_bps: float) -> float:
-    """Transmission time payload/rate.
+def tx_time(payload_bits: float, rate_bps):
+    """Transmission time payload/rate, elementwise over rates.
 
-    Zero payload takes zero time. Positive payload at zero rate returns
-    +inf: the device is unreachable this round, which downstream feasibility
+    Zero payload takes zero time. Positive payload at zero rate gives +inf:
+    the device is unreachable this round, which downstream feasibility
     checks reject; it is a value, not an error.
     """
     if payload_bits < 0:
         raise ValueError("payload_bits must be >= 0")
+    rate = np.asarray(rate_bps, dtype=float)
     if payload_bits == 0:
-        return 0.0
-    if rate_bps == 0:
-        return math.inf
-    return payload_bits / rate_bps
+        return np.zeros_like(rate)
+    with np.errstate(divide="ignore"):
+        return payload_bits / rate
+
+
+def _link_budget(ptx_w, noise_w, decode_share, params, realization, payload_bits):
+    prx = received_power(
+        ptx_w, realization.distances_m, params.pathloss_exponent, realization.gains_sq
+    )
+    interf = interference_power(prx)
+    g = sinr(decode_share * prx, interf, noise_w)
+    rate = achievable_rate(params.bandwidth_hz, g)
+    return LinkBudget(prx, interf, g, rate, tx_time(payload_bits, rate))
 
 
 def uplink_budget(
     params: LinkParams,
     realization: ChannelRealization,
-    device: int,
     payload_bits: float,
 ) -> LinkBudget:
-    """Full uplink chain for one device: power, interference, SINR, rate, time."""
-    prx = received_power(
-        params.ptx_ul_w,
-        realization.distances_m[device],
-        params.pathloss_exponent,
-        realization.gains_sq[device],
+    """Full uplink chain of every device: power, interference, SINR, rate, time."""
+    return _link_budget(
+        params.ptx_ul_w, params.noise_power_ul_w, 1.0, params, realization, payload_bits
     )
-    interf = interference_power(params.ptx_ul_w, realization, params.pathloss_exponent, device)
-    g = sinr(prx, interf, params.noise_power_ul_w)
-    rate = achievable_rate(params.bandwidth_hz, g)
-    return LinkBudget(prx, interf, g, rate, tx_time(payload_bits, rate))
 
 
 def downlink_budget(
     params: LinkParams,
     realization: ChannelRealization,
-    device: int,
-    delta: float,
+    deltas,
     payload_bits: float,
 ) -> LinkBudget:
-    """Full downlink chain for one device at power-splitting ratio ``delta``.
+    """Full downlink chain of every device at power-splitting ratios ``deltas``.
 
-    ``prx_w`` in the result is the full received power; only ``delta`` of it
-    reaches the decoder (reflected in the SINR), and the remaining
-    ``(1 - delta) * prx_w`` is what the harvester sees (consumed by the
+    ``deltas`` is one ratio for all devices or one per device; a leading
+    axis of candidate ratios broadcasts against the devices. ``prx_w`` in
+    the result is the full received power; only ``deltas`` of it reaches
+    the decoder (reflected in the SINR), and the remaining
+    ``(1 - deltas) * prx_w`` is what the harvester sees (consumed by the
     energy module, not stored here).
     """
-    if not DELTA_MIN <= delta <= DELTA_MAX:
-        raise ValueError(f"delta must be in [{DELTA_MIN}, {DELTA_MAX}], got {delta!r}")
-    prx = received_power(
-        params.ptx_dl_w,
-        realization.distances_m[device],
-        params.pathloss_exponent,
-        realization.gains_sq[device],
+    deltas = np.asarray(deltas, dtype=float)
+    if not ((deltas >= DELTA_MIN) & (deltas <= DELTA_MAX)).all():
+        raise ValueError(f"deltas must be in [{DELTA_MIN}, {DELTA_MAX}], got {deltas!r}")
+    return _link_budget(
+        params.ptx_dl_w, params.noise_power_dl_w, deltas, params, realization, payload_bits
     )
-    interf = interference_power(params.ptx_dl_w, realization, params.pathloss_exponent, device)
-    g = sinr(delta * prx, interf, params.noise_power_dl_w)
-    rate = achievable_rate(params.bandwidth_hz, g)
-    return LinkBudget(prx, interf, g, rate, tx_time(payload_bits, rate))

@@ -31,13 +31,11 @@ from . import __version__
 from .channel import ChannelRealization, LinkParams
 from .energy import ComputeProfile, HarvestModel
 from .fl_core import DivergenceError, TrainerConfig, select_rounds
-from .optimizer import place_uav
 from .scenario import (
     DataConfig,
     ScenarioConfig,
-    _delay_evaluator,
-    _link_round,
     build,
+    link_round,
     rng_stream,
     run_monte_carlo,
     sweep,
@@ -402,21 +400,19 @@ def cmd_optimize_delta(args) -> int:
     gains = rng_stream(config.master_seed, "trial", 0, "fading", 0).exponential(
         1.0, config.device_count
     )
-    deltas, method, _, downlinks, ledgers, delay = _link_round(
+    rnd = link_round(
         config,
-        scenario.profiles,
         ChannelRealization(gains, scenario.distances_m),
         scenario.payload_ul_bits,
         scenario.payload_dl_bits,
         scenario.uav_payload_bits,
     )
-    rows = [
-        [i, float(deltas[i]), int(ledgers[i].feasible), downlinks[i].tx_time_s]
-        for i in range(config.device_count)
-    ]
+    rows = zip(
+        range(config.device_count), rnd.deltas, rnd.energy.feasible, rnd.downlink.tx_time_s
+    )
     _write_csv(out / "deltas.csv", ["device", "delta", "feasible", "t_downlink_s"], rows)
     _write_manifest(out, "optimize-delta", config, ["deltas.csv"], started)
-    print(f"solved ratios via {method}: round delay {delay.t_total_s:.6g} s")
+    print(f"solved ratios via {rnd.method}: round delay {rnd.delay().t_total_s:.6g} s")
     return 0
 
 
@@ -425,32 +421,20 @@ def cmd_place_uav(args) -> int:
     started = _utc_now()
     out = _out_dir(args)
     scenario = build(config)
-    evaluator = _delay_evaluator(
-        config,
-        scenario.device_positions,
-        scenario.payload_ul_bits,
-        scenario.payload_dl_bits,
-        scenario.uav_payload_bits,
-        scenario.profiles,
-    )
-    placement = place_uav(
-        config.area_bounds,
-        config.uav_altitude_m,
-        config.placement_mode,
-        evaluator,
-        config.placement_grid_points,
-    )
     _write_json(
         out / "placement.json",
         {
-            "position": list(placement.position),
-            "objective_s": placement.objective_s,
+            "position": list(scenario.uav_position),
+            "objective_s": scenario.placement_objective_s,
             "mode": config.placement_mode,
         },
     )
     _write_manifest(out, "place-uav", config, ["placement.json"], started)
-    x, y, z = placement.position
-    print(f"uav at ({x:.3f}, {y:.3f}, {z:.3f}): expected delay {placement.objective_s:.6g} s")
+    x, y, z = scenario.uav_position
+    print(
+        f"uav at ({x:.3f}, {y:.3f}, {z:.3f}): "
+        f"expected delay {scenario.placement_objective_s:.6g} s"
+    )
     return 0
 
 
@@ -471,8 +455,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--workers",
         type=int,
-        default=os.cpu_count() or 1,
-        help="trial worker processes (default: machine parallelism)",
+        default=None,
+        help="trial worker processes (default: the config's workers)",
     )
 
 

@@ -1,4 +1,4 @@
-"""Per-device, per-round energy accounting.
+"""Per-round energy accounting, as arrays over devices.
 
 Covers the three consumption terms (local compute, uplink transmit, and the
 UAV's downlink transmit, which by convention is billed to the device), the
@@ -9,8 +9,9 @@ harvested energy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import LinkBudget
 
@@ -54,7 +55,7 @@ class HarvestModel:
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    """One device's energy balance for a single communication round.
+    """Every device's energy balance for a single round, one entry per device.
 
     ``e_total_j`` is the energy billed to the device: compute + uplink,
     plus the UAV-side downlink energy when ``device_pays_downlink`` was set
@@ -63,13 +64,13 @@ class EnergyLedger:
     does not exceed the harvested energy and is finite.
     """
 
-    e_compute_j: float
-    e_uplink_j: float
-    e_downlink_j: float
-    e_total_j: float
-    p_harvest_w: float
-    e_harvest_j: float
-    feasible: bool
+    e_compute_j: np.ndarray
+    e_uplink_j: np.ndarray
+    e_downlink_j: np.ndarray
+    e_total_j: np.ndarray
+    p_harvest_w: np.ndarray
+    e_harvest_j: np.ndarray
+    feasible: np.ndarray
 
 
 def compute_energy(profile: ComputeProfile) -> float:
@@ -83,26 +84,22 @@ def compute_energy(profile: ComputeProfile) -> float:
     )
 
 
-def uplink_energy(tx_time_s: float, ptx_ul_w: float) -> float:
-    """Energy the device spends transmitting its model update."""
-    if tx_time_s == 0.0 or ptx_ul_w == 0.0:
-        return 0.0
-    return tx_time_s * ptx_ul_w
+def transmit_energy(tx_time_s, ptx_w: float):
+    """Energy of transmitting at ``ptx_w`` for ``tx_time_s``, elementwise.
+
+    A silent transmitter spends nothing even over an infinite time, where
+    the naive ``inf * 0`` product would be nan.
+    """
+    t = np.asarray(tx_time_s, dtype=float)
+    return t * ptx_w if ptx_w else np.zeros_like(t)
 
 
-def downlink_energy(tx_time_s: float, ptx_dl_w: float) -> float:
-    """Energy the UAV spends unicasting the global model to the device."""
-    if tx_time_s == 0.0 or ptx_dl_w == 0.0:
-        return 0.0
-    return tx_time_s * ptx_dl_w
-
-
-def harvest_power(model: HarvestModel, harvest_input_w: float) -> float:
-    """Harvested power for a given harvest-branch input, clamped at zero."""
-    if harvest_input_w < 0:
+def harvest_power(model: HarvestModel, harvest_input_w):
+    """Harvested power for given harvest-branch inputs, clamped at zero."""
+    x = np.asarray(harvest_input_w, dtype=float)
+    if (x < 0).any():
         raise ValueError("harvest_input_w must be >= 0")
-    x = harvest_input_w
-    return max(0.0, model.a1 * x * x + model.a2 * x + model.a3)
+    return np.maximum(0.0, model.a1 * x * x + model.a2 * x + model.a3)
 
 
 def ledger(
@@ -110,13 +107,13 @@ def ledger(
     harvest_model: HarvestModel,
     uplink: LinkBudget,
     downlink: LinkBudget,
-    delta: float,
+    delta,
     ptx_ul_w: float,
     ptx_dl_w: float,
     *,
     device_pays_downlink: bool = True,
 ) -> EnergyLedger:
-    """Assemble the full energy balance of one device for one round.
+    """Assemble the energy balance of every device for one round.
 
     Harvesting runs for the downlink transmission time on the harvest
     branch's share ``(1 - delta)`` of the received power. Zero harvested
@@ -126,20 +123,20 @@ def ledger(
     is infinite as well.
     """
     e_c = compute_energy(profile)
-    e_u = uplink_energy(uplink.tx_time_s, ptx_ul_w)
-    e_d = downlink_energy(downlink.tx_time_s, ptx_dl_w)
+    e_u = transmit_energy(uplink.tx_time_s, ptx_ul_w)
+    e_d = transmit_energy(downlink.tx_time_s, ptx_dl_w)
     e_total = e_c + e_u + (e_d if device_pays_downlink else 0.0)
 
     p_h = harvest_power(harvest_model, (1.0 - delta) * downlink.prx_w)
-    e_h = downlink.tx_time_s * p_h if p_h > 0.0 else 0.0
+    with np.errstate(invalid="ignore"):
+        e_h = np.where(p_h > 0.0, downlink.tx_time_s * p_h, 0.0)
 
-    feasible = math.isfinite(e_total) and e_total <= e_h
     return EnergyLedger(
-        e_compute_j=e_c,
+        e_compute_j=np.full_like(e_total, e_c),
         e_uplink_j=e_u,
         e_downlink_j=e_d,
         e_total_j=e_total,
         p_harvest_w=p_h,
         e_harvest_j=e_h,
-        feasible=feasible,
+        feasible=np.isfinite(e_total) & (e_total <= e_h),
     )

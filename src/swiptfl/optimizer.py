@@ -1,32 +1,33 @@
 """Power-splitting ratio selection and UAV placement.
 
-The per-device ratio solve exploits two structural facts: the downlink time
-strictly decreases in the decode share ``delta``, so among energy-feasible
-ratios the largest one minimizes that device's downlink time; and with
-nonnegative harvest-curve coefficients the feasible set is a prefix
-interval of [delta_min, delta_max], so its upper edge can be found by
-bisection. Feasibility monotonicity is still verified empirically per
-instance on a coarse probe grid, with a dense grid scan as the fallback
-whenever the probe finds a counterexample.
+The ratio solve exploits two structural facts: the downlink time strictly
+decreases in the decode share ``delta``, so among energy-feasible ratios
+the largest one minimizes a device's downlink time; and wherever the
+harvest curve is nondecreasing on the device's harvest input range
+[0, prx], both the harvested and the billed downlink energy shrink as
+``delta`` grows, so the feasible set is a prefix interval of
+[delta_min, delta_max] whose upper edge bisection finds. Devices whose
+curve can dip on that range are scanned on a dense grid instead. Every
+device is solved at once, as arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .channel import (
+    DELTA_MAX,
     DELTA_MIN,
     ChannelRealization,
     LinkBudget,
     LinkParams,
     downlink_budget,
-    uplink_budget,
+    received_power,
 )
 from .energy import ComputeProfile, HarvestModel, ledger
-from .timing import local_train_time, round_total
 
 METHOD_BISECTION = "bisection"
 METHOD_GRID = "grid"
@@ -34,37 +35,21 @@ METHOD_GRID = "grid"
 MODE_CENTROID = "centroid"
 MODE_GRID_SEARCH = "grid_search"
 
-
-@dataclass(frozen=True)
-class DeviceContext:
-    """Everything the ratio solve needs for one device at one fading state.
-
-    The uplink budget is precomputed (it does not depend on ``delta``);
-    the downlink is re-derived per candidate ratio.
-    """
-
-    params: LinkParams
-    realization: ChannelRealization
-    device: int
-    payload_dl_bits: float
-    uplink: LinkBudget
-    profile: ComputeProfile
-    harvest: HarvestModel
-    device_pays_downlink: bool = True
+TOL = 1e-6  # bisection stops once the bracket is this narrow
+MAX_ITERS = 60
+GRID_STEP = 1e-3  # spacing of the dense scan for dipping harvest curves
 
 
 @dataclass(frozen=True)
 class DeltaSolution:
-    """Per-device ratios for one realization plus the resulting round delay.
+    """Per-device ratios for one realization.
 
-    ``method`` is "grid" if any device needed the dense-scan fallback.
-    Infeasible devices carry ``delta_min`` (maximum harvest share) and a
-    False flag.
+    ``method`` is "grid" if any device needed the dense scan. Infeasible
+    devices carry ``delta_min`` (maximum harvest share) and a False flag.
     """
 
     deltas: np.ndarray
     feasible: np.ndarray
-    round_delay_s: float
     method: str
 
 
@@ -76,137 +61,67 @@ class PlacementSolution:
     objective_s: float
 
 
-def _feasible_at(ctx: DeviceContext, delta: float) -> bool:
-    dl = downlink_budget(ctx.params, ctx.realization, ctx.device, delta, ctx.payload_dl_bits)
-    led = ledger(
-        ctx.profile,
-        ctx.harvest,
-        ctx.uplink,
-        dl,
-        delta,
-        ctx.params.ptx_ul_w,
-        ctx.params.ptx_dl_w,
-        device_pays_downlink=ctx.device_pays_downlink,
-    )
-    return led.feasible
-
-
-def _solve_delta(
-    ctx: DeviceContext,
-    delta_min: float = DELTA_MIN,
-    tol: float = 1e-6,
-    max_iters: int = 60,
-    grid_step: float = 1e-3,
-    probe_points: int = 21,
-) -> tuple[float, bool, str]:
-    delta_max = 1.0 - delta_min
-    probe = np.linspace(delta_min, delta_max, probe_points)
-    flags = [_feasible_at(ctx, float(d)) for d in probe]
-
-    monotone = all(not later or earlier for earlier, later in zip(flags, flags[1:]))
-    if not monotone:
-        # Feasibility is not a prefix interval here (possible with negative
-        # harvest coefficients); scan densely for the largest feasible ratio.
-        grid = np.arange(delta_min, delta_max, grid_step)
-        grid = np.append(grid, delta_max)
-        best = None
-        for d in grid:
-            if _feasible_at(ctx, float(d)):
-                best = float(d)
-        if best is None:
-            return delta_min, False, METHOD_GRID
-        return best, True, METHOD_GRID
-
-    if flags[-1]:
-        return delta_max, True, METHOD_BISECTION
-    if not flags[0]:
-        return delta_min, False, METHOD_BISECTION
-
-    # Bracket the boundary between the last feasible and first infeasible
-    # probe points, then bisect keeping lo feasible.
-    k = max(i for i, f in enumerate(flags) if f)
-    lo, hi = float(probe[k]), float(probe[k + 1])
-    for _ in range(max_iters):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if _feasible_at(ctx, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, True, METHOD_BISECTION
-
-
-def optimize_delta_device(
-    ctx: DeviceContext,
-    delta_min: float = DELTA_MIN,
-    tol: float = 1e-6,
-    max_iters: int = 60,
-) -> tuple[float, bool]:
-    """Largest energy-feasible power-splitting ratio for one device.
-
-    Returns ``(delta_min, False)`` when no ratio is feasible; the device
-    then harvests as much as possible and is flagged infeasible.
-    """
-    delta, feasible, _ = _solve_delta(ctx, delta_min=delta_min, tol=tol, max_iters=max_iters)
-    return delta, feasible
-
-
 def optimize_delta_all(
     params: LinkParams,
     realization: ChannelRealization,
-    profiles: Sequence[ComputeProfile],
+    uplink: LinkBudget,
+    profile: ComputeProfile,
     harvest: HarvestModel,
-    payload_ul_bits: float,
     payload_dl_bits: float,
-    uav_time_s: float,
     *,
     device_pays_downlink: bool = True,
-    delta_min: float = DELTA_MIN,
 ) -> DeltaSolution:
-    """Solve every device independently and assemble the round delay.
+    """Largest energy-feasible power-splitting ratio of every device.
 
-    Independence holds because a device's ratio enters only its own decode
-    SINR and harvest branch, never the interference seen by others.
+    Devices are independent: a device's ratio enters only its own decode
+    SINR and harvest branch, never the interference seen by others. A
+    device with no feasible ratio gets ``(delta_min, False)``: it then
+    harvests as much as possible and is flagged infeasible.
     """
-    m = realization.n_devices
-    if len(profiles) != m:
-        raise ValueError("need one compute profile per device")
 
-    deltas = np.empty(m)
-    feasible = np.empty(m, dtype=bool)
-    methods = []
-    uplinks = []
-    for i in range(m):
-        up = uplink_budget(params, realization, i, payload_ul_bits)
-        uplinks.append(up)
-        ctx = DeviceContext(
-            params=params,
-            realization=realization,
-            device=i,
-            payload_dl_bits=payload_dl_bits,
-            uplink=up,
-            profile=profiles[i],
-            harvest=harvest,
+    def feasible_at(deltas):
+        down = downlink_budget(params, realization, deltas, payload_dl_bits)
+        return ledger(
+            profile,
+            harvest,
+            uplink,
+            down,
+            deltas,
+            params.ptx_ul_w,
+            params.ptx_dl_w,
             device_pays_downlink=device_pays_downlink,
-        )
-        deltas[i], feasible[i], method = _solve_delta(ctx, delta_min=delta_min)
-        methods.append(method)
+        ).feasible
 
-    t_down = [
-        downlink_budget(params, realization, i, float(deltas[i]), payload_dl_bits).tx_time_s
-        for i in range(m)
-    ]
-    delay = round_total(
-        [up.tx_time_s for up in uplinks],
-        [local_train_time(p) for p in profiles],
-        t_down,
-        uav_time_s,
+    # The harvest input (1 - delta) * prx spans [0, prx]. Where the curve
+    # is nondecreasing there, feasibility is a prefix interval; elsewhere
+    # it may not be, so those devices are scanned on the dense grid.
+    prx = received_power(
+        params.ptx_dl_w, realization.distances_m, params.pathloss_exponent, realization.gains_sq
     )
-    method = METHOD_GRID if METHOD_GRID in methods else METHOD_BISECTION
-    return DeltaSolution(
-        deltas=deltas, feasible=feasible, round_delay_s=delay.t_total_s, method=method
-    )
+    dips = (harvest.a2 < 0) | (harvest.a2 + 2.0 * harvest.a1 * prx < 0)
+
+    m = realization.n_devices
+    lo, hi = np.full(m, DELTA_MIN), np.full(m, DELTA_MAX)
+    ok_lo, ok_hi = feasible_at(lo), feasible_at(hi)
+    bracketed = ok_lo & ~ok_hi & ~dips
+    for _ in range(MAX_ITERS):
+        if not bracketed.any() or np.max(hi - lo) <= TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        ok = feasible_at(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    deltas = np.where(ok_hi, DELTA_MAX, np.where(ok_lo, lo, DELTA_MIN))
+    feasible = ok_lo | ok_hi
+    if not dips.any():
+        return DeltaSolution(deltas=deltas, feasible=feasible, method=METHOD_BISECTION)
+
+    grid = np.append(np.arange(DELTA_MIN, DELTA_MAX, GRID_STEP), DELTA_MAX)
+    on_grid = feasible_at(grid[:, None])
+    any_ok = on_grid.any(axis=0)
+    best = grid[len(grid) - 1 - np.argmax(on_grid[::-1], axis=0)]
+    deltas = np.where(dips, np.where(any_ok, best, DELTA_MIN), deltas)
+    feasible = np.where(dips, any_ok, feasible)
+    return DeltaSolution(deltas=deltas, feasible=feasible, method=METHOD_GRID)
 
 
 def place_uav(

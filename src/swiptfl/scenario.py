@@ -24,8 +24,16 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import DELTA_MAX, DELTA_MIN, ChannelRealization, LinkParams, downlink_budget, uplink_budget
-from .energy import ComputeProfile, HarvestModel, ledger
+from .channel import (
+    DELTA_MAX,
+    DELTA_MIN,
+    ChannelRealization,
+    LinkBudget,
+    LinkParams,
+    downlink_budget,
+    uplink_budget,
+)
+from .energy import ComputeProfile, EnergyLedger, HarvestModel, ledger
 from .fl_core import (
     DivergenceError,
     LocalDataset,
@@ -37,7 +45,7 @@ from .fl_core import (
     run_round,
 )
 from .optimizer import MODE_CENTROID, MODE_GRID_SEARCH, optimize_delta_all, place_uav
-from .timing import local_train_time, round_total, uav_aggregation_time
+from .timing import RoundDelay, local_train_time, round_total, uav_aggregation_time
 
 DELTA_MODE_FIXED = "fixed"
 DELTA_MODE_OPTIMIZED = "optimized"
@@ -182,7 +190,6 @@ class Scenario:
     payload_ul_bits: float
     payload_dl_bits: float
     uav_payload_bits: float
-    profiles: list[ComputeProfile]
 
 
 @dataclass(frozen=True)
@@ -235,61 +242,78 @@ class MonteCarloResult:
     n_failed: int
 
 
-def _link_round(
+@dataclass(frozen=True)
+class LinkRound:
+    """The physical layer of one round at one fading state, over all devices."""
+
+    deltas: np.ndarray
+    method: str
+    uplink: LinkBudget
+    downlink: LinkBudget
+    energy: EnergyLedger
+    t_local_s: np.ndarray
+    t_uav_s: float
+
+    def delay(self, participate: np.ndarray | None = None) -> RoundDelay:
+        """Round delay when only the ``participate`` devices train and upload.
+
+        All devices take part by default. Every device still receives the
+        downlink, so its download gates the round either way.
+        """
+        t_up, t_local = self.uplink.tx_time_s, self.t_local_s
+        if participate is not None:
+            t_up, t_local = np.where(participate, t_up, 0.0), np.where(participate, t_local, 0.0)
+        return round_total(t_up, t_local, self.downlink.tx_time_s, self.t_uav_s)
+
+
+def link_round(
     config: ScenarioConfig,
-    profiles: list[ComputeProfile],
     realization: ChannelRealization,
     payload_ul_bits: float,
     payload_dl_bits: float,
     uav_payload_bits: float,
-):
+) -> LinkRound:
     """Physical-layer bookkeeping for one round at one fading state.
 
-    Resolves the power-splitting ratios per the configured mode, then
-    derives budgets, energy ledgers, and the composed round delay.
+    Computes the uplink once, resolves the power-splitting ratios per the
+    configured mode, then computes the downlink and the energy ledger once
+    at those ratios.
     """
-    m = realization.n_devices
-    t_uav = uav_aggregation_time(config.uav_cycles_per_bit, uav_payload_bits, config.uav_cpu_hz)
+    link = config.link
+    uplink = uplink_budget(link, realization, payload_ul_bits)
     if config.delta_mode == DELTA_MODE_OPTIMIZED:
         sol = optimize_delta_all(
-            config.link,
+            link,
             realization,
-            profiles,
+            uplink,
+            config.compute,
             config.harvest,
-            payload_ul_bits,
             payload_dl_bits,
-            t_uav,
             device_pays_downlink=config.device_pays_downlink,
         )
         deltas, method = sol.deltas, sol.method
     else:
-        deltas, method = np.full(m, config.delta_fixed), DELTA_MODE_FIXED
-
-    uplinks = [uplink_budget(config.link, realization, i, payload_ul_bits) for i in range(m)]
-    downlinks = [
-        downlink_budget(config.link, realization, i, float(deltas[i]), payload_dl_bits)
-        for i in range(m)
-    ]
-    ledgers = [
-        ledger(
-            profiles[i],
-            config.harvest,
-            uplinks[i],
-            downlinks[i],
-            float(deltas[i]),
-            config.link.ptx_ul_w,
-            config.link.ptx_dl_w,
-            device_pays_downlink=config.device_pays_downlink,
-        )
-        for i in range(m)
-    ]
-    delay = round_total(
-        [u.tx_time_s for u in uplinks],
-        [local_train_time(p) for p in profiles],
-        [d.tx_time_s for d in downlinks],
-        t_uav,
+        deltas, method = np.full(realization.n_devices, config.delta_fixed), DELTA_MODE_FIXED
+    downlink = downlink_budget(link, realization, deltas, payload_dl_bits)
+    energy = ledger(
+        config.compute,
+        config.harvest,
+        uplink,
+        downlink,
+        deltas,
+        link.ptx_ul_w,
+        link.ptx_dl_w,
+        device_pays_downlink=config.device_pays_downlink,
     )
-    return deltas, method, uplinks, downlinks, ledgers, delay
+    return LinkRound(
+        deltas=deltas,
+        method=method,
+        uplink=uplink,
+        downlink=downlink,
+        energy=energy,
+        t_local_s=np.full(realization.n_devices, local_train_time(config.compute)),
+        t_uav_s=uav_aggregation_time(config.uav_cycles_per_bit, uav_payload_bits, config.uav_cpu_hz),
+    )
 
 
 def _delay_evaluator(
@@ -298,7 +322,6 @@ def _delay_evaluator(
     payload_ul_bits: float,
     payload_dl_bits: float,
     uav_payload_bits: float,
-    profiles: list[ComputeProfile],
 ):
     """Expected-round-delay objective for placement candidates.
 
@@ -307,24 +330,27 @@ def _delay_evaluator(
     trial streams.
     """
 
+    fading = [
+        rng_stream(config.master_seed, "placement-eval", t).exponential(1.0, config.device_count)
+        for t in range(config.placement_trials)
+    ]
+
     def evaluate(position: tuple[float, float, float]) -> float:
         dx = device_positions[:, 0] - position[0]
         dy = device_positions[:, 1] - position[1]
         dist = np.sqrt(dx * dx + dy * dy + position[2] ** 2)
-        totals = np.empty(config.placement_trials)
-        for t in range(config.placement_trials):
-            gains = rng_stream(config.master_seed, "placement-eval", t).exponential(
-                1.0, config.device_count
-            )
-            *_, delay = _link_round(
+        totals = [
+            link_round(
                 config,
-                profiles,
                 ChannelRealization(gains, dist),
                 payload_ul_bits,
                 payload_dl_bits,
                 uav_payload_bits,
             )
-            totals[t] = delay.t_total_s
+            .delay()
+            .t_total_s
+            for gains in fading
+        ]
         return float(np.mean(totals))
 
     return evaluate
@@ -346,9 +372,7 @@ def build(config: ScenarioConfig) -> Scenario:
 
     payload = float(config.payload_bits) if config.payload_bits else 32.0 * config.data.dim
     uav_payload = payload * (config.device_count if config.uav_payload_scales_with_m else 1)
-    profiles = [config.compute] * config.device_count
-
-    evaluator = _delay_evaluator(config, positions, payload, payload, uav_payload, profiles)
+    evaluator = _delay_evaluator(config, positions, payload, payload, uav_payload)
     placement = place_uav(
         config.area_bounds,
         config.uav_altitude_m,
@@ -388,7 +412,6 @@ def build(config: ScenarioConfig) -> Scenario:
         payload_ul_bits=payload,
         payload_dl_bits=payload,
         uav_payload_bits=uav_payload,
-        profiles=profiles,
     )
 
 
@@ -416,18 +439,15 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
             gains = rng_stream(cfg.master_seed, "trial", trial_index, "fading", r).exponential(
                 1.0, m
             )
-            realization = ChannelRealization(gains, scenario.distances_m)
-            deltas, method, uplinks, downlinks, ledgers, delay = _link_round(
+            rnd = link_round(
                 cfg,
-                scenario.profiles,
-                realization,
+                ChannelRealization(gains, scenario.distances_m),
                 scenario.payload_ul_bits,
                 scenario.payload_dl_bits,
                 scenario.uav_payload_bits,
             )
-            e_total = np.array([led.e_total_j for led in ledgers])
-            e_harvest = np.array([led.e_harvest_j for led in ledgers])
-            feasible = np.array([led.feasible for led in ledgers])
+            e_total, e_harvest = rnd.energy.e_total_j, rnd.energy.e_harvest_j
+            feasible = rnd.energy.feasible
 
             if battery is None:
                 participate = np.ones(m, dtype=bool)
@@ -436,12 +456,7 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
                 # it harvests, so the balance never goes negative.
                 participate = np.isfinite(e_total) & (battery + e_harvest - e_total >= 0.0)
                 battery = battery + e_harvest - np.where(participate, e_total, 0.0)
-                delay = round_total(
-                    np.where(participate, [u.tx_time_s for u in uplinks], 0.0),
-                    np.where(participate, [local_train_time(p) for p in scenario.profiles], 0.0),
-                    [d.tx_time_s for d in downlinks],
-                    delay.t_uav_s,
-                )
+            delay = rnd.delay(participate)
 
             if not math.isfinite(delay.t_total_s) or not bool(feasible.all()):
                 outage += 1
@@ -460,8 +475,8 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
                     t_local_max_s=float(np.max(delay.t_local_s)),
                     t_downlink_max_s=float(np.max(delay.t_downlink_s)),
                     t_uav_s=delay.t_uav_s,
-                    deltas=np.array(deltas, dtype=float),
-                    delta_method=method,
+                    deltas=rnd.deltas,
+                    delta_method=rnd.method,
                     e_total_j=e_total,
                     e_harvest_j=e_harvest,
                     feasible=feasible,

@@ -57,12 +57,12 @@ def round_total(
     if not (len(t_up) == len(t_loc) == len(t_down)) or len(t_up) == 0:
         raise ValueError("per-device time vectors must be nonempty and equal length")
     for name, vec in (("t_uplink_s", t_up), ("t_local_s", t_loc), ("t_downlink_s", t_down)):
-        if np.any(np.isnan(vec)) or np.any(vec < 0):
+        if not (vec >= 0).all():
             raise ValueError(f"{name} entries must be >= 0 (inf allowed, nan not)")
-    if np.isnan(t_uav_s) or t_uav_s < 0:
+    if not t_uav_s >= 0:
         raise ValueError("t_uav_s must be >= 0")
 
-    total = float(np.max(t_up + t_loc)) + float(np.max(t_down)) + float(t_uav_s)
+    total = float((t_up + t_loc).max()) + float(t_down.max()) + float(t_uav_s)
     return RoundDelay(
         t_local_s=t_loc,
         t_uplink_s=t_up,

@@ -22,6 +22,7 @@ from swiptfl.channel import (
     achievable_rate,
     received_power,
     sinr,
+    downlink_budget,
     tx_time,
     uplink_budget,
 )
@@ -36,7 +37,7 @@ from swiptfl.fl_core import (
     run_round,
     select_rounds,
 )
-from swiptfl.optimizer import DeviceContext, optimize_delta_device
+from swiptfl.optimizer import optimize_delta_all
 from swiptfl.scenario import DataConfig, ScenarioConfig, build, rng_stream, run_trial, sweep
 from swiptfl import cli
 
@@ -314,7 +315,7 @@ def test_criterion_06_accuracy_curve_improves():
 
 
 def _context_case(rng):
-    """One randomized device context plus the solver inputs the oracle needs.
+    """One randomized single-device realization and the solver inputs for it.
 
     Mostly nonnegative harvest curves (prefix-feasible, bisection route)
     with a minority of dipping curves that exercise the dense-grid fallback.
@@ -345,14 +346,13 @@ def _context_case(rng):
         local_iters=int(rng.integers(0, 3)),
         cpu_hz=1e9,
     )
-    return DeviceContext(
+    return dict(
         params=params,
         realization=realization,
-        device=0,
-        payload_dl_bits=float(rng.uniform(256.0, 8192.0)),
-        uplink=uplink_budget(params, realization, 0, 2048.0),
+        uplink=uplink_budget(params, realization, 2048.0),
         profile=profile,
         harvest=harvest,
+        payload_dl_bits=float(rng.uniform(256.0, 8192.0)),
         device_pays_downlink=bool(rng.random() < 0.75),
     )
 
@@ -368,24 +368,27 @@ def test_criterion_07_ratio_solver_matches_grid_oracle():
     n_feasible = 0
 
     for _ in range(500):
-        ctx = _context_case(rng)
-        delta, feasible = optimize_delta_device(ctx)
+        case = _context_case(rng)
+        sol = optimize_delta_all(**case)
+        delta, feasible = float(sol.deltas[0]), bool(sol.feasible[0])
 
-        fixed = compute_energy(ctx.profile) + ctx.uplink.tx_time_s * ctx.params.ptx_ul_w
+        params, realization, uplink = case["params"], case["realization"], case["uplink"]
+        fixed = compute_energy(case["profile"]) + uplink.tx_time_s[0] * params.ptx_ul_w
+        harvest = case["harvest"]
         mask = oracles.delta_feasibility_grid(
-            ctx.params.ptx_dl_w,
-            ctx.realization.distances_m[0],
-            ctx.params.pathloss_exponent,
-            ctx.realization.gains_sq[0],
+            params.ptx_dl_w,
+            realization.distances_m[0],
+            params.pathloss_exponent,
+            realization.gains_sq[0],
             0.0,
-            ctx.params.noise_power_dl_w,
-            ctx.params.bandwidth_hz,
-            ctx.payload_dl_bits,
+            params.noise_power_dl_w,
+            params.bandwidth_hz,
+            case["payload_dl_bits"],
             fixed,
-            ctx.device_pays_downlink,
-            ctx.harvest.a1,
-            ctx.harvest.a2,
-            ctx.harvest.a3,
+            case["device_pays_downlink"],
+            harvest.a1,
+            harvest.a2,
+            harvest.a3,
             grid,
         )
         reference = oracles.largest_feasible_delta(mask, grid)
@@ -398,20 +401,18 @@ def test_criterion_07_ratio_solver_matches_grid_oracle():
         n_feasible += 1
         worst_gap = max(worst_gap, abs(delta - reference))
 
-        from swiptfl.channel import downlink_budget
-
-        down = downlink_budget(ctx.params, ctx.realization, 0, delta, ctx.payload_dl_bits)
+        down = downlink_budget(params, realization, delta, case["payload_dl_bits"])
         led = ledger(
-            ctx.profile,
-            ctx.harvest,
-            ctx.uplink,
+            case["profile"],
+            harvest,
+            uplink,
             down,
             delta,
-            ctx.params.ptx_ul_w,
-            ctx.params.ptx_dl_w,
-            device_pays_downlink=ctx.device_pays_downlink,
+            params.ptx_ul_w,
+            params.ptx_dl_w,
+            device_pays_downlink=case["device_pays_downlink"],
         )
-        if not led.feasible:
+        if not led.feasible[0]:
             revalidation_failures += 1
 
     elapsed = time.perf_counter() - start

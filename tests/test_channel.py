@@ -56,27 +56,38 @@ def test_received_power_homogeneous_in_ptx_and_gain():
         assert received_power(ptx, d, a, c * g) == c * received_power(ptx, d, a, g)
 
 
+def _interference(ptx, realization, alpha):
+    return interference_power(
+        received_power(ptx, realization.distances_m, alpha, realization.gains_sq)
+    )
+
+
 def test_interference_single_device_is_zero():
     r = ChannelRealization([1.3], [10.0])
-    assert interference_power(1.0, r, 2.0, 0) == 0.0
+    assert _interference(1.0, r, 2.0)[0] == 0.0
 
 
 def test_interference_equal_links():
     r = ChannelRealization([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-    assert interference_power(1.0, r, 2.0, 0) == pytest.approx(2.0, rel=1e-15)
+    assert np.allclose(_interference(1.0, r, 2.0), 2.0, rtol=1e-15, atol=0.0)
 
 
 def test_interference_zero_gain_interferer():
     r = ChannelRealization([2.0, 0.0], [5.0, 7.0])
-    assert interference_power(1.0, r, 2.0, 0) == 0.0
+    assert _interference(1.0, r, 2.0)[0] == 0.0
 
 
 def test_interference_excluded_index_checked():
-    r = ChannelRealization([1.0, 1.0], [1.0, 1.0])
-    with pytest.raises(IndexError):
-        interference_power(1.0, r, 2.0, 2)
-    with pytest.raises(IndexError):
-        interference_power(1.0, r, 2.0, -1)
+    """Each device's own power is left out of its interference, and only its
+    own: with one active transmitter, it alone sees nothing."""
+    for m in (1, 2, 5):
+        for k in range(m):
+            gains = np.zeros(m)
+            gains[k] = 3.0
+            interf = _interference(1.0, ChannelRealization(gains, np.full(m, 2.0)), 2.0)
+            expected = np.full(m, 0.75)
+            expected[k] = 0.0
+            assert np.array_equal(interf, expected)
 
 
 def test_interference_matches_loop_oracle():
@@ -87,10 +98,21 @@ def test_interference_matches_loop_oracle():
         dists = rng.uniform(5, 300, m)
         ptx = rng.uniform(0.01, 5)
         alpha = rng.uniform(2, 4)
-        k = int(rng.integers(0, m))
-        mine = interference_power(ptx, ChannelRealization(gains, dists), alpha, k)
-        ref = oracles.interference(ptx, gains, dists, alpha, k)
-        assert mine == pytest.approx(ref, rel=1e-12)
+        mine = _interference(ptx, ChannelRealization(gains, dists), alpha)
+        for k in range(m):
+            ref = oracles.interference(ptx, gains, dists, alpha, k)
+            assert mine[k] == pytest.approx(ref, rel=1e-12)
+
+
+def test_interference_survives_one_dominant_device():
+    """A sum of all devices minus the device's own power would cancel to
+    rounding noise at the dominant device; prefix and suffix sums do not."""
+    gains = np.array([1e20, 1.0, 1.0, 1.0])
+    dists = np.array([10.0, 20.0, 30.0, 40.0])
+    mine = _interference(0.1, ChannelRealization(gains, dists), 2.7)
+    for k in range(len(gains)):
+        ref = oracles.interference(0.1, gains, dists, 2.7, k)
+        assert mine[k] == pytest.approx(ref, rel=1e-12)
 
 
 def test_sinr_hand_values():
@@ -122,8 +144,8 @@ def test_uplink_budget_single_device_bitexact_no_interference():
     identical to the isolated-link closed form."""
     params = make_params()
     r = ChannelRealization([0.7], [42.0])
-    budget = uplink_budget(params, r, 0, 640.0)
-    assert budget.interference_w == 0.0
+    budget = uplink_budget(params, r, 640.0)
+    assert budget.interference_w[0] == 0.0
     prx = received_power(params.ptx_ul_w, 42.0, 2.0, 0.7)
     assert budget.prx_w == prx
     assert budget.sinr == sinr(prx, 0.0, params.noise_power_ul_w)
@@ -139,14 +161,16 @@ def test_uplink_budget_matches_oracle_chain():
         gains = rng.exponential(1.0, m)
         dists = rng.uniform(10, 200, m)
         r = ChannelRealization(gains, dists)
-        i = int(rng.integers(0, m))
-        budget = uplink_budget(params, r, i, 512.0)
-        prx = oracles.rx_power(params.ptx_ul_w, dists[i], 2.7, gains[i])
-        interf = oracles.interference(params.ptx_ul_w, gains, dists, 2.7, i)
-        gamma = oracles.sinr_value(prx, interf, params.noise_power_ul_w)
-        rate = oracles.shannon_rate(params.bandwidth_hz, gamma)
-        assert budget.rate_bps == pytest.approx(rate, rel=1e-12)
-        assert budget.tx_time_s == pytest.approx(oracles.transmit_time(512.0, rate), rel=1e-12)
+        budget = uplink_budget(params, r, 512.0)
+        for i in range(m):
+            prx = oracles.rx_power(params.ptx_ul_w, dists[i], 2.7, gains[i])
+            interf = oracles.interference(params.ptx_ul_w, gains, dists, 2.7, i)
+            gamma = oracles.sinr_value(prx, interf, params.noise_power_ul_w)
+            rate = oracles.shannon_rate(params.bandwidth_hz, gamma)
+            assert budget.rate_bps[i] == pytest.approx(rate, rel=1e-12)
+            assert budget.tx_time_s[i] == pytest.approx(
+                oracles.transmit_time(512.0, rate), rel=1e-12
+            )
 
 
 def test_downlink_budget_keeps_full_received_power():
@@ -154,27 +178,27 @@ def test_downlink_budget_keeps_full_received_power():
     r = ChannelRealization([1.1, 0.4], [30.0, 55.0])
     full = received_power(params.ptx_dl_w, 30.0, 2.0, 1.1)
     for delta in (0.1, 0.5, 0.9):
-        assert downlink_budget(params, r, 0, delta, 256.0).prx_w == full
+        assert downlink_budget(params, r, delta, 256.0).prx_w[0] == full
 
 
 def test_downlink_sinr_uses_decoder_share():
     params = make_params()
     r = ChannelRealization([1.0], [20.0])
-    b = downlink_budget(params, r, 0, 0.25, 256.0)
-    assert b.sinr == pytest.approx(0.25 * b.prx_w / params.noise_power_dl_w, rel=1e-12)
+    b = downlink_budget(params, r, 0.25, 256.0)
+    assert b.sinr[0] == pytest.approx(0.25 * b.prx_w[0] / params.noise_power_dl_w, rel=1e-12)
 
 
 def test_downlink_time_strictly_decreasing_in_delta():
     params = make_params()
     r = ChannelRealization([0.9, 1.7], [60.0, 90.0])
-    times = [downlink_budget(params, r, 0, d, 4096.0).tx_time_s for d in np.linspace(0.05, 0.95, 12)]
-    assert all(a > b for a, b in zip(times, times[1:]))
+    times = downlink_budget(params, r, np.linspace(0.05, 0.95, 12)[:, None], 4096.0).tx_time_s
+    assert np.all(times[:-1] > times[1:])
 
 
 def test_uplink_time_strictly_decreasing_in_ptx():
     r = ChannelRealization([1.0], [50.0])
     times = [
-        uplink_budget(make_params(ptx_ul_w=p), r, 0, 4096.0).tx_time_s for p in (0.01, 0.1, 1.0, 10.0)
+        uplink_budget(make_params(ptx_ul_w=p), r, 4096.0).tx_time_s[0] for p in (0.01, 0.1, 1.0, 10.0)
     ]
     assert all(a > b for a, b in zip(times, times[1:]))
 
@@ -184,7 +208,9 @@ def test_downlink_budget_rejects_delta_outside_clamp():
     r = ChannelRealization([1.0], [10.0])
     for bad in (0.0, DELTA_MIN / 2, 1.0, 1.5, DELTA_MAX + 1e-4):
         with pytest.raises(ValueError):
-            downlink_budget(params, r, 0, bad, 100.0)
+            downlink_budget(params, r, bad, 100.0)
+    with pytest.raises(ValueError):
+        downlink_budget(params, ChannelRealization([1.0, 1.0], [10.0, 20.0]), [0.5, 1.0], 100.0)
 
 
 def test_link_params_validation():

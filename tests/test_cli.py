@@ -1,11 +1,15 @@
 """End-to-end command-line tests, run in process through cli.main."""
 
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from swiptfl import cli
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = """\
 master_seed: 3
@@ -296,3 +300,29 @@ def test_out_dir_env_default(tmp_path, capsys, monkeypatch):
     assert code == 0
     capsys.readouterr()
     assert (target / "rounds.csv").exists()
+
+def test_workers_default_keeps_the_config_value():
+    path = str(CONFIGS / "default.yaml")
+    args = cli.build_parser().parse_args(["run", "--config", path])
+    assert cli._apply_cli_options(cli.load_config(path), args).workers == 1
+    args = cli.build_parser().parse_args(["run", "--config", path, "--workers", "2"])
+    assert cli._apply_cli_options(cli.load_config(path), args).workers == 2
+
+
+# sha256 of rounds.csv for each shipped config at 3 trials x 4 rounds. A
+# change here changes results bit for bit: make it on purpose and record it.
+GOLDEN_ROUNDS_SHA256 = {
+    "default.yaml": "7feea2a3c3d679c4139ab8ea52d632d6781730dc622e71bb224f957d2ee638ec",
+    "accuracy.yaml": "daa2571a533ea5cad19c52160eb6fabc32c514eb5794fbac2200fb1805116a68",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROUNDS_SHA256))
+def test_shipped_config_rounds_match_golden_hash(tmp_path, capsys, name):
+    out = tmp_path / "o"
+    args = ["run", "--config", str(CONFIGS / name), "--out", str(out), "--workers", "1"]
+    small = ["--override", "monte_carlo_trials=3", "--override", "rounds=4"]
+    assert run_cli(args + small) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_ROUNDS_SHA256[name]

@@ -11,10 +11,9 @@ from swiptfl.energy import (
     ComputeProfile,
     HarvestModel,
     compute_energy,
-    downlink_energy,
     harvest_power,
     ledger,
-    uplink_energy,
+    transmit_energy,
 )
 
 
@@ -52,19 +51,18 @@ def test_compute_profile_validation():
 
 
 def test_transmit_energy_hand_values():
-    assert uplink_energy(1.0, 0.5) == 0.5
-    assert uplink_energy(0.0, 2.0) == 0.0
-    assert uplink_energy(2.0, 1.0) == 2.0
-    assert downlink_energy(1.0, 0.5) == 0.5
-    assert downlink_energy(0.0, 2.0) == 0.0
+    assert transmit_energy(1.0, 0.5) == 0.5
+    assert transmit_energy(0.0, 2.0) == 0.0
+    assert transmit_energy(2.0, 1.0) == 2.0
+    assert np.array_equal(transmit_energy([1.0, 0.0, 2.0], 0.5), [0.5, 0.0, 1.0])
 
 
 def test_transmit_energy_infinite_time_zero_power():
     # An unreachable device with nothing to send costs nothing; the naive
     # inf * 0 product would be nan.
-    assert uplink_energy(math.inf, 0.0) == 0.0
-    assert downlink_energy(math.inf, 0.0) == 0.0
-    assert uplink_energy(math.inf, 0.1) == math.inf
+    assert transmit_energy(math.inf, 0.0) == 0.0
+    assert np.array_equal(transmit_energy([math.inf, 1.0], 0.0), [0.0, 0.0])
+    assert transmit_energy(math.inf, 0.1) == math.inf
 
 
 def test_harvest_power_hand_values():
@@ -84,8 +82,8 @@ def test_harvest_power_monotone_for_nonnegative_coefficients():
     for _ in range(40):
         model = HarvestModel(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 0.1))
         xs = np.sort(rng.uniform(0, 2, 20))
-        values = [harvest_power(model, float(x)) for x in xs]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        values = harvest_power(model, xs)
+        assert np.all(values[1:] >= values[:-1])
 
 
 def _budgets(delta, ptx_dl=1.0, payload=2048.0):
@@ -98,41 +96,42 @@ def _budgets(delta, ptx_dl=1.0, payload=2048.0):
         ptx_dl_w=ptx_dl,
     )
     r = ChannelRealization([0.8, 1.2], [25.0, 40.0])
-    return params, uplink_budget(params, r, 0, payload), downlink_budget(params, r, 0, delta, payload)
+    return params, uplink_budget(params, r, payload), downlink_budget(params, r, delta, payload)
 
 
 def test_ledger_sum_identity():
     model = HarvestModel(0.1, 0.5, 0.0)
     params, up, down = _budgets(0.4)
     led = ledger(make_profile(), model, up, down, 0.4, params.ptx_ul_w, params.ptx_dl_w)
-    assert led.e_total_j == led.e_compute_j + led.e_uplink_j + led.e_downlink_j
+    assert np.array_equal(led.e_total_j, led.e_compute_j + led.e_uplink_j + led.e_downlink_j)
     led2 = ledger(
         make_profile(), model, up, down, 0.4, params.ptx_ul_w, params.ptx_dl_w,
         device_pays_downlink=False,
     )
-    assert led2.e_total_j == led2.e_compute_j + led2.e_uplink_j
-    assert led2.e_downlink_j == led.e_downlink_j
+    assert np.array_equal(led2.e_total_j, led2.e_compute_j + led2.e_uplink_j)
+    assert np.array_equal(led2.e_downlink_j, led.e_downlink_j)
 
 
 def test_ledger_harvest_energy_definition():
     model = HarvestModel(0.2, 0.3, 0.01)
     params, up, down = _budgets(0.6)
     led = ledger(make_profile(), model, up, down, 0.6, params.ptx_ul_w, params.ptx_dl_w)
-    expected_power = oracles.p_harvest(0.2, 0.3, 0.01, (1.0 - 0.6) * down.prx_w)
-    assert led.p_harvest_w == pytest.approx(expected_power, rel=1e-12)
-    assert led.e_harvest_j == pytest.approx(down.tx_time_s * expected_power, rel=1e-12)
+    for i in range(2):
+        expected_power = oracles.p_harvest(0.2, 0.3, 0.01, (1.0 - 0.6) * down.prx_w[i])
+        assert led.p_harvest_w[i] == pytest.approx(expected_power, rel=1e-12)
+        assert led.e_harvest_j[i] == pytest.approx(down.tx_time_s[i] * expected_power, rel=1e-12)
 
 
 def test_ledger_feasibility_is_energy_balance():
     params, up, down = _budgets(0.5)
     poor = ledger(make_profile(), HarvestModel(0.1, 0.5, 0.0), up, down, 0.5,
                   params.ptx_ul_w, params.ptx_dl_w)
-    assert poor.e_total_j > poor.e_harvest_j
-    assert not poor.feasible
+    assert np.all(poor.e_total_j > poor.e_harvest_j)
+    assert not np.any(poor.feasible)
     rich = ledger(make_profile(local_iters=0), HarvestModel(0.0, 0.0, 100.0), up, down, 0.5,
                   params.ptx_ul_w, 0.001, device_pays_downlink=True)
-    assert rich.e_total_j <= rich.e_harvest_j
-    assert rich.feasible
+    assert np.all(rich.e_total_j <= rich.e_harvest_j)
+    assert np.all(rich.feasible)
 
 
 def test_ledger_zero_harvest_power_gives_zero_energy_even_when_unreachable():
@@ -140,26 +139,26 @@ def test_ledger_zero_harvest_power_gives_zero_energy_even_when_unreachable():
     harvest curve outputs zero; inf * 0 must not surface as nan."""
     params, up, _ = _budgets(0.5)
     r = ChannelRealization([0.0, 1.0], [25.0, 40.0])  # zero gain: rate 0, time inf
-    down = downlink_budget(params, r, 0, 0.5, 2048.0)
-    assert down.tx_time_s == math.inf
+    down = downlink_budget(params, r, 0.5, 2048.0)
+    assert down.tx_time_s[0] == math.inf
     led = ledger(make_profile(), HarvestModel(0.0, 0.0, 0.0), up, down, 0.5,
                  params.ptx_ul_w, params.ptx_dl_w)
-    assert led.e_harvest_j == 0.0
-    assert not math.isnan(led.e_total_j)
-    assert not led.feasible
+    assert led.e_harvest_j[0] == 0.0
+    assert not math.isnan(led.e_total_j[0])
+    assert not led.feasible[0]
 
 
 def test_ledger_infinite_total_never_feasible():
     params, up, _ = _budgets(0.5)
     r = ChannelRealization([0.0, 1.0], [25.0, 40.0])
-    down = downlink_budget(params, r, 0, 0.5, 2048.0)
+    down = downlink_budget(params, r, 0.5, 2048.0)
     led = ledger(make_profile(), HarvestModel(0.0, 0.5, 0.1), up, down, 0.5,
                  params.ptx_ul_w, params.ptx_dl_w)
     # The constant curve term keeps harvesting through the endless downlink,
     # but an infinite bill is still a bill.
-    assert led.e_harvest_j == math.inf
-    assert led.e_total_j == math.inf
-    assert not led.feasible
+    assert led.e_harvest_j[0] == math.inf
+    assert led.e_total_j[0] == math.inf
+    assert not led.feasible[0]
 
 
 def test_harvested_energy_nonincreasing_in_delta():
@@ -170,10 +169,7 @@ def test_harvested_energy_nonincreasing_in_delta():
         model = HarvestModel(rng.uniform(0, 0.5), rng.uniform(0, 1), rng.uniform(0, 0.05))
         profile = make_profile()
         ptx_dl = float(rng.uniform(0.5, 2.0))
-        deltas = np.linspace(0.05, 0.95, 10)
-        energies = []
-        for d in deltas:
-            params, up, down = _budgets(float(d), ptx_dl=ptx_dl)
-            led = ledger(profile, model, up, down, float(d), params.ptx_ul_w, params.ptx_dl_w)
-            energies.append(led.e_harvest_j)
-        assert all(b <= a + 1e-18 for a, b in zip(energies, energies[1:]))
+        deltas = np.linspace(0.05, 0.95, 10)[:, None]
+        params, up, down = _budgets(deltas, ptx_dl=ptx_dl)
+        energies = ledger(profile, model, up, down, deltas, params.ptx_ul_w, params.ptx_dl_w).e_harvest_j
+        assert np.all(energies[1:] <= energies[:-1] + 1e-18)

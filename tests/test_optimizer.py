@@ -1,6 +1,7 @@
 """Ratio-solver and placement tests."""
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,21 +11,28 @@ from swiptfl.channel import (
     DELTA_MAX,
     DELTA_MIN,
     ChannelRealization,
+    LinkBudget,
     LinkParams,
     downlink_budget,
     uplink_budget,
 )
-from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy, ledger, uplink_energy
-from swiptfl.optimizer import (
-    DeviceContext,
-    _solve_delta,
-    optimize_delta_all,
-    optimize_delta_device,
-    place_uav,
-)
+from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy, ledger, transmit_energy
+from swiptfl.optimizer import optimize_delta_all, place_uav
 
 
-def make_ctx(
+class Case(NamedTuple):
+    """Everything the ratio solve needs for a realization of M=1 or more."""
+
+    params: LinkParams
+    realization: ChannelRealization
+    payload_dl_bits: float
+    uplink: LinkBudget
+    profile: ComputeProfile
+    harvest: HarvestModel
+    device_pays_downlink: bool
+
+
+def make_case(
     gain=1.0,
     dist=30.0,
     ptx_dl=1.0,
@@ -43,28 +51,27 @@ def make_ctx(
         ptx_ul_w=ptx_ul,
         ptx_dl_w=ptx_dl,
     )
-    realization = ChannelRealization([gain], [dist])
+    realization = ChannelRealization(np.atleast_1d(gain), np.atleast_1d(dist))
     profile = ComputeProfile(
         kappa=1e-28, cycles_per_bit=1e3, data_bits=1e4, local_iters=local_iters, cpu_hz=1e9
     )
-    return DeviceContext(
+    return Case(
         params=params,
         realization=realization,
-        device=0,
         payload_dl_bits=payload_dl,
-        uplink=uplink_budget(params, realization, 0, payload_ul),
+        uplink=uplink_budget(params, realization, payload_ul),
         profile=profile,
         harvest=HarvestModel(*harvest),
         device_pays_downlink=pays_downlink,
     )
 
 
-def random_ctx(rng):
-    """Context with a log-uniform channel quality so a healthy share of
+def random_case(rng):
+    """One device with a log-uniform channel quality so a healthy share of
     draws lands on each side of the energy-feasibility boundary."""
     dist = float(rng.uniform(2.0, 30.0))
     quality = 10.0 ** rng.uniform(-2.0, 1.5)
-    return make_ctx(
+    return make_case(
         gain=quality * dist**2,
         dist=dist,
         ptx_dl=float(rng.uniform(0.5, 3.0)),
@@ -75,32 +82,50 @@ def random_ctx(rng):
     )
 
 
-def _probe_feasible(ctx, delta):
-    down = downlink_budget(ctx.params, ctx.realization, 0, delta, ctx.payload_dl_bits)
+def solve(case):
+    return optimize_delta_all(
+        case.params,
+        case.realization,
+        case.uplink,
+        case.profile,
+        case.harvest,
+        case.payload_dl_bits,
+        device_pays_downlink=case.device_pays_downlink,
+    )
+
+
+def solve_one(case):
+    """(delta, feasible) of the single device of an M=1 case."""
+    sol = solve(case)
+    return float(sol.deltas[0]), bool(sol.feasible[0])
+
+
+def _feasible(case, delta):
+    down = downlink_budget(case.params, case.realization, delta, case.payload_dl_bits)
     return ledger(
-        ctx.profile,
-        ctx.harvest,
-        ctx.uplink,
+        case.profile,
+        case.harvest,
+        case.uplink,
         down,
         delta,
-        ctx.params.ptx_ul_w,
-        ctx.params.ptx_dl_w,
-        device_pays_downlink=ctx.device_pays_downlink,
+        case.params.ptx_ul_w,
+        case.params.ptx_dl_w,
+        device_pays_downlink=case.device_pays_downlink,
     ).feasible
 
 
 def test_slack_constraint_hits_upper_clamp():
     """Zero consumption (no iterations, empty uplink) under a generous flat
     harvest curve leaves every ratio feasible, so the solver takes the top."""
-    ctx = make_ctx(local_iters=0, payload_ul=0.0, harvest=(0.0, 0.0, 100.0), ptx_dl=0.01)
-    delta, feasible = optimize_delta_device(ctx)
+    case = make_case(local_iters=0, payload_ul=0.0, harvest=(0.0, 0.0, 100.0), ptx_dl=0.01)
+    delta, feasible = solve_one(case)
     assert feasible
     assert delta == DELTA_MAX
 
 
 def test_dead_harvest_curve_is_infeasible():
-    ctx = make_ctx(harvest=(0.0, 0.0, 0.0))
-    delta, feasible = optimize_delta_device(ctx)
+    case = make_case(harvest=(0.0, 0.0, 0.0))
+    delta, feasible = solve_one(case)
     assert not feasible
     assert delta == DELTA_MIN
 
@@ -109,34 +134,35 @@ def test_returned_feasible_delta_revalidates_through_ledger():
     rng = np.random.default_rng(17)
     checked = 0
     for _ in range(100):
-        ctx = random_ctx(rng)
-        delta, feasible = optimize_delta_device(ctx)
+        case = random_case(rng)
+        delta, feasible = solve_one(case)
         assert DELTA_MIN <= delta <= DELTA_MAX
         if not feasible:
             continue
         checked += 1
-        assert _probe_feasible(ctx, delta)
+        assert _feasible(case, delta)[0]
     assert checked >= 10
 
 
-def _oracle_solve(ctx, step=1e-4):
+def _oracle_solve(case, device=0, step=1e-4):
     deltas = np.arange(DELTA_MIN, DELTA_MAX, step)
     deltas = np.append(deltas, DELTA_MAX)
-    fixed = compute_energy(ctx.profile) + uplink_energy(ctx.uplink.tx_time_s, ctx.params.ptx_ul_w)
+    p, r = case.params, case.realization
+    fixed = compute_energy(case.profile) + transmit_energy(case.uplink.tx_time_s[device], p.ptx_ul_w)
     mask = oracles.delta_feasibility_grid(
-        ctx.params.ptx_dl_w,
-        ctx.realization.distances_m[0],
-        ctx.params.pathloss_exponent,
-        ctx.realization.gains_sq[0],
-        0.0,
-        ctx.params.noise_power_dl_w,
-        ctx.params.bandwidth_hz,
-        ctx.payload_dl_bits,
+        p.ptx_dl_w,
+        r.distances_m[device],
+        p.pathloss_exponent,
+        r.gains_sq[device],
+        oracles.interference(p.ptx_dl_w, r.gains_sq, r.distances_m, p.pathloss_exponent, device),
+        p.noise_power_dl_w,
+        p.bandwidth_hz,
+        case.payload_dl_bits,
         fixed,
-        ctx.device_pays_downlink,
-        ctx.harvest.a1,
-        ctx.harvest.a2,
-        ctx.harvest.a3,
+        case.device_pays_downlink,
+        case.harvest.a1,
+        case.harvest.a2,
+        case.harvest.a3,
         deltas,
     )
     return oracles.largest_feasible_delta(mask, deltas)
@@ -147,9 +173,9 @@ def test_solver_agrees_with_dense_grid_oracle():
     n_feasible = 0
     n_infeasible = 0
     for _ in range(120):
-        ctx = random_ctx(rng)
-        delta, feasible = optimize_delta_device(ctx)
-        ref = _oracle_solve(ctx)
+        case = random_case(rng)
+        delta, feasible = solve_one(case)
+        ref = _oracle_solve(case)
         assert feasible == (ref is not None)
         if feasible:
             assert abs(delta - ref) <= 1e-3
@@ -163,8 +189,9 @@ def test_solver_agrees_with_dense_grid_oracle():
 
 def test_solver_falls_back_to_grid_on_nonmonotone_feasibility():
     """A harvest curve that dips negative mid-range splits the feasible set
-    in two, which the probe must catch and hand to the dense scan."""
-    ctx = make_ctx(
+    in two. Its negative linear coefficient fails the nondecreasing-curve
+    rule, so the device goes to the dense scan instead of bisection."""
+    case = make_case(
         gain=2.0,
         dist=1.0,
         ptx_dl=2.0,
@@ -173,14 +200,14 @@ def test_solver_falls_back_to_grid_on_nonmonotone_feasibility():
         pays_downlink=False,
     )
     # Confirm the construction: feasible at both ends, dead in the middle.
-    assert _probe_feasible(ctx, DELTA_MIN)
-    assert not _probe_feasible(ctx, 0.85)
-    assert _probe_feasible(ctx, DELTA_MAX)
+    assert _feasible(case, DELTA_MIN)[0]
+    assert not _feasible(case, 0.85)[0]
+    assert _feasible(case, DELTA_MAX)[0]
 
-    delta, feasible, method = _solve_delta(ctx)
-    assert method == "grid"
-    assert feasible
-    assert delta == DELTA_MAX
+    sol = solve(case)
+    assert sol.method == "grid"
+    assert sol.feasible[0]
+    assert sol.deltas[0] == DELTA_MAX
 
 
 def test_solution_invariant_under_joint_energy_rescale():
@@ -188,7 +215,7 @@ def test_solution_invariant_under_joint_energy_rescale():
     power of two flips no feasibility verdict, so the solved ratio is
     bit-identical. The uplink budget is reused as-is: its transmit time
     does not change, only the billed power does."""
-    ctx = make_ctx(
+    case = make_case(
         gain=140.0,
         dist=8.0,
         ptx_dl=2.0,
@@ -196,66 +223,47 @@ def test_solution_invariant_under_joint_energy_rescale():
         local_iters=0,
         pays_downlink=False,
     )
-    d1, f1 = optimize_delta_device(ctx)
+    d1, f1 = solve_one(case)
     assert f1
     assert DELTA_MIN < d1 < DELTA_MAX
 
     c = 4.0
-    scaled = DeviceContext(
-        params=replace(ctx.params, ptx_ul_w=c * ctx.params.ptx_ul_w),
-        realization=ctx.realization,
-        device=0,
-        payload_dl_bits=ctx.payload_dl_bits,
-        uplink=ctx.uplink,
-        profile=replace(ctx.profile, kappa=c * ctx.profile.kappa),
-        harvest=HarvestModel(c * ctx.harvest.a1, c * ctx.harvest.a2, c * ctx.harvest.a3),
-        device_pays_downlink=False,
+    scaled = case._replace(
+        params=replace(case.params, ptx_ul_w=c * case.params.ptx_ul_w),
+        profile=replace(case.profile, kappa=c * case.profile.kappa),
+        harvest=HarvestModel(c * case.harvest.a1, c * case.harvest.a2, c * case.harvest.a3),
     )
-    d2, f2 = optimize_delta_device(scaled)
+    d2, f2 = solve_one(scaled)
     assert f2
     assert d1 == d2
 
 
-def test_optimize_delta_all_assembles_round_delay():
-    params = LinkParams(
-        pathloss_exponent=2.0,
-        bandwidth_hz=1e6,
-        noise_power_ul_w=1e-9,
-        noise_power_dl_w=1e-9,
-        ptx_ul_w=0.1,
-        ptx_dl_w=1.0,
-    )
+def test_optimize_delta_all_solves_interfering_devices_together():
+    """Four devices solved in one call each land on their own oracle edge,
+    the oracle seeing the interference of the other three."""
     rng = np.random.default_rng(37)
     m = 4
-    realization = ChannelRealization(rng.exponential(1.0, m), rng.uniform(5, 50, m))
-    profiles = [
-        ComputeProfile(kappa=1e-28, cycles_per_bit=1e3, data_bits=1e4, local_iters=2, cpu_hz=1e9)
-    ] * m
-    sol = optimize_delta_all(
-        params,
-        realization,
-        profiles,
-        HarvestModel(0.1, 0.5, 0.0),
-        payload_ul_bits=1024.0,
-        payload_dl_bits=1024.0,
-        uav_time_s=0.01,
-    )
-    assert sol.deltas.shape == (m,)
-    assert sol.feasible.shape == (m,)
-    assert np.all((sol.deltas >= DELTA_MIN) & (sol.deltas <= DELTA_MAX))
-    assert sol.method in ("bisection", "grid")
-    assert sol.round_delay_s > 0.01
-
-    with pytest.raises(ValueError):
-        optimize_delta_all(
-            params,
-            realization,
-            profiles[:-1],
-            HarvestModel(0.1, 0.5, 0.0),
-            1024.0,
-            1024.0,
-            0.01,
+    solved = 0
+    for _ in range(20):
+        dists = rng.uniform(2.0, 30.0, m)
+        case = make_case(
+            gain=10.0 ** rng.uniform(-2.0, 1.5, m) * dists**2,
+            dist=dists,
+            harvest=(float(rng.uniform(0.0, 0.4)), float(rng.uniform(0.05, 1.0)), 0.0),
+            local_iters=1,
         )
+        sol = solve(case)
+        assert sol.deltas.shape == (m,) and sol.feasible.shape == (m,)
+        assert sol.method == "bisection"
+        for i in range(m):
+            ref = _oracle_solve(case, device=i)
+            assert sol.feasible[i] == (ref is not None)
+            if ref is not None:
+                assert abs(sol.deltas[i] - ref) <= 1e-4 + 1e-6
+                solved += 1
+            else:
+                assert sol.deltas[i] == DELTA_MIN
+    assert 10 <= solved <= 20 * m - 10
 
 
 def test_place_uav_centroid_of_square():
@@ -284,7 +292,7 @@ def test_place_uav_single_device_picks_nearest_lattice_point():
         placement_mode="grid_search",
     )
     device = np.array([[83.0, 22.0]])
-    evaluator = _delay_evaluator(config, device, 128.0, 128.0, 128.0, [config.compute])
+    evaluator = _delay_evaluator(config, device, 128.0, 128.0, 128.0)
     sol = place_uav(
         config.area_bounds, config.uav_altitude_m, "grid_search", evaluator, grid_points=5
     )
@@ -320,7 +328,7 @@ def test_grid_search_objective_never_worse_than_centroid():
     config = ScenarioConfig(device_count=3, placement_trials=8)
     rng = np.random.default_rng(43)
     devices = rng.uniform(0.0, 100.0, (3, 2))
-    evaluator = _delay_evaluator(config, devices, 128.0, 128.0, 384.0, [config.compute] * 3)
+    evaluator = _delay_evaluator(config, devices, 128.0, 128.0, 384.0)
     centroid = place_uav(config.area_bounds, config.uav_altitude_m, "centroid", evaluator)
     grid = place_uav(
         config.area_bounds, config.uav_altitude_m, "grid_search", evaluator, grid_points=5

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from swiptfl.energy import ComputeProfile
+from swiptfl.energy import ComputeProfile, compute_energy
 from swiptfl.fl_core import TrainerConfig
 from swiptfl.scenario import (
     ScenarioConfig,
@@ -18,6 +18,7 @@ from swiptfl.scenario import (
     sweep,
     with_override,
 )
+from swiptfl.timing import local_train_time
 
 
 def small_config(**kwargs):
@@ -364,6 +365,16 @@ def test_sweep_reuses_fading_across_points():
 
 
 def test_compute_profile_is_shared_per_device():
-    scenario = build(small_config())
-    assert len(scenario.profiles) == scenario.config.device_count
-    assert all(isinstance(p, ComputeProfile) for p in scenario.profiles)
+    """The config's one compute profile sets every device's local time and
+    compute bill: with a negligible payload and the downlink billed to the
+    UAV, the bill is the compute energy alone."""
+    cfg = small_config(
+        compute=ComputeProfile(
+            kappa=3e-28, cycles_per_bit=2e3, data_bits=1e4, local_iters=2, cpu_hz=1e9
+        ),
+        device_pays_downlink=False,
+        payload_bits=1e-300,
+    )
+    rm = run_trial(build(cfg), 0).rounds[0]
+    assert rm.t_local_max_s == local_train_time(cfg.compute)
+    assert np.allclose(rm.e_total_j, compute_energy(cfg.compute), rtol=1e-12, atol=0.0)

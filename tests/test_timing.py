@@ -124,7 +124,7 @@ def test_total_nonincreasing_in_downlink_power_pointwise():
             ptx_ul_w=0.1,
             ptx_dl_w=ptx_dl,
         )
-        t_down = [downlink_budget(params, r, i, 0.5, 4096.0).tx_time_s for i in range(5)]
+        t_down = downlink_budget(params, r, 0.5, 4096.0).tx_time_s
         return round_total(t_up, t_loc, t_down, 0.01).t_total_s
 
     totals = [total(p) for p in np.logspace(-1, 1, 6)]
