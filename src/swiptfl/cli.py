@@ -7,7 +7,8 @@ config is still a plain mapping, so the core never sees decibels. A run
 manifest written next to the outputs snapshots the resolved config; passing
 a manifest as ``--config`` replays the run it records.
 
-Exit codes: 0 success, 2 config or argument error, 3 numeric failure.
+Exit codes: 0 success, 2 config, argument or I/O error, 3 numeric failure.
+Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -167,17 +168,20 @@ def _parse_override(text: str):
     return path, _normalize_powers(value)
 
 
+def _override(config: ScenarioConfig, path: str, value) -> ScenarioConfig:
+    try:
+        return with_override(config, path, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _apply_cli_options(config: ScenarioConfig, args) -> ScenarioConfig:
     for text in args.override or []:
-        path, value = _parse_override(text)
-        try:
-            config = with_override(config, path, value)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        config = _override(config, *_parse_override(text))
     if args.seed is not None:
-        config = with_override(config, "master_seed", args.seed)
+        config = _override(config, "master_seed", args.seed)
     if args.workers is not None:
-        config = with_override(config, "workers", args.workers)
+        config = _override(config, "workers", args.workers)
     return config
 
 
@@ -318,6 +322,7 @@ def cmd_sweep(args) -> int:
     values = []
     for chunk in args.values.split(","):
         _, value = _parse_override(f"{args.param}={chunk.strip()}")
+        _override(config, args.param, value)
         values.append(value)
     if not values:
         raise ConfigError("--values must list at least one value")
@@ -504,9 +509,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

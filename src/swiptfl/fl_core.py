@@ -2,8 +2,9 @@
 
 Two built-in learning tasks: linear regression under mean squared loss and
 two-class logistic regression under mean negative log-likelihood. Devices
-run plain gradient descent locally (full batch or minibatch); the server
-aggregates local models weighted by dataset size. Also provides the
+run plain gradient descent locally (full batch or minibatch), all of them in
+one batched kernel over their stacked data; the server aggregates local
+models weighted by dataset size. Also provides the
 cross-validation procedure that picks the communication-round budget, and
 synthetic data generators with a planted weight vector.
 """
@@ -69,12 +70,53 @@ class LocalDataset:
 
 
 @dataclass(frozen=True)
+class FederatedData:
+    """Every device's training samples stacked: ``features`` (M, n, d) and
+    ``targets`` (M, n).
+
+    All devices hold the same number of samples ``n``. The arrays are
+    validated once, here, so the round kernel uses them without rechecking.
+    """
+
+    features: np.ndarray
+    targets: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
+        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
+        if self.features.ndim != 3 or self.targets.shape != self.features.shape[:2]:
+            raise ValueError("features must be (M, n, d), targets (M, n)")
+        if self.features.size == 0:
+            raise ValueError("need at least one device, one sample and one feature")
+        if not (np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.targets))):
+            raise ValueError("features and targets must be finite")
+
+    @classmethod
+    def stack(cls, datasets: list[LocalDataset]) -> FederatedData:
+        """Stack per-device datasets that share one sample count and dim."""
+        if not datasets:
+            raise ValueError("datasets must be nonempty")
+        if len({(s.count, s.dim) for s in datasets}) != 1:
+            raise ValueError("stacking needs the same sample count and dim on every device")
+        return cls(np.stack([s.features for s in datasets]), np.stack([s.targets for s in datasets]))
+
+    @property
+    def count(self) -> int:
+        """Samples per device."""
+        return self.targets.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.features.shape[2]
+
+
+@dataclass(frozen=True)
 class TrainerConfig:
     """Local training hyperparameters, identical on every device.
 
     ``batch_size`` of None means full batch; the local iteration count must
-    match the energy model's per-round iteration count (checked at scenario
-    assembly, not here).
+    match the energy model's per-round iteration count (checked by the
+    scenario config, not here).
     """
 
     learning_rate: float
@@ -92,8 +134,12 @@ class TrainerConfig:
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 when set")
 
+    def minibatch(self, n: int) -> bool:
+        """Whether training on ``n`` samples per device draws minibatches."""
+        return self.batch_size is not None and self.batch_size < n
 
-def _check_dims(w: ModelVector, data: LocalDataset) -> None:
+
+def _check_dims(w: ModelVector, data: LocalDataset | FederatedData) -> None:
     if w.dim != data.dim:
         raise ValueError(f"model dim {w.dim} != feature dim {data.dim}")
 
@@ -115,22 +161,24 @@ def local_loss(w: ModelVector, data: LocalDataset, task: str) -> float:
     return float(np.mean(_sample_losses(w.params, data.features, data.targets, task)))
 
 
-def global_loss(w: ModelVector, datasets: list[LocalDataset], task: str) -> float:
-    """Pooled mean loss across all devices' samples.
+def global_loss(w: ModelVector, data: LocalDataset | FederatedData, task: str) -> float:
+    """Pooled mean loss over every sample of ``data``, in one reduction.
 
-    Accumulates per-sample losses over the pooled data and divides once by
-    the total count, so it equals the dataset-size-weighted average of the
-    local losses up to floating-point reordering.
+    ``data`` is the stacked training sets of all devices, or the devices'
+    samples pooled into one dataset when their sizes differ. Either way the
+    result is the dataset-size-weighted mean of the local losses up to
+    floating-point reordering.
     """
-    if not datasets:
-        raise ValueError("datasets must be nonempty")
-    total = 0.0
-    count = 0
-    for data in datasets:
-        _check_dims(w, data)
-        total += float(np.sum(_sample_losses(w.params, data.features, data.targets, task)))
-        count += data.count
-    return total / count
+    _check_dims(w, data)
+    return float(np.mean(_sample_losses(w.params, data.features, data.targets, task)))
+
+
+def _gradients(w: np.ndarray, x: np.ndarray, y: np.ndarray, task: str) -> np.ndarray:
+    """Mean-loss gradient of every device at once: row i of the (M, d)
+    result is the gradient at ``w[i]`` on samples ``x[i]`` (n, d), ``y[i]``."""
+    z = np.einsum("mnd,md->mn", x, w)
+    err = z - y if task == TASK_LINEAR else 1.0 / (1.0 + np.exp(-z)) - y
+    return np.einsum("mnd,mn->md", x, err) / y.shape[1]
 
 
 def loss_gradient(w: ModelVector, data: LocalDataset, task: str) -> np.ndarray:
@@ -138,128 +186,76 @@ def loss_gradient(w: ModelVector, data: LocalDataset, task: str) -> np.ndarray:
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}")
     _check_dims(w, data)
+    return _gradients(w.params[None], data.features[None], data.targets[None], task)[0]
+
+
+def aggregate(params: np.ndarray, weights: np.ndarray) -> ModelVector:
+    """Weighted average of local models, one row of ``params`` per device.
+
+    Each coordinate's weighted sum is a ``math.fsum``, which is correctly
+    rounded: the result is reproducible bit for bit and does not depend on
+    the order in which the devices are given.
+    """
+    params = np.asarray(params, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if params.ndim != 2 or len(params) == 0:
+        raise ValueError("nothing to aggregate")
+    if weights.shape != (len(params),):
+        raise ValueError("need one weight per local model")
+    if not np.all(weights > 0):
+        raise ValueError("weights must be > 0")
+    total = math.fsum(weights.tolist())
+    return ModelVector([math.fsum(col) / total for col in (weights[:, None] * params).T.tolist()])
+
+
+def run_round(
+    global_model: ModelVector,
+    data: FederatedData,
+    cfg: TrainerConfig,
+    rng: np.random.Generator | None = None,
+    participate: np.ndarray | None = None,
+) -> ModelVector:
+    """One communication round: broadcast, local GD/SGD, aggregate.
+
+    Every participating device runs its ``local_iters`` gradient steps at
+    once. ``participate`` masks devices out of training and aggregation
+    (battery-depleted devices skip a round); if nobody participates the
+    global model is returned unchanged. Minibatch training draws, per local
+    iteration, one ``rng.random((M, n))`` for all M devices, participants or
+    not, and a device's batch is the first ``batch_size`` indices of its
+    row's argsort, so it never depends on who else takes part. Full-batch
+    training draws nothing and needs no ``rng``.
+    """
+    _check_dims(global_model, data)
+    m, n = data.targets.shape
+    active = np.ones(m, dtype=bool) if participate is None else np.asarray(participate, dtype=bool)
+    if active.shape != (m,):
+        raise ValueError(f"participate must have shape ({m},)")
+    minibatch = cfg.minibatch(n)
+    if minibatch and rng is None:
+        raise ValueError("minibatch training needs an rng")
+
     x, y = data.features, data.targets
-    z = x @ w.params
-    if task == TASK_LINEAR:
-        err = z - y
-    else:
-        err = 1.0 / (1.0 + np.exp(-z)) - y
-    return x.T @ err / data.count
-
-
-def _train_loop(
-    w0: np.ndarray,
-    data: LocalDataset,
-    task: str,
-    learning_rate: float,
-    local_iters: int,
-    batch_size: int | None,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    """Gradient-descent inner loop; the zero-learning-rate boundary is allowed
-    here so tests can pin the no-op step."""
-    w = w0.copy()
-    n = data.count
-    for it in range(local_iters):
-        if batch_size is None or batch_size >= n:
-            batch = data
-        else:
-            if rng is None:
-                raise ValueError("minibatch training needs an rng")
-            idx = rng.choice(n, size=batch_size, replace=False)
-            batch = LocalDataset(data.features[idx], data.targets[idx])
-        g = loss_gradient(ModelVector(w), batch, task)
+    if not active.all():
+        x, y = x[active], y[active]
+    w = np.tile(global_model.params, (len(x), 1))
+    for it in range(cfg.local_iters):
+        xb, yb = x, y
+        if minibatch:
+            idx = np.argsort(rng.random((m, n)), axis=1)[active, : cfg.batch_size]
+            xb = np.take_along_axis(x, idx[:, :, None], axis=1)
+            yb = np.take_along_axis(y, idx, axis=1)
+        g = _gradients(w, xb, yb, cfg.task)
         if not np.all(np.isfinite(g)):
             raise DivergenceError(
                 f"non-finite gradient at local iteration {it} "
                 f"(|w|={float(np.max(np.abs(w))):.3e})"
             )
         with np.errstate(over="ignore"):
-            w = w - learning_rate * g
+            w = w - cfg.learning_rate * g
         if not np.all(np.isfinite(w)):
             raise DivergenceError(f"parameters overflowed at local iteration {it}")
-    return w
-
-
-def local_train(
-    w0: ModelVector,
-    data: LocalDataset,
-    cfg: TrainerConfig,
-    rng: np.random.Generator | None = None,
-) -> ModelVector:
-    """Run the configured number of gradient steps on one device's data.
-
-    Full-batch training is rng-independent; minibatch draws its batch
-    indices from ``rng`` and is deterministic given the generator state.
-    """
-    _check_dims(w0, data)
-    w = _train_loop(
-        w0.params, data, cfg.task, cfg.learning_rate, cfg.local_iters, cfg.batch_size, rng
-    )
-    return ModelVector(w)
-
-
-def aggregate(local_models: list[tuple[ModelVector, float]]) -> ModelVector:
-    """Dataset-size-weighted average of local models.
-
-    Devices are summed in the order given (callers keep ascending device
-    index) with Kahan compensation so results are reproducible bit-for-bit
-    across platforms and never depend on incidental reordering.
-    """
-    if not local_models:
-        raise ValueError("nothing to aggregate")
-    dim = local_models[0][0].dim
-    acc = np.zeros(dim)
-    comp = np.zeros(dim)
-    for w, weight in local_models:
-        if w.dim != dim:
-            raise ValueError("all local models must share one dimension")
-        if not weight > 0:
-            raise ValueError("weights must be > 0")
-        term = weight * w.params
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-    total = math.fsum(weight for _, weight in local_models)
-    return ModelVector(acc / total)
-
-
-def run_round(
-    global_model: ModelVector,
-    datasets: list[LocalDataset],
-    cfg: TrainerConfig,
-    rng: np.random.Generator | None = None,
-    *,
-    device_rngs: list[np.random.Generator] | None = None,
-    participate: np.ndarray | None = None,
-) -> tuple[ModelVector, list[ModelVector]]:
-    """One communication round: broadcast, train locally, aggregate.
-
-    Per-device generators are either supplied explicitly (``device_rngs``,
-    one per device) or spawned deterministically from ``rng``, so running
-    devices concurrently can never change the result. ``participate`` masks
-    devices out of training and aggregation (battery-depleted devices skip
-    a round); if nobody participates the global model is returned unchanged.
-    """
-    if not datasets:
-        raise ValueError("datasets must be nonempty")
-    if device_rngs is None:
-        device_rngs = rng.spawn(len(datasets)) if rng is not None else [None] * len(datasets)
-    if len(device_rngs) != len(datasets):
-        raise ValueError("need one rng per device")
-    if participate is None:
-        participate = np.ones(len(datasets), dtype=bool)
-
-    locals_out: list[ModelVector] = []
-    weighted: list[tuple[ModelVector, float]] = []
-    for data, dev_rng, active in zip(datasets, device_rngs, participate):
-        w_i = local_train(global_model, data, cfg, dev_rng) if active else global_model
-        locals_out.append(w_i)
-        if active:
-            weighted.append((w_i, float(data.count)))
-    new_global = aggregate(weighted) if weighted else global_model
-    return new_global, locals_out
+    return aggregate(w, np.full(len(w), float(n))) if len(w) else global_model
 
 
 def evaluate_metric(w: ModelVector, data: LocalDataset, task: str) -> float:
@@ -289,7 +285,7 @@ class RoundSelection:
 
 def select_rounds(
     candidates: list[int],
-    train_sets: list[LocalDataset],
+    train_sets: FederatedData,
     val_set: LocalDataset,
     test_set: LocalDataset,
     cfg: TrainerConfig,
@@ -300,8 +296,8 @@ def select_rounds(
 
     Trains once up to the largest candidate and snapshots the global model
     at every candidate checkpoint (training to R and continuing is
-    identical to training straight to R' > R under the same generator).
-    Returns the candidate with the best validation metric; exact ties go to
+    identical to training straight to R' > R, since every round draws its
+    minibatches from the one generator ``rng``). Returns the candidate with the best validation metric; exact ties go to
     the smaller budget, which costs less to communicate. The test metric is
     reported only for the chosen budget.
     """
@@ -315,7 +311,7 @@ def select_rounds(
     checkpoints = {}
     w = w0
     for r in range(1, candidates[-1] + 1):
-        w, _ = run_round(w, train_sets, cfg, rng.spawn(1)[0])
+        w = run_round(w, train_sets, cfg, rng)
         if r in set(candidates):
             checkpoints[r] = w
 

@@ -10,7 +10,8 @@ identical fading (common random numbers). Stream tags used here:
 * ``("data",)`` synthetic federated datasets
 * ``("init",)`` initial global model
 * ``("trial", t, "fading", r)`` per-round channel gains
-* ``("trial", t, "train", r, i)`` per-device minibatch sampling
+* ``("trial", t, "train", r)`` minibatch sampling for all M devices of a
+  round; derived only when training draws minibatches, never for full batch
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .channel import (
 from .energy import ComputeProfile, EnergyLedger, HarvestModel, ledger
 from .fl_core import (
     DivergenceError,
+    FederatedData,
     LocalDataset,
     ModelVector,
     TrainerConfig,
@@ -171,6 +173,12 @@ class ScenarioConfig:
             raise ValueError("payload_bits must be > 0 when set")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
+        if self.trainer.local_iters != self.compute.local_iters:
+            raise ValueError(
+                "trainer.local_iters and compute.local_iters must agree "
+                f"({self.trainer.local_iters} vs {self.compute.local_iters}); "
+                "the energy model bills exactly the iterations the trainer runs"
+            )
 
 
 @dataclass(frozen=True)
@@ -182,7 +190,7 @@ class Scenario:
     uav_position: tuple[float, float, float]
     placement_objective_s: float
     distances_m: np.ndarray
-    train_sets: list[LocalDataset]
+    train_sets: FederatedData
     val_set: LocalDataset
     test_set: LocalDataset
     w_true: np.ndarray
@@ -358,12 +366,6 @@ def _delay_evaluator(
 
 def build(config: ScenarioConfig) -> Scenario:
     """Materialize geometry, placement, datasets, and the initial model."""
-    if config.trainer.local_iters != config.compute.local_iters:
-        raise ValueError(
-            "trainer.local_iters and compute.local_iters must agree "
-            f"({config.trainer.local_iters} vs {config.compute.local_iters}); "
-            "the energy model bills exactly the iterations the trainer runs"
-        )
     xmin, xmax, ymin, ymax = config.area_bounds
     place_rng = rng_stream(config.master_seed, "placement")
     xs = place_rng.uniform(xmin, xmax, config.device_count)
@@ -404,7 +406,7 @@ def build(config: ScenarioConfig) -> Scenario:
         uav_position=placement.position,
         placement_objective_s=placement.objective_s,
         distances_m=distances,
-        train_sets=train_sets,
+        train_sets=FederatedData.stack(train_sets),
         val_set=val_set,
         test_set=test_set,
         w_true=w_true,
@@ -428,6 +430,7 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
     cfg = scenario.config
     start = time.perf_counter()
     m = cfg.device_count
+    minibatch = cfg.trainer.minibatch(scenario.train_sets.count)
     w = scenario.w0
     battery = np.full(m, cfg.battery_initial_j, dtype=float) if cfg.battery_ledger else None
     rounds: list[RoundMetrics] = []
@@ -461,12 +464,10 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
             if not math.isfinite(delay.t_total_s) or not bool(feasible.all()):
                 outage += 1
 
-            device_rngs = [
-                rng_stream(cfg.master_seed, "trial", trial_index, "train", r, i) for i in range(m)
-            ]
-            w, _ = run_round(
-                w, scenario.train_sets, cfg.trainer, device_rngs=device_rngs, participate=participate
+            rng = (
+                rng_stream(cfg.master_seed, "trial", trial_index, "train", r) if minibatch else None
             )
+            w = run_round(w, scenario.train_sets, cfg.trainer, rng, participate)
             rounds.append(
                 RoundMetrics(
                     round_index=r,

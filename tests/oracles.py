@@ -107,6 +107,26 @@ def centralized_step(w0, feature_blocks, target_blocks, lr, task):
     return w0 - lr * (x.T @ residual) / len(y)
 
 
+def local_gd(w0, x, y, task, lr, iters, batch_indices=None):
+    """One device's local gradient descent, sample by sample: ``iters``
+    steps from ``w0`` on the mean loss over the rows ``batch_indices[k]``
+    of (x, y) at step k, or over every row when ``batch_indices`` is None."""
+    w = [float(v) for v in w0]
+    for k in range(iters):
+        rows = range(len(y)) if batch_indices is None else [int(i) for i in batch_indices[k]]
+        grad = [0.0] * len(w)
+        for i in rows:
+            z = sum(w[j] * float(x[i][j]) for j in range(len(w)))
+            if task == "logistic":
+                err = 1.0 / (1.0 + math.exp(-z)) - float(y[i])
+            else:
+                err = z - float(y[i])
+            for j in range(len(w)):
+                grad[j] += err * float(x[i][j])
+        w = [w[j] - lr * grad[j] / len(rows) for j in range(len(w))]
+    return np.array(w)
+
+
 def lipschitz_sq_loss(features):
     """Largest eigenvalue of X^T X / n: smoothness constant of the squared
     loss, from the Gram spectrum."""

@@ -28,6 +28,7 @@ from swiptfl.channel import (
 )
 from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy, harvest_power, ledger
 from swiptfl.fl_core import (
+    FederatedData,
     LocalDataset,
     ModelVector,
     TrainerConfig,
@@ -179,7 +180,7 @@ def test_criterion_02_round_equals_centralized_step():
         lr = rng.uniform(0.01, 1.0)
 
         cfg = TrainerConfig(learning_rate=lr, local_iters=1, task=task, batch_size=None)
-        new_global, _ = run_round(ModelVector(w0), datasets, cfg)
+        new_global = run_round(ModelVector(w0), FederatedData.stack(datasets), cfg)
         reference = oracles.centralized_step(w0, blocks, targets, lr, task)
 
         scale = max(float(np.max(np.abs(reference))), 1e-30)
@@ -222,19 +223,19 @@ def test_criterion_04_global_loss_is_weighted_mean():
         dim = int(rng.integers(1, 13))
         m = int(rng.integers(1, 9))
         task = "linear" if k % 2 == 0 else "logistic"
-        blocks, targets, datasets = [], [], []
+        blocks, targets = [], []
         for _ in range(m):
             n = int(rng.integers(1, 9))
             x = rng.standard_normal((n, dim))
             y = rng.standard_normal(n) if task == "linear" else rng.integers(0, 2, n).astype(float)
             blocks.append(x)
             targets.append(y)
-            datasets.append(LocalDataset(x, y))
         w = ModelVector(rng.standard_normal(dim))
+        pooled = LocalDataset(np.vstack(blocks), np.concatenate(targets))
         worst = max(
             worst,
             rel_err(
-                global_loss(w, datasets, task),
+                global_loss(w, pooled, task),
                 oracles.pooled_loss(w.params, blocks, targets, task),
             ),
         )
@@ -535,7 +536,7 @@ def test_criterion_10_round_selection_tie_breaks():
     x = np.eye(dim)
     w_true = np.linspace(1.0, 2.0, dim)
     y = x @ w_true
-    train = [LocalDataset(x, y)]
+    train = FederatedData.stack([LocalDataset(x, y)])
     val = LocalDataset(x, y)
     test = LocalDataset(x, y)
     w0 = ModelVector(np.zeros(dim))

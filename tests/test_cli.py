@@ -312,8 +312,8 @@ def test_workers_default_keeps_the_config_value():
 # sha256 of rounds.csv for each shipped config at 3 trials x 4 rounds. A
 # change here changes results bit for bit: make it on purpose and record it.
 GOLDEN_ROUNDS_SHA256 = {
-    "default.yaml": "7feea2a3c3d679c4139ab8ea52d632d6781730dc622e71bb224f957d2ee638ec",
-    "accuracy.yaml": "daa2571a533ea5cad19c52160eb6fabc32c514eb5794fbac2200fb1805116a68",
+    "default.yaml": "a25d8766b6064d75ddf9736f985d0d8c54b34eaa8cd4c6e5deed441562086881",
+    "accuracy.yaml": "410196d9c38af7077eeeaa87c165ad4cbc24096661a60da361ce1c2111253c6d",
 }
 
 
@@ -326,3 +326,29 @@ def test_shipped_config_rounds_match_golden_hash(tmp_path, capsys, name):
     capsys.readouterr()
     digest = hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_ROUNDS_SHA256[name]
+
+
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    mismatched = write_config(
+        tmp_path, BASE_CONFIG + "trainer:\n  learning_rate: 0.1\n  local_iters: 3\n", "bad.yaml"
+    )
+    out = str(tmp_path / "o")
+    cases = [
+        ["run", "--config", mismatched, "--out", out],
+        ["run", "--config", cfg, "--out", out, "--seed", "-1"],
+        ["sweep", "--config", cfg, "--out", out, "--param", "no_such", "--values", "1,2"],
+    ]
+    for args in cases:
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_value_error_inside_a_run_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(config):
+        raise ValueError("numeric bug")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", broken)
+    with pytest.raises(ValueError, match="numeric bug"):
+        run_cli(["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")])

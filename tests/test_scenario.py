@@ -81,10 +81,9 @@ def test_config_validation():
         ScenarioConfig(uav_altitude_m=0.0)
 
 
-def test_build_rejects_mismatched_iteration_counts():
-    cfg = small_config(trainer=TrainerConfig(learning_rate=0.1, local_iters=3))
+def test_config_rejects_mismatched_iteration_counts():
     with pytest.raises(ValueError, match="local_iters"):
-        build(cfg)
+        small_config(trainer=TrainerConfig(learning_rate=0.1, local_iters=3))
 
 
 def test_build_is_deterministic_and_in_bounds():
@@ -94,7 +93,7 @@ def test_build_is_deterministic_and_in_bounds():
     assert np.array_equal(s1.device_positions, s2.device_positions)
     assert s1.uav_position == s2.uav_position
     assert np.array_equal(s1.w0.params, s2.w0.params)
-    assert np.array_equal(s1.train_sets[0].targets, s2.train_sets[0].targets)
+    assert np.array_equal(s1.train_sets.targets, s2.train_sets.targets)
 
     xmin, xmax, ymin, ymax = cfg.area_bounds
     assert np.all((s1.device_positions[:, 0] >= xmin) & (s1.device_positions[:, 0] <= xmax))
