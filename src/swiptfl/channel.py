@@ -3,7 +3,8 @@
 Everything is SI: watts, meters, hertz, bits, seconds. Channels are
 block-Rayleigh fades: squared magnitudes are drawn once per communication
 round (elsewhere) and passed in here as nonnegative arrays over devices.
-Every function is array-valued: a budget covers all devices at once. The
+Every function is array-valued: a budget covers all devices at once, and
+leading axes ``(..., M)`` batch independent fading states or positions. The
 downlink receiver is a power splitter: a fraction ``delta`` of the received
 power feeds the decoder, the remaining ``1 - delta`` feeds the energy
 harvester.
@@ -61,21 +62,19 @@ class LinkParams:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One round's fading state: squared channel gains and 3-D distances."""
+    """Fading states (..., M): squared gains and 3-D distances; leading axes broadcast."""
 
     gains_sq: np.ndarray
     distances_m: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gains_sq", np.asarray(self.gains_sq, dtype=float))
-        object.__setattr__(self, "distances_m", np.asarray(self.distances_m, dtype=float))
-        if self.gains_sq.ndim != 1 or self.distances_m.ndim != 1:
-            raise ValueError("gains_sq and distances_m must be 1-D")
-        if len(self.gains_sq) != len(self.distances_m):
-            raise ValueError(
-                f"length mismatch: {len(self.gains_sq)} gains vs "
-                f"{len(self.distances_m)} distances"
-            )
+        gains, dists = (np.asarray(a, dtype=float) for a in (self.gains_sq, self.distances_m))
+        if min(gains.ndim, dists.ndim) == 0 or gains.shape[-1] != dists.shape[-1]:
+            raise ValueError(f"device axes differ: {gains.shape} gains vs {dists.shape} distances")
+        if gains.shape != dists.shape:  # skipped on the per-round path: it costs ~4 us
+            gains, dists = np.broadcast_arrays(gains, dists)
+        object.__setattr__(self, "gains_sq", gains)
+        object.__setattr__(self, "distances_m", dists)
         if (self.gains_sq < 0).any():
             raise ValueError("gains_sq must be >= 0")
         if not (self.distances_m > 0).all():
@@ -83,12 +82,12 @@ class ChannelRealization:
 
     @property
     def n_devices(self) -> int:
-        return len(self.gains_sq)
+        return self.gains_sq.shape[-1]
 
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Derived link quantities in one direction, one entry per device."""
+    """Derived link quantities in one direction, one entry per device (and state)."""
 
     prx_w: np.ndarray
     interference_w: np.ndarray
@@ -112,12 +111,13 @@ def interference_power(prx_w) -> np.ndarray:
 
     Every device transmits (or is served) at the common power through its
     own gain and distance, so device j interferes with exactly its own
-    received power. The sums come from prefix and suffix sums, never
-    ``total - own``, which loses all precision when one device dominates.
+    received power. The sums come from prefix and suffix sums along the last
+    axis, never ``total - own``, which loses all precision when one dominates.
     """
     prx = np.asarray(prx_w, dtype=float)
-    out = np.concatenate(([0.0], prx[:-1].cumsum()))
-    out[:-1] += prx[::-1].cumsum()[-2::-1]
+    out = np.zeros(prx.shape)
+    out[..., 1:] = prx[..., :-1].cumsum(axis=-1)
+    out[..., :-1] += prx[..., ::-1].cumsum(axis=-1)[..., -2::-1]
     return out
 
 

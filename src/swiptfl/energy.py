@@ -1,4 +1,4 @@
-"""Per-round energy accounting, as arrays over devices.
+"""Per-round energy accounting, as arrays over devices (and any leading batch axes).
 
 Covers the three consumption terms (local compute, uplink transmit, and the
 UAV's downlink transmit, which by convention is billed to the device), the

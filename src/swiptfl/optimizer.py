@@ -8,7 +8,12 @@ harvest curve is nondecreasing on the device's harvest input range
 ``delta`` grows, so the feasible set is a prefix interval of
 [delta_min, delta_max] whose upper edge bisection finds. Devices whose
 curve can dip on that range are scanned on a dense grid instead. Every
-device is solved at once, as arrays.
+device of every fading state in a batch (..., M) is solved at once, as
+arrays.
+
+Placement scores all candidate UAV positions with one call of an array
+objective, (C, 3) positions to (C,) expected delays, and picks the winner
+with one lexicographic sort.
 """
 
 from __future__ import annotations
@@ -38,11 +43,12 @@ MODE_GRID_SEARCH = "grid_search"
 TOL = 1e-6  # bisection stops once the bracket is this narrow
 MAX_ITERS = 60
 GRID_STEP = 1e-3  # spacing of the dense scan for dipping harvest curves
+GRID_BLOCK = 1 << 16  # (ratio, state, device) entries per block of that scan
 
 
 @dataclass(frozen=True)
 class DeltaSolution:
-    """Per-device ratios for one realization.
+    """Per-device ratios for a realization, shaped like its gains.
 
     ``method`` is "grid" if any device needed the dense scan. Infeasible
     devices carry ``delta_min`` (maximum harvest share) and a False flag.
@@ -100,8 +106,8 @@ def optimize_delta_all(
     )
     dips = (harvest.a2 < 0) | (harvest.a2 + 2.0 * harvest.a1 * prx < 0)
 
-    m = realization.n_devices
-    lo, hi = np.full(m, DELTA_MIN), np.full(m, DELTA_MAX)
+    shape = realization.gains_sq.shape
+    lo, hi = np.full(shape, DELTA_MIN), np.full(shape, DELTA_MAX)
     ok_lo, ok_hi = feasible_at(lo), feasible_at(hi)
     bracketed = ok_lo & ~ok_hi & ~dips
     for _ in range(MAX_ITERS):
@@ -115,12 +121,17 @@ def optimize_delta_all(
     if not dips.any():
         return DeltaSolution(deltas=deltas, feasible=feasible, method=METHOD_BISECTION)
 
+    # The scan runs in blocks of ratios in front of the batch axes, so its
+    # temporaries stay near GRID_BLOCK entries however large the batch is.
+    # best is the largest feasible ratio so far, 0 while there is none.
     grid = np.append(np.arange(DELTA_MIN, DELTA_MAX, GRID_STEP), DELTA_MAX)
-    on_grid = feasible_at(grid[:, None])
-    any_ok = on_grid.any(axis=0)
-    best = grid[len(grid) - 1 - np.argmax(on_grid[::-1], axis=0)]
-    deltas = np.where(dips, np.where(any_ok, best, DELTA_MIN), deltas)
-    feasible = np.where(dips, any_ok, feasible)
+    step = max(1, GRID_BLOCK // dips.size)
+    best = np.zeros(shape)
+    for start in range(0, len(grid), step):
+        block = grid[start : start + step].reshape((-1,) + (1,) * len(shape))
+        best = np.maximum(best, np.where(feasible_at(block), block, 0.0).max(axis=0))
+    deltas = np.where(dips, np.where(best > 0, best, DELTA_MIN), deltas)
+    feasible = np.where(dips, best > 0, feasible)
     return DeltaSolution(deltas=deltas, feasible=feasible, method=METHOD_GRID)
 
 
@@ -128,38 +139,32 @@ def place_uav(
     area_bounds: tuple[float, float, float, float],
     altitude_m: float,
     mode: str,
-    evaluator: Callable[[tuple[float, float, float]], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     grid_points: int = 9,
 ) -> PlacementSolution:
     """Pick the UAV position: area center, or expected-delay grid search.
 
-    The grid always contains the exact centroid so the search can never do
-    worse than the centroid choice under the same evaluator. Ties go to the
-    candidate nearest the centroid, then to the smaller (x, y) for full
-    determinism.
+    ``objective`` maps a (C, 3) array of candidate positions to their (C,)
+    expected delays and is called exactly once. The grid always contains
+    the exact centroid so the search can never do worse than the centroid
+    choice under the same objective. Ties go to the candidate nearest the
+    centroid, then to the smaller (x, y) for full determinism.
     """
     xmin, xmax, ymin, ymax = area_bounds
-    centroid = (0.5 * (xmin + xmax), 0.5 * (ymin + ymax), altitude_m)
+    centroid = np.array([[0.5 * (xmin + xmax), 0.5 * (ymin + ymax)]])
     if mode == MODE_CENTROID:
-        return PlacementSolution(position=centroid, objective_s=float(evaluator(centroid)))
-    if mode != MODE_GRID_SEARCH:
+        xy = centroid
+    elif mode != MODE_GRID_SEARCH:
         raise ValueError(f"unknown placement mode {mode!r}")
-    if grid_points < 2:
+    elif grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    else:
+        axes = np.linspace(xmin, xmax, grid_points), np.linspace(ymin, ymax, grid_points)
+        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        xy = np.vstack([lattice, centroid])
+    candidates = np.column_stack([xy, np.full(len(xy), float(altitude_m))])
 
-    candidates = [
-        (float(x), float(y), altitude_m)
-        for x in np.linspace(xmin, xmax, grid_points)
-        for y in np.linspace(ymin, ymax, grid_points)
-    ]
-    candidates.append(centroid)
-
-    best = None
-    best_key = None
-    for pos in candidates:
-        objective = float(evaluator(pos))
-        d2 = (pos[0] - centroid[0]) ** 2 + (pos[1] - centroid[1]) ** 2
-        key = (objective, d2, pos[0], pos[1])
-        if best_key is None or key < best_key:
-            best, best_key = PlacementSolution(position=pos, objective_s=objective), key
-    return best
+    delays = np.asarray(objective(candidates), dtype=float)
+    d2 = (xy[:, 0] - centroid[0, 0]) ** 2 + (xy[:, 1] - centroid[0, 1]) ** 2
+    best = np.lexsort((xy[:, 1], xy[:, 0], d2, delays))[0]
+    return PlacementSolution(tuple(map(float, candidates[best])), float(delays[best]))

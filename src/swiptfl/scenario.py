@@ -1,12 +1,17 @@
 """Scenario assembly, seeded Monte Carlo trials, and parameter sweeps.
 
+Placement scores every candidate UAV position against every placement
+fading draw in one batched :func:`link_round`; trials run one round's
+fading state per call.
+
 Randomness discipline: every random draw comes from a named stream derived
 from the master seed via :func:`rng_stream`, so any trial, round, or device
 can be reproduced in isolation and sweeps over a physical parameter reuse
 identical fading (common random numbers). Stream tags used here:
 
 * ``("placement",)`` device positions
-* ``("placement-eval", t)`` fading for placement-candidate evaluation
+* ``("placement-eval", t)`` fading draw t, shared by every placement
+  candidate in the one batched round of :func:`mean_round_delay`
 * ``("data",)`` synthetic federated datasets
 * ``("init",)`` initial global model
 * ``("trial", t, "fading", r)`` per-round channel gains
@@ -252,7 +257,7 @@ class MonteCarloResult:
 
 @dataclass(frozen=True)
 class LinkRound:
-    """The physical layer of one round at one fading state, over all devices."""
+    """The physical layer of one round over all devices, at one or a batch of fading states."""
 
     deltas: np.ndarray
     method: str
@@ -285,7 +290,8 @@ def link_round(
 
     Computes the uplink once, resolves the power-splitting ratios per the
     configured mode, then computes the downlink and the energy ledger once
-    at those ratios.
+    at those ratios. A realization of shape (..., M) runs a whole batch of
+    fading states in this one call; every per-device field has its shape.
     """
     link = config.link
     uplink = uplink_budget(link, realization, payload_ul_bits)
@@ -301,7 +307,7 @@ def link_round(
         )
         deltas, method = sol.deltas, sol.method
     else:
-        deltas, method = np.full(realization.n_devices, config.delta_fixed), DELTA_MODE_FIXED
+        deltas, method = np.full(realization.gains_sq.shape, config.delta_fixed), DELTA_MODE_FIXED
     downlink = downlink_budget(link, realization, deltas, payload_dl_bits)
     energy = ledger(
         config.compute,
@@ -319,49 +325,34 @@ def link_round(
         uplink=uplink,
         downlink=downlink,
         energy=energy,
-        t_local_s=np.full(realization.n_devices, local_train_time(config.compute)),
+        t_local_s=np.full(realization.gains_sq.shape, local_train_time(config.compute)),
         t_uav_s=uav_aggregation_time(config.uav_cycles_per_bit, uav_payload_bits, config.uav_cpu_hz),
     )
 
 
-def _delay_evaluator(
+def mean_round_delay(
     config: ScenarioConfig,
     device_positions: np.ndarray,
+    candidates: np.ndarray,
     payload_ul_bits: float,
     payload_dl_bits: float,
     uav_payload_bits: float,
-):
-    """Expected-round-delay objective for placement candidates.
+) -> np.ndarray:
+    """Expected round delay with the UAV at each (C, 3) candidate, shape (C,).
 
-    Uses the same fading draws for every candidate position so comparisons
-    are paired, and the dedicated stream keeps placement independent of the
-    trial streams.
+    Every candidate sees the same ``placement_trials`` fading draws, so
+    comparisons are paired, and the dedicated stream keeps placement
+    independent of the trial streams. All candidates and draws go through
+    one link round over a (C, trials, M) realization.
     """
-
-    fading = [
-        rng_stream(config.master_seed, "placement-eval", t).exponential(1.0, config.device_count)
-        for t in range(config.placement_trials)
-    ]
-
-    def evaluate(position: tuple[float, float, float]) -> float:
-        dx = device_positions[:, 0] - position[0]
-        dy = device_positions[:, 1] - position[1]
-        dist = np.sqrt(dx * dx + dy * dy + position[2] ** 2)
-        totals = [
-            link_round(
-                config,
-                ChannelRealization(gains, dist),
-                payload_ul_bits,
-                payload_dl_bits,
-                uav_payload_bits,
-            )
-            .delay()
-            .t_total_s
-            for gains in fading
-        ]
-        return float(np.mean(totals))
-
-    return evaluate
+    seed, m, trials = config.master_seed, config.device_count, range(config.placement_trials)
+    fading = np.stack([rng_stream(seed, "placement-eval", t).exponential(1.0, m) for t in trials])
+    dx = device_positions[:, 0] - candidates[:, :1]
+    dy = device_positions[:, 1] - candidates[:, 1:2]
+    dist = np.sqrt(dx * dx + dy * dy + candidates[:, 2:] ** 2)
+    realization = ChannelRealization(fading, dist[:, None, :])
+    rnd = link_round(config, realization, payload_ul_bits, payload_dl_bits, uav_payload_bits)
+    return rnd.delay().t_total_s.mean(axis=-1)
 
 
 def build(config: ScenarioConfig) -> Scenario:
@@ -374,12 +365,11 @@ def build(config: ScenarioConfig) -> Scenario:
 
     payload = float(config.payload_bits) if config.payload_bits else 32.0 * config.data.dim
     uav_payload = payload * (config.device_count if config.uav_payload_scales_with_m else 1)
-    evaluator = _delay_evaluator(config, positions, payload, payload, uav_payload)
     placement = place_uav(
         config.area_bounds,
         config.uav_altitude_m,
         config.placement_mode,
-        evaluator,
+        lambda xyz: mean_round_delay(config, positions, xyz, payload, payload, uav_payload),
         config.placement_grid_points,
     )
     ux, uy, uz = placement.position

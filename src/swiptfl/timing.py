@@ -18,13 +18,13 @@ from .energy import ComputeProfile
 
 @dataclass(frozen=True)
 class RoundDelay:
-    """Per-device stage times plus the composed total for one round."""
+    """Stage times (..., M) and the round total: a float, or shape (...) for a batch."""
 
     t_local_s: np.ndarray
     t_uplink_s: np.ndarray
     t_downlink_s: np.ndarray
     t_uav_s: float
-    t_total_s: float
+    t_total_s: float | np.ndarray
 
 
 def local_train_time(profile: ComputeProfile) -> float:
@@ -49,24 +49,25 @@ def round_total(
 ) -> RoundDelay:
     """Compose the total round delay from per-device stage times.
 
-    total = max_i(uplink_i + local_i) + max_i(downlink_i) + aggregation.
+    total = max_i(uplink_i + local_i) + max_i(downlink_i) + aggregation,
+    with the maxima taken along the last (device) axis.
     """
     t_up = np.asarray(t_uplink_s, dtype=float)
     t_loc = np.asarray(t_local_s, dtype=float)
     t_down = np.asarray(t_downlink_s, dtype=float)
-    if not (len(t_up) == len(t_loc) == len(t_down)) or len(t_up) == 0:
-        raise ValueError("per-device time vectors must be nonempty and equal length")
+    if not (t_up.shape == t_loc.shape == t_down.shape) or t_up.ndim == 0 or t_up.shape[-1] == 0:
+        raise ValueError("per-device time arrays must be nonempty and of equal shape")
     for name, vec in (("t_uplink_s", t_up), ("t_local_s", t_loc), ("t_downlink_s", t_down)):
         if not (vec >= 0).all():
             raise ValueError(f"{name} entries must be >= 0 (inf allowed, nan not)")
     if not t_uav_s >= 0:
         raise ValueError("t_uav_s must be >= 0")
 
-    total = float((t_up + t_loc).max()) + float(t_down.max()) + float(t_uav_s)
+    total = (t_up + t_loc).max(axis=-1) + t_down.max(axis=-1) + float(t_uav_s)
     return RoundDelay(
         t_local_s=t_loc,
         t_uplink_s=t_up,
         t_downlink_s=t_down,
         t_uav_s=float(t_uav_s),
-        t_total_s=total,
+        t_total_s=total if total.ndim else float(total),
     )

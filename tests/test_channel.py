@@ -106,13 +106,18 @@ def test_interference_matches_loop_oracle():
 
 def test_interference_survives_one_dominant_device():
     """A sum of all devices minus the device's own power would cancel to
-    rounding noise at the dominant device; prefix and suffix sums do not."""
-    gains = np.array([1e20, 1.0, 1.0, 1.0])
+    rounding noise at the dominant device; prefix and suffix sums do not.
+    A 2-D batch sums along its device axis, row by row."""
+    dominant = np.array([1e20, 1.0, 1.0, 1.0])
     dists = np.array([10.0, 20.0, 30.0, 40.0])
-    mine = _interference(0.1, ChannelRealization(gains, dists), 2.7)
-    for k in range(len(gains)):
-        ref = oracles.interference(0.1, gains, dists, 2.7, k)
-        assert mine[k] == pytest.approx(ref, rel=1e-12)
+    batch = np.stack([dominant, dominant[::-1], np.full(4, 2.0)])
+    for gains in (dominant, batch):
+        mine = _interference(0.1, ChannelRealization(gains, dists), 2.7)
+        assert mine.shape == gains.shape
+        for row, got in zip(np.atleast_2d(gains), np.atleast_2d(mine)):
+            for k in range(len(row)):
+                ref = oracles.interference(0.1, row, dists, 2.7, k)
+                assert got[k] == pytest.approx(ref, rel=1e-12)
 
 
 def test_sinr_hand_values():
@@ -230,3 +235,13 @@ def test_channel_realization_validation():
     with pytest.raises(ValueError):
         ChannelRealization([1.0], [0.0])
     assert ChannelRealization([1.0, 2.0], [3.0, 4.0]).n_devices == 2
+    # Leading axes broadcast; the device axis must match exactly.
+    for gains, dists in (
+        (np.ones((2, 3)), np.ones((2, 2))),
+        (np.ones((2, 3)), np.ones(1)),
+        (np.ones((2, 3)), np.ones((3, 3))),
+    ):
+        with pytest.raises(ValueError):
+            ChannelRealization(gains, dists)
+    batch = ChannelRealization(np.ones((2, 3)), [3.0, 4.0, 5.0])
+    assert batch.distances_m.shape == (2, 3) and batch.n_devices == 3

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from swiptfl import cli
+from swiptfl import scenario as scenario_module
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -259,7 +260,34 @@ def test_optimize_delta_writes_per_device_ratios(tmp_path, capsys):
     assert manifest["config"]["delta_mode"] == "optimized"
 
 
-def test_place_uav_reports_position(tmp_path, capsys):
+# Grid-search placements of the shipped configs, recorded when every
+# candidate and fading draw was its own 1-D link round. The batched
+# objective must reproduce them bit for bit.
+PLACEMENT_CHARACTERIZATIONS = [
+    ("accuracy.yaml", [], [75.0, 0.0, 20.0], 0.09766661570129095),
+    (
+        "default.yaml",
+        [
+            "delta_mode=optimized",
+            "device_pays_downlink=false",
+            "link.ptx_ul_w=1.0e-3",
+            "compute.kappa=1.0e-31",
+        ],
+        [37.5, 37.5, 20.0],
+        21.080334250757602,
+    ),
+]
+
+
+def test_place_uav_reports_position(tmp_path, capsys, monkeypatch):
+    uplink_calls = []
+    uplink_budget = scenario_module.uplink_budget
+
+    def counted_uplink_budget(*args, **kwargs):
+        uplink_calls.append(args)
+        return uplink_budget(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_module, "uplink_budget", counted_uplink_budget)
     cfg = write_config(tmp_path, BASE_CONFIG + "placement_mode: grid_search\nplacement_grid_points: 3\n")
     out = tmp_path / "o"
     code = run_cli(["place-uav", "--config", cfg, "--out", str(out), "--workers", "1"])
@@ -270,6 +298,19 @@ def test_place_uav_reports_position(tmp_path, capsys):
     x, y, z = placement["position"]
     assert 0.0 <= x <= 100.0 and 0.0 <= y <= 100.0 and z == 20.0
     assert placement["objective_s"] > 0.0
+    assert len(uplink_calls) == 1  # every candidate in one link round
+
+    for name, overrides, position, objective in PLACEMENT_CHARACTERIZATIONS:
+        uplink_calls.clear()
+        out = tmp_path / name
+        args = ["place-uav", "--config", str(CONFIGS / name), "--out", str(out), "--workers", "1"]
+        for text in ["placement_mode=grid_search", *overrides]:
+            args += ["--override", text]
+        assert run_cli(args) == 0
+        placement = json.loads((out / "placement.json").read_text())
+        assert placement["position"] == position
+        assert placement["objective_s"] == objective
+        assert len(uplink_calls) == 1
 
 
 def test_diverging_run_exits_3(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Ratio-solver and placement tests."""
 
+import tracemalloc
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -18,6 +19,7 @@ from swiptfl.channel import (
 )
 from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy, ledger, transmit_energy
 from swiptfl.optimizer import optimize_delta_all, place_uav
+from swiptfl.scenario import ScenarioConfig, build, link_round, mean_round_delay, rng_stream
 
 
 class Case(NamedTuple):
@@ -266,25 +268,58 @@ def test_optimize_delta_all_solves_interfering_devices_together():
     assert 10 <= solved <= 20 * m - 10
 
 
+def constant(value):
+    return lambda candidates: np.full(len(candidates), value)
+
+
+def per_candidate_objective(config, devices, candidates, payloads):
+    """Mean round delay at each candidate, one 1-D link round per candidate
+    and fading draw: the loop the batched placement objective replaces."""
+    seed, m = config.master_seed, config.device_count
+    draws = [
+        rng_stream(seed, "placement-eval", t).exponential(1.0, m)
+        for t in range(config.placement_trials)
+    ]
+    out = []
+    for x, y, z in candidates:
+        dx, dy = devices[:, 0] - x, devices[:, 1] - y
+        dist = np.sqrt(dx * dx + dy * dy + z**2)
+        totals = [
+            link_round(config, ChannelRealization(gains, dist), *payloads).delay().t_total_s
+            for gains in draws
+        ]
+        out.append(np.mean(totals))
+    return np.array(out)
+
+
+def lattice_and_centroid(config):
+    xmin, xmax, ymin, ymax = config.area_bounds
+    n, z = config.placement_grid_points, config.uav_altitude_m
+    lattice = [
+        (float(x), float(y), z)
+        for x in np.linspace(xmin, xmax, n)
+        for y in np.linspace(ymin, ymax, n)
+    ]
+    return lattice + [(0.5 * (xmin + xmax), 0.5 * (ymin + ymax), z)]
+
+
 def test_place_uav_centroid_of_square():
-    sol = place_uav((0.0, 100.0, 0.0, 100.0), 20.0, "centroid", lambda pos: 1.0)
+    sol = place_uav((0.0, 100.0, 0.0, 100.0), 20.0, "centroid", constant(1.0))
     assert sol.position == (50.0, 50.0, 20.0)
     assert sol.objective_s == 1.0
 
 
 def test_place_uav_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        place_uav((0.0, 1.0, 0.0, 1.0), 10.0, "hover", lambda pos: 1.0)
+        place_uav((0.0, 1.0, 0.0, 1.0), 10.0, "hover", constant(1.0))
     with pytest.raises(ValueError):
-        place_uav((0.0, 1.0, 0.0, 1.0), 10.0, "grid_search", lambda pos: 1.0, grid_points=1)
+        place_uav((0.0, 1.0, 0.0, 1.0), 10.0, "grid_search", constant(1.0), grid_points=1)
 
 
 def test_place_uav_single_device_picks_nearest_lattice_point():
     """One device means no interference, so the delay shrinks as the UAV
     approaches it and the winning lattice point is the closest one.
     Cross-checked against exhaustive evaluation of every candidate."""
-    from swiptfl.scenario import ScenarioConfig, _delay_evaluator
-
     config = ScenarioConfig(
         device_count=1,
         placement_trials=10,
@@ -292,20 +327,22 @@ def test_place_uav_single_device_picks_nearest_lattice_point():
         placement_mode="grid_search",
     )
     device = np.array([[83.0, 22.0]])
-    evaluator = _delay_evaluator(config, device, 128.0, 128.0, 128.0)
-    sol = place_uav(
-        config.area_bounds, config.uav_altitude_m, "grid_search", evaluator, grid_points=5
-    )
+    calls = []
 
-    lattice = [
-        (float(x), float(y), config.uav_altitude_m)
-        for x in np.linspace(0.0, 100.0, 5)
-        for y in np.linspace(0.0, 100.0, 5)
-    ]
-    nearest = min(lattice, key=lambda p: (p[0] - 83.0) ** 2 + (p[1] - 22.0) ** 2)
+    def objective(candidates):
+        calls.append(candidates.shape)
+        return mean_round_delay(config, device, candidates, 128.0, 128.0, 128.0)
+
+    sol = place_uav(
+        config.area_bounds, config.uav_altitude_m, "grid_search", objective, grid_points=5
+    )
+    assert calls == [(26, 3)]
+
+    candidates = lattice_and_centroid(config)
+    nearest = min(candidates[:-1], key=lambda p: (p[0] - 83.0) ** 2 + (p[1] - 22.0) ** 2)
     assert sol.position == nearest
-    exhaustive = min(evaluator(p) for p in lattice + [(50.0, 50.0, config.uav_altitude_m)])
-    assert sol.objective_s == exhaustive
+    exhaustive = per_candidate_objective(config, device, candidates, (128.0, 128.0, 128.0))
+    assert sol.objective_s == exhaustive.min()
 
 
 def test_place_uav_symmetric_devices_prefer_centroid():
@@ -315,22 +352,59 @@ def test_place_uav_symmetric_devices_prefer_centroid():
     positions = np.array([[10.0, 10.0], [90.0, 10.0], [10.0, 90.0], [90.0, 90.0]])
 
     def worst_distance(pos):
-        d2 = (positions[:, 0] - pos[0]) ** 2 + (positions[:, 1] - pos[1]) ** 2 + pos[2] ** 2
-        return float(np.max(np.sqrt(d2)))
+        d2 = (
+            (positions[:, 0] - pos[:, :1]) ** 2
+            + (positions[:, 1] - pos[:, 1:2]) ** 2
+            + pos[:, 2:] ** 2
+        )
+        return np.max(np.sqrt(d2), axis=1)
 
     sol = place_uav((0.0, 100.0, 0.0, 100.0), 20.0, "grid_search", worst_distance, grid_points=9)
     assert sol.position == (50.0, 50.0, 20.0)
 
 
 def test_grid_search_objective_never_worse_than_centroid():
-    from swiptfl.scenario import ScenarioConfig, _delay_evaluator
-
     config = ScenarioConfig(device_count=3, placement_trials=8)
     rng = np.random.default_rng(43)
     devices = rng.uniform(0.0, 100.0, (3, 2))
-    evaluator = _delay_evaluator(config, devices, 128.0, 128.0, 384.0)
-    centroid = place_uav(config.area_bounds, config.uav_altitude_m, "centroid", evaluator)
+
+    def objective(candidates):
+        return mean_round_delay(config, devices, candidates, 128.0, 128.0, 384.0)
+
+    centroid = place_uav(config.area_bounds, config.uav_altitude_m, "centroid", objective)
     grid = place_uav(
-        config.area_bounds, config.uav_altitude_m, "grid_search", evaluator, grid_points=5
+        config.area_bounds, config.uav_altitude_m, "grid_search", objective, grid_points=5
     )
     assert grid.objective_s <= centroid.objective_s
+
+
+def test_batched_placement_grid_scan_stays_small():
+    """Optimized ratios under a dipping harvest curve send every device of
+    every candidate and draw through the dense-grid scan; scanned over the
+    whole batch at once, its temporaries would take hundreds of MB."""
+    config = ScenarioConfig(
+        device_count=10,
+        placement_trials=8,
+        placement_mode="grid_search",
+        delta_mode="optimized",
+        harvest=HarvestModel(a1=0.4, a2=-0.1, a3=0.1),
+    )
+    tracemalloc.start()
+    try:
+        scenario = build(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+    candidates = lattice_and_centroid(config)
+    payloads = (scenario.payload_ul_bits, scenario.payload_dl_bits, scenario.uav_payload_bits)
+    reference = per_candidate_objective(config, scenario.device_positions, candidates, payloads)
+
+    def tie_key(i):
+        x, y, _ = candidates[i]
+        return reference[i], (x - 50.0) ** 2 + (y - 50.0) ** 2, x, y
+
+    best = min(range(len(candidates)), key=tie_key)
+    assert scenario.uav_position == candidates[best]
+    assert scenario.placement_objective_s == reference[best]

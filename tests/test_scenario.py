@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
-from swiptfl.energy import ComputeProfile, compute_energy
+from swiptfl.channel import ChannelRealization
+from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy
 from swiptfl.fl_core import TrainerConfig
 from swiptfl.scenario import (
     ScenarioConfig,
     build,
+    link_round,
     rng_stream,
     run_monte_carlo,
     run_trial,
@@ -210,6 +212,55 @@ def test_single_device_round_matches_closed_form():
     )
     assert rm.e_total_j[0] == pytest.approx(e_bill, rel=1e-12)
     assert rm.e_harvest_j[0] == pytest.approx(t_down * p_h, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "delta_mode, harvest, method",
+    [
+        ("fixed", HarvestModel(0.1, 0.5, 0.0), "fixed"),
+        ("optimized", HarvestModel(0.1, 0.5, 0.0), "bisection"),
+        ("optimized", HarvestModel(0.4, -0.1, 0.003), "grid"),
+    ],
+    ids=["fixed", "bisection", "grid"],
+)
+def test_batched_link_round_equals_per_slice(delta_mode, harvest, method):
+    """A (C, T, M) realization gives, bit for bit, the stack of the 1-D
+    rounds of its slices, in every power-split regime. One slice holds a
+    dominant device whose interference would swamp the others."""
+    cfg = small_config(
+        device_count=4,
+        delta_mode=delta_mode,
+        harvest=harvest,
+        device_pays_downlink=False,
+        link=replace(ScenarioConfig().link, ptx_ul_w=1e-3),
+        compute=replace(ScenarioConfig().compute, kappa=1e-31),
+    )
+    rng = np.random.default_rng(17)
+    gains = rng.exponential(1.0, (3, 5, 4))
+    gains[1, 2, 0] = 1e20
+    dists = rng.uniform(20.0, 150.0, (3, 1, 4))
+    payloads = (128.0, 128.0, 512.0)
+    batched = link_round(cfg, ChannelRealization(gains, dists), *payloads)
+    assert batched.method == method
+    singles = [
+        [link_round(cfg, ChannelRealization(gains[c, t], dists[c, 0]), *payloads) for t in range(5)]
+        for c in range(3)
+    ]
+
+    def fields(rnd):
+        return {
+            "deltas": rnd.deltas,
+            "uplink": rnd.uplink.tx_time_s,
+            "downlink": rnd.downlink.tx_time_s,
+            "e_total_j": rnd.energy.e_total_j,
+            "e_harvest_j": rnd.energy.e_harvest_j,
+            "feasible": rnd.energy.feasible,
+            "t_total_s": rnd.delay().t_total_s,
+        }
+
+    for name, got in fields(batched).items():
+        want = np.array([[fields(rnd)[name] for rnd in row] for row in singles])
+        assert np.array_equal(got, want), name
 
 
 # -------------------------------------------------------------- battery mode

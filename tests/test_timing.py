@@ -60,6 +60,12 @@ def test_round_total_matches_oracle_randomized():
         assert d.t_total_s == pytest.approx(
             oracles.t_round(list(t_up), list(t_loc), list(t_down), t_uav), rel=1e-12
         )
+    # A 2-D batch reduces along the device axis: each row equals its 1-D total.
+    t_up, t_loc, t_down = rng.uniform(0, 3, (3, 4, 6))
+    batch = round_total(t_up, t_loc, t_down, 0.2).t_total_s
+    assert batch.shape == (4,)
+    rows = [round_total(t_up[i], t_loc[i], t_down[i], 0.2).t_total_s for i in range(4)]
+    assert np.array_equal(batch, rows)
 
 
 def test_round_total_absorbs_infinity():
@@ -105,6 +111,12 @@ def test_round_total_validation():
         round_total([math.nan], [1.0], [1.0], 0.0)
     with pytest.raises(ValueError):
         round_total([1.0], [1.0], [1.0], -0.5)
+    ok = np.ones((2, 3))
+    bad_nan, bad_neg = ok.copy(), ok.copy()
+    bad_nan[1, 2], bad_neg[0, 1] = math.nan, -0.1
+    for args in ((bad_nan, ok, ok), (ok, bad_neg, ok), (ok, ok, bad_nan), (ok, ok, np.ones((2, 2)))):
+        with pytest.raises(ValueError):
+            round_total(*args, 0.0)
 
 
 def test_total_nonincreasing_in_downlink_power_pointwise():
