@@ -29,13 +29,12 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .channel import ChannelRealization, LinkParams
-from .energy import ComputeProfile, HarvestModel
-from .fl_core import DivergenceError, TrainerConfig, select_rounds
+from .channel import ChannelRealization
+from .fl_core import DivergenceError, select_rounds
 from .scenario import (
-    DataConfig,
     ScenarioConfig,
     build,
+    coerce_like,
     link_round,
     rng_stream,
     run_monte_carlo,
@@ -96,46 +95,34 @@ def _normalize_powers(obj):
     return obj
 
 
-_NESTED = {
-    "link": LinkParams,
-    "compute": ComputeProfile,
-    "harvest": HarvestModel,
-    "trainer": TrainerConfig,
-    "data": DataConfig,
-}
+_DEFAULTS = ScenarioConfig()  # frozen: the field types every config leaf is coerced to
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a validated ScenarioConfig, rejecting unknown keys loudly."""
+    """Build a validated ScenarioConfig. Unknown keys are errors, and every leaf
+    takes its field's type by the rule ``--override`` applies (``coerce_like``)."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    known = {f.name for f in fields(ScenarioConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _NESTED:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be a mapping")
-            sub_known = {f.name for f in fields(_NESTED[key])}
-            sub_unknown = sorted(set(value) - sub_known)
-            if sub_unknown:
-                raise ConfigError(f"unknown keys in {key!r}: {', '.join(sub_unknown)}")
-            try:
-                kwargs[key] = _NESTED[key](**value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad {key!r} section: {exc}") from exc
-        elif key == "area_bounds":
-            if not isinstance(value, (list, tuple)) or len(value) != 4:
-                raise ConfigError("area_bounds must be a 4-element list")
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
     try:
-        return ScenarioConfig(**kwargs)
+        return _section(_DEFAULTS, raw, "")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _section(default, raw: dict, prefix: str):
+    unknown = sorted(set(raw) - {f.name for f in fields(default)})
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(prefix + k for k in unknown)}")
+    kwargs = {}
+    for key, value in raw.items():
+        current = getattr(default, key)
+        if not hasattr(current, "__dataclass_fields__"):
+            kwargs[key] = coerce_like(current, value, prefix + key)
+        elif isinstance(value, dict):
+            kwargs[key] = _section(current, value, f"{prefix}{key}.")
+        else:
+            raise ConfigError(f"config section {prefix + key!r} must be a mapping")
+    return type(default)(**kwargs)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -153,22 +153,16 @@ def _sample_losses(w: np.ndarray, x: np.ndarray, y: np.ndarray, task: str) -> np
     return np.logaddexp(0.0, z) - y * z
 
 
-def local_loss(w: ModelVector, data: LocalDataset, task: str) -> float:
-    """Mean per-sample loss of ``w`` on one device's data."""
-    if task not in _TASKS:
-        raise ValueError(f"unknown task {task!r}")
-    _check_dims(w, data)
-    return float(np.mean(_sample_losses(w.params, data.features, data.targets, task)))
-
-
 def global_loss(w: ModelVector, data: LocalDataset | FederatedData, task: str) -> float:
     """Pooled mean loss over every sample of ``data``, in one reduction.
 
-    ``data`` is the stacked training sets of all devices, or the devices'
-    samples pooled into one dataset when their sizes differ. Either way the
-    result is the dataset-size-weighted mean of the local losses up to
-    floating-point reordering.
+    ``data`` is one dataset (a device's, or the devices' samples pooled
+    when their sizes differ) or the stacked training sets of all devices.
+    Either way the result is the dataset-size-weighted mean of the
+    per-device losses up to floating-point reordering.
     """
+    if task not in _TASKS:
+        raise ValueError(f"unknown task {task!r}")
     _check_dims(w, data)
     return float(np.mean(_sample_losses(w.params, data.features, data.targets, task)))
 
@@ -264,7 +258,7 @@ def evaluate_metric(w: ModelVector, data: LocalDataset, task: str) -> float:
         z = data.features @ w.params
         predicted = (z >= 0).astype(float)
         return float(np.mean(predicted == data.targets))
-    return local_loss(w, data, task)
+    return global_loss(w, data, task)
 
 
 def _better(candidate: float, incumbent: float, task: str) -> bool:

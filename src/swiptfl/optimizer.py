@@ -50,12 +50,14 @@ GRID_BLOCK = 1 << 16  # (ratio, state, device) entries per block of that scan
 class DeltaSolution:
     """Per-device ratios for a realization, shaped like its gains.
 
-    ``method`` is "grid" if any device needed the dense scan. Infeasible
-    devices carry ``delta_min`` (maximum harvest share) and a False flag.
+    ``grid`` marks the devices that needed the dense scan, and ``method`` is
+    "grid" if any device of the whole batch did. Infeasible devices carry
+    ``delta_min`` (maximum harvest share) and a False flag.
     """
 
     deltas: np.ndarray
     feasible: np.ndarray
+    grid: np.ndarray
     method: str
 
 
@@ -119,7 +121,7 @@ def optimize_delta_all(
     deltas = np.where(ok_hi, DELTA_MAX, np.where(ok_lo, lo, DELTA_MIN))
     feasible = ok_lo | ok_hi
     if not dips.any():
-        return DeltaSolution(deltas=deltas, feasible=feasible, method=METHOD_BISECTION)
+        return DeltaSolution(deltas, feasible, dips, METHOD_BISECTION)
 
     # The scan runs in blocks of ratios in front of the batch axes, so its
     # temporaries stay near GRID_BLOCK entries however large the batch is.
@@ -132,7 +134,7 @@ def optimize_delta_all(
         best = np.maximum(best, np.where(feasible_at(block), block, 0.0).max(axis=0))
     deltas = np.where(dips, np.where(best > 0, best, DELTA_MIN), deltas)
     feasible = np.where(dips, best > 0, feasible)
-    return DeltaSolution(deltas=deltas, feasible=feasible, method=METHOD_GRID)
+    return DeltaSolution(deltas, feasible, dips, METHOD_GRID)
 
 
 def place_uav(

@@ -1,8 +1,10 @@
 """Scenario assembly, seeded Monte Carlo trials, and parameter sweeps.
 
 Placement scores every candidate UAV position against every placement
-fading draw in one batched :func:`link_round`; trials run one round's
-fading state per call.
+fading draw in one batched :func:`link_round`. Monte Carlo trials run in
+contiguous blocks, one block per worker: each round computes the physics of
+every trial of the block in one batched :func:`link_round` over a (T, M)
+realization, then trains and records each trial on its own.
 
 Randomness discipline: every random draw comes from a named stream derived
 from the master seed via :func:`rng_stream`, so any trial, round, or device
@@ -22,7 +24,6 @@ identical fading (common random numbers). Stream tags used here:
 from __future__ import annotations
 
 import math
-import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -51,7 +52,14 @@ from .fl_core import (
     make_federated_problem,
     run_round,
 )
-from .optimizer import MODE_CENTROID, MODE_GRID_SEARCH, optimize_delta_all, place_uav
+from .optimizer import (
+    METHOD_BISECTION,
+    METHOD_GRID,
+    MODE_CENTROID,
+    MODE_GRID_SEARCH,
+    optimize_delta_all,
+    place_uav,
+)
 from .timing import RoundDelay, local_train_time, round_total, uav_aggregation_time
 
 DELTA_MODE_FIXED = "fixed"
@@ -234,7 +242,6 @@ class TrialResult:
     trial_index: int
     rounds: list[RoundMetrics]
     outage_count: int
-    runtime_s: float
     failed: bool
     error: str | None
 
@@ -261,11 +268,18 @@ class LinkRound:
 
     deltas: np.ndarray
     method: str
+    grid: np.ndarray
     uplink: LinkBudget
     downlink: LinkBudget
     energy: EnergyLedger
     t_local_s: np.ndarray
     t_uav_s: float
+
+    def method_at(self, index) -> str:
+        """How the ratios of fading state ``index`` were set: "grid" only if
+        one of its own devices needed the dense scan."""
+        keep = self.method != METHOD_GRID or self.grid[index].any()
+        return self.method if keep else METHOD_BISECTION
 
     def delay(self, participate: np.ndarray | None = None) -> RoundDelay:
         """Round delay when only the ``participate`` devices train and upload.
@@ -305,9 +319,10 @@ def link_round(
             payload_dl_bits,
             device_pays_downlink=config.device_pays_downlink,
         )
-        deltas, method = sol.deltas, sol.method
+        deltas, method, grid = sol.deltas, sol.method, sol.grid
     else:
         deltas, method = np.full(realization.gains_sq.shape, config.delta_fixed), DELTA_MODE_FIXED
+        grid = np.zeros(deltas.shape, dtype=bool)
     downlink = downlink_budget(link, realization, deltas, payload_dl_bits)
     energy = ledger(
         config.compute,
@@ -322,6 +337,7 @@ def link_round(
     return LinkRound(
         deltas=deltas,
         method=method,
+        grid=grid,
         uplink=uplink,
         downlink=downlink,
         energy=energy,
@@ -407,8 +423,13 @@ def build(config: ScenarioConfig) -> Scenario:
     )
 
 
-def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
-    """One seeded trial: fresh fading each round, training, bookkeeping.
+def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
+    """A block of seeded trials: fresh fading each round, training, bookkeeping.
+
+    Each round runs the physics of the whole block in one link round over a
+    (T, M) realization of the trials' own fading streams, so a trial's
+    records do not depend on its block. Training and records stay per
+    trial; a trial whose training diverges stops alone, keeping its rounds.
 
     Without battery tracking every device runs every round and energy
     shortfalls only show up as infeasible flags (and outage counts). With
@@ -418,101 +439,93 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
     and compute times stop gating the round. Batteries are not capped.
     """
     cfg = scenario.config
-    start = time.perf_counter()
-    m = cfg.device_count
+    seed, trials = cfg.master_seed, list(trial_indices)
+    shape = (len(trials), cfg.device_count)
+    payloads = scenario.payload_ul_bits, scenario.payload_dl_bits, scenario.uav_payload_bits
+    distances = np.tile(scenario.distances_m, (len(trials), 1))  # contiguous, like gains
     minibatch = cfg.trainer.minibatch(scenario.train_sets.count)
-    w = scenario.w0
-    battery = np.full(m, cfg.battery_initial_j, dtype=float) if cfg.battery_ledger else None
-    rounds: list[RoundMetrics] = []
-    outage = 0
-    failed = False
-    error = None
-    try:
-        for r in range(cfg.rounds):
-            gains = rng_stream(cfg.master_seed, "trial", trial_index, "fading", r).exponential(
-                1.0, m
-            )
-            rnd = link_round(
-                cfg,
-                ChannelRealization(gains, scenario.distances_m),
-                scenario.payload_ul_bits,
-                scenario.payload_dl_bits,
-                scenario.uav_payload_bits,
-            )
-            e_total, e_harvest = rnd.energy.e_total_j, rnd.energy.e_harvest_j
-            feasible = rnd.energy.feasible
+    models = [scenario.w0] * len(trials)
+    battery = np.full(shape, cfg.battery_initial_j, dtype=float) if cfg.battery_ledger else None
+    records, outage = [[] for _ in trials], [0] * len(trials)
+    errors: dict[int, str] = {}  # block position -> divergence message
+    for r in range(cfg.rounds):
+        gains = np.array(
+            [rng_stream(seed, "trial", t, "fading", r).exponential(1.0, shape[1]) for t in trials]
+        )
+        rnd = link_round(cfg, ChannelRealization(gains, distances), *payloads)
+        e_total, e_harvest = rnd.energy.e_total_j, rnd.energy.e_harvest_j
+        feasible = rnd.energy.feasible
 
-            if battery is None:
-                participate = np.ones(m, dtype=bool)
-            else:
-                # Skip a round the device cannot pay for; it keeps whatever
-                # it harvests, so the balance never goes negative.
-                participate = np.isfinite(e_total) & (battery + e_harvest - e_total >= 0.0)
-                battery = battery + e_harvest - np.where(participate, e_total, 0.0)
-            delay = rnd.delay(participate)
+        if battery is None:
+            participate = np.ones(shape, dtype=bool)
+        else:
+            # Skip a round the device cannot pay for; it keeps whatever
+            # it harvests, so the balance never goes negative.
+            participate = np.isfinite(e_total) & (battery + e_harvest - e_total >= 0.0)
+            battery = battery + e_harvest - np.where(participate, e_total, 0.0)
+        delay = rnd.delay(None if battery is None else participate)
+        t_total = delay.t_total_s.tolist()
+        t_up, t_local = delay.t_uplink_s.max(axis=-1), delay.t_local_s.max(axis=-1)
+        t_down = delay.t_downlink_s.max(axis=-1)
 
-            if not math.isfinite(delay.t_total_s) or not bool(feasible.all()):
-                outage += 1
-
-            rng = (
-                rng_stream(cfg.master_seed, "trial", trial_index, "train", r) if minibatch else None
-            )
-            w = run_round(w, scenario.train_sets, cfg.trainer, rng, participate)
-            rounds.append(
+        for k, t in enumerate(trials):
+            if k in errors:
+                continue
+            if not math.isfinite(t_total[k]) or not bool(feasible[k].all()):
+                outage[k] += 1
+            rng = rng_stream(seed, "trial", t, "train", r) if minibatch else None
+            try:
+                w = run_round(models[k], scenario.train_sets, cfg.trainer, rng, participate[k])
+            except DivergenceError as exc:
+                errors[k] = str(exc)
+                continue
+            models[k] = w
+            records[k].append(
                 RoundMetrics(
                     round_index=r,
-                    t_total_s=delay.t_total_s,
-                    t_uplink_max_s=float(np.max(delay.t_uplink_s)),
-                    t_local_max_s=float(np.max(delay.t_local_s)),
-                    t_downlink_max_s=float(np.max(delay.t_downlink_s)),
+                    t_total_s=t_total[k],
+                    t_uplink_max_s=float(t_up[k]),
+                    t_local_max_s=float(t_local[k]),
+                    t_downlink_max_s=float(t_down[k]),
                     t_uav_s=delay.t_uav_s,
-                    deltas=rnd.deltas,
-                    delta_method=rnd.method,
-                    e_total_j=e_total,
-                    e_harvest_j=e_harvest,
-                    feasible=feasible,
-                    participate=participate,
-                    battery_j=None if battery is None else battery.copy(),
+                    deltas=rnd.deltas[k],
+                    delta_method=rnd.method_at(k),
+                    e_total_j=e_total[k],
+                    e_harvest_j=e_harvest[k],
+                    feasible=feasible[k],
+                    participate=participate[k],
+                    battery_j=None if battery is None else battery[k],
                     train_loss=global_loss(w, scenario.train_sets, cfg.trainer.task),
                     val_metric=evaluate_metric(w, scenario.val_set, cfg.trainer.task),
                     test_metric=evaluate_metric(w, scenario.test_set, cfg.trainer.task),
                 )
             )
-    except DivergenceError as exc:
-        failed = True
-        error = str(exc)
-    return TrialResult(
-        trial_index=trial_index,
-        rounds=rounds,
-        outage_count=outage,
-        runtime_s=time.perf_counter() - start,
-        failed=failed,
-        error=error,
-    )
+        if len(errors) == len(trials):
+            break
+    return [
+        TrialResult(t, records[k], outage[k], k in errors, errors.get(k))
+        for k, t in enumerate(trials)
+    ]
 
 
 def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) -> MonteCarloResult:
-    """Run all trials (optionally in worker processes) and aggregate.
+    """Run all trials in contiguous blocks, one per worker, and aggregate.
 
-    Results are ordered by trial index regardless of worker scheduling, so
-    the output is identical for any worker count.
+    Results are ordered by trial index, and a trial's records do not depend
+    on its block, so the output is identical for any worker count.
     """
     if scenario is None:
         scenario = build(config)
-    indices = list(range(config.monte_carlo_trials))
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            trials = list(pool.map(run_trial, repeat(scenario), indices))
+    n, workers = config.monte_carlo_trials, min(config.workers, config.monte_carlo_trials)
+    blocks = [range(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            trials = [tr for block in pool.map(run_trial, repeat(scenario), blocks) for tr in block]
     else:
-        trials = [run_trial(scenario, t) for t in indices]
+        trials = run_trial(scenario, blocks[0])
 
-    finite = [
-        rm.t_total_s
-        for tr in trials
-        if not tr.failed
-        for rm in tr.rounds
-        if math.isfinite(rm.t_total_s)
-    ]
+    kept = [rm.t_total_s for tr in trials if not tr.failed for rm in tr.rounds]
+    finite = [t for t in kept if math.isfinite(t)]
     executed = sum(len(tr.rounds) for tr in trials)
     outages = sum(tr.outage_count for tr in trials)
     if finite:
@@ -545,39 +558,43 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
     )
 
 
-def _coerce_like(current, value, path: str):
+def coerce_like(current, value, path: str):
+    """``value`` as the type of the field's ``current`` value, or ValueError.
+
+    The one type rule for config values, from overrides and config files
+    alike: 30.0 is the int 30 for an int field but 1.5 is rejected. Optional
+    fields (``current`` is None) pass through untouched.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(current, bool):
         if not isinstance(value, bool):
-            raise ValueError(f"override {path} expects a bool, got {value!r}")
+            raise ValueError(f"{path} expects a bool, got {value!r}")
         return value
-    if isinstance(current, int) and not isinstance(current, bool):
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError(f"override {path} expects an int, got {value!r}")
-        if not isinstance(value, (int, float)):
-            raise ValueError(f"override {path} expects an int, got {value!r}")
+    if isinstance(current, int):
+        if not number or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"{path} expects an int, got {value!r}")
         return int(value)
     if isinstance(current, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"override {path} expects a number, got {value!r}")
+        if not number:
+            raise ValueError(f"{path} expects a number, got {value!r}")
         return float(value)
     if isinstance(current, tuple):
         if not isinstance(value, (list, tuple)):
-            raise ValueError(f"override {path} expects a list, got {value!r}")
+            raise ValueError(f"{path} expects a list, got {value!r}")
         return tuple(value)
     if isinstance(current, str):
         if not isinstance(value, str):
-            raise ValueError(f"override {path} expects a string, got {value!r}")
+            raise ValueError(f"{path} expects a string, got {value!r}")
         return value
-    # Optional fields (current is None) pass through untouched.
     return value
 
 
 def with_override(config, path: str, value):
     """New config with the dotted-path field replaced, types respected.
 
-    Numbers are coerced to the field's current type, so ``rounds=30.0``
-    becomes the int 30 but ``rounds=1.5`` is rejected. Unknown field names
-    raise ValueError naming the path.
+    The value goes through :func:`coerce_like`, so ``rounds=30.0`` becomes
+    the int 30 but ``rounds=1.5`` is rejected. Unknown field names raise
+    ValueError naming the path.
     """
     parts = path.split(".")
     if not all(parts):
@@ -590,7 +607,7 @@ def with_override(config, path: str, value):
             raise ValueError(f"unknown config field {path!r} (no {name!r} on {type(obj).__name__})")
         current = getattr(obj, name)
         if len(remaining) == 1:
-            return replace(obj, **{name: _coerce_like(current, value, path)})
+            return replace(obj, **{name: coerce_like(current, value, path)})
         if not hasattr(type(current), "__dataclass_fields__"):
             raise ValueError(f"override path {path!r} descends into non-config field {name!r}")
         return replace(obj, **{name: apply(current, remaining[1:])})

@@ -33,7 +33,6 @@ from swiptfl.fl_core import (
     ModelVector,
     TrainerConfig,
     global_loss,
-    local_loss,
     loss_gradient,
     run_round,
     select_rounds,
@@ -207,7 +206,7 @@ def test_criterion_03_gradients_match_finite_differences():
         data = LocalDataset(x, y)
 
         analytic = loss_gradient(ModelVector(w), data, task)
-        fd = oracles.fd_gradient(lambda v: local_loss(ModelVector(v), data, task), w, h=1e-6)
+        fd = oracles.fd_gradient(lambda v: global_loss(ModelVector(v), data, task), w, h=1e-6)
         worst = max(
             worst,
             float(np.max(np.abs(analytic - fd))) / max(float(np.max(np.abs(fd))), 1e-12),
@@ -449,7 +448,7 @@ def test_criterion_08_battery_semantics_hold_for_100_rounds():
     checked = 0
 
     for t in range(cfg.monte_carlo_trials):
-        trial = run_trial(scenario, t)
+        trial = run_trial(scenario, [t])[0]
         assert not trial.failed
         for rm in trial.rounds:
             if np.any(rm.battery_j < 0.0):

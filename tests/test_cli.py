@@ -58,6 +58,23 @@ def test_bad_overrides_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_yaml_leaves_follow_the_override_type_rule(tmp_path, capsys):
+    """A config file value is typed exactly as the same --override would be."""
+    out = str(tmp_path / "o")
+    in_file = write_config(tmp_path, BASE_CONFIG.replace("rounds: 2\n", "rounds: 2.5\n"), "a.yaml")
+    overridden = ["--config", write_config(tmp_path), "--override", "rounds=2.5"]
+    for args in (["--config", in_file], overridden):
+        assert run_cli(["run", "--out", out, *args]) == 2
+        assert capsys.readouterr().err == "error: rounds expects an int, got 2.5\n"
+
+    whole = BASE_CONFIG.replace("device_count: 3\n", "device_count: 3.0\n")
+    cfg = write_config(tmp_path, whole, "b.yaml")
+    assert run_cli(["run", "--config", cfg, "--out", out, "--workers", "1"]) == 0
+    capsys.readouterr()
+    config = cli.load_config(cfg)
+    assert config.device_count == 3 and isinstance(config.device_count, int)
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "o"
@@ -350,23 +367,53 @@ def test_workers_default_keeps_the_config_value():
     assert cli._apply_cli_options(cli.load_config(path), args).workers == 2
 
 
-# sha256 of rounds.csv for each shipped config at 3 trials x 4 rounds. A
-# change here changes results bit for bit: make it on purpose and record it.
+SMALL = ("monte_carlo_trials=3", "rounds=4")
+# The contested regime: optimized ratios, a battery ledger and an outage
+# rate of 0.533, so the solver and battery paths decide the bytes.
+CONTESTED = (
+    "monte_carlo_trials=5",
+    "rounds=6",
+    "device_count=12",
+    "delta_mode=optimized",
+    "device_pays_downlink=false",
+    "link.ptx_ul_w=1e-3",
+    "compute.kappa=1e-31",
+    "battery_ledger=true",
+    "battery_initial_j=1e-4",
+)
+# sha256 of rounds.csv per case: (config, overrides, digest), the same at
+# every worker count. A change here changes results bit for bit: make it on
+# purpose and record it.
 GOLDEN_ROUNDS_SHA256 = {
-    "default.yaml": "a25d8766b6064d75ddf9736f985d0d8c54b34eaa8cd4c6e5deed441562086881",
-    "accuracy.yaml": "410196d9c38af7077eeeaa87c165ad4cbc24096661a60da361ce1c2111253c6d",
+    "default.yaml": (
+        "default.yaml",
+        SMALL,
+        "a25d8766b6064d75ddf9736f985d0d8c54b34eaa8cd4c6e5deed441562086881",
+    ),
+    "accuracy.yaml": (
+        "accuracy.yaml",
+        SMALL,
+        "410196d9c38af7077eeeaa87c165ad4cbc24096661a60da361ce1c2111253c6d",
+    ),
+    "contested": (
+        "default.yaml",
+        CONTESTED,
+        "4d912c1dd7203afe0064558e1a1ad83a21d8f5d1ffa34c3c6d7aedd0654fca5d",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ROUNDS_SHA256))
 def test_shipped_config_rounds_match_golden_hash(tmp_path, capsys, name):
-    out = tmp_path / "o"
-    args = ["run", "--config", str(CONFIGS / name), "--out", str(out), "--workers", "1"]
-    small = ["--override", "monte_carlo_trials=3", "--override", "rounds=4"]
-    assert run_cli(args + small) == 0
-    capsys.readouterr()
-    digest = hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN_ROUNDS_SHA256[name]
+    config, overrides, golden = GOLDEN_ROUNDS_SHA256[name]
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        args = ["run", "--config", str(CONFIGS / config), "--out", str(out), "--workers", workers]
+        for text in overrides:
+            args += ["--override", text]
+        assert run_cli(args) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest() == golden
 
 
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys):

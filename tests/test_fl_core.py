@@ -15,7 +15,6 @@ from swiptfl.fl_core import (
     aggregate,
     evaluate_metric,
     global_loss,
-    local_loss,
     loss_gradient,
     make_federated_problem,
     run_round,
@@ -33,12 +32,12 @@ def test_local_loss_zero_at_interpolation():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     w = np.array([2.0, -1.0])
     data = LocalDataset(x, x @ w)
-    assert local_loss(ModelVector(w), data, "linear") == 0.0
+    assert global_loss(ModelVector(w), data, "linear") == 0.0
 
 
 def test_local_loss_single_sample():
     data = LocalDataset(np.array([[1.0]]), np.array([2.0]))
-    assert local_loss(ModelVector(np.array([0.0])), data, "linear") == 2.0
+    assert global_loss(ModelVector(np.array([0.0])), data, "linear") == 2.0
 
 
 def test_local_loss_duplication_invariant():
@@ -46,9 +45,17 @@ def test_local_loss_duplication_invariant():
     x = rng.standard_normal((6, 3))
     y = rng.standard_normal(6)
     w = ModelVector(rng.standard_normal(3))
-    once = local_loss(w, LocalDataset(x, y), "linear")
-    twice = local_loss(w, LocalDataset(np.vstack([x, x]), np.concatenate([y, y])), "linear")
+    once = global_loss(w, LocalDataset(x, y), "linear")
+    twice = global_loss(w, LocalDataset(np.vstack([x, x]), np.concatenate([y, y])), "linear")
     assert twice == pytest.approx(once, rel=1e-15)
+
+
+def test_global_loss_rejects_unknown_task():
+    data = LocalDataset(np.array([[1.0]]), np.array([1.0]))
+    w = ModelVector(np.array([0.5]))
+    for d in (data, FederatedData.stack([data])):
+        with pytest.raises(ValueError, match="unknown task 'bogus'"):
+            global_loss(w, d, "bogus")
 
 
 def test_global_loss_single_device_equals_local():
@@ -56,7 +63,7 @@ def test_global_loss_single_device_equals_local():
     data = LocalDataset(rng.standard_normal((5, 2)), rng.standard_normal(5))
     w = ModelVector(rng.standard_normal(2))
     assert global_loss(w, FederatedData.stack([data]), "linear") == pytest.approx(
-        local_loss(w, data, "linear"), rel=1e-15
+        global_loss(w, data, "linear"), rel=1e-15
     )
 
 
@@ -64,7 +71,7 @@ def test_global_loss_equal_sizes_is_plain_mean():
     rng = np.random.default_rng(6)
     sets = [LocalDataset(rng.standard_normal((4, 2)), rng.standard_normal(4)) for _ in range(2)]
     w = ModelVector(rng.standard_normal(2))
-    mean = 0.5 * (local_loss(w, sets[0], "linear") + local_loss(w, sets[1], "linear"))
+    mean = 0.5 * (global_loss(w, sets[0], "linear") + global_loss(w, sets[1], "linear"))
     assert global_loss(w, FederatedData.stack(sets), "linear") == pytest.approx(mean, rel=1e-14)
 
 
@@ -85,7 +92,7 @@ def test_global_loss_weighted_identity():
         pooled = LocalDataset(
             np.vstack([s.features for s in sets]), np.concatenate([s.targets for s in sets])
         )
-        weighted = sum(n * local_loss(w, s, task) for n, s in zip(sizes, sets)) / sum(sizes)
+        weighted = sum(n * global_loss(w, s, task) for n, s in zip(sizes, sets)) / sum(sizes)
         assert global_loss(w, pooled, task) == pytest.approx(weighted, rel=1e-12)
         ref = oracles.pooled_loss(w.params, [s.features for s in sets], [s.targets for s in sets], task)
         assert global_loss(w, pooled, task) == pytest.approx(ref, rel=1e-12)
@@ -102,7 +109,7 @@ def test_gradients_match_finite_differences():
             data = LocalDataset(x, y)
             w = rng.standard_normal(d)
             grad = loss_gradient(ModelVector(w), data, task)
-            fd = oracles.fd_gradient(lambda v: local_loss(ModelVector(v), data, task), w)
+            fd = oracles.fd_gradient(lambda v: global_loss(ModelVector(v), data, task), w)
             assert np.linalg.norm(grad - fd) <= 1e-5 * max(1.0, np.linalg.norm(grad))
 
 
@@ -112,7 +119,7 @@ def test_run_round_single_step_matches_fd_oracle():
     w0 = rng.standard_normal(4)
     lr = 0.07
     out = run_round(ModelVector(w0), FederatedData.stack([data]), linear_cfg(learning_rate=lr))
-    fd = oracles.fd_gradient(lambda v: local_loss(ModelVector(v), data, "linear"), w0)
+    fd = oracles.fd_gradient(lambda v: global_loss(ModelVector(v), data, "linear"), w0)
     expected = w0 - lr * fd
     assert np.max(np.abs(out.params - expected) / np.maximum(1e-8, np.abs(expected))) <= 1e-5
 
@@ -125,10 +132,10 @@ def test_descent_below_lipschitz_rate_never_increases_loss():
     lr = 0.9 / oracles.lipschitz_sq_loss(x)
     w = ModelVector(rng.standard_normal(5))
     stacked = FederatedData.stack([data])
-    losses = [local_loss(w, data, "linear")]
+    losses = [global_loss(w, data, "linear")]
     for _ in range(15):
         w = run_round(w, stacked, linear_cfg(learning_rate=lr))
-        losses.append(local_loss(w, data, "linear"))
+        losses.append(global_loss(w, data, "linear"))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 

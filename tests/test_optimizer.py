@@ -208,6 +208,7 @@ def test_solver_falls_back_to_grid_on_nonmonotone_feasibility():
 
     sol = solve(case)
     assert sol.method == "grid"
+    assert sol.grid.tolist() == [True]
     assert sol.feasible[0]
     assert sol.deltas[0] == DELTA_MAX
 
@@ -257,6 +258,7 @@ def test_optimize_delta_all_solves_interfering_devices_together():
         sol = solve(case)
         assert sol.deltas.shape == (m,) and sol.feasible.shape == (m,)
         assert sol.method == "bisection"
+        assert not sol.grid.any()
         for i in range(m):
             ref = _oracle_solve(case, device=i)
             assert sol.feasible[i] == (ref is not None)

@@ -1,7 +1,7 @@
 """Scenario assembly, trial reproducibility, battery ledger, and sweeps."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,8 +9,10 @@ import pytest
 import oracles
 from swiptfl.channel import ChannelRealization
 from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy
-from swiptfl.fl_core import TrainerConfig
+from swiptfl import scenario as scenario_module
+from swiptfl.fl_core import DivergenceError, TrainerConfig
 from swiptfl.scenario import (
+    RoundMetrics,
     ScenarioConfig,
     build,
     link_round,
@@ -112,8 +114,8 @@ def test_uav_payload_scaling_toggle():
 
 def test_run_trial_is_bit_reproducible():
     scenario = build(small_config())
-    t1 = run_trial(scenario, 0)
-    t2 = run_trial(scenario, 0)
+    t1 = run_trial(scenario, [0])[0]
+    t2 = run_trial(scenario, [0])[0]
     assert not t1.failed
     for a, b in zip(t1.rounds, t2.rounds):
         assert a.t_total_s == b.t_total_s
@@ -125,14 +127,14 @@ def test_run_trial_is_bit_reproducible():
 
 def test_distinct_trials_draw_distinct_fading():
     scenario = build(small_config())
-    t0 = run_trial(scenario, 0)
-    t1 = run_trial(scenario, 1)
+    t0 = run_trial(scenario, [0])[0]
+    t1 = run_trial(scenario, [1])[0]
     assert t0.rounds[0].t_total_s != t1.rounds[0].t_total_s
 
 
 def test_outage_count_matches_round_records():
     scenario = build(small_config(monte_carlo_trials=1, rounds=4))
-    trial = run_trial(scenario, 0)
+    trial = run_trial(scenario, [0])[0]
     expected = sum(
         1
         for rm in trial.rounds
@@ -143,12 +145,12 @@ def test_outage_count_matches_round_records():
 
 def test_fixed_and_optimized_delta_modes():
     fixed = build(small_config(delta_fixed=0.37))
-    rm = run_trial(fixed, 0).rounds[0]
+    rm = run_trial(fixed, [0])[0].rounds[0]
     assert rm.delta_method == "fixed"
     assert np.all(rm.deltas == 0.37)
 
     opt = build(small_config(delta_mode="optimized"))
-    rm = run_trial(opt, 0).rounds[0]
+    rm = run_trial(opt, [0])[0].rounds[0]
     assert rm.delta_method in ("bisection", "grid")
     assert np.all((rm.deltas > 0.0) & (rm.deltas < 1.0))
 
@@ -165,7 +167,7 @@ def test_single_device_round_matches_closed_form():
         placement_trials=2,
     )
     scenario = build(cfg)
-    rm = run_trial(scenario, 0).rounds[0]
+    rm = run_trial(scenario, [0])[0].rounds[0]
 
     gain = float(rng_stream(11, "trial", 0, "fading", 0).exponential(1.0, 1)[0])
     dist = float(scenario.distances_m[0])
@@ -247,9 +249,10 @@ def test_batched_link_round_equals_per_slice(delta_mode, harvest, method):
         for c in range(3)
     ]
 
-    def fields(rnd):
+    def per_device(rnd):
         return {
             "deltas": rnd.deltas,
+            "grid": rnd.grid,
             "uplink": rnd.uplink.tx_time_s,
             "downlink": rnd.downlink.tx_time_s,
             "e_total_j": rnd.energy.e_total_j,
@@ -258,9 +261,11 @@ def test_batched_link_round_equals_per_slice(delta_mode, harvest, method):
             "t_total_s": rnd.delay().t_total_s,
         }
 
-    for name, got in fields(batched).items():
-        want = np.array([[fields(rnd)[name] for rnd in row] for row in singles])
+    for name, got in per_device(batched).items():
+        want = np.array([[per_device(rnd)[name] for rnd in row] for row in singles])
         assert np.array_equal(got, want), name
+    for c, row in enumerate(singles):
+        assert [batched.method_at((c, t)) for t in range(5)] == [rnd.method for rnd in row]
 
 
 # -------------------------------------------------------------- battery mode
@@ -280,7 +285,7 @@ def battery_config(**kwargs):
 
 def test_battery_never_negative_and_recursion_holds():
     scenario = build(battery_config())
-    trial = run_trial(scenario, 0)
+    trial = run_trial(scenario, [0])[0]
     cfg = scenario.config
     level = np.full(cfg.device_count, cfg.battery_initial_j)
     for rm in trial.rounds:
@@ -298,7 +303,7 @@ def test_battery_funds_at_most_two_rounds_each():
     nobody participate. A skipping device may re-enter later when a cheap
     round comes, so only the budget arithmetic is pinned, not a schedule."""
     scenario = build(battery_config())
-    rounds = run_trial(scenario, 0).rounds
+    rounds = run_trial(scenario, [0])[0].rounds
     assert np.all(rounds[0].participate)
     paid = np.sum([rm.participate for rm in rounds], axis=0)
     assert np.all(paid <= 2)
@@ -314,7 +319,7 @@ def test_battery_funds_at_most_two_rounds_each():
 
 def test_empty_battery_stalls_training_but_still_harvests():
     scenario = build(battery_config(battery_initial_j=0.0, rounds=4))
-    rounds = run_trial(scenario, 0).rounds
+    rounds = run_trial(scenario, [0])[0].rounds
     for rm in rounds:
         assert not np.any(rm.participate)
         assert rm.t_uplink_max_s == 0.0
@@ -327,7 +332,7 @@ def test_empty_battery_stalls_training_but_still_harvests():
 
 def test_battery_disabled_records_no_levels():
     scenario = build(small_config())
-    trial = run_trial(scenario, 0)
+    trial = run_trial(scenario, [0])[0]
     assert trial.rounds[0].battery_j is None
     assert np.all(trial.rounds[0].participate)
 
@@ -336,16 +341,120 @@ def test_battery_disabled_records_no_levels():
 
 
 def test_monte_carlo_worker_count_does_not_change_results():
-    cfg = small_config(monte_carlo_trials=4)
-    serial = run_monte_carlo(cfg)
-    parallel = run_monte_carlo(replace(cfg, workers=2))
-    assert serial.delay_mean_s == parallel.delay_mean_s
-    assert serial.outage_rate == parallel.outage_rate
-    for a, b in zip(serial.trials, parallel.trials):
-        assert a.trial_index == b.trial_index
-        for ra, rb in zip(a.rounds, b.rounds):
-            assert ra.t_total_s == rb.t_total_s
-            assert ra.test_metric == rb.test_metric
+    # The second case has more workers than trials: no block may be empty.
+    for trials, workers in ((4, 2), (2, 3)):
+        cfg = small_config(monte_carlo_trials=trials)
+        serial = run_monte_carlo(cfg)
+        parallel = run_monte_carlo(replace(cfg, workers=workers))
+        assert len(parallel.trials) == trials
+        assert serial.delay_mean_s == parallel.delay_mean_s
+        assert serial.outage_rate == parallel.outage_rate
+        for a, b in zip(serial.trials, parallel.trials):
+            assert a.trial_index == b.trial_index
+            for ra, rb in zip(a.rounds, b.rounds):
+                assert ra.t_total_s == rb.t_total_s
+                assert ra.test_metric == rb.test_metric
+
+
+def assert_same_trial(a, b):
+    """Two trial results agree field for field, every round bit for bit."""
+    assert (a.trial_index, a.outage_count, a.failed, a.error) == (
+        b.trial_index,
+        b.outage_count,
+        b.failed,
+        b.error,
+    )
+    assert len(a.rounds) == len(b.rounds)
+    for ra, rb in zip(a.rounds, b.rounds):
+        for f in fields(RoundMetrics):
+            x, y = getattr(ra, f.name), getattr(rb, f.name)
+            if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+                assert np.array_equal(x, y), f.name
+            else:
+                assert x == y, f.name
+
+
+# The mixed-grid case: a harvest curve with a negative linear coefficient
+# sends only the strongest fades to the dense scan, so within one round some
+# trials of a block are solved on the grid and others by bisection.
+MIXED_GRID = dict(
+    master_seed=3,
+    device_count=6,
+    monte_carlo_trials=4,
+    rounds=3,
+    placement_trials=2,
+    delta_mode="optimized",
+    device_pays_downlink=False,
+    harvest=HarvestModel(-1e3, 0.5, 0.0),
+)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(monte_carlo_trials=4, rounds=3, delta_fixed=0.37),
+        dict(
+            monte_carlo_trials=4,
+            rounds=6,
+            device_count=6,
+            delta_mode="optimized",
+            device_pays_downlink=False,
+            link=replace(ScenarioConfig().link, ptx_ul_w=1e-3),
+            compute=replace(ScenarioConfig().compute, kappa=1e-31),
+            battery_ledger=True,
+            battery_initial_j=1e-4,
+        ),
+        MIXED_GRID,
+    ],
+    ids=["fixed", "optimized-battery", "mixed-grid"],
+)
+def test_block_of_trials_equals_single_trials(kwargs):
+    """A block gives, field for field, the trials run one by one: its
+    trials share one batched link round per round but nothing else, and
+    each is labelled by how its own ratios were solved."""
+    cfg = small_config(**kwargs)
+    scenario = build(cfg)
+    trials = range(cfg.monte_carlo_trials)
+    block = run_trial(scenario, trials)
+    singles = [run_trial(scenario, [t])[0] for t in trials]
+    assert len(block) == len(singles)
+    for a, b in zip(block, singles):
+        assert_same_trial(a, b)
+    with pytest.raises(ValueError):
+        run_trial(scenario, [])  # an empty block is a driver bug, never silently empty
+    if kwargs is MIXED_GRID:
+        labels = [tr.rounds[2].delta_method for tr in block]
+        assert labels == ["grid", "bisection", "bisection", "bisection"]
+
+
+def test_diverging_trial_stops_alone(monkeypatch):
+    """A trial whose training diverges keeps the rounds it finished; the
+    other trials of its block run on unchanged."""
+    cfg = small_config(monte_carlo_trials=3, rounds=3)
+    scenario = build(cfg)
+    singles = [run_trial(scenario, [t])[0] for t in range(3)]
+
+    real_run_round = scenario_module.run_round
+    calls = []
+
+    def run_round(*args):
+        calls.append(args)
+        if len(calls) == 5:  # round 1 of trial 1: calls go round by round, trial by trial
+            raise DivergenceError("injected")
+        return real_run_round(*args)
+
+    monkeypatch.setattr(scenario_module, "run_round", run_round)
+    block = run_trial(scenario, range(3))
+    assert [tr.failed for tr in block] == [False, True, False]
+    assert block[1].error == "injected"
+    assert len(block[1].rounds) == 1
+    # The diverging round still counts its outage, as a lone trial's would.
+    outages = [not math.isfinite(rm.t_total_s) or not rm.feasible.all() for rm in singles[1].rounds]
+    assert block[1].outage_count == sum(outages[:2])
+    assert_same_trial(block[0], singles[0])
+    assert_same_trial(block[2], singles[2])
+    for ra, rb in zip(block[1].rounds, singles[1].rounds):
+        assert ra.t_total_s == rb.t_total_s and ra.train_loss == rb.train_loss
 
 
 def test_monte_carlo_metric_arrays_cover_every_round():
@@ -425,6 +534,6 @@ def test_compute_profile_is_shared_per_device():
         device_pays_downlink=False,
         payload_bits=1e-300,
     )
-    rm = run_trial(build(cfg), 0).rounds[0]
+    rm = run_trial(build(cfg), [0])[0].rounds[0]
     assert rm.t_local_max_s == local_train_time(cfg.compute)
     assert np.allclose(rm.e_total_j, compute_energy(cfg.compute), rtol=1e-12, atol=0.0)
