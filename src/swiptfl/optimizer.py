@@ -9,7 +9,9 @@ harvest curve is nondecreasing on the device's harvest input range
 [delta_min, delta_max] whose upper edge bisection finds. Devices whose
 curve can dip on that range are scanned on a dense grid instead. Every
 device of every fading state in a batch (..., M) is solved at once, as
-arrays.
+arrays. Only the two bracket ends run the validated public chain
+(``downlink_budget``, then ``ledger``); every interior probe, bisection or
+grid, reuses the ratio-independent terms it produced.
 
 Placement scores all candidate UAV positions with one call of an array
 objective, (C, 3) positions to (C,) expected delays, and picks the winner
@@ -29,10 +31,19 @@ from .channel import (
     ChannelRealization,
     LinkBudget,
     LinkParams,
+    achievable_rate,
     downlink_budget,
-    received_power,
+    sinr,
+    tx_time,
 )
-from .energy import ComputeProfile, HarvestModel, ledger
+from .energy import (
+    ComputeProfile,
+    HarvestModel,
+    compute_energy,
+    harvest_power,
+    ledger,
+    transmit_energy,
+)
 
 METHOD_BISECTION = "bisection"
 METHOD_GRID = "grid"
@@ -85,39 +96,53 @@ def optimize_delta_all(
     SINR and harvest branch, never the interference seen by others. A
     device with no feasible ratio gets ``(delta_min, False)``: it then
     harvests as much as possible and is flagged infeasible.
-    """
 
-    def feasible_at(deltas):
-        down = downlink_budget(params, realization, deltas, payload_dl_bits)
-        return ledger(
-            profile,
-            harvest,
-            uplink,
-            down,
-            deltas,
-            params.ptx_ul_w,
-            params.ptx_dl_w,
-            device_pays_downlink=device_pays_downlink,
-        ).feasible
+    ``downlink_budget`` and ``ledger`` are called once each, on both
+    bracket ends stacked. Each interior probe reuses their received power,
+    interference and compute + uplink bill, which do not depend on the
+    ratio, and evaluates only SINR, rate, downlink time, harvest and the
+    verdict through the same elementwise helpers.
+    """
+    shape = realization.gains_sq.shape
+    lo, hi = np.full(shape, DELTA_MIN), np.full(shape, DELTA_MAX)
+    bounds = np.stack([lo, hi])
+    ends = downlink_budget(params, realization, bounds, payload_dl_bits)
+    ok_lo, ok_hi = ledger(
+        profile,
+        harvest,
+        uplink,
+        ends,
+        bounds,
+        params.ptx_ul_w,
+        params.ptx_dl_w,
+        device_pays_downlink=device_pays_downlink,
+    ).feasible
+    prx, interf = ends.prx_w, ends.interference_w
+    e_fixed = compute_energy(profile) + transmit_energy(uplink.tx_time_s, params.ptx_ul_w)
+
+    def feasible_at(deltas):  # the ratio-dependent tail of downlink_budget + ledger
+        g = sinr(deltas * prx, interf, params.noise_power_dl_w)
+        t_dl = tx_time(payload_dl_bits, achievable_rate(params.bandwidth_hz, g))
+        e_total = e_fixed
+        if device_pays_downlink:
+            e_total = e_total + transmit_energy(t_dl, params.ptx_dl_w)
+        p_h = harvest_power(harvest, (1.0 - deltas) * prx)
+        with np.errstate(invalid="ignore"):
+            e_h = np.where(p_h > 0.0, t_dl * p_h, 0.0)
+        return np.isfinite(e_total) & (e_total <= e_h)
 
     # The harvest input (1 - delta) * prx spans [0, prx]. Where the curve
     # is nondecreasing there, feasibility is a prefix interval; elsewhere
     # it may not be, so those devices are scanned on the dense grid.
-    prx = received_power(
-        params.ptx_dl_w, realization.distances_m, params.pathloss_exponent, realization.gains_sq
-    )
     dips = (harvest.a2 < 0) | (harvest.a2 + 2.0 * harvest.a1 * prx < 0)
 
-    shape = realization.gains_sq.shape
-    lo, hi = np.full(shape, DELTA_MIN), np.full(shape, DELTA_MAX)
-    ok_lo, ok_hi = feasible_at(lo), feasible_at(hi)
-    bracketed = ok_lo & ~ok_hi & ~dips
-    for _ in range(MAX_ITERS):
-        if not bracketed.any() or np.max(hi - lo) <= TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        ok = feasible_at(mid)
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    if (ok_lo & ~ok_hi & ~dips).any():  # some device's edge lies inside the bracket
+        for _ in range(MAX_ITERS):
+            if np.max(hi - lo) <= TOL:
+                break
+            mid = 0.5 * (lo + hi)
+            ok = feasible_at(mid)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     deltas = np.where(ok_hi, DELTA_MAX, np.where(ok_lo, lo, DELTA_MIN))
     feasible = ok_lo | ok_hi
     if not dips.any():

@@ -3,12 +3,17 @@
 Everything here is written straight from the closed-form definitions,
 deliberately NOT importing the package under test, with different code
 shapes (math module, explicit loops, pooled formulations) so a shared bug
-cannot hide on both sides of a comparison.
+cannot hide on both sides of a comparison. The one exception is
+``full_chain_delta_solve``: it checks how the ratio solver reuses terms,
+not the physics, so it calls the package's validated public chain.
 """
 
 import math
 
 import numpy as np
+
+from swiptfl.channel import DELTA_MAX, DELTA_MIN, downlink_budget
+from swiptfl.energy import ledger
 
 
 def rx_power(ptx, dist, alpha, gain_sq):
@@ -176,3 +181,47 @@ def largest_feasible_delta(feasible_mask, deltas):
     if len(idx) == 0:
         return None
     return float(np.asarray(deltas)[idx[-1]])
+
+
+def full_chain_delta_solve(
+    params, realization, uplink, profile, harvest, payload_dl_bits, device_pays_downlink
+):
+    """(deltas, feasible, grid) of the ratio solve with one full
+    ``downlink_budget`` + ``ledger`` per probe: the same bracket, the same
+    bisection stopping rule, and the whole 1e-3 grid scanned in one call
+    for devices whose harvest curve can dip."""
+
+    def feasible_at(deltas):
+        down = downlink_budget(params, realization, deltas, payload_dl_bits)
+        return ledger(
+            profile,
+            harvest,
+            uplink,
+            down,
+            deltas,
+            params.ptx_ul_w,
+            params.ptx_dl_w,
+            device_pays_downlink=device_pays_downlink,
+        ).feasible
+
+    shape = realization.gains_sq.shape
+    prx = downlink_budget(params, realization, DELTA_MIN, payload_dl_bits).prx_w
+    dips = (harvest.a2 < 0) | (harvest.a2 + 2.0 * harvest.a1 * prx < 0)
+    lo, hi = np.full(shape, DELTA_MIN), np.full(shape, DELTA_MAX)
+    ok_lo, ok_hi = feasible_at(lo), feasible_at(hi)
+    if (ok_lo & ~ok_hi & ~dips).any():
+        for _ in range(60):
+            if np.max(hi - lo) <= 1e-6:
+                break
+            mid = 0.5 * (lo + hi)
+            ok = feasible_at(mid)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    deltas = np.where(ok_hi, DELTA_MAX, np.where(ok_lo, lo, DELTA_MIN))
+    feasible = ok_lo | ok_hi
+
+    grid = np.append(np.arange(DELTA_MIN, DELTA_MAX, 1e-3), DELTA_MAX)
+    grid = grid.reshape((-1,) + (1,) * len(shape))
+    best = np.where(feasible_at(grid), grid, 0.0).max(axis=0)
+    deltas = np.where(dips, np.where(best > 0, best, DELTA_MIN), deltas)
+    feasible = np.where(dips, best > 0, feasible)
+    return deltas, feasible, dips

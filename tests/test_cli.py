@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from swiptfl import cli
 from swiptfl import scenario as scenario_module
@@ -73,6 +74,34 @@ def test_yaml_leaves_follow_the_override_type_rule(tmp_path, capsys):
     capsys.readouterr()
     config = cli.load_config(cfg)
     assert config.device_count == 3 and isinstance(config.device_count, int)
+
+
+def test_libyaml_loader_reads_configs_as_the_python_loader_does(tmp_path, capsys):
+    """The CLI parses with libyaml's loader where it exists; it must give
+    the same mapping as the pure-Python SafeLoader on the shipped configs
+    and on a manifest."""
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    assert cli._YAML_LOADER is yaml.CSafeLoader
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    paths = [CONFIGS / "default.yaml", CONFIGS / "accuracy.yaml", out / "manifest.json"]
+    for path in paths:
+        text = path.read_text()
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert isinstance(fast, dict) and fast
+        assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_malformed_yaml_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    cfg = write_config(tmp_path, BASE_CONFIG + "rounds: [1, 2\n", "broken.yaml")
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot parse config {cfg}: ")
+    args = ["run", "--config", write_config(tmp_path), "--out", out, "--override", "rounds=[1"]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse override value '[1': ")
 
 
 def test_run_writes_outputs(tmp_path, capsys):

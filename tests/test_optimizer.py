@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from swiptfl import optimizer
 from swiptfl.channel import (
     DELTA_MAX,
     DELTA_MIN,
@@ -268,6 +269,83 @@ def test_optimize_delta_all_solves_interfering_devices_together():
             else:
                 assert sol.deltas[i] == DELTA_MIN
     assert 10 <= solved <= 20 * m - 10
+
+
+def random_batch(rng, harvest, shape=(4, 6), peak_gain=1e20):
+    """Positional arguments of one solve over a batch of devices with
+    log-uniform channel quality, one unreachable device (zero gain, so an
+    infinite downlink time) and one device at ``peak_gain``."""
+    params = LinkParams(
+        pathloss_exponent=2.0,
+        bandwidth_hz=1e6,
+        noise_power_ul_w=1e-9,
+        noise_power_dl_w=1e-9,
+        ptx_ul_w=0.1,
+        ptx_dl_w=float(rng.uniform(0.5, 3.0)),
+    )
+    dists = rng.uniform(2.0, 30.0, shape)
+    gains = 10.0 ** rng.uniform(-2.0, 1.5, shape) * dists**2
+    gains.flat[[0, -1]] = 0.0, peak_gain
+    realization = ChannelRealization(gains, dists)
+    iters = int(rng.integers(0, 3))
+    profile = ComputeProfile(
+        kappa=1e-28, cycles_per_bit=1e3, data_bits=1e4, local_iters=iters, cpu_hz=1e9
+    )
+    uplink = uplink_budget(params, realization, 2048.0)
+    payload_dl = float(rng.uniform(256.0, 8192.0))
+    return params, realization, uplink, profile, harvest, payload_dl
+
+
+@pytest.mark.parametrize("pays_downlink", [True, False], ids=["pays", "free"])
+@pytest.mark.parametrize(
+    "harvest",
+    [HarvestModel(0.1, 0.5, 0.0), HarvestModel(0.4, -0.1, 0.1)],
+    ids=["bisection", "dipping"],
+)
+def test_solver_equals_full_chain_reference(harvest, pays_downlink):
+    """Reusing the ratio-independent terms across probes changes no bit:
+    the solver equals a reference that runs the full downlink budget and
+    ledger at every probe. The dipping curve takes the grid path."""
+    rng = np.random.default_rng(71)
+    interior = 0
+    for _ in range(10):
+        args = random_batch(rng, harvest)
+        sol = optimize_delta_all(*args, device_pays_downlink=pays_downlink)
+        deltas, feasible, grid = oracles.full_chain_delta_solve(*args, pays_downlink)
+        assert np.array_equal(sol.deltas, deltas)
+        assert np.array_equal(sol.feasible, feasible)
+        assert np.array_equal(sol.grid, grid)
+        assert sol.method == ("grid" if grid.any() else "bisection")
+        assert not sol.feasible.all() and sol.feasible.any()
+        interior += int((sol.feasible & (sol.deltas < DELTA_MAX)).sum())
+    assert interior >= 40
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 6), (2, 3, 6)])
+@pytest.mark.parametrize("a2", [0.5, -0.1], ids=["bisection", "dipping"])
+def test_solver_runs_the_full_chain_once(monkeypatch, shape, a2):
+    """One solve makes one downlink_budget and one ledger call, on both
+    bracket ends stacked, whatever the batch shape and the path taken."""
+    calls = {"downlink_budget": 0, "ledger": 0}
+
+    def counted(name):
+        fn = getattr(optimizer, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(optimizer, name, counted(name))
+    rng = np.random.default_rng(73)
+    args = random_batch(rng, HarvestModel(0.1, a2, 0.1), shape, peak_gain=1.0)
+    sol = optimize_delta_all(*args, device_pays_downlink=False)
+    assert sol.deltas.shape == shape
+    assert (sol.feasible & (sol.deltas > DELTA_MIN) & (sol.deltas < DELTA_MAX)).any()
+    assert sol.method == ("grid" if a2 < 0 else "bisection")
+    assert calls == {"downlink_budget": 1, "ledger": 1}
 
 
 def constant(value):
