@@ -8,6 +8,10 @@ leading axes ``(..., M)`` batch independent fading states or positions. The
 downlink receiver is a power splitter: a fraction ``delta`` of the received
 power feeds the decoder, the remaining ``1 - delta`` feeds the energy
 harvester.
+
+Each elementwise helper checks its inputs, then runs a private kernel with
+the arithmetic alone; the ratio solver's interior probes call the kernels
+directly on arrays that one checked call already produced.
 """
 
 from __future__ import annotations
@@ -132,6 +136,10 @@ def sinr(prx_decode_w, interference_w, noise_w: float):
     prx_decode_w, interference_w = np.asarray(prx_decode_w), np.asarray(interference_w)
     if (prx_decode_w < 0).any() or (interference_w < 0).any():
         raise ValueError("powers must be >= 0")
+    return _sinr(prx_decode_w, interference_w, noise_w)
+
+
+def _sinr(prx_decode_w, interference_w, noise_w):
     return prx_decode_w / (interference_w + noise_w)
 
 
@@ -142,6 +150,10 @@ def achievable_rate(bandwidth_hz: float, sinr_value):
     sinr_value = np.asarray(sinr_value)
     if (sinr_value < 0).any():
         raise ValueError("sinr must be >= 0")
+    return _rate(bandwidth_hz, sinr_value)
+
+
+def _rate(bandwidth_hz, sinr_value):
     return bandwidth_hz * np.log2(1.0 + sinr_value)
 
 
@@ -154,11 +166,14 @@ def tx_time(payload_bits: float, rate_bps):
     """
     if payload_bits < 0:
         raise ValueError("payload_bits must be >= 0")
-    rate = np.asarray(rate_bps, dtype=float)
+    with np.errstate(divide="ignore"):
+        return _tx_time(payload_bits, np.asarray(rate_bps, dtype=float))
+
+
+def _tx_time(payload_bits, rate):  # a zero rate divides by zero: callers ignore that
     if payload_bits == 0:
         return np.zeros_like(rate)
-    with np.errstate(divide="ignore"):
-        return payload_bits / rate
+    return payload_bits / rate
 
 
 def _link_budget(ptx_w, noise_w, decode_share, params, realization, payload_bits):

@@ -99,7 +99,15 @@ def harvest_power(model: HarvestModel, harvest_input_w):
     x = np.asarray(harvest_input_w, dtype=float)
     if (x < 0).any():
         raise ValueError("harvest_input_w must be >= 0")
+    return _harvest_power(model, x)
+
+
+def _harvest_power(model: HarvestModel, x):
     return np.maximum(0.0, model.a1 * x * x + model.a2 * x + model.a3)
+
+
+def _harvested_energy(p_harvest_w, t_s):  # zero power times infinite time: callers ignore invalid
+    return np.where(p_harvest_w > 0.0, t_s * p_harvest_w, 0.0)
 
 
 def ledger(
@@ -129,7 +137,7 @@ def ledger(
 
     p_h = harvest_power(harvest_model, (1.0 - delta) * downlink.prx_w)
     with np.errstate(invalid="ignore"):
-        e_h = np.where(p_h > 0.0, downlink.tx_time_s * p_h, 0.0)
+        e_h = _harvested_energy(p_h, downlink.tx_time_s)
 
     return EnergyLedger(
         e_compute_j=np.full_like(e_total, e_c),

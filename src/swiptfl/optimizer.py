@@ -11,7 +11,9 @@ curve can dip on that range are scanned on a dense grid instead. Every
 device of every fading state in a batch (..., M) is solved at once, as
 arrays. Only the two bracket ends run the validated public chain
 (``downlink_budget``, then ``ledger``); every interior probe, bisection or
-grid, reuses the ratio-independent terms it produced.
+grid, reuses the ratio-independent terms it produced and runs the
+unchecked arithmetic kernels of the elementwise helpers, whose inputs that
+chain has already checked.
 
 Placement scores all candidate UAV positions with one call of an array
 objective, (C, 3) positions to (C,) expected delays, and picks the winner
@@ -31,16 +33,17 @@ from .channel import (
     ChannelRealization,
     LinkBudget,
     LinkParams,
-    achievable_rate,
+    _rate,
+    _sinr,
+    _tx_time,
     downlink_budget,
-    sinr,
-    tx_time,
 )
 from .energy import (
     ComputeProfile,
     HarvestModel,
+    _harvest_power,
+    _harvested_energy,
     compute_energy,
-    harvest_power,
     ledger,
     transmit_energy,
 )
@@ -101,7 +104,8 @@ def optimize_delta_all(
     bracket ends stacked. Each interior probe reuses their received power,
     interference and compute + uplink bill, which do not depend on the
     ratio, and evaluates only SINR, rate, downlink time, harvest and the
-    verdict through the same elementwise helpers.
+    verdict with the same expressions, through the helpers' unchecked
+    kernels, under one ``np.errstate`` for the whole probe loop.
     """
     shape = realization.gains_sq.shape
     lo, hi = np.full(shape, DELTA_MIN), np.full(shape, DELTA_MAX)
@@ -121,14 +125,12 @@ def optimize_delta_all(
     e_fixed = compute_energy(profile) + transmit_energy(uplink.tx_time_s, params.ptx_ul_w)
 
     def feasible_at(deltas):  # the ratio-dependent tail of downlink_budget + ledger
-        g = sinr(deltas * prx, interf, params.noise_power_dl_w)
-        t_dl = tx_time(payload_dl_bits, achievable_rate(params.bandwidth_hz, g))
+        g = _sinr(deltas * prx, interf, params.noise_power_dl_w)
+        t_dl = _tx_time(payload_dl_bits, _rate(params.bandwidth_hz, g))
         e_total = e_fixed
         if device_pays_downlink:
             e_total = e_total + transmit_energy(t_dl, params.ptx_dl_w)
-        p_h = harvest_power(harvest, (1.0 - deltas) * prx)
-        with np.errstate(invalid="ignore"):
-            e_h = np.where(p_h > 0.0, t_dl * p_h, 0.0)
+        e_h = _harvested_energy(_harvest_power(harvest, (1.0 - deltas) * prx), t_dl)
         return np.isfinite(e_total) & (e_total <= e_h)
 
     # The harvest input (1 - delta) * prx spans [0, prx]. Where the curve
@@ -136,30 +138,31 @@ def optimize_delta_all(
     # it may not be, so those devices are scanned on the dense grid.
     dips = (harvest.a2 < 0) | (harvest.a2 + 2.0 * harvest.a1 * prx < 0)
 
-    if (ok_lo & ~ok_hi & ~dips).any():  # some device's edge lies inside the bracket
-        for _ in range(MAX_ITERS):
-            if np.max(hi - lo) <= TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            ok = feasible_at(mid)
-            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    deltas = np.where(ok_hi, DELTA_MAX, np.where(ok_lo, lo, DELTA_MIN))
-    feasible = ok_lo | ok_hi
-    if not dips.any():
-        return DeltaSolution(deltas, feasible, dips, METHOD_BISECTION)
+    with np.errstate(divide="ignore", invalid="ignore"):  # unreachable devices probe inf
+        if (ok_lo & ~ok_hi & ~dips).any():  # some device's edge lies inside the bracket
+            for _ in range(MAX_ITERS):
+                if np.max(hi - lo) <= TOL:
+                    break
+                mid = 0.5 * (lo + hi)
+                ok = feasible_at(mid)
+                lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        deltas = np.where(ok_hi, DELTA_MAX, np.where(ok_lo, lo, DELTA_MIN))
+        feasible = ok_lo | ok_hi
+        if not dips.any():
+            return DeltaSolution(deltas, feasible, dips, METHOD_BISECTION)
 
-    # The scan runs in blocks of ratios in front of the batch axes, so its
-    # temporaries stay near GRID_BLOCK entries however large the batch is.
-    # best is the largest feasible ratio so far, 0 while there is none.
-    grid = np.append(np.arange(DELTA_MIN, DELTA_MAX, GRID_STEP), DELTA_MAX)
-    step = max(1, GRID_BLOCK // dips.size)
-    best = np.zeros(shape)
-    for start in range(0, len(grid), step):
-        block = grid[start : start + step].reshape((-1,) + (1,) * len(shape))
-        best = np.maximum(best, np.where(feasible_at(block), block, 0.0).max(axis=0))
-    deltas = np.where(dips, np.where(best > 0, best, DELTA_MIN), deltas)
-    feasible = np.where(dips, best > 0, feasible)
-    return DeltaSolution(deltas, feasible, dips, METHOD_GRID)
+        # The scan runs in blocks of ratios in front of the batch axes, so its
+        # temporaries stay near GRID_BLOCK entries however large the batch is.
+        # best is the largest feasible ratio so far, 0 while there is none.
+        grid = np.append(np.arange(DELTA_MIN, DELTA_MAX, GRID_STEP), DELTA_MAX)
+        step = max(1, GRID_BLOCK // dips.size)
+        best = np.zeros(shape)
+        for start in range(0, len(grid), step):
+            block = grid[start : start + step].reshape((-1,) + (1,) * len(shape))
+            best = np.maximum(best, np.where(feasible_at(block), block, 0.0).max(axis=0))
+        deltas = np.where(dips, np.where(best > 0, best, DELTA_MIN), deltas)
+        feasible = np.where(dips, best > 0, feasible)
+        return DeltaSolution(deltas, feasible, dips, METHOD_GRID)
 
 
 def place_uav(

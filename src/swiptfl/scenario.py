@@ -4,7 +4,9 @@ Placement scores every candidate UAV position against every placement
 fading draw in one batched :func:`link_round`. Monte Carlo trials run in
 contiguous blocks, one block per worker: each round computes the physics of
 every trial of the block in one batched :func:`link_round` over a (T, M)
-realization, then trains and records each trial on its own.
+realization, trains every trial of the block in one :func:`run_round` over
+its (T, d) global models and scores them in one evaluation pass; only the
+per-round records are assembled trial by trial.
 
 Randomness discipline: every random draw comes from a named stream derived
 from the master seed via :func:`rng_stream`, so any trial, round, or device
@@ -17,8 +19,9 @@ identical fading (common random numbers). Stream tags used here:
 * ``("data",)`` synthetic federated datasets
 * ``("init",)`` initial global model
 * ``("trial", t, "fading", r)`` per-round channel gains
-* ``("trial", t, "train", r)`` minibatch sampling for all M devices of a
-  round; derived only when training draws minibatches, never for full batch
+* ``("trial", t, "train", r)`` minibatch sampling for all M devices of
+  trial t in round r; derived only when training draws minibatches, never
+  for full batch
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .channel import (
 )
 from .energy import ComputeProfile, EnergyLedger, HarvestModel, ledger
 from .fl_core import (
-    DivergenceError,
     FederatedData,
     LocalDataset,
     ModelVector,
@@ -427,9 +429,12 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     """A block of seeded trials: fresh fading each round, training, bookkeeping.
 
     Each round runs the physics of the whole block in one link round over a
-    (T, M) realization of the trials' own fading streams, so a trial's
-    records do not depend on its block. Training and records stay per
-    trial; a trial whose training diverges stops alone, keeping its rounds.
+    (T, M) realization of the trials' own fading streams, trains every
+    trial still running in one :func:`run_round` over its (T, d) global
+    models, and scores them in one evaluation pass per dataset, so a
+    trial's records do not depend on its block. Only the assembly of the
+    per-round records is per trial. A trial whose training diverges stops
+    alone, keeping its rounds.
 
     Without battery tracking every device runs every round and energy
     shortfalls only show up as infeasible flags (and outage counts). With
@@ -439,15 +444,16 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     and compute times stop gating the round. Batteries are not capped.
     """
     cfg = scenario.config
-    seed, trials = cfg.master_seed, list(trial_indices)
+    seed, trials, task = cfg.master_seed, list(trial_indices), cfg.trainer.task
     shape = (len(trials), cfg.device_count)
     payloads = scenario.payload_ul_bits, scenario.payload_dl_bits, scenario.uav_payload_bits
     distances = np.tile(scenario.distances_m, (len(trials), 1))  # contiguous, like gains
     minibatch = cfg.trainer.minibatch(scenario.train_sets.count)
-    models = [scenario.w0] * len(trials)
+    models = np.tile(scenario.w0.params, (len(trials), 1))  # one row per trial in live
     battery = np.full(shape, cfg.battery_initial_j, dtype=float) if cfg.battery_ledger else None
     records, outage = [[] for _ in trials], [0] * len(trials)
     errors: dict[int, str] = {}  # block position -> divergence message
+    live = list(range(len(trials)))  # block positions of the trials still training
     for r in range(cfg.rounds):
         gains = np.array(
             [rng_stream(seed, "trial", t, "fading", r).exponential(1.0, shape[1]) for t in trials]
@@ -465,28 +471,33 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
             battery = battery + e_harvest - np.where(participate, e_total, 0.0)
         delay = rnd.delay(None if battery is None else participate)
         t_total = delay.t_total_s.tolist()
-        t_up, t_local = delay.t_uplink_s.max(axis=-1), delay.t_local_s.max(axis=-1)
-        t_down = delay.t_downlink_s.max(axis=-1)
+        t_up, t_local, t_down = (
+            t.max(axis=-1).tolist() for t in (delay.t_uplink_s, delay.t_local_s, delay.t_downlink_s)
+        )
 
-        for k, t in enumerate(trials):
-            if k in errors:
-                continue
+        for k in live:
             if not math.isfinite(t_total[k]) or not bool(feasible[k].all()):
                 outage[k] += 1
-            rng = rng_stream(seed, "trial", t, "train", r) if minibatch else None
-            try:
-                w = run_round(models[k], scenario.train_sets, cfg.trainer, rng, participate[k])
-            except DivergenceError as exc:
-                errors[k] = str(exc)
-                continue
-            models[k] = w
+        rngs = [rng_stream(seed, "trial", trials[k], "train", r) for k in live] if minibatch else None
+        step = run_round(models, scenario.train_sets, cfg.trainer, rngs, participate[live])
+        models = step.models
+        if step.errors:
+            errors.update((live[j], msg) for j, msg in step.errors.items())
+            kept = [j for j in range(len(live)) if j not in step.errors]
+            live, models = [live[j] for j in kept], models[kept]
+            if not live:
+                break
+        train_loss = global_loss(models, scenario.train_sets, task).tolist()
+        val_metric = evaluate_metric(models, scenario.val_set, task).tolist()
+        test_metric = evaluate_metric(models, scenario.test_set, task).tolist()
+        for k, loss, val, test in zip(live, train_loss, val_metric, test_metric):
             records[k].append(
                 RoundMetrics(
                     round_index=r,
                     t_total_s=t_total[k],
-                    t_uplink_max_s=float(t_up[k]),
-                    t_local_max_s=float(t_local[k]),
-                    t_downlink_max_s=float(t_down[k]),
+                    t_uplink_max_s=t_up[k],
+                    t_local_max_s=t_local[k],
+                    t_downlink_max_s=t_down[k],
                     t_uav_s=delay.t_uav_s,
                     deltas=rnd.deltas[k],
                     delta_method=rnd.method_at(k),
@@ -495,13 +506,11 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
                     feasible=feasible[k],
                     participate=participate[k],
                     battery_j=None if battery is None else battery[k],
-                    train_loss=global_loss(w, scenario.train_sets, cfg.trainer.task),
-                    val_metric=evaluate_metric(w, scenario.val_set, cfg.trainer.task),
-                    test_metric=evaluate_metric(w, scenario.test_set, cfg.trainer.task),
+                    train_loss=loss,
+                    val_metric=val,
+                    test_metric=test,
                 )
             )
-        if len(errors) == len(trials):
-            break
     return [
         TrialResult(t, records[k], outage[k], k in errors, errors.get(k))
         for k, t in enumerate(trials)

@@ -179,11 +179,11 @@ def test_criterion_02_round_equals_centralized_step():
         lr = rng.uniform(0.01, 1.0)
 
         cfg = TrainerConfig(learning_rate=lr, local_iters=1, task=task, batch_size=None)
-        new_global = run_round(ModelVector(w0), FederatedData.stack(datasets), cfg)
+        new_global = run_round(w0[None], FederatedData.stack(datasets), cfg).models[0]
         reference = oracles.centralized_step(w0, blocks, targets, lr, task)
 
         scale = max(float(np.max(np.abs(reference))), 1e-30)
-        worst = max(worst, float(np.max(np.abs(new_global.params - reference))) / scale)
+        worst = max(worst, float(np.max(np.abs(new_global - reference))) / scale)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 10.0
     _report(2, ok, f"100 pooled-step equivalences, max rel err {worst:.2e}, {elapsed:.2f}s")
@@ -206,7 +206,7 @@ def test_criterion_03_gradients_match_finite_differences():
         data = LocalDataset(x, y)
 
         analytic = loss_gradient(ModelVector(w), data, task)
-        fd = oracles.fd_gradient(lambda v: global_loss(ModelVector(v), data, task), w, h=1e-6)
+        fd = oracles.fd_gradient(lambda v: global_loss(v[None], data, task)[0], w, h=1e-6)
         worst = max(
             worst,
             float(np.max(np.abs(analytic - fd))) / max(float(np.max(np.abs(fd))), 1e-12),
@@ -229,13 +229,13 @@ def test_criterion_04_global_loss_is_weighted_mean():
             y = rng.standard_normal(n) if task == "linear" else rng.integers(0, 2, n).astype(float)
             blocks.append(x)
             targets.append(y)
-        w = ModelVector(rng.standard_normal(dim))
+        w = rng.standard_normal(dim)
         pooled = LocalDataset(np.vstack(blocks), np.concatenate(targets))
         worst = max(
             worst,
             rel_err(
-                global_loss(w, pooled, task),
-                oracles.pooled_loss(w.params, blocks, targets, task),
+                global_loss(w[None], pooled, task)[0],
+                oracles.pooled_loss(w, blocks, targets, task),
             ),
         )
     ok = worst <= 1e-12

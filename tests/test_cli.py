@@ -429,6 +429,13 @@ GOLDEN_ROUNDS_SHA256 = {
         CONTESTED,
         "4d912c1dd7203afe0064558e1a1ad83a21d8f5d1ffa34c3c6d7aedd0654fca5d",
     ),
+    # Minibatch training under per-trial participation masks: the battery
+    # sits devices out differently in each trial of a block (outage 0.5).
+    "minibatch-battery": (
+        "accuracy.yaml",
+        CONTESTED,
+        "e22ca09d9b286359aa66a735b5dd9dccf57228e13ead0cd654b65e6d45913540",
+    ),
 }
 
 

@@ -32,27 +32,27 @@ def test_local_loss_zero_at_interpolation():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     w = np.array([2.0, -1.0])
     data = LocalDataset(x, x @ w)
-    assert global_loss(ModelVector(w), data, "linear") == 0.0
+    assert global_loss(w[None], data, "linear")[0] == 0.0
 
 
 def test_local_loss_single_sample():
     data = LocalDataset(np.array([[1.0]]), np.array([2.0]))
-    assert global_loss(ModelVector(np.array([0.0])), data, "linear") == 2.0
+    assert global_loss(np.array([[0.0]]), data, "linear")[0] == 2.0
 
 
 def test_local_loss_duplication_invariant():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((6, 3))
     y = rng.standard_normal(6)
-    w = ModelVector(rng.standard_normal(3))
-    once = global_loss(w, LocalDataset(x, y), "linear")
-    twice = global_loss(w, LocalDataset(np.vstack([x, x]), np.concatenate([y, y])), "linear")
+    w = rng.standard_normal(3)[None]
+    once = global_loss(w, LocalDataset(x, y), "linear")[0]
+    twice = global_loss(w, LocalDataset(np.vstack([x, x]), np.concatenate([y, y])), "linear")[0]
     assert twice == pytest.approx(once, rel=1e-15)
 
 
 def test_global_loss_rejects_unknown_task():
     data = LocalDataset(np.array([[1.0]]), np.array([1.0]))
-    w = ModelVector(np.array([0.5]))
+    w = np.array([[0.5]])
     for d in (data, FederatedData.stack([data])):
         with pytest.raises(ValueError, match="unknown task 'bogus'"):
             global_loss(w, d, "bogus")
@@ -61,18 +61,18 @@ def test_global_loss_rejects_unknown_task():
 def test_global_loss_single_device_equals_local():
     rng = np.random.default_rng(4)
     data = LocalDataset(rng.standard_normal((5, 2)), rng.standard_normal(5))
-    w = ModelVector(rng.standard_normal(2))
-    assert global_loss(w, FederatedData.stack([data]), "linear") == pytest.approx(
-        global_loss(w, data, "linear"), rel=1e-15
+    w = rng.standard_normal(2)[None]
+    assert global_loss(w, FederatedData.stack([data]), "linear")[0] == pytest.approx(
+        global_loss(w, data, "linear")[0], rel=1e-15
     )
 
 
 def test_global_loss_equal_sizes_is_plain_mean():
     rng = np.random.default_rng(6)
     sets = [LocalDataset(rng.standard_normal((4, 2)), rng.standard_normal(4)) for _ in range(2)]
-    w = ModelVector(rng.standard_normal(2))
-    mean = 0.5 * (global_loss(w, sets[0], "linear") + global_loss(w, sets[1], "linear"))
-    assert global_loss(w, FederatedData.stack(sets), "linear") == pytest.approx(mean, rel=1e-14)
+    w = rng.standard_normal(2)[None]
+    mean = 0.5 * (global_loss(w, sets[0], "linear")[0] + global_loss(w, sets[1], "linear")[0])
+    assert global_loss(w, FederatedData.stack(sets), "linear")[0] == pytest.approx(mean, rel=1e-14)
 
 
 def test_global_loss_weighted_identity():
@@ -88,14 +88,14 @@ def test_global_loss_weighted_identity():
             ]
         else:
             sets = [LocalDataset(rng.standard_normal((n, 3)), rng.standard_normal(n)) for n in sizes]
-        w = ModelVector(rng.standard_normal(3))
+        w = rng.standard_normal(3)[None]
         pooled = LocalDataset(
             np.vstack([s.features for s in sets]), np.concatenate([s.targets for s in sets])
         )
-        weighted = sum(n * global_loss(w, s, task) for n, s in zip(sizes, sets)) / sum(sizes)
-        assert global_loss(w, pooled, task) == pytest.approx(weighted, rel=1e-12)
-        ref = oracles.pooled_loss(w.params, [s.features for s in sets], [s.targets for s in sets], task)
-        assert global_loss(w, pooled, task) == pytest.approx(ref, rel=1e-12)
+        weighted = sum(n * global_loss(w, s, task)[0] for n, s in zip(sizes, sets)) / sum(sizes)
+        assert global_loss(w, pooled, task)[0] == pytest.approx(weighted, rel=1e-12)
+        ref = oracles.pooled_loss(w[0], [s.features for s in sets], [s.targets for s in sets], task)
+        assert global_loss(w, pooled, task)[0] == pytest.approx(ref, rel=1e-12)
 
 
 def test_gradients_match_finite_differences():
@@ -109,7 +109,7 @@ def test_gradients_match_finite_differences():
             data = LocalDataset(x, y)
             w = rng.standard_normal(d)
             grad = loss_gradient(ModelVector(w), data, task)
-            fd = oracles.fd_gradient(lambda v: global_loss(ModelVector(v), data, task), w)
+            fd = oracles.fd_gradient(lambda v: global_loss(v[None], data, task)[0], w)
             assert np.linalg.norm(grad - fd) <= 1e-5 * max(1.0, np.linalg.norm(grad))
 
 
@@ -118,10 +118,10 @@ def test_run_round_single_step_matches_fd_oracle():
     data = LocalDataset(rng.standard_normal((8, 4)), rng.standard_normal(8))
     w0 = rng.standard_normal(4)
     lr = 0.07
-    out = run_round(ModelVector(w0), FederatedData.stack([data]), linear_cfg(learning_rate=lr))
-    fd = oracles.fd_gradient(lambda v: global_loss(ModelVector(v), data, "linear"), w0)
+    out = run_round(w0[None], FederatedData.stack([data]), linear_cfg(learning_rate=lr)).models[0]
+    fd = oracles.fd_gradient(lambda v: global_loss(v[None], data, "linear")[0], w0)
     expected = w0 - lr * fd
-    assert np.max(np.abs(out.params - expected) / np.maximum(1e-8, np.abs(expected))) <= 1e-5
+    assert np.max(np.abs(out - expected) / np.maximum(1e-8, np.abs(expected))) <= 1e-5
 
 
 def test_descent_below_lipschitz_rate_never_increases_loss():
@@ -130,12 +130,12 @@ def test_descent_below_lipschitz_rate_never_increases_loss():
     y = rng.standard_normal(20)
     data = LocalDataset(x, y)
     lr = 0.9 / oracles.lipschitz_sq_loss(x)
-    w = ModelVector(rng.standard_normal(5))
+    w = rng.standard_normal(5)[None]
     stacked = FederatedData.stack([data])
-    losses = [global_loss(w, data, "linear")]
+    losses = [global_loss(w, data, "linear")[0]]
     for _ in range(15):
-        w = run_round(w, stacked, linear_cfg(learning_rate=lr))
-        losses.append(global_loss(w, data, "linear"))
+        w = run_round(w, stacked, linear_cfg(learning_rate=lr)).models
+        losses.append(global_loss(w, data, "linear")[0])
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -203,11 +203,11 @@ def test_run_round_deterministic_given_streams():
     rng = np.random.default_rng(22)
     sets = [LocalDataset(rng.standard_normal((6, 3)), rng.standard_normal(6)) for _ in range(3)]
     data = FederatedData.stack(sets)
-    w0 = ModelVector(rng.standard_normal(3))
+    w0 = rng.standard_normal(3)[None]
     cfg = linear_cfg(batch_size=2, local_iters=3)
-    out1 = run_round(w0, data, cfg, np.random.default_rng(99))
-    out2 = run_round(w0, data, cfg, np.random.default_rng(99))
-    assert np.array_equal(out1.params, out2.params)
+    out1 = run_round(w0, data, cfg, [np.random.default_rng(99)])
+    out2 = run_round(w0, data, cfg, [np.random.default_rng(99)])
+    assert np.array_equal(out1.models, out2.models)
     with pytest.raises(ValueError, match="rng"):
         run_round(w0, data, cfg)
 
@@ -215,9 +215,9 @@ def test_run_round_deterministic_given_streams():
 def test_run_round_nobody_participates_keeps_global():
     rng = np.random.default_rng(24)
     sets = [LocalDataset(rng.standard_normal((4, 2)), rng.standard_normal(4)) for _ in range(2)]
-    w0 = ModelVector(rng.standard_normal(2))
-    out = run_round(w0, FederatedData.stack(sets), linear_cfg(), participate=np.array([False, False]))
-    assert np.array_equal(out.params, w0.params)
+    w0 = rng.standard_normal(2)[None]
+    out = run_round(w0, FederatedData.stack(sets), linear_cfg(), participate=np.zeros((1, 2), bool))
+    assert np.array_equal(out.models, w0) and out.errors == {}
 
 
 def test_run_round_centralized_equivalence_small():
@@ -225,11 +225,11 @@ def test_run_round_centralized_equivalence_small():
     sets = [LocalDataset(rng.standard_normal((5, 3)), rng.standard_normal(5)) for _ in range(4)]
     w0 = rng.standard_normal(3)
     lr = 0.05
-    out = run_round(ModelVector(w0), FederatedData.stack(sets), linear_cfg(learning_rate=lr))
+    out = run_round(w0[None], FederatedData.stack(sets), linear_cfg(learning_rate=lr)).models[0]
     ref = oracles.centralized_step(
         w0, [s.features for s in sets], [s.targets for s in sets], lr, "linear"
     )
-    assert np.linalg.norm(out.params - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
+    assert np.linalg.norm(out - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
 
 
 @pytest.mark.parametrize("task", ["linear", "logistic"])
@@ -250,8 +250,8 @@ def test_run_round_matches_per_device_oracle(task, batch_size):
     cfg = TrainerConfig(learning_rate=lr, local_iters=iters, task=task, batch_size=batch_size)
 
     out = run_round(
-        ModelVector(w0), FederatedData(x, y), cfg, np.random.default_rng(seed), participate
-    ).params
+        w0[None], FederatedData(x, y), cfg, [np.random.default_rng(seed)], participate[None]
+    ).models[0]
 
     draws = np.random.default_rng(seed)
     orders = [np.argsort(draws.random((m, n)), axis=1) for _ in range(iters)]
@@ -265,36 +265,115 @@ def test_run_round_matches_per_device_oracle(task, batch_size):
 
 
 def test_device_sitting_out_cannot_fail_the_round():
-    """A device whose gradient step overflows raises only when it trains."""
+    """A device whose gradient step overflows fails its trial only when it trains."""
     rng = np.random.default_rng(36)
     x = rng.standard_normal((3, 5, 2))
     x[1] *= 1e200
     y = rng.standard_normal((3, 5))
-    w0 = ModelVector(rng.standard_normal(2))
+    w0 = rng.standard_normal(2)[None]
     cfg = linear_cfg(local_iters=2)
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError):
-        run_round(w0, FederatedData(x, y), cfg)
-    masked = run_round(w0, FederatedData(x, y), cfg, participate=np.array([True, False, True]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed = run_round(w0, FederatedData(x, y), cfg)
+    assert list(failed.errors) == [0] and np.array_equal(failed.models, w0)
+    masked = run_round(w0, FederatedData(x, y), cfg, participate=np.array([[True, False, True]]))
     without = run_round(w0, FederatedData(x[[0, 2]], y[[0, 2]]), cfg)
-    assert np.array_equal(masked.params, without.params)
+    assert masked.errors == {} and np.array_equal(masked.models, without.models)
 
 
 def test_divergence_raises():
+    """Divergence comes back as the trial's entry in ``BlockRound.errors``."""
     rng = np.random.default_rng(28)
     data = FederatedData.stack([LocalDataset(rng.standard_normal((5, 3)), rng.standard_normal(5))])
-    with pytest.raises(DivergenceError):
-        run_round(ModelVector(rng.standard_normal(3)), data,
-                  linear_cfg(learning_rate=1e200, local_iters=50))
+    out = run_round(rng.standard_normal(3)[None], data,
+                    linear_cfg(learning_rate=1e200, local_iters=50))
+    assert list(out.errors) == [0]
+    assert out.errors[0].startswith(("non-finite gradient", "parameters overflowed"))
+
+
+def _block_problem(task, m, n, dim, trials, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, n, dim))
+    y = rng.standard_normal((m, n)) if task == "linear" else rng.integers(0, 2, (m, n)) * 1.0
+    return FederatedData(x, y), rng.standard_normal((trials, dim)), rng
+
+
+@pytest.mark.parametrize("task", ["linear", "logistic"])
+@pytest.mark.parametrize("batch_size", [None, 3])
+def test_block_round_equals_per_trial_calls(task, batch_size):
+    """A block of T trials trains exactly as T one-trial calls: per-trial
+    streams and participation masks, and a trial where nobody participates
+    comes back unchanged."""
+    data, w0, rng = _block_problem(task, m=5, n=7, dim=4, trials=6, seed=40)
+    participate = rng.random((6, 5)) < 0.6
+    participate[2] = False
+    participate[4] = True
+    cfg = TrainerConfig(learning_rate=0.3, local_iters=3, task=task, batch_size=batch_size)
+
+    def streams(trials):
+        return [np.random.default_rng(100 + t) for t in trials]
+
+    block = run_round(w0, data, cfg, streams(range(6)), participate)
+    assert block.errors == {}
+    assert np.array_equal(block.models[2], w0[2])
+    for t in range(6):
+        alone = run_round(w0[t : t + 1], data, cfg, streams([t]), participate[t : t + 1])
+        assert np.array_equal(block.models[t], alone.models[0]), t
+
+
+@pytest.mark.parametrize("m, n, dim, trials", [(50, 20, 4, 2), (5, 30, 16, 10), (10, 20, 4, 7)])
+def test_block_evaluation_equals_per_model_calls(m, n, dim, trials):
+    """One evaluation pass over (T, d) models gives, bit for bit, each
+    model's own call: on stacked training sets and on pooled datasets."""
+    for task in ("linear", "logistic"):
+        data, w, _ = _block_problem(task, m, n, dim, trials, seed=42)
+        w = 3.0 * w
+        pooled = LocalDataset(data.features.reshape(-1, dim), data.targets.reshape(-1))
+        for fn, dataset in ((global_loss, data), (global_loss, pooled), (evaluate_metric, pooled)):
+            block = fn(w, dataset, task)
+            assert block.shape == (trials,)
+            singles = [fn(w[t : t + 1], dataset, task)[0] for t in range(trials)]
+            assert np.array_equal(block, singles), (fn.__name__, task)
+
+
+def test_diverging_trial_fails_alone():
+    """A trial whose gradient or parameters blow up is reported with its
+    lone-trial message and keeps its input model; the other trials match
+    their one-trial rounds bit for bit."""
+    data, w0, _ = _block_problem("linear", m=4, n=6, dim=3, trials=5, seed=44)
+    data = FederatedData(data.features * np.array([1e200, 1, 1, 1])[:, None, None], data.targets)
+    participate = np.ones((5, 4), dtype=bool)
+    participate[:, 0] = False
+    participate[3, 0] = True  # only trial 3 trains the device whose gradient overflows
+    w0[1] *= 1e200  # each step multiplies |w| by about the rate: trial 1 leaves the floats
+    cfg = linear_cfg(learning_rate=1e60, local_iters=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = run_round(w0, data, cfg, participate=participate)
+        alone = [run_round(w0[t : t + 1], data, cfg, participate=participate[t : t + 1]) for t in range(5)]
+    assert block.errors == {1: alone[1].errors[0], 3: alone[3].errors[0]}
+    assert block.errors[1] == "parameters overflowed at local iteration 1"
+    assert block.errors[3] == (
+        f"non-finite gradient at local iteration 0 (|w|={np.max(np.abs(w0[3])):.3e})"
+    )
+    assert np.array_equal(block.models[[1, 3]], w0[[1, 3]])
+    for t in (0, 2, 4):
+        assert alone[t].errors == {}
+        assert np.array_equal(block.models[t], alone[t].models[0]), t
+
+
+def test_select_rounds_raises_on_divergence():
+    train, val, test, _ = _identity_problem()
+    cfg = linear_cfg(learning_rate=1e200, local_iters=50)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        select_rounds([1, 2], train, val, test, cfg, np.random.default_rng(0), ModelVector(np.ones(4)))
 
 
 def test_evaluate_metric_semantics():
     x = np.array([[1.0], [-1.0], [2.0]])
     y = np.array([1.0, 0.0, 1.0])
     data = LocalDataset(x, y)
-    assert evaluate_metric(ModelVector(np.array([1.0])), data, "logistic") == 1.0
-    assert evaluate_metric(ModelVector(np.array([-1.0])), data, "logistic") == 0.0
+    assert evaluate_metric(np.array([[1.0], [-1.0]]), data, "logistic").tolist() == [1.0, 0.0]
     lin = LocalDataset(np.array([[1.0]]), np.array([2.0]))
-    assert evaluate_metric(ModelVector(np.array([0.0])), lin, "linear") == 2.0
+    assert evaluate_metric(np.array([[0.0]]), lin, "linear").tolist() == [2.0]
 
 
 def _identity_problem(dim=4, seed=7):

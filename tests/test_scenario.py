@@ -10,7 +10,7 @@ import oracles
 from swiptfl.channel import ChannelRealization
 from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy
 from swiptfl import scenario as scenario_module
-from swiptfl.fl_core import DivergenceError, TrainerConfig
+from swiptfl.fl_core import BlockRound, TrainerConfig
 from swiptfl.scenario import (
     RoundMetrics,
     ScenarioConfig,
@@ -437,14 +437,18 @@ def test_diverging_trial_stops_alone(monkeypatch):
     real_run_round = scenario_module.run_round
     calls = []
 
-    def run_round(*args):
-        calls.append(args)
-        if len(calls) == 5:  # round 1 of trial 1: calls go round by round, trial by trial
-            raise DivergenceError("injected")
-        return real_run_round(*args)
+    def run_round(models, *args):
+        step = real_run_round(models, *args)
+        calls.append(len(models))
+        if len(calls) == 2:  # round 1: one block call per round, trial 1 at position 1
+            kept = step.models.copy()
+            kept[1] = models[1]
+            return BlockRound(kept, {1: "injected"})
+        return step
 
     monkeypatch.setattr(scenario_module, "run_round", run_round)
     block = run_trial(scenario, range(3))
+    assert calls == [3, 3, 2]  # the diverged trial leaves the block's later rounds
     assert [tr.failed for tr in block] == [False, True, False]
     assert block[1].error == "injected"
     assert len(block[1].rounds) == 1
