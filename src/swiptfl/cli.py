@@ -34,7 +34,7 @@ from .fl_core import DivergenceError, select_rounds
 from .scenario import (
     ScenarioConfig,
     build,
-    coerce_like,
+    coerce_field,
     link_round,
     rng_stream,
     run_monte_carlo,
@@ -102,7 +102,7 @@ _DEFAULTS = ScenarioConfig()  # frozen: the field types every config leaf is coe
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig. Unknown keys are errors, and every leaf
-    takes its field's type by the rule ``--override`` applies (``coerce_like``)."""
+    takes its field's type by the rule ``--override`` applies (``coerce_field``)."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     try:
@@ -119,7 +119,7 @@ def _section(default, raw: dict, prefix: str):
     for key, value in raw.items():
         current = getattr(default, key)
         if not hasattr(current, "__dataclass_fields__"):
-            kwargs[key] = coerce_like(current, value, prefix + key)
+            kwargs[key] = coerce_field(default, key, value, prefix + key)
         elif isinstance(value, dict):
             kwargs[key] = _section(current, value, f"{prefix}{key}.")
         else:
@@ -208,9 +208,17 @@ def _json_safe(value):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``payload`` atomically: a crash mid-dump leaves neither a half
+    file nor the temporary file, and an earlier ``path`` stays intact."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}-", suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_manifest(
@@ -226,16 +234,7 @@ def _write_manifest(
         "outputs": sorted(outputs),
         "config": asdict(config),
     }
-    # Atomic write: a crash mid-dump can never leave a half manifest.
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".manifest-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, out_dir / "manifest.json")
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    _write_json(out_dir / "manifest.json", payload)
 
 
 def _utc_now() -> str:
@@ -394,13 +393,7 @@ def cmd_optimize_delta(args) -> int:
     gains = rng_stream(config.master_seed, "trial", 0, "fading", 0).exponential(
         1.0, config.device_count
     )
-    rnd = link_round(
-        config,
-        ChannelRealization(gains, scenario.distances_m),
-        scenario.payload_ul_bits,
-        scenario.payload_dl_bits,
-        scenario.uav_payload_bits,
-    )
+    rnd = link_round(config, ChannelRealization(gains, scenario.distances_m))
     rows = zip(
         range(config.device_count), rnd.deltas, rnd.energy.feasible, rnd.downlink.tx_time_s
     )

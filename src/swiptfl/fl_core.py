@@ -3,13 +3,13 @@
 Two built-in learning tasks: linear regression under mean squared loss and
 two-class logistic regression under mean negative log-likelihood. Devices
 run plain gradient descent locally (full batch or minibatch); the server
-aggregates local models weighted by dataset size. Training and evaluation
+aggregates local models weighted by dataset size at the end of
+:func:`run_round`. Models are plain float arrays. Training and evaluation
 work on a block of T independent trials at once: global models are (T, d)
 arrays, one round trains every participating (trial, device) pair in one
-kernel, and one evaluation pass scores every model of the block. A single
-model is the T = 1 case. Also provides the cross-validation procedure that
-picks the communication-round budget, and synthetic data generators with a
-planted weight vector.
+kernel, and one evaluation pass scores every model of the block. A single model is the T = 1 case, a (1, d) block. Also provides the
+cross-validation procedure that picks the communication-round budget, and
+synthetic data generators with a planted weight vector.
 """
 
 from __future__ import annotations
@@ -27,24 +27,6 @@ _TASKS = (TASK_LINEAR, TASK_LOGISTIC)
 
 class DivergenceError(ArithmeticError):
     """Local training produced a non-finite gradient or parameter vector."""
-
-
-@dataclass(frozen=True)
-class ModelVector:
-    """Flat real parameter vector; all model exchange happens in this form."""
-
-    params: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", np.asarray(self.params, dtype=float))
-        if self.params.ndim != 1 or self.params.size == 0:
-            raise ValueError("params must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(self.params)):
-            raise ValueError("params must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.params.size
 
 
 @dataclass(frozen=True)
@@ -198,36 +180,6 @@ def _gradients(w: np.ndarray, x: np.ndarray, y: np.ndarray, task: str) -> np.nda
     return np.einsum("mnd,mn->md", x, err) / y.shape[1]
 
 
-def loss_gradient(w: ModelVector, data: LocalDataset, task: str) -> np.ndarray:
-    """Analytic gradient of the mean loss with respect to the parameters."""
-    if task not in _TASKS:
-        raise ValueError(f"unknown task {task!r}")
-    return _gradients(_block(w.params[None], data), data.features[None], data.targets[None], task)[0]
-
-
-def _fsum_mean(columns, total: float) -> list[float]:
-    """Each coordinate's ``math.fsum`` over its column of weighted models, over ``total``."""
-    return [math.fsum(col) / total for col in columns]
-
-
-def aggregate(params: np.ndarray, weights: np.ndarray) -> ModelVector:
-    """Weighted average of local models, one row of ``params`` per device.
-
-    Each coordinate's weighted sum is a ``math.fsum``, which is correctly
-    rounded: the result is reproducible bit for bit and does not depend on
-    the order in which the devices are given.
-    """
-    params = np.asarray(params, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if params.ndim != 2 or len(params) == 0:
-        raise ValueError("nothing to aggregate")
-    if weights.shape != (len(params),):
-        raise ValueError("need one weight per local model")
-    if not np.all(weights > 0):
-        raise ValueError("weights must be > 0")
-    return ModelVector(_fsum_mean((weights[:, None] * params).T.tolist(), math.fsum(weights.tolist())))
-
-
 @dataclass(frozen=True)
 class BlockRound:
     """One communication round of a block of T trials.
@@ -307,11 +259,12 @@ def run_round(
             x, y, stepped, trial, device = x[keep], y[keep], stepped[keep], trial[keep], device[keep]
         w = stepped
 
+    # Each coordinate's weighted sum is a math.fsum, which is correctly
+    # rounded, so a trial's model does not depend on the order of its devices.
     out, columns, start = models.copy(), (float(n) * w).T.tolist(), 0
     for k, count in enumerate(np.bincount(trial, minlength=t_count).tolist()):
         if count:
-            own = [col[start : start + count] for col in columns]
-            out[k] = _fsum_mean(own, math.fsum([float(n)] * count))
+            out[k] = [math.fsum(col[start : start + count]) / (n * count) for col in columns]
         start += count
     return BlockRound(out, errors)
 
@@ -349,18 +302,19 @@ def select_rounds(
     test_set: LocalDataset,
     cfg: TrainerConfig,
     rng: np.random.Generator,
-    w0: ModelVector,
+    w0: np.ndarray,
 ) -> RoundSelection:
     """Pick the communication-round budget by validation performance.
 
-    Trains one model (a block of one trial) up to the largest candidate and
-    snapshots it at every candidate checkpoint (training to R and continuing
-    is identical to training straight to R' > R, since every round draws its
-    minibatches from the one generator ``rng``), then scores every
-    checkpoint in one evaluation pass. Returns the candidate with the best
-    validation metric; exact ties go to the smaller budget, which costs less
-    to communicate. The test metric is reported only for the chosen budget.
-    Raises :class:`DivergenceError` if training diverges.
+    Trains one model from the (d,) vector ``w0``, as a block of one trial,
+    up to the largest candidate and snapshots it at every candidate
+    checkpoint (training to R and continuing is identical to training
+    straight to R' > R, since every round draws its minibatches from the
+    one generator ``rng``), then scores every checkpoint in one evaluation
+    pass. Returns the candidate with the best validation metric; exact ties
+    go to the smaller budget, which costs less to communicate. The test
+    metric is reported only for the chosen budget. Raises
+    :class:`DivergenceError` if training diverges.
     """
     if not candidates:
         raise ValueError("candidates must be nonempty")
@@ -369,7 +323,7 @@ def select_rounds(
     if candidates[0] < 1:
         raise ValueError("candidates must be >= 1")
 
-    checkpoints, wanted, w = [], set(candidates), w0.params[None]
+    checkpoints, wanted, w = [], set(candidates), np.asarray(w0, dtype=float)[None]
     for r in range(1, candidates[-1] + 1):
         step = run_round(w, train_sets, cfg, [rng])
         if step.errors:

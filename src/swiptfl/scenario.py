@@ -1,12 +1,15 @@
 """Scenario assembly, seeded Monte Carlo trials, and parameter sweeps.
 
-Placement scores every candidate UAV position against every placement
-fading draw in one batched :func:`link_round`. Monte Carlo trials run in
-contiguous blocks, one block per worker: each round computes the physics of
-every trial of the block in one batched :func:`link_round` over a (T, M)
-realization, trains every trial of the block in one :func:`run_round` over
-its (T, d) global models and scores them in one evaluation pass; only the
-per-round records are assembled trial by trial.
+The round kernel :func:`link_round` takes only the config and a fading
+realization; the payloads follow from the config. Placement scores every
+candidate UAV position against every placement fading draw in one batched
+:func:`link_round`. Monte Carlo trials run in contiguous blocks, one block
+per worker: each round computes the physics of every trial of the block in
+one batched :func:`link_round` over a (T, M) realization, trains every
+trial of the block in one :func:`run_round` over its (T, d) global models
+and scores them in one evaluation pass; only the per-round records are
+assembled trial by trial. Models are plain arrays: the scenario's initial
+model ``w0`` is a (d,) vector.
 
 Randomness discipline: every random draw comes from a named stream derived
 from the master seed via :func:`rng_stream`, so any trial, round, or device
@@ -26,7 +29,9 @@ identical fading (common random numbers). Stream tags used here:
 
 from __future__ import annotations
 
+import functools
 import math
+import typing
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -47,7 +52,6 @@ from .energy import ComputeProfile, EnergyLedger, HarvestModel, ledger
 from .fl_core import (
     FederatedData,
     LocalDataset,
-    ModelVector,
     TrainerConfig,
     evaluate_metric,
     global_loss,
@@ -117,9 +121,10 @@ class DataConfig:
 class ScenarioConfig:
     """Everything that defines one experiment, defaults included.
 
-    The payload defaults to 32 bits per model coordinate when
-    ``payload_bits`` is None; the UAV aggregation processes the payloads of
-    all devices.
+    The model payload, the same on uplink and downlink, is ``payload_bits``,
+    or 32 bits per model coordinate when that is None. The UAV aggregation
+    processes the payloads of all devices, or a single payload when
+    ``uav_payload_scales_with_m`` is false.
     """
 
     master_seed: int = 0
@@ -209,10 +214,7 @@ class Scenario:
     val_set: LocalDataset
     test_set: LocalDataset
     w_true: np.ndarray
-    w0: ModelVector
-    payload_ul_bits: float
-    payload_dl_bits: float
-    uav_payload_bits: float
+    w0: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -295,22 +297,19 @@ class LinkRound:
         return round_total(t_up, t_local, self.downlink.tx_time_s, self.t_uav_s)
 
 
-def link_round(
-    config: ScenarioConfig,
-    realization: ChannelRealization,
-    payload_ul_bits: float,
-    payload_dl_bits: float,
-    uav_payload_bits: float,
-) -> LinkRound:
+def link_round(config: ScenarioConfig, realization: ChannelRealization) -> LinkRound:
     """Physical-layer bookkeeping for one round at one fading state.
 
     Computes the uplink once, resolves the power-splitting ratios per the
     configured mode, then computes the downlink and the energy ledger once
     at those ratios. A realization of shape (..., M) runs a whole batch of
     fading states in this one call; every per-device field has its shape.
+    The payloads follow from the config, as :class:`ScenarioConfig` says.
     """
     link = config.link
-    uplink = uplink_budget(link, realization, payload_ul_bits)
+    payload = float(config.payload_bits) if config.payload_bits else 32.0 * config.data.dim
+    uav_payload = payload * (config.device_count if config.uav_payload_scales_with_m else 1)
+    uplink = uplink_budget(link, realization, payload)
     if config.delta_mode == DELTA_MODE_OPTIMIZED:
         sol = optimize_delta_all(
             link,
@@ -318,14 +317,14 @@ def link_round(
             uplink,
             config.compute,
             config.harvest,
-            payload_dl_bits,
+            payload,
             device_pays_downlink=config.device_pays_downlink,
         )
         deltas, method, grid = sol.deltas, sol.method, sol.grid
     else:
         deltas, method = np.full(realization.gains_sq.shape, config.delta_fixed), DELTA_MODE_FIXED
         grid = np.zeros(deltas.shape, dtype=bool)
-    downlink = downlink_budget(link, realization, deltas, payload_dl_bits)
+    downlink = downlink_budget(link, realization, deltas, payload)
     energy = ledger(
         config.compute,
         config.harvest,
@@ -344,17 +343,12 @@ def link_round(
         downlink=downlink,
         energy=energy,
         t_local_s=np.full(realization.gains_sq.shape, local_train_time(config.compute)),
-        t_uav_s=uav_aggregation_time(config.uav_cycles_per_bit, uav_payload_bits, config.uav_cpu_hz),
+        t_uav_s=uav_aggregation_time(config.uav_cycles_per_bit, uav_payload, config.uav_cpu_hz),
     )
 
 
 def mean_round_delay(
-    config: ScenarioConfig,
-    device_positions: np.ndarray,
-    candidates: np.ndarray,
-    payload_ul_bits: float,
-    payload_dl_bits: float,
-    uav_payload_bits: float,
+    config: ScenarioConfig, device_positions: np.ndarray, candidates: np.ndarray
 ) -> np.ndarray:
     """Expected round delay with the UAV at each (C, 3) candidate, shape (C,).
 
@@ -369,8 +363,7 @@ def mean_round_delay(
     dy = device_positions[:, 1] - candidates[:, 1:2]
     dist = np.sqrt(dx * dx + dy * dy + candidates[:, 2:] ** 2)
     realization = ChannelRealization(fading, dist[:, None, :])
-    rnd = link_round(config, realization, payload_ul_bits, payload_dl_bits, uav_payload_bits)
-    return rnd.delay().t_total_s.mean(axis=-1)
+    return link_round(config, realization).delay().t_total_s.mean(axis=-1)
 
 
 def build(config: ScenarioConfig) -> Scenario:
@@ -380,14 +373,11 @@ def build(config: ScenarioConfig) -> Scenario:
     xs = place_rng.uniform(xmin, xmax, config.device_count)
     ys = place_rng.uniform(ymin, ymax, config.device_count)
     positions = np.column_stack([xs, ys])
-
-    payload = float(config.payload_bits) if config.payload_bits else 32.0 * config.data.dim
-    uav_payload = payload * (config.device_count if config.uav_payload_scales_with_m else 1)
     placement = place_uav(
         config.area_bounds,
         config.uav_altitude_m,
         config.placement_mode,
-        lambda xyz: mean_round_delay(config, positions, xyz, payload, payload, uav_payload),
+        lambda xyz: mean_round_delay(config, positions, xyz),
         config.placement_grid_points,
     )
     ux, uy, uz = placement.position
@@ -406,7 +396,7 @@ def build(config: ScenarioConfig) -> Scenario:
         config.data.weight_scale,
     )
     init_rng = rng_stream(config.master_seed, "init")
-    w0 = ModelVector(config.data.init_scale * init_rng.standard_normal(config.data.dim))
+    w0 = config.data.init_scale * init_rng.standard_normal(config.data.dim)
 
     return Scenario(
         config=config,
@@ -419,9 +409,6 @@ def build(config: ScenarioConfig) -> Scenario:
         test_set=test_set,
         w_true=w_true,
         w0=w0,
-        payload_ul_bits=payload,
-        payload_dl_bits=payload,
-        uav_payload_bits=uav_payload,
     )
 
 
@@ -446,10 +433,9 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     cfg = scenario.config
     seed, trials, task = cfg.master_seed, list(trial_indices), cfg.trainer.task
     shape = (len(trials), cfg.device_count)
-    payloads = scenario.payload_ul_bits, scenario.payload_dl_bits, scenario.uav_payload_bits
     distances = np.tile(scenario.distances_m, (len(trials), 1))  # contiguous, like gains
     minibatch = cfg.trainer.minibatch(scenario.train_sets.count)
-    models = np.tile(scenario.w0.params, (len(trials), 1))  # one row per trial in live
+    models = np.tile(scenario.w0, (len(trials), 1))  # one row per trial in live
     battery = np.full(shape, cfg.battery_initial_j, dtype=float) if cfg.battery_ledger else None
     records, outage = [[] for _ in trials], [0] * len(trials)
     errors: dict[int, str] = {}  # block position -> divergence message
@@ -458,7 +444,7 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
         gains = np.array(
             [rng_stream(seed, "trial", t, "fading", r).exponential(1.0, shape[1]) for t in trials]
         )
-        rnd = link_round(cfg, ChannelRealization(gains, distances), *payloads)
+        rnd = link_round(cfg, ChannelRealization(gains, distances))
         e_total, e_harvest = rnd.energy.e_total_j, rnd.energy.e_harvest_j
         feasible = rnd.energy.feasible
 
@@ -567,13 +553,30 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
     )
 
 
-def coerce_like(current, value, path: str):
-    """``value`` as the type of the field's ``current`` value, or ValueError.
+@functools.cache
+def _optional_fields(cls) -> dict[str, type]:
+    """Each ``X | None`` field of config class ``cls``, mapped to ``X``."""
+    out = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        kinds = typing.get_args(hint)
+        if type(None) in kinds:
+            (out[name],) = (kind for kind in kinds if kind is not type(None))
+    return out
+
+
+def coerce_field(obj, name: str, value, path: str):
+    """``value`` for field ``name`` of config object ``obj``, or ValueError.
 
     The one type rule for config values, from overrides and config files
-    alike: 30.0 is the int 30 for an int field but 1.5 is rejected. Optional
-    fields (``current`` is None) pass through untouched.
+    alike: the value takes the type of the field, so 30.0 is the int 30 for
+    an int field but 1.5 is rejected. An optional field takes null, or any
+    other value by the rule of its declared type.
     """
+    current, kind = getattr(obj, name), _optional_fields(type(obj)).get(name)
+    if kind is not None:
+        if value is None:
+            return None
+        current = kind()  # a value of the declared type
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(current, bool):
         if not isinstance(value, bool):
@@ -601,7 +604,7 @@ def coerce_like(current, value, path: str):
 def with_override(config, path: str, value):
     """New config with the dotted-path field replaced, types respected.
 
-    The value goes through :func:`coerce_like`, so ``rounds=30.0`` becomes
+    The value goes through :func:`coerce_field`, so ``rounds=30.0`` becomes
     the int 30 but ``rounds=1.5`` is rejected. Unknown field names raise
     ValueError naming the path.
     """
@@ -616,7 +619,7 @@ def with_override(config, path: str, value):
             raise ValueError(f"unknown config field {path!r} (no {name!r} on {type(obj).__name__})")
         current = getattr(obj, name)
         if len(remaining) == 1:
-            return replace(obj, **{name: coerce_like(current, value, path)})
+            return replace(obj, **{name: coerce_field(obj, name, value, path)})
         if not hasattr(type(current), "__dataclass_fields__"):
             raise ValueError(f"override path {path!r} descends into non-config field {name!r}")
         return replace(obj, **{name: apply(current, remaining[1:])})

@@ -27,13 +27,12 @@ from swiptfl.channel import (
     uplink_budget,
 )
 from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy, harvest_power, ledger
+from swiptfl import fl_core
 from swiptfl.fl_core import (
     FederatedData,
     LocalDataset,
-    ModelVector,
     TrainerConfig,
     global_loss,
-    loss_gradient,
     run_round,
     select_rounds,
 )
@@ -205,7 +204,7 @@ def test_criterion_03_gradients_match_finite_differences():
             y = np.array([float(rng.integers(0, 2))])
         data = LocalDataset(x, y)
 
-        analytic = loss_gradient(ModelVector(w), data, task)
+        analytic = fl_core._gradients(w[None], x[None], y[None], task)[0]
         fd = oracles.fd_gradient(lambda v: global_loss(v[None], data, task)[0], w, h=1e-6)
         worst = max(
             worst,
@@ -443,6 +442,7 @@ def test_criterion_08_battery_semantics_hold_for_100_rounds():
     )
     scenario = build(cfg)
     link = cfg.link
+    payload = 32.0 * cfg.data.dim  # payload_bits unset: 32 bits per model coordinate
     negatives = 0
     flag_mismatches = 0
     checked = 0
@@ -463,7 +463,7 @@ def test_criterion_08_battery_semantics_hold_for_100_rounds():
                 )
                 prx_ul = oracles.rx_power(link.ptx_ul_w, d, link.pathloss_exponent, gains[i])
                 t_up = oracles.transmit_time(
-                    scenario.payload_ul_bits,
+                    payload,
                     oracles.shannon_rate(
                         link.bandwidth_hz,
                         oracles.sinr_value(prx_ul, up_int, link.noise_power_ul_w),
@@ -474,7 +474,7 @@ def test_criterion_08_battery_semantics_hold_for_100_rounds():
                 )
                 prx_dl = oracles.rx_power(link.ptx_dl_w, d, link.pathloss_exponent, gains[i])
                 t_down = oracles.transmit_time(
-                    scenario.payload_dl_bits,
+                    payload,
                     oracles.shannon_rate(
                         link.bandwidth_hz,
                         oracles.sinr_value(
@@ -538,7 +538,7 @@ def test_criterion_10_round_selection_tie_breaks():
     train = FederatedData.stack([LocalDataset(x, y)])
     val = LocalDataset(x, y)
     test = LocalDataset(x, y)
-    w0 = ModelVector(np.zeros(dim))
+    w0 = np.zeros(dim)
 
     # Error contracts by 0.25 per round: every extra round strictly helps.
     cfg = TrainerConfig(learning_rate=0.75 * dim, local_iters=1, task="linear")

@@ -57,16 +57,42 @@ def test_bad_overrides_exit_2(tmp_path, capsys):
     assert run_cli(["run", "--config", cfg, "--out", out, "--override", "rounds=1.5"]) == 2
     assert run_cli(["run", "--config", cfg, "--out", out, "--override", "justtext"]) == 2
     capsys.readouterr()
+    # Optional fields follow their declared type, not whatever their value is.
+    for text, message in [
+        ("trainer.batch_size=2.5", "trainer.batch_size expects an int, got 2.5"),
+        ("payload_bits=true", "payload_bits expects a number, got True"),
+    ]:
+        assert run_cli(["run", "--config", cfg, "--out", out, "--override", text]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_yaml_leaves_follow_the_override_type_rule(tmp_path, capsys):
     """A config file value is typed exactly as the same --override would be."""
     out = str(tmp_path / "o")
-    in_file = write_config(tmp_path, BASE_CONFIG.replace("rounds: 2\n", "rounds: 2.5\n"), "a.yaml")
-    overridden = ["--config", write_config(tmp_path), "--override", "rounds=2.5"]
-    for args in (["--config", in_file], overridden):
-        assert run_cli(["run", "--out", out, *args]) == 2
-        assert capsys.readouterr().err == "error: rounds expects an int, got 2.5\n"
+    trainer = "trainer:\n  learning_rate: 0.1\n  local_iters: 2\n  batch_size: {}\n"
+    cases = [
+        (
+            BASE_CONFIG.replace("rounds: 2\n", "rounds: 2.5\n"),
+            "rounds=2.5",
+            "rounds expects an int, got 2.5",
+        ),
+        (
+            BASE_CONFIG + "payload_bits: abc\n",
+            "payload_bits=abc",
+            "payload_bits expects a number, got 'abc'",
+        ),
+        (
+            BASE_CONFIG + trainer.format("2.5"),
+            "trainer.batch_size=2.5",
+            "trainer.batch_size expects an int, got 2.5",
+        ),
+    ]
+    for text, override, message in cases:
+        in_file = write_config(tmp_path, text, "a.yaml")
+        overridden = ["--config", write_config(tmp_path), "--override", override]
+        for args in (["--config", in_file], overridden):
+            assert run_cli(["run", "--out", out, *args]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     whole = BASE_CONFIG.replace("device_count: 3\n", "device_count: 3.0\n")
     cfg = write_config(tmp_path, whole, "b.yaml")
@@ -74,6 +100,11 @@ def test_yaml_leaves_follow_the_override_type_rule(tmp_path, capsys):
     capsys.readouterr()
     config = cli.load_config(cfg)
     assert config.device_count == 3 and isinstance(config.device_count, int)
+
+    optional = BASE_CONFIG + "payload_bits: null\n" + trainer.format("3.0")
+    config = cli.load_config(write_config(tmp_path, optional, "c.yaml"))
+    assert config.payload_bits is None
+    assert config.trainer.batch_size == 3 and isinstance(config.trainer.batch_size, int)
 
 
 def test_libyaml_loader_reads_configs_as_the_python_loader_does(tmp_path, capsys):
@@ -357,6 +388,35 @@ def test_place_uav_reports_position(tmp_path, capsys, monkeypatch):
         assert placement["position"] == position
         assert placement["objective_s"] == objective
         assert len(uplink_calls) == 1
+
+
+@pytest.mark.parametrize("failing_dump, kept", [(0, []), (1, ["placement.json"])])
+def test_failed_json_dump_leaves_no_partial_file(
+    tmp_path, capsys, monkeypatch, failing_dump, kept
+):
+    """A dump that raises midway, into placement.json or into the manifest,
+    leaves neither a half file nor a temporary file, and the manifest of an
+    earlier run in the same directory stays intact."""
+    cfg, out = write_config(tmp_path), tmp_path / "o"
+    args = ["place-uav", "--config", cfg, "--out", str(out), "--workers", "1"]
+    assert run_cli(args) == 0
+    earlier = (out / "manifest.json").read_bytes()
+    (out / "placement.json").unlink()
+
+    dump, calls = json.dump, []
+
+    def broken_dump(obj, fh, **kwargs):
+        calls.append(obj)
+        if len(calls) - 1 == failing_dump:
+            fh.write('{"partial": ')
+            raise OSError("No space left on device")
+        return dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dump", broken_dump)
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err.endswith("error: No space left on device\n")
+    assert sorted(p.name for p in out.iterdir()) == sorted(kept + ["manifest.json"])
+    assert (out / "manifest.json").read_bytes() == earlier
 
 
 def test_diverging_run_exits_3(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Federated training core: losses, gradients, aggregation, round selection."""
+"""Federated training core: losses, gradients, rounds, round selection."""
 
 import math
 
@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
+from swiptfl import fl_core
 from swiptfl.fl_core import (
     DivergenceError,
     FederatedData,
     LocalDataset,
-    ModelVector,
     TrainerConfig,
-    aggregate,
     evaluate_metric,
     global_loss,
-    loss_gradient,
     make_federated_problem,
     run_round,
     select_rounds,
@@ -108,7 +106,7 @@ def test_gradients_match_finite_differences():
             y = rng.integers(0, 2, n).astype(float) if task == "logistic" else rng.standard_normal(n)
             data = LocalDataset(x, y)
             w = rng.standard_normal(d)
-            grad = loss_gradient(ModelVector(w), data, task)
+            grad = fl_core._gradients(w[None], x[None], y[None], task)[0]
             fd = oracles.fd_gradient(lambda v: global_loss(v[None], data, task)[0], w)
             assert np.linalg.norm(grad - fd) <= 1e-5 * max(1.0, np.linalg.norm(grad))
 
@@ -139,53 +137,33 @@ def test_descent_below_lipschitz_rate_never_increases_loss():
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
-def test_aggregate_identical_vectors_fixed_point():
-    w = np.array([1.5, -2.0, 0.25])
-    out = aggregate(np.stack([w, w, w]), np.array([3.0, 1.0, 7.0]))
-    assert np.array_equal(out.params, w)
+@pytest.mark.parametrize("task", ["linear", "logistic"])
+def test_run_round_device_order_does_not_change_the_model(task):
+    """Each coordinate of the aggregate is a correctly rounded sum, so
+    presenting the devices in another order gives the same global models
+    bit for bit, and so does a repeated call."""
+    data, w0, rng = _block_problem(task, m=6, n=5, dim=4, trials=3, seed=20)
+    participate = rng.random((3, 6)) < 0.7
+    cfg = TrainerConfig(learning_rate=0.3, local_iters=3, task=task)
+    out = run_round(w0, data, cfg, participate=participate)
+    assert np.array_equal(out.models, run_round(w0, data, cfg, participate=participate).models)
+    for _ in range(5):
+        perm = rng.permutation(6)
+        shuffled = FederatedData(data.features[perm], data.targets[perm])
+        moved = run_round(w0, shuffled, cfg, participate=participate[:, perm])
+        assert np.array_equal(moved.models, out.models)
 
 
-def test_aggregate_single_device():
-    w = np.array([0.1, 0.2])
-    assert np.array_equal(aggregate(w[None], np.array([5.0])).params, w)
-
-
-def test_aggregate_equal_weights_midpoint():
-    out = aggregate(np.array([[0.0, 2.0], [1.0, 0.0]]), np.array([4.0, 4.0]))
-    assert np.allclose(out.params, [0.5, 1.0], rtol=0, atol=1e-15)
-
-
-def test_aggregate_is_convex_combination():
-    rng = np.random.default_rng(18)
-    for _ in range(30):
-        m = int(rng.integers(1, 7))
-        stacked = rng.standard_normal((m, 4))
-        out = aggregate(stacked, rng.uniform(0.1, 5.0, m)).params
-        assert np.all(out >= stacked.min(axis=0) - 1e-12)
-        assert np.all(out <= stacked.max(axis=0) + 1e-12)
-
-
-def test_aggregate_deterministic_and_order_canonicalized():
-    """Each coordinate's sum is correctly rounded, so repeated calls and a
-    permuted presentation of the devices agree bit for bit."""
-    rng = np.random.default_rng(20)
-    params = rng.standard_normal((5, 6))
-    weights = rng.uniform(0.5, 3, 5)
-    a = aggregate(params, weights).params
-    b = aggregate(params, weights).params
-    assert np.array_equal(a, b)
-    perm = rng.permutation(5)
-    c = aggregate(params[perm], weights[perm]).params
-    assert np.array_equal(a, c)
-
-
-def test_aggregate_validation():
-    with pytest.raises(ValueError):
-        aggregate(np.empty((0, 2)), np.empty(0))
-    with pytest.raises(ValueError):
-        aggregate(np.array([[1.0]]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        aggregate(np.ones((2, 3)), np.ones(3))
+@pytest.mark.parametrize("task", ["linear", "logistic"])
+def test_run_round_single_participant_matches_local_gd(task):
+    """With one device taking part, the new global model is that device's
+    local model."""
+    data, w0, _ = _block_problem(task, m=4, n=6, dim=3, trials=1, seed=19)
+    cfg = TrainerConfig(learning_rate=0.2, local_iters=3, task=task)
+    participate = np.array([[False, False, True, False]])
+    out = run_round(w0, data, cfg, participate=participate).models[0]
+    expected = oracles.local_gd(w0[0], data.features[2], data.targets[2], task, 0.2, 3)
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_federated_data_stack_rejects_unequal_sizes():
@@ -364,7 +342,7 @@ def test_select_rounds_raises_on_divergence():
     train, val, test, _ = _identity_problem()
     cfg = linear_cfg(learning_rate=1e200, local_iters=50)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
-        select_rounds([1, 2], train, val, test, cfg, np.random.default_rng(0), ModelVector(np.ones(4)))
+        select_rounds([1, 2], train, val, test, cfg, np.random.default_rng(0), np.ones(4))
 
 
 def test_evaluate_metric_semantics():
@@ -391,7 +369,7 @@ def _identity_problem(dim=4, seed=7):
 def test_select_rounds_single_candidate():
     train, val, test, _ = _identity_problem()
     sel = select_rounds([5], train, val, test, linear_cfg(), np.random.default_rng(0),
-                        ModelVector(np.zeros(4)))
+                        np.zeros(4))
     assert sel.best_rounds == 5
 
 
@@ -399,7 +377,7 @@ def test_select_rounds_strict_improvement_returns_largest():
     train, val, test, _ = _identity_problem(seed=9)
     cfg = linear_cfg(learning_rate=1.0)  # contraction 0.75 per round at lr=1, features=I, n=4
     sel = select_rounds([1, 2, 4, 8], train, val, test, cfg, np.random.default_rng(0),
-                        ModelVector(np.zeros(4)))
+                        np.zeros(4))
     metrics = [row["val_metric"] for row in sel.table]
     assert all(a > b for a, b in zip(metrics, metrics[1:]))
     assert sel.best_rounds == 8
@@ -414,7 +392,7 @@ def test_select_rounds_plateau_ties_to_smallest():
     lr = dim * (1.0 - 2e-5)
     cfg = linear_cfg(learning_rate=lr)
     sel = select_rounds([1, 2, 3, 4], train, val, test, cfg, np.random.default_rng(0),
-                        ModelVector(np.zeros(dim)))
+                        np.zeros(dim))
     metrics = [round(row["val_metric"], 12) for row in sel.table]
     assert metrics[0] > metrics[1]
     assert metrics[1] == metrics[2] == metrics[3]
@@ -423,7 +401,7 @@ def test_select_rounds_plateau_ties_to_smallest():
 
 def test_select_rounds_validation():
     train, val, test, _ = _identity_problem()
-    w0 = ModelVector(np.zeros(4))
+    w0 = np.zeros(4)
     with pytest.raises(ValueError):
         select_rounds([], train, val, test, linear_cfg(), np.random.default_rng(0), w0)
     with pytest.raises(ValueError):

@@ -352,7 +352,7 @@ def constant(value):
     return lambda candidates: np.full(len(candidates), value)
 
 
-def per_candidate_objective(config, devices, candidates, payloads):
+def per_candidate_objective(config, devices, candidates):
     """Mean round delay at each candidate, one 1-D link round per candidate
     and fading draw: the loop the batched placement objective replaces."""
     seed, m = config.master_seed, config.device_count
@@ -365,7 +365,7 @@ def per_candidate_objective(config, devices, candidates, payloads):
         dx, dy = devices[:, 0] - x, devices[:, 1] - y
         dist = np.sqrt(dx * dx + dy * dy + z**2)
         totals = [
-            link_round(config, ChannelRealization(gains, dist), *payloads).delay().t_total_s
+            link_round(config, ChannelRealization(gains, dist)).delay().t_total_s
             for gains in draws
         ]
         out.append(np.mean(totals))
@@ -411,7 +411,7 @@ def test_place_uav_single_device_picks_nearest_lattice_point():
 
     def objective(candidates):
         calls.append(candidates.shape)
-        return mean_round_delay(config, device, candidates, 128.0, 128.0, 128.0)
+        return mean_round_delay(config, device, candidates)
 
     sol = place_uav(
         config.area_bounds, config.uav_altitude_m, "grid_search", objective, grid_points=5
@@ -421,7 +421,7 @@ def test_place_uav_single_device_picks_nearest_lattice_point():
     candidates = lattice_and_centroid(config)
     nearest = min(candidates[:-1], key=lambda p: (p[0] - 83.0) ** 2 + (p[1] - 22.0) ** 2)
     assert sol.position == nearest
-    exhaustive = per_candidate_objective(config, device, candidates, (128.0, 128.0, 128.0))
+    exhaustive = per_candidate_objective(config, device, candidates)
     assert sol.objective_s == exhaustive.min()
 
 
@@ -449,7 +449,7 @@ def test_grid_search_objective_never_worse_than_centroid():
     devices = rng.uniform(0.0, 100.0, (3, 2))
 
     def objective(candidates):
-        return mean_round_delay(config, devices, candidates, 128.0, 128.0, 384.0)
+        return mean_round_delay(config, devices, candidates)
 
     centroid = place_uav(config.area_bounds, config.uav_altitude_m, "centroid", objective)
     grid = place_uav(
@@ -478,8 +478,7 @@ def test_batched_placement_grid_scan_stays_small():
     assert peak < 64 * 2**20
 
     candidates = lattice_and_centroid(config)
-    payloads = (scenario.payload_ul_bits, scenario.payload_dl_bits, scenario.uav_payload_bits)
-    reference = per_candidate_objective(config, scenario.device_positions, candidates, payloads)
+    reference = per_candidate_objective(config, scenario.device_positions, candidates)
 
     def tie_key(i):
         x, y, _ = candidates[i]

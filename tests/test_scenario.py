@@ -96,20 +96,33 @@ def test_build_is_deterministic_and_in_bounds():
     s2 = build(cfg)
     assert np.array_equal(s1.device_positions, s2.device_positions)
     assert s1.uav_position == s2.uav_position
-    assert np.array_equal(s1.w0.params, s2.w0.params)
+    assert np.array_equal(s1.w0, s2.w0)
     assert np.array_equal(s1.train_sets.targets, s2.train_sets.targets)
 
     xmin, xmax, ymin, ymax = cfg.area_bounds
     assert np.all((s1.device_positions[:, 0] >= xmin) & (s1.device_positions[:, 0] <= xmax))
     assert np.all((s1.device_positions[:, 1] >= ymin) & (s1.device_positions[:, 1] <= ymax))
     assert np.all(s1.distances_m >= cfg.uav_altitude_m)
-    assert s1.payload_ul_bits == 32.0 * cfg.data.dim
-    assert s1.uav_payload_bits == s1.payload_ul_bits * cfg.device_count
 
 
-def test_uav_payload_scaling_toggle():
-    flat = build(small_config(uav_payload_scales_with_m=False))
-    assert flat.uav_payload_bits == flat.payload_ul_bits
+def test_link_round_payloads_follow_the_config():
+    """Both links carry ``payload_bits``, or 32 bits per model coordinate
+    when it is unset, and the UAV aggregates M payloads unless
+    ``uav_payload_scales_with_m`` is off."""
+    cfg = small_config(device_count=4)
+    rng = np.random.default_rng(5)
+    realization = ChannelRealization(rng.exponential(1.0, 4), rng.uniform(20.0, 150.0, 4))
+    for bits, config in [
+        (32.0 * cfg.data.dim, cfg),
+        (1000.0, replace(cfg, payload_bits=1000.0)),
+    ]:
+        rnd = link_round(config, realization)
+        assert np.array_equal(rnd.uplink.tx_time_s, bits / rnd.uplink.rate_bps)
+        assert np.array_equal(rnd.downlink.tx_time_s, bits / rnd.downlink.rate_bps)
+        assert rnd.t_uav_s == oracles.t_uav(cfg.uav_cycles_per_bit, 4 * bits, cfg.uav_cpu_hz)
+        flat = link_round(replace(config, uav_payload_scales_with_m=False), realization)
+        assert flat.t_uav_s == oracles.t_uav(cfg.uav_cycles_per_bit, bits, cfg.uav_cpu_hz)
+        assert rnd.t_uav_s == 4 * flat.t_uav_s
 
 
 def test_run_trial_is_bit_reproducible():
@@ -172,7 +185,7 @@ def test_single_device_round_matches_closed_form():
     gain = float(rng_stream(11, "trial", 0, "fading", 0).exponential(1.0, 1)[0])
     dist = float(scenario.distances_m[0])
     link = cfg.link
-    payload = scenario.payload_ul_bits
+    payload = 32.0 * cfg.data.dim
 
     prx_ul = oracles.rx_power(link.ptx_ul_w, dist, link.pathloss_exponent, gain)
     t_up = oracles.transmit_time(
@@ -192,7 +205,7 @@ def test_single_device_round_matches_closed_form():
     t_loc = oracles.t_local(
         cfg.compute.cycles_per_bit, cfg.compute.data_bits, cfg.compute.local_iters, cfg.compute.cpu_hz
     )
-    t_server = oracles.t_uav(cfg.uav_cycles_per_bit, scenario.uav_payload_bits, cfg.uav_cpu_hz)
+    t_server = oracles.t_uav(cfg.uav_cycles_per_bit, payload, cfg.uav_cpu_hz)
     total = oracles.t_round([t_up], [t_loc], [t_down], t_server)
 
     assert rm.t_uplink_max_s == pytest.approx(t_up, rel=1e-12)
@@ -241,11 +254,10 @@ def test_batched_link_round_equals_per_slice(delta_mode, harvest, method):
     gains = rng.exponential(1.0, (3, 5, 4))
     gains[1, 2, 0] = 1e20
     dists = rng.uniform(20.0, 150.0, (3, 1, 4))
-    payloads = (128.0, 128.0, 512.0)
-    batched = link_round(cfg, ChannelRealization(gains, dists), *payloads)
+    batched = link_round(cfg, ChannelRealization(gains, dists))
     assert batched.method == method
     singles = [
-        [link_round(cfg, ChannelRealization(gains[c, t], dists[c, 0]), *payloads) for t in range(5)]
+        [link_round(cfg, ChannelRealization(gains[c, t], dists[c, 0])) for t in range(5)]
         for c in range(3)
     ]
 
@@ -481,6 +493,12 @@ def test_with_override_coerces_numbers():
     assert with_override(cfg, "link.ptx_dl_w", 2).link.ptx_dl_w == 2.0
     bounds = with_override(cfg, "area_bounds", [0, 50, 0, 50]).area_bounds
     assert bounds == (0.0, 50.0, 0.0, 50.0)
+    # Optional fields follow their declared type and take null back.
+    sized = with_override(cfg, "trainer.batch_size", 3.0)
+    assert sized.trainer.batch_size == 3 and isinstance(sized.trainer.batch_size, int)
+    assert with_override(sized, "trainer.batch_size", None).trainer.batch_size is None
+    assert with_override(cfg, "payload_bits", 256).payload_bits == 256.0
+    assert isinstance(with_override(cfg, "payload_bits", 256).payload_bits, float)
 
 
 def test_with_override_rejects_bad_values():
