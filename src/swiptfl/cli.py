@@ -1,11 +1,11 @@
 """Command-line front end: YAML configs, subcommands, CSV/JSON emission.
 
-Configs are YAML mappings mirroring ScenarioConfig; any field can be
-overridden with ``--override dotted.path=value``. Power fields accept a
-``dBm`` suffix (e.g. ``"20 dBm"``) and are converted to watts while the
-config is still a plain mapping, so the core never sees decibels. A run
-manifest written next to the outputs snapshots the resolved config; passing
-a manifest as ``--config`` replays the run it records.
+Configs are YAML mappings mirroring ScenarioConfig, merged onto its
+defaults by :func:`scenario.merge`; any field can be overridden with
+``--override dotted.path=value``, and a section with ``--override
+section={...}``. Power fields accept a ``dBm`` suffix (e.g. ``"20 dBm"``).
+A run manifest written next to the outputs snapshots the resolved config;
+passing a manifest as ``--config`` replays the run it records.
 
 Exit codes: 0 success, 2 config, argument or I/O error, 3 numeric failure.
 Any other exception is a bug and propagates with its traceback.
@@ -18,11 +18,10 @@ import csv
 import json
 import math
 import os
-import re
 import sys
-import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +33,8 @@ from .fl_core import DivergenceError, select_rounds
 from .scenario import (
     ScenarioConfig,
     build,
-    coerce_field,
     link_round,
+    merge,
     rng_stream,
     run_monte_carlo,
     sweep,
@@ -61,74 +60,22 @@ ROUNDS_COLUMNS = [
 
 # libyaml's loader parses a config about six times faster than the pure-Python one.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_DBM_RE = re.compile(r"^\s*([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*dBm\s*$")
 
 
 class ConfigError(Exception):
     """Bad config file, unknown key, or malformed override."""
 
 
-def _dbm_to_watts(text: str) -> float | None:
-    m = _DBM_RE.match(text)
-    if m is None:
-        return None
-    return 1e-3 * 10.0 ** (float(m.group(1)) / 10.0)
-
-
-def _normalize_powers(obj):
-    """Recursively normalize scalars in a raw config tree.
-
-    Converts '<x> dBm' strings to watts and rescues numeric strings that
-    YAML left as text (the '1.0e6' spelling, which YAML only accepts with
-    an explicit exponent sign).
-    """
-    if isinstance(obj, dict):
-        return {k: _normalize_powers(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_normalize_powers(v) for v in obj]
-    if isinstance(obj, str):
-        watts = _dbm_to_watts(obj)
-        if watts is not None:
-            return watts
-        try:
-            return float(obj)
-        except ValueError:
-            return obj
-    return obj
-
-
-_DEFAULTS = ScenarioConfig()  # frozen: the field types every config leaf is coerced to
-
-
-def config_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a validated ScenarioConfig. Unknown keys are errors, and every leaf
-    takes its field's type by the rule ``--override`` applies (``coerce_field``)."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
+def _config(fn, *args) -> ScenarioConfig:
+    """``fn(*args)``, a config built from raw values, with its errors as ConfigError."""
     try:
-        return _section(_DEFAULTS, raw, "")
+        return fn(*args)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _section(default, raw: dict, prefix: str):
-    unknown = sorted(set(raw) - {f.name for f in fields(default)})
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(prefix + k for k in unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        current = getattr(default, key)
-        if not hasattr(current, "__dataclass_fields__"):
-            kwargs[key] = coerce_field(default, key, value, prefix + key)
-        elif isinstance(value, dict):
-            kwargs[key] = _section(current, value, f"{prefix}{key}.")
-        else:
-            raise ConfigError(f"config section {prefix + key!r} must be a mapping")
-    return type(default)(**kwargs)
-
-
 def load_config(path: str) -> ScenarioConfig:
-    """Load a YAML config, or replay the config snapshot of a manifest."""
+    """Load a YAML config, or replay the config snapshot of a manifest, onto the defaults."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -141,7 +88,9 @@ def load_config(path: str) -> ScenarioConfig:
         raw = {}
     if isinstance(raw, dict) and "config" in raw and raw.get("tool") == "swiptfl":
         raw = raw["config"]
-    return config_from_dict(_normalize_powers(raw))
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a mapping")
+    return _config(merge, ScenarioConfig(), raw)
 
 
 def _parse_override(text: str):
@@ -154,23 +103,16 @@ def _parse_override(text: str):
         value = yaml.load(value_text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse override value {value_text!r}: {exc}") from exc
-    return path, _normalize_powers(value)
-
-
-def _override(config: ScenarioConfig, path: str, value) -> ScenarioConfig:
-    try:
-        return with_override(config, path, value)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return path, value
 
 
 def _apply_cli_options(config: ScenarioConfig, args) -> ScenarioConfig:
     for text in args.override or []:
-        config = _override(config, *_parse_override(text))
+        config = _config(with_override, config, *_parse_override(text))
     if args.seed is not None:
-        config = _override(config, "master_seed", args.seed)
+        config = _config(with_override, config, "master_seed", args.seed)
     if args.workers is not None:
-        config = _override(config, "workers", args.workers)
+        config = _config(with_override, config, "workers", args.workers)
     return config
 
 
@@ -184,12 +126,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_atomic(path: Path, write) -> None:
+    """Write ``path`` through ``write(fh)`` atomically: a crash mid-write leaves
+    neither a half file nor the temporary file, and an earlier ``path`` stays intact."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+    _write_atomic(path, write)
 
 
 def _json_safe(value):
@@ -208,17 +164,11 @@ def _json_safe(value):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` atomically: a crash mid-dump leaves neither a half
-    file nor the temporary file, and an earlier ``path`` stays intact."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    def write(fh):
+        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    _write_atomic(path, write)
 
 
 def _write_manifest(
@@ -307,11 +257,10 @@ def cmd_sweep(args) -> int:
     config = _apply_cli_options(load_config(args.config), args)
     started = _utc_now()
     out = _out_dir(args)
-    values = []
+    values = []  # each as the field takes it, e.g. "20 dBm" as 0.1
     for chunk in args.values.split(","):
-        _, value = _parse_override(f"{args.param}={chunk.strip()}")
-        _override(config, args.param, value)
-        values.append(value)
+        swept = _config(with_override, config, *_parse_override(f"{args.param}={chunk.strip()}"))
+        values.append(attrgetter(args.param)(swept))
     if not values:
         raise ConfigError("--values must list at least one value")
 

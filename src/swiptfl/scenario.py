@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import typing
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
@@ -177,8 +178,9 @@ class ScenarioConfig:
         for name in ("device_count", "monte_carlo_trials", "rounds", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.uav_altitude_m > 0:
-            raise ValueError("uav_altitude_m must be > 0")
+        for name in ("uav_altitude_m", "uav_cycles_per_bit", "uav_cpu_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
         if self.placement_mode not in (MODE_CENTROID, MODE_GRID_SEARCH):
             raise ValueError(f"unknown placement_mode {self.placement_mode!r}")
         if self.placement_grid_points < 2 or self.placement_trials < 1:
@@ -554,77 +556,85 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
 
 
 @functools.cache
-def _optional_fields(cls) -> dict[str, type]:
-    """Each ``X | None`` field of config class ``cls``, mapped to ``X``."""
+def _field_types(cls) -> dict[str, tuple[type, bool]]:
+    """Each field of config class ``cls``: its declared type, with ``X | None``
+    read as X and ``tuple[...]`` as tuple, and whether it takes None."""
     out = {}
     for name, hint in typing.get_type_hints(cls).items():
-        kinds = typing.get_args(hint)
-        if type(None) in kinds:
-            (out[name],) = (kind for kind in kinds if kind is not type(None))
+        args = typing.get_args(hint)
+        kinds = [kind for kind in args if kind is not type(None)]
+        optional = len(kinds) < len(args)
+        out[name] = (kinds[0] if optional else typing.get_origin(hint) or hint, optional)
     return out
 
 
-def coerce_field(obj, name: str, value, path: str):
-    """``value`` for field ``name`` of config object ``obj``, or ValueError.
+# The leaf types, each with what its error message expects; every other field is a section.
+_EXPECTS = {bool: "a bool", int: "an int", float: "a number", tuple: "a list", str: "a string"}
+_DBM = re.compile(r"\s*([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*dBm\s*")
 
-    The one type rule for config values, from overrides and config files
-    alike: the value takes the type of the field, so 30.0 is the int 30 for
-    an int field but 1.5 is rejected. An optional field takes null, or any
-    other value by the rule of its declared type.
-    """
-    current, kind = getattr(obj, name), _optional_fields(type(obj)).get(name)
-    if kind is not None:
-        if value is None:
-            return None
-        current = kind()  # a value of the declared type
+
+def _coerce(kind: type, optional: bool, value, path: str):
+    """``value`` for the leaf at ``path`` of declared type ``kind``, or ValueError."""
+    if value is None and optional:
+        return None
+    if isinstance(value, str) and kind in (int, float):
+        dbm = _DBM.fullmatch(value) if path.endswith("_w") else None
+        try:
+            value = 1e-3 * 10.0 ** (float(dbm.group(1)) / 10.0) if dbm else float(value)
+        except ValueError:
+            pass  # reported below as the text it was
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if isinstance(current, bool):
-        if not isinstance(value, bool):
-            raise ValueError(f"{path} expects a bool, got {value!r}")
-        return value
-    if isinstance(current, int):
-        if not number or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError(f"{path} expects an int, got {value!r}")
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
-    if isinstance(current, float):
-        if not number:
-            raise ValueError(f"{path} expects a number, got {value!r}")
+    if kind is float and number:
         return float(value)
-    if isinstance(current, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{path} expects a list, got {value!r}")
+    if kind is tuple and isinstance(value, (list, tuple)):
         return tuple(value)
-    if isinstance(current, str):
-        if not isinstance(value, str):
-            raise ValueError(f"{path} expects a string, got {value!r}")
+    if kind in (bool, str) and isinstance(value, kind):
         return value
-    return value
+    raise ValueError(f"{path} expects {_EXPECTS[kind]}, got {value!r}")
+
+
+def merge(config, mapping: dict, prefix: str = ""):
+    """``config`` with every field that ``mapping`` names replaced, or ValueError.
+
+    The one walk over a config tree, for config files, manifests and
+    overrides alike. A section field takes a mapping, which merges into the
+    section, so a section lists only the fields it changes. A leaf takes the
+    type its field declares: 30.0 is the int 30 for an int field but 1.5 is
+    rejected, and an optional field (``X | None``) takes null or a value by
+    the rule of X. A number field also reads numeric text, such as the
+    ``1.0e6`` that YAML leaves as a string, and a power field (its name ends
+    in ``_w``) also reads ``"<x> dBm"`` as watts. ``prefix`` is the dotted
+    path of ``config`` within the tree, which error messages name.
+    """
+    types, changes = _field_types(type(config)), {}
+    for name, value in mapping.items():
+        path = f"{prefix}{name}"
+        if name not in types:
+            owner = type(config).__name__
+            raise ValueError(f"unknown config field {path!r} (no {name!r} on {owner})")
+        kind, optional = types[name]
+        if kind in _EXPECTS:
+            changes[name] = _coerce(kind, optional, value, path)
+        elif isinstance(value, dict):
+            changes[name] = merge(getattr(config, name), value, path + ".")
+        else:
+            raise ValueError(f"{path} expects a mapping, got {value!r}")
+    return replace(config, **changes)
 
 
 def with_override(config, path: str, value):
-    """New config with the dotted-path field replaced, types respected.
-
-    The value goes through :func:`coerce_field`, so ``rounds=30.0`` becomes
-    the int 30 but ``rounds=1.5`` is rejected. Unknown field names raise
-    ValueError naming the path.
-    """
+    """New config with the dotted-path field replaced: :func:`merge` of the
+    one-leaf mapping that ``path`` names, so ``rounds=30.0`` becomes the int
+    30, ``rounds=1.5`` and unknown field names raise ValueError, and
+    ``link.ptx_ul_w="20 dBm"`` is 0.1 W."""
     parts = path.split(".")
     if not all(parts):
         raise ValueError(f"bad override path {path!r}")
-
-    def apply(obj, remaining):
-        names = {f.name for f in fields(obj)}
-        name = remaining[0]
-        if name not in names:
-            raise ValueError(f"unknown config field {path!r} (no {name!r} on {type(obj).__name__})")
-        current = getattr(obj, name)
-        if len(remaining) == 1:
-            return replace(obj, **{name: coerce_field(obj, name, value, path)})
-        if not hasattr(type(current), "__dataclass_fields__"):
-            raise ValueError(f"override path {path!r} descends into non-config field {name!r}")
-        return replace(obj, **{name: apply(current, remaining[1:])})
-
-    return apply(config, parts)
+    for name in reversed(parts):
+        value = {name: value}
+    return merge(config, value)
 
 
 def sweep(config: ScenarioConfig, param_path: str, values) -> list[dict]:

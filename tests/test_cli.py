@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import yaml
 
 from swiptfl import cli
 from swiptfl import scenario as scenario_module
+from swiptfl.scenario import ScenarioConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -61,6 +63,9 @@ def test_bad_overrides_exit_2(tmp_path, capsys):
     for text, message in [
         ("trainer.batch_size=2.5", "trainer.batch_size expects an int, got 2.5"),
         ("payload_bits=true", "payload_bits expects a number, got True"),
+        # A section takes a mapping and nothing else.
+        ("link=5", "link expects a mapping, got 5"),
+        ("trainer=null", "trainer expects a mapping, got None"),
     ]:
         assert run_cli(["run", "--config", cfg, "--out", out, "--override", text]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -85,6 +90,12 @@ def test_yaml_leaves_follow_the_override_type_rule(tmp_path, capsys):
             BASE_CONFIG + trainer.format("2.5"),
             "trainer.batch_size=2.5",
             "trainer.batch_size expects an int, got 2.5",
+        ),
+        # dBm is read only by power fields (names ending in _w).
+        (
+            BASE_CONFIG + "link:\n  bandwidth_hz: 20 dBm\n",
+            "link.bandwidth_hz=20 dBm",
+            "link.bandwidth_hz expects a number, got '20 dBm'",
         ),
     ]
     for text, override, message in cases:
@@ -189,28 +200,18 @@ def leaf_paths_that_differ(a, b, prefix=""):
 
 
 def test_override_touches_exactly_one_config_field(tmp_path, capsys):
+    """A leaf override, or a section override that merges one field."""
     cfg = write_config(tmp_path)
     base_out, mod_out = tmp_path / "base", tmp_path / "mod"
     assert run_cli(["run", "--config", cfg, "--out", str(base_out), "--workers", "1"]) == 0
-    assert run_cli(
-        [
-            "run",
-            "--config",
-            cfg,
-            "--out",
-            str(mod_out),
-            "--workers",
-            "1",
-            "--override",
-            "link.ptx_dl_w=5.0",
-        ]
-    ) == 0
-    capsys.readouterr()
-
     base = json.loads((base_out / "manifest.json").read_text())["config"]
-    mod = json.loads((mod_out / "manifest.json").read_text())["config"]
-    assert leaf_paths_that_differ(base, mod) == {"link.ptx_dl_w"}
-    assert mod["link"]["ptx_dl_w"] == 5.0
+    for override in ("link.ptx_dl_w=5.0", "link={ptx_dl_w: 5.0}"):
+        args = ["run", "--config", cfg, "--out", str(mod_out), "--workers", "1"]
+        assert run_cli([*args, "--override", override]) == 0
+        mod = json.loads((mod_out / "manifest.json").read_text())["config"]
+        assert leaf_paths_that_differ(base, mod) == {"link.ptx_dl_w"}
+        assert mod["link"]["ptx_dl_w"] == 5.0
+    capsys.readouterr()
 
 
 def test_dbm_powers_are_stored_as_watts(tmp_path, capsys):
@@ -219,12 +220,9 @@ def test_dbm_powers_are_stored_as_watts(tmp_path, capsys):
         BASE_CONFIG
         + """\
 link:
-  pathloss_exponent: 2.7
-  bandwidth_hz: 1.0e+6
+  bandwidth_hz: 1.0e6
   noise_power_ul_w: -100 dBm
-  noise_power_dl_w: 1.0e-13
   ptx_ul_w: 20 dBm
-  ptx_dl_w: 1.0
 """,
     )
     out = tmp_path / "o"
@@ -247,6 +245,11 @@ link:
     assert link["ptx_ul_w"] == pytest.approx(0.1, rel=1e-12)
     assert link["noise_power_ul_w"] == pytest.approx(1e-13, rel=1e-12)
     assert link["ptx_dl_w"] == pytest.approx(1.0, rel=1e-12)
+    # The fields the section leaves out keep their defaults; 1.0e6 is numeric text to YAML.
+    default = ScenarioConfig().link
+    for name in ("pathloss_exponent", "noise_power_dl_w"):
+        assert link[name] == getattr(default, name)
+    assert link["bandwidth_hz"] == 1e6
 
 
 def test_manifest_replay_reproduces_the_run(tmp_path, capsys):
@@ -262,6 +265,41 @@ def test_manifest_replay_reproduces_the_run(tmp_path, capsys):
     assert (first / "rounds.csv").read_bytes() == (second / "rounds.csv").read_bytes()
     replay = json.loads((second / "manifest.json").read_text())
     assert replay["master_seed"] == 5
+
+
+def test_manifest_of_an_earlier_version_replays_to_its_config():
+    """A manifest written by an earlier version of the CLI, which built each
+    section whole, replays to exactly the config it records: accuracy.yaml
+    with the overrides below."""
+    path = Path(__file__).resolve().parent / "data" / "earlier_manifest.json"
+    config = cli.load_config(str(path))
+    recorded = json.loads(path.read_text())["config"]
+    assert json.dumps(asdict(config), sort_keys=True) == json.dumps(recorded, sort_keys=True)
+    expected = cli.load_config(str(CONFIGS / "accuracy.yaml"))
+    for override, value in [
+        ("master_seed", 11),
+        ("monte_carlo_trials", 2),
+        ("rounds", 2),
+        ("link.ptx_ul_w", "20 dBm"),
+        ("trainer.batch_size", 4),
+        ("payload_bits", 512),
+        ("delta_mode", "optimized"),
+        ("battery_ledger", True),
+        ("battery_initial_j", 1e-4),
+        ("area_bounds", [0, 80, 0, 60]),
+    ]:
+        expected = scenario_module.with_override(expected, override, value)
+    assert config == expected
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    readme = (CONFIGS.parent / "README.md").read_text()
+    section = readme.split("Configs are YAML mirroring `ScenarioConfig`", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = write_config(tmp_path, example, "readme.yaml")
+    args = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]
+    assert run_cli([*args, "--override", "monte_carlo_trials=2", "--override", "rounds=2"]) == 0
+    assert "ran 2 trials x 2 rounds" in capsys.readouterr().out
 
 
 def test_sweep_writes_table(tmp_path, capsys):
@@ -419,6 +457,32 @@ def test_failed_json_dump_leaves_no_partial_file(
     assert (out / "manifest.json").read_bytes() == earlier
 
 
+def test_failed_csv_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    """A CSV write that raises partway through its rows leaves neither a
+    truncated CSV nor a temporary file, and the outputs of an earlier run in
+    the same directory stay intact. Outputs get a new file's usual mode."""
+    cfg, out = write_config(tmp_path), tmp_path / "o"
+    args = ["run", "--config", cfg, "--out", str(out), "--workers", "1"]
+    assert run_cli(args) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    probe = tmp_path / "probe"
+    probe.touch()
+    assert {p.stat().st_mode for p in out.iterdir()} == {probe.stat().st_mode}
+
+    fmt, calls = cli._fmt, []
+
+    def broken_fmt(value):
+        calls.append(value)
+        if len(calls) == len(cli.ROUNDS_COLUMNS) + 2:  # inside the second row
+            raise OSError("No space left on device")
+        return fmt(value)
+
+    monkeypatch.setattr(cli, "_fmt", broken_fmt)
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err.endswith("error: No space left on device\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+
 def test_diverging_run_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "o"
@@ -522,6 +586,8 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys):
         ["run", "--config", mismatched, "--out", out],
         ["run", "--config", cfg, "--out", out, "--seed", "-1"],
         ["sweep", "--config", cfg, "--out", out, "--param", "no_such", "--values", "1,2"],
+        ["run", "--config", cfg, "--out", out, "--override", "uav_cpu_hz=0"],
+        ["run", "--config", cfg, "--out", out, "--override", "uav_cycles_per_bit=-1"],
     ]
     for args in cases:
         assert run_cli(args) == 2

@@ -83,6 +83,10 @@ def test_config_validation():
         ScenarioConfig(payload_bits=0.0)
     with pytest.raises(ValueError):
         ScenarioConfig(uav_altitude_m=0.0)
+    with pytest.raises(ValueError, match="uav_cpu_hz"):
+        ScenarioConfig(uav_cpu_hz=0.0)
+    with pytest.raises(ValueError, match="uav_cycles_per_bit"):
+        ScenarioConfig(uav_cycles_per_bit=-1.0)
 
 
 def test_config_rejects_mismatched_iteration_counts():
@@ -499,6 +503,12 @@ def test_with_override_coerces_numbers():
     assert with_override(sized, "trainer.batch_size", None).trainer.batch_size is None
     assert with_override(cfg, "payload_bits", 256).payload_bits == 256.0
     assert isinstance(with_override(cfg, "payload_bits", 256).payload_bits, float)
+    # Library callers get the file's text rules: numeric text, and dBm on power fields.
+    assert with_override(cfg, "link.bandwidth_hz", "1.0e6").link.bandwidth_hz == 1e6
+    assert with_override(cfg, "link.ptx_ul_w", "20 dBm").link.ptx_ul_w == pytest.approx(0.1)
+    # A mapping for a section merges into it, keeping the fields it does not name.
+    merged = with_override(cfg, "link", {"ptx_dl_w": 2})
+    assert merged.link == replace(cfg.link, ptx_dl_w=2.0)
 
 
 def test_with_override_rejects_bad_values():
@@ -517,6 +527,12 @@ def test_with_override_rejects_bad_values():
         with_override(cfg, "rounds.deeper", 1)
     with pytest.raises(ValueError):
         with_override(cfg, "link..ptx_dl_w", 1)
+    with pytest.raises(ValueError, match="link.bandwidth_hz expects a number, got '20 dBm'"):
+        with_override(cfg, "link.bandwidth_hz", "20 dBm")
+    with pytest.raises(ValueError, match="link expects a mapping, got 5"):
+        with_override(cfg, "link", 5)
+    with pytest.raises(ValueError, match="trainer expects a mapping, got None"):
+        with_override(cfg, "trainer", None)
 
 
 def test_sweep_rows_have_the_reporting_columns():
