@@ -1,11 +1,13 @@
 """Command-line front end: YAML configs, subcommands, CSV/JSON emission.
 
-Configs are YAML mappings mirroring ScenarioConfig, merged onto its
-defaults by :func:`scenario.merge`; any field can be overridden with
-``--override dotted.path=value``, and a section with ``--override
-section={...}``. Power fields accept a ``dBm`` suffix (e.g. ``"20 dBm"``).
-A run manifest written next to the outputs snapshots the resolved config;
-passing a manifest as ``--config`` replays the run it records.
+Every subcommand runs one pipeline. :func:`resolve_config` merges the
+config file (YAML mirroring ScenarioConfig) with one mapping of every
+``--override dotted.path=value`` (or ``section={...}``), then ``--seed``,
+then ``--workers``, then what the subcommand fixes, a later value for the
+same key winning, in one :func:`scenario.merge`. The command runs on that
+config and :func:`main` writes a manifest next to its outputs that
+snapshots the config; passing a manifest as ``--config`` replays the run
+it records. Power fields accept a ``dBm`` suffix (e.g. ``"20 dBm"``).
 
 Exit codes: 0 success, 2 config, argument or I/O error, 3 numeric failure.
 Any other exception is a bug and propagates with its traceback.
@@ -29,17 +31,8 @@ import yaml
 
 from . import __version__
 from .channel import ChannelRealization
-from .fl_core import DivergenceError, select_rounds
-from .scenario import (
-    ScenarioConfig,
-    build,
-    link_round,
-    merge,
-    rng_stream,
-    run_monte_carlo,
-    sweep,
-    with_override,
-)
+from .fl_core import DivergenceError, check_candidates, select_rounds
+from .scenario import ScenarioConfig, build, link_round, merge, rng_stream, run_monte_carlo, sweep
 
 SWEEP_COLUMNS = ["param_value", "mean_t_total_s", "std_t_total_s", "p5", "p95", "outage_rate"]
 ROUNDS_COLUMNS = [
@@ -66,12 +59,25 @@ class ConfigError(Exception):
     """Bad config file, unknown key, or malformed override."""
 
 
-def _config(fn, *args) -> ScenarioConfig:
-    """``fn(*args)``, a config built from raw values, with its errors as ConfigError."""
+def _config(fn, *args):
+    """``fn(*args)``, built from values given on the command line or in a
+    file, with its errors as ConfigError."""
     try:
         return fn(*args)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _yaml(text: str, what: str):
+    """``text`` parsed as YAML; a parse error is a one-line ConfigError that
+    names ``what``, the problem, and its line and column."""
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        detail = problem or str(exc).splitlines()[0]
+        raise ConfigError(f"cannot parse {what}: {detail}{where}") from exc
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -80,10 +86,7 @@ def load_config(path: str) -> ScenarioConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        raw = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    raw = _yaml(text, f"config {path}")
     if raw is None:
         raw = {}
     if isinstance(raw, dict) and "config" in raw and raw.get("tool") == "swiptfl":
@@ -93,27 +96,23 @@ def load_config(path: str) -> ScenarioConfig:
     return _config(merge, ScenarioConfig(), raw)
 
 
-def _parse_override(text: str):
-    if "=" not in text:
-        raise ConfigError(f"override must look like dotted.path=value, got {text!r}")
-    path, _, value_text = text.partition("=")
-    if not path:
-        raise ConfigError(f"override must look like dotted.path=value, got {text!r}")
-    try:
-        value = yaml.load(value_text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse override value {value_text!r}: {exc}") from exc
-    return path, value
-
-
-def _apply_cli_options(config: ScenarioConfig, args) -> ScenarioConfig:
+def resolve_config(args) -> ScenarioConfig:
+    """The config a subcommand runs: its ``--config`` file merged in one step
+    with every ``--override``, then ``--seed``, then ``--workers``, then the
+    fields the subcommand fixes; a later value for the same key wins."""
+    pairs = []
     for text in args.override or []:
-        config = _config(with_override, config, *_parse_override(text))
-    if args.seed is not None:
-        config = _config(with_override, config, "master_seed", args.seed)
-    if args.workers is not None:
-        config = _config(with_override, config, "workers", args.workers)
-    return config
+        path, eq, value = text.partition("=")
+        if not (path and eq):
+            raise ConfigError(f"override must look like dotted.path=value, got {text!r}")
+        pairs.append((path, _yaml(value, f"override value {value!r}")))
+    options = {"master_seed": args.seed, "workers": args.workers}
+    pairs += [item for item in options.items() if item[1] is not None]
+    changes = {}
+    for key, value in [*pairs, *args.fixed.items()]:
+        changes.pop(key, None)  # re-inserted last, so it applies after every earlier key
+        changes[key] = value
+    return _config(merge, load_config(args.config), changes)
 
 
 def _fmt(value) -> str:
@@ -171,36 +170,15 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_atomic(path, write)
 
 
-def _write_manifest(
-    out_dir: Path, command: str, config: ScenarioConfig, outputs: list[str], started: str
-) -> None:
-    payload = {
-        "tool": "swiptfl",
-        "version": __version__,
-        "command": command,
-        "master_seed": config.master_seed,
-        "started_utc": started,
-        "finished_utc": _utc_now(),
-        "outputs": sorted(outputs),
-        "config": asdict(config),
-    }
-    _write_json(out_dir / "manifest.json", payload)
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# Each cmd_* runs on the resolved config, writes its outputs into ``out`` and
+# returns their names with the exit code; main records them in the manifest.
 
 
-def cmd_run(args) -> int:
-    config = _apply_cli_options(load_config(args.config), args)
-    started = _utc_now()
-    out = _out_dir(args)
+def cmd_run(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
     result = run_monte_carlo(config)
 
     rows = []
@@ -239,84 +217,67 @@ def cmd_run(args) -> int:
         "uav_position": list(result.scenario.uav_position),
     }
     _write_json(out / "summary.json", summary)
-    _write_manifest(out, "run", config, ["rounds.csv", "summary.json"], started)
 
     print(
         f"ran {config.monte_carlo_trials} trials x {config.rounds} rounds: "
         f"mean delay {result.delay_mean_s:.6g} s, outage rate {result.outage_rate:.4f}"
     )
-    if result.n_failed:
-        for tr in result.trials:
-            if tr.failed:
-                print(f"trial {tr.trial_index} failed: {tr.error}", file=sys.stderr)
-        return 3
-    return 0
+    for tr in result.trials:
+        if tr.failed:
+            print(f"trial {tr.trial_index} failed: {tr.error}", file=sys.stderr)
+    return ["rounds.csv", "summary.json"], 3 if result.n_failed else 0
 
 
-def cmd_sweep(args) -> int:
-    config = _apply_cli_options(load_config(args.config), args)
-    started = _utc_now()
-    out = _out_dir(args)
-    values = []  # each as the field takes it, e.g. "20 dBm" as 0.1
-    for chunk in args.values.split(","):
-        swept = _config(with_override, config, *_parse_override(f"{args.param}={chunk.strip()}"))
-        values.append(attrgetter(args.param)(swept))
+def cmd_sweep(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
+    items = _yaml(f"[{args.values}]", f"--values {args.values!r}")
+    # Each value as its field takes it, e.g. "20 dBm" as 0.1, before the first run.
+    field = attrgetter(args.param)
+    values = [field(_config(merge, config, {args.param: item})) for item in items]
     if not values:
         raise ConfigError("--values must list at least one value")
 
     rows = sweep(config, args.param, values)
     _write_csv(out / "sweep.csv", SWEEP_COLUMNS, [[row[c] for c in SWEEP_COLUMNS] for row in rows])
-    _write_manifest(out, "sweep", config, ["sweep.csv"], started)
     for row in rows:
-        print(f"{args.param}={row['param_value']}: mean delay {row['mean_t_total_s']:.6g} s")
-    return 0
+        point = f"{args.param}={row['param_value']}"
+        print(f"{point}: mean delay {row['mean_t_total_s']:.6g} s")
+        if row["failed_trials"]:
+            print(f"{point}: {row['failed_trials']} trials failed", file=sys.stderr)
+    return ["sweep.csv"], 3 if any(row["failed_trials"] for row in rows) else 0
 
 
-def cmd_accuracy_curve(args) -> int:
-    config = _apply_cli_options(load_config(args.config), args)
-    started = _utc_now()
-    out = _out_dir(args)
+def cmd_accuracy_curve(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
     result = run_monte_carlo(config)
     rows = [
         [r, float(result.metric_mean[r]), float(result.metric_std[r])]
         for r in range(config.rounds)
     ]
     _write_csv(out / "accuracy.csv", ["round", "mean_test_metric", "std"], rows)
-    _write_manifest(out, "accuracy-curve", config, ["accuracy.csv"], started)
     print(
         f"metric over {config.rounds} rounds: first {result.metric_mean[0]:.4f}, "
         f"final {result.metric_mean[-1]:.4f}"
     )
     if result.n_failed:
         print(f"{result.n_failed} trials failed", file=sys.stderr)
-        return 3
-    return 0
+    return ["accuracy.csv"], 3 if result.n_failed else 0
 
 
-def cmd_select_rounds(args) -> int:
-    config = _apply_cli_options(load_config(args.config), args)
-    started = _utc_now()
-    out = _out_dir(args)
+def cmd_select_rounds(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
     try:
-        candidates = [int(c) for c in args.candidates.split(",") if c.strip()]
+        candidates = check_candidates([int(c) for c in args.candidates.split(",") if c.strip()])
     except ValueError as exc:
         raise ConfigError(f"bad --candidates: {exc}") from exc
-    if not candidates:
-        raise ConfigError("--candidates must list at least one round count")
 
     scenario = build(config)
-    try:
-        selection = select_rounds(
-            candidates,
-            scenario.train_sets,
-            scenario.val_set,
-            scenario.test_set,
-            config.trainer,
-            rng_stream(config.master_seed, "select"),
-            scenario.w0,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    selection = select_rounds(
+        candidates,
+        scenario.train_sets,
+        scenario.val_set,
+        scenario.test_set,
+        config.trainer,
+        rng_stream(config.master_seed, "select"),
+        scenario.w0,
+    )
 
     _write_csv(
         out / "selection.csv",
@@ -327,17 +288,11 @@ def cmd_select_rounds(args) -> int:
         out / "selection.json",
         {"best_rounds": selection.best_rounds, "test_metric": selection.test_metric},
     )
-    _write_manifest(out, "select-rounds", config, ["selection.csv", "selection.json"], started)
     print(f"chosen rounds: {selection.best_rounds} (test metric {selection.test_metric:.6g})")
-    return 0
+    return ["selection.csv", "selection.json"], 0
 
 
-def cmd_optimize_delta(args) -> int:
-    config = _apply_cli_options(load_config(args.config), args)
-    if config.delta_mode != "optimized":
-        config = with_override(config, "delta_mode", "optimized")
-    started = _utc_now()
-    out = _out_dir(args)
+def cmd_optimize_delta(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
     scenario = build(config)
     gains = rng_stream(config.master_seed, "trial", 0, "fading", 0).exponential(
         1.0, config.device_count
@@ -347,15 +302,11 @@ def cmd_optimize_delta(args) -> int:
         range(config.device_count), rnd.deltas, rnd.energy.feasible, rnd.downlink.tx_time_s
     )
     _write_csv(out / "deltas.csv", ["device", "delta", "feasible", "t_downlink_s"], rows)
-    _write_manifest(out, "optimize-delta", config, ["deltas.csv"], started)
     print(f"solved ratios via {rnd.method}: round delay {rnd.delay().t_total_s:.6g} s")
-    return 0
+    return ["deltas.csv"], 0
 
 
-def cmd_place_uav(args) -> int:
-    config = _apply_cli_options(load_config(args.config), args)
-    started = _utc_now()
-    out = _out_dir(args)
+def cmd_place_uav(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
     scenario = build(config)
     _write_json(
         out / "placement.json",
@@ -365,13 +316,12 @@ def cmd_place_uav(args) -> int:
             "mode": config.placement_mode,
         },
     )
-    _write_manifest(out, "place-uav", config, ["placement.json"], started)
     x, y, z = scenario.uav_position
     print(
         f"uav at ({x:.3f}, {y:.3f}, {z:.3f}): "
         f"expected delay {scenario.placement_objective_s:.6g} s"
     )
-    return 0
+    return ["placement.json"], 0
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -394,6 +344,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="trial worker processes (default: the config's workers)",
     )
+    sub.set_defaults(fixed={})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sweep", help="re-run while varying one config field; writes sweep.csv")
     _add_common(p)
     p.add_argument("--param", required=True, help="dotted config path, e.g. link.ptx_dl_w")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True, help="comma-separated YAML values, lists included")
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("accuracy-curve", help="per-round mean metric; writes accuracy.csv")
@@ -426,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("optimize-delta", help="per-device power-splitting ratios for one round")
     _add_common(p)
-    p.set_defaults(func=cmd_optimize_delta)
+    p.set_defaults(func=cmd_optimize_delta, fixed={"delta_mode": "optimized"})
 
     p = subs.add_parser("place-uav", help="choose the UAV position; writes placement.json")
     _add_common(p)
@@ -438,7 +389,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config, started = resolve_config(args), _utc_now()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs, code = args.func(config, args, out)
+        manifest = {
+            "tool": "swiptfl",
+            "version": __version__,
+            "command": args.command,
+            "master_seed": config.master_seed,
+            "started_utc": started,
+            "finished_utc": _utc_now(),
+            "outputs": sorted(outputs),
+            "config": asdict(config),
+        }
+        _write_json(out / "manifest.json", manifest)
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

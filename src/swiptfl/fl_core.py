@@ -295,6 +295,18 @@ class RoundSelection:
     table: list[dict]
 
 
+def check_candidates(candidates: list[int]) -> list[int]:
+    """``candidates`` if they are round budgets :func:`select_rounds` takes:
+    nonempty, strictly ascending and >= 1; ValueError otherwise."""
+    if not candidates:
+        raise ValueError("candidates must be nonempty")
+    if sorted(candidates) != list(candidates) or len(set(candidates)) != len(candidates):
+        raise ValueError("candidates must be strictly ascending")
+    if candidates[0] < 1:
+        raise ValueError("candidates must be >= 1")
+    return candidates
+
+
 def select_rounds(
     candidates: list[int],
     train_sets: FederatedData,
@@ -313,16 +325,11 @@ def select_rounds(
     one generator ``rng``), then scores every checkpoint in one evaluation
     pass. Returns the candidate with the best validation metric; exact ties
     go to the smaller budget, which costs less to communicate. The test
-    metric is reported only for the chosen budget. Raises
+    metric is reported only for the chosen budget. Raises ValueError for
+    candidates that :func:`check_candidates` rejects and
     :class:`DivergenceError` if training diverges.
     """
-    if not candidates:
-        raise ValueError("candidates must be nonempty")
-    if sorted(candidates) != list(candidates) or len(set(candidates)) != len(candidates):
-        raise ValueError("candidates must be strictly ascending")
-    if candidates[0] < 1:
-        raise ValueError("candidates must be >= 1")
-
+    check_candidates(candidates)
     checkpoints, wanted, w = [], set(candidates), np.asarray(w0, dtype=float)[None]
     for r in range(1, candidates[-1] + 1):
         step = run_round(w, train_sets, cfg, [rng])

@@ -599,49 +599,52 @@ def merge(config, mapping: dict, prefix: str = ""):
     """``config`` with every field that ``mapping`` names replaced, or ValueError.
 
     The one walk over a config tree, for config files, manifests and
-    overrides alike. A section field takes a mapping, which merges into the
-    section, so a section lists only the fields it changes. A leaf takes the
-    type its field declares: 30.0 is the int 30 for an int field but 1.5 is
-    rejected, and an optional field (``X | None``) takes null or a value by
-    the rule of X. A number field also reads numeric text, such as the
-    ``1.0e6`` that YAML leaves as a string, and a power field (its name ends
-    in ``_w``) also reads ``"<x> dBm"`` as watts. ``prefix`` is the dotted
-    path of ``config`` within the tree, which error messages name.
+    overrides alike. A key is a field name or a dotted path into sections
+    (``"link.ptx_dl_w"``), and the keys apply in order, so a later key for a
+    section merges into the section as earlier keys left it and a later key
+    for the same leaf wins. The config is checked once, with every key
+    applied, so fields that must agree change together. A section field
+    takes a mapping, which merges into the section, so a section lists only
+    the fields it changes. A leaf takes the type its field declares: 30.0 is
+    the int 30 for an int field but 1.5 is rejected, and an optional field
+    (``X | None``) takes null or a value by the rule of X. A number field
+    also reads numeric text, such as the ``1.0e6`` that YAML leaves as a
+    string, and a power field (its name ends in ``_w``) also reads ``"<x>
+    dBm"`` as watts. ``prefix`` is the dotted path of ``config`` within the
+    tree, which error messages name.
     """
     types, changes = _field_types(type(config)), {}
-    for name, value in mapping.items():
+    for key, value in mapping.items():
+        name, dot, rest = str(key).partition(".")
         path = f"{prefix}{name}"
         if name not in types:
             owner = type(config).__name__
             raise ValueError(f"unknown config field {path!r} (no {name!r} on {owner})")
         kind, optional = types[name]
+        if dot:
+            value = {rest: value}
         if kind in _EXPECTS:
             changes[name] = _coerce(kind, optional, value, path)
         elif isinstance(value, dict):
-            changes[name] = merge(getattr(config, name), value, path + ".")
+            changes[name] = merge(changes.get(name, getattr(config, name)), value, path + ".")
         else:
             raise ValueError(f"{path} expects a mapping, got {value!r}")
     return replace(config, **changes)
 
 
 def with_override(config, path: str, value):
-    """New config with the dotted-path field replaced: :func:`merge` of the
-    one-leaf mapping that ``path`` names, so ``rounds=30.0`` becomes the int
-    30, ``rounds=1.5`` and unknown field names raise ValueError, and
-    ``link.ptx_ul_w="20 dBm"`` is 0.1 W."""
-    parts = path.split(".")
-    if not all(parts):
-        raise ValueError(f"bad override path {path!r}")
-    for name in reversed(parts):
-        value = {name: value}
-    return merge(config, value)
+    """New config with the dotted-path field replaced: ``merge(config, {path: value})``,
+    so ``rounds=30.0`` becomes the int 30, ``rounds=1.5`` and unknown field
+    names raise ValueError, and ``link.ptx_ul_w="20 dBm"`` is 0.1 W."""
+    return merge(config, {path: value})
 
 
 def sweep(config: ScenarioConfig, param_path: str, values) -> list[dict]:
     """Monte Carlo at each value of one config field, same seed throughout.
 
     Reusing the master seed pairs the fading draws across sweep points, so
-    observed trends are not noise from re-rolled channels.
+    observed trends are not noise from re-rolled channels. Each row also
+    counts the point's ``failed_trials``.
     """
     rows = []
     for v in values:
@@ -654,6 +657,7 @@ def sweep(config: ScenarioConfig, param_path: str, values) -> list[dict]:
                 "p5": res.delay_p5_s,
                 "p95": res.delay_p95_s,
                 "outage_rate": res.outage_rate,
+                "failed_trials": res.n_failed,
             }
         )
     return rows

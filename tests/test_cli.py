@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from swiptfl import cli
+from swiptfl import cli, fl_core
 from swiptfl import scenario as scenario_module
 from swiptfl.scenario import ScenarioConfig
 
@@ -137,13 +137,24 @@ def test_libyaml_loader_reads_configs_as_the_python_loader_does(tmp_path, capsys
 
 
 def test_malformed_yaml_exits_2(tmp_path, capsys):
+    """A YAML parse error in a file, an override or --values is one line
+    naming the problem and where it lies."""
     out = str(tmp_path / "o")
     cfg = write_config(tmp_path, BASE_CONFIG + "rounds: [1, 2\n", "broken.yaml")
-    assert run_cli(["run", "--config", cfg, "--out", out]) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot parse config {cfg}: ")
-    args = ["run", "--config", write_config(tmp_path), "--out", out, "--override", "rounds=[1"]
-    assert run_cli(args) == 2
-    assert capsys.readouterr().err.startswith("error: cannot parse override value '[1': ")
+    good = write_config(tmp_path)
+    sweep = ["sweep", "--config", good, "--out", out, "--param", "area_bounds"]
+    for args, prefix in [
+        (["run", "--config", cfg, "--out", out], f"error: cannot parse config {cfg}: "),
+        (
+            ["run", "--config", good, "--out", out, "--override", "rounds=[1"],
+            "error: cannot parse override value '[1': ",
+        ),
+        ([*sweep, "--values", "[0, 50"], "error: cannot parse --values '[0, 50': "),
+    ]:
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert ", column " in err
 
 
 def test_run_writes_outputs(tmp_path, capsys):
@@ -200,7 +211,9 @@ def leaf_paths_that_differ(a, b, prefix=""):
 
 
 def test_override_touches_exactly_one_config_field(tmp_path, capsys):
-    """A leaf override, or a section override that merges one field."""
+    """A leaf override, or a section override that merges one field. The
+    overrides of a command merge in one step, so a pair of fields that must
+    agree changes together."""
     cfg = write_config(tmp_path)
     base_out, mod_out = tmp_path / "base", tmp_path / "mod"
     assert run_cli(["run", "--config", cfg, "--out", str(base_out), "--workers", "1"]) == 0
@@ -211,6 +224,11 @@ def test_override_touches_exactly_one_config_field(tmp_path, capsys):
         mod = json.loads((mod_out / "manifest.json").read_text())["config"]
         assert leaf_paths_that_differ(base, mod) == {"link.ptx_dl_w"}
         assert mod["link"]["ptx_dl_w"] == 5.0
+    pair = ["--override", "trainer.local_iters=3", "--override", "compute.local_iters=3"]
+    assert run_cli(["run", "--config", cfg, "--out", str(mod_out), "--workers", "1", *pair]) == 0
+    mod = json.loads((mod_out / "manifest.json").read_text())["config"]
+    assert leaf_paths_that_differ(base, mod) == {"trainer.local_iters", "compute.local_iters"}
+    assert mod["trainer"]["local_iters"] == mod["compute"]["local_iters"] == 3
     capsys.readouterr()
 
 
@@ -326,6 +344,14 @@ def test_sweep_writes_table(tmp_path, capsys):
     assert rows[0] == cli.SWEEP_COLUMNS
     assert len(rows) == 3
     assert [r[0] for r in rows[1:]] == ["0.5", "2.0"]
+
+    # --values holds YAML flow items, so a list field sweeps too.
+    args = ["sweep", "--config", cfg, "--out", str(out), "--workers", "1", "--param", "area_bounds"]
+    assert run_cli([*args, "--values", "[0, 50, 0, 50],[0,80,0,80]"]) == 0
+    rows = read_rows(out / "sweep.csv")
+    assert rows[0] == cli.SWEEP_COLUMNS
+    assert [r[0] for r in rows[1:]] == ["(0.0, 50.0, 0.0, 50.0)", "(0.0, 80.0, 0.0, 80.0)"]
+    capsys.readouterr()
 
 
 def test_accuracy_curve_writes_per_round_metrics(tmp_path, capsys):
@@ -502,6 +528,15 @@ def test_diverging_run_exits_3(tmp_path, capsys):
     assert code == 3
     assert "failed" in capsys.readouterr().err
 
+    # A sweep exits 3 when any point has failed trials, and names the point.
+    args = ["sweep", "--config", cfg, "--out", str(out), "--workers", "1"]
+    args += ["--param", "trainer.learning_rate", "--values", "0.1,1e200"]
+    assert run_cli(args) == 3
+    assert capsys.readouterr().err == "trainer.learning_rate=1e+200: 2 trials failed\n"
+    rows = read_rows(out / "sweep.csv")
+    assert rows[0] == cli.SWEEP_COLUMNS and len(rows) == 3
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["sweep.csv"]
+
 
 def test_out_dir_env_default(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
@@ -515,9 +550,9 @@ def test_out_dir_env_default(tmp_path, capsys, monkeypatch):
 def test_workers_default_keeps_the_config_value():
     path = str(CONFIGS / "default.yaml")
     args = cli.build_parser().parse_args(["run", "--config", path])
-    assert cli._apply_cli_options(cli.load_config(path), args).workers == 1
+    assert cli.resolve_config(args).workers == 1
     args = cli.build_parser().parse_args(["run", "--config", path, "--workers", "2"])
-    assert cli._apply_cli_options(cli.load_config(path), args).workers == 2
+    assert cli.resolve_config(args).workers == 2
 
 
 SMALL = ("monte_carlo_trials=3", "rounds=4")
@@ -595,10 +630,21 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_value_error_inside_a_run_is_not_a_config_error(tmp_path, monkeypatch):
-    def broken(config):
+@pytest.mark.parametrize(
+    "command, module, name",
+    [
+        (["run"], cli, "run_monte_carlo"),
+        (["select-rounds", "--candidates", "1,2"], fl_core, "run_round"),
+    ],
+    ids=["run", "select-rounds"],
+)
+def test_value_error_inside_a_run_is_not_a_config_error(
+    tmp_path, monkeypatch, command, module, name
+):
+    def broken(*args):
         raise ValueError("numeric bug")
 
-    monkeypatch.setattr(cli, "run_monte_carlo", broken)
+    monkeypatch.setattr(module, name, broken)
+    args = [*command, "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]
     with pytest.raises(ValueError, match="numeric bug"):
-        run_cli(["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")])
+        run_cli(args)

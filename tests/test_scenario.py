@@ -16,6 +16,7 @@ from swiptfl.scenario import (
     ScenarioConfig,
     build,
     link_round,
+    merge,
     rng_stream,
     run_monte_carlo,
     run_trial,
@@ -92,6 +93,11 @@ def test_config_validation():
 def test_config_rejects_mismatched_iteration_counts():
     with pytest.raises(ValueError, match="local_iters"):
         small_config(trainer=TrainerConfig(learning_rate=0.1, local_iters=3))
+    with pytest.raises(ValueError, match="local_iters"):
+        merge(small_config(), {"trainer.local_iters": 3})
+    # One merge checks the config once, with every key applied.
+    cfg = merge(small_config(), {"trainer.local_iters": 3, "compute.local_iters": 3})
+    assert cfg.trainer.local_iters == cfg.compute.local_iters == 3
 
 
 def test_build_is_deterministic_and_in_bounds():
@@ -509,6 +515,12 @@ def test_with_override_coerces_numbers():
     # A mapping for a section merges into it, keeping the fields it does not name.
     merged = with_override(cfg, "link", {"ptx_dl_w": 2})
     assert merged.link == replace(cfg.link, ptx_dl_w=2.0)
+    # merge takes dotted keys in order: a later key merges into the section
+    # as earlier keys left it, and a later key for the same leaf wins.
+    merged = merge(cfg, {"link.ptx_ul_w": 1e-3, "link": {"ptx_dl_w": 2}})
+    assert merged.link == replace(cfg.link, ptx_ul_w=1e-3, ptx_dl_w=2.0)
+    merged = merge(cfg, {"link.ptx_ul_w": 1e-3, "link": {"ptx_ul_w": 2}})
+    assert merged.link == replace(cfg.link, ptx_ul_w=2.0)
 
 
 def test_with_override_rejects_bad_values():
@@ -547,6 +559,7 @@ def test_sweep_rows_have_the_reporting_columns():
             "p5",
             "p95",
             "outage_rate",
+            "failed_trials",
         ]
     assert rows[0]["mean_t_total_s"] != rows[1]["mean_t_total_s"]
 
