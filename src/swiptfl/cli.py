@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -230,9 +231,10 @@ def cmd_run(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
 
 def cmd_sweep(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
     items = _yaml(f"[{args.values}]", f"--values {args.values!r}")
-    # Each value as its field takes it, e.g. "20 dBm" as 0.1, before the first run.
-    field = attrgetter(args.param)
-    values = [field(_config(merge, config, {args.param: item})) for item in items]
+    # Each value as its (first) field takes it, e.g. "20 dBm" as 0.1, before the first run.
+    paths = args.param.split(",")
+    field = attrgetter(paths[0])
+    values = [field(_config(merge, config, dict.fromkeys(paths, item))) for item in items]
     if not values:
         raise ConfigError("--values must list at least one value")
 
@@ -360,9 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_run)
 
-    p = subs.add_parser("sweep", help="re-run while varying one config field; writes sweep.csv")
+    p = subs.add_parser("sweep", help="re-run while varying config fields; writes sweep.csv")
     _add_common(p)
-    p.add_argument("--param", required=True, help="dotted config path, e.g. link.ptx_dl_w")
+    p.add_argument(
+        "--param",
+        required=True,
+        help="dotted config path, e.g. link.ptx_dl_w, or several joined by commas, "
+        "each set to every value",
+    )
     p.add_argument("--values", required=True, help="comma-separated YAML values, lists included")
     p.set_defaults(func=cmd_sweep)
 
@@ -398,6 +405,9 @@ def main(argv=None) -> int:
             "version": __version__,
             "command": args.command,
             "master_seed": config.master_seed,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "workers": min(config.workers, config.monte_carlo_trials),
             "started_utc": started,
             "finished_utc": _utc_now(),
             "outputs": sorted(outputs),

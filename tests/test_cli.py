@@ -3,9 +3,11 @@
 import csv
 import hashlib
 import json
+import platform
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -182,6 +184,22 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert manifest["outputs"] == ["rounds.csv", "summary.json"]
     assert manifest["config"]["device_count"] == 3
     assert manifest["version"]
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["workers"] == 1
+
+
+def test_manifest_records_the_effective_worker_count(tmp_path, capsys):
+    # Never more workers than trials: the config's two trials run in two blocks.
+    out = tmp_path / "o"
+    assert run_cli(["place-uav", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["workers"] == 1
+    args = ["place-uav", "--config", write_config(tmp_path), "--out", str(out), "--workers", "5"]
+    assert run_cli(args) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["workers"] == 5
+    assert manifest["workers"] == 2
+    capsys.readouterr()
 
 
 def test_run_is_byte_identical_and_seed_sensitive(tmp_path, capsys):
@@ -352,6 +370,23 @@ def test_sweep_writes_table(tmp_path, capsys):
     assert rows[0] == cli.SWEEP_COLUMNS
     assert [r[0] for r in rows[1:]] == ["(0.0, 50.0, 0.0, 50.0)", "(0.0, 80.0, 0.0, 80.0)"]
     capsys.readouterr()
+
+
+def test_sweep_sets_every_listed_path_at_each_point(tmp_path, capsys):
+    # The local iteration count lives in two fields that must agree, so it
+    # sweeps only as both paths at once.
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    args = ["sweep", "--config", cfg, "--out", str(out), "--workers", "1", "--values", "1,3"]
+    assert run_cli([*args, "--param", "trainer.local_iters"]) == 2
+    assert "must agree" in capsys.readouterr().err
+    assert run_cli([*args, "--param", "trainer.local_iters,compute.local_iters"]) == 0
+    printed = capsys.readouterr().out
+    assert "trainer.local_iters,compute.local_iters=3: mean delay" in printed
+    rows = read_rows(out / "sweep.csv")
+    assert [r[0] for r in rows[1:]] == ["1", "3"]
+    # Each compute iteration adds local training time, so the delay grows.
+    assert float(rows[2][1]) > float(rows[1][1])
 
 
 def test_accuracy_curve_writes_per_round_metrics(tmp_path, capsys):

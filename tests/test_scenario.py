@@ -18,6 +18,7 @@ from swiptfl.scenario import (
     link_round,
     merge,
     rng_stream,
+    rng_streams,
     run_monte_carlo,
     run_trial,
     sweep,
@@ -60,6 +61,58 @@ def test_rng_stream_reproduces_and_separates():
 def test_rng_stream_rejects_unhashable_path_parts():
     with pytest.raises(TypeError):
         rng_stream(0, 1.5)
+
+
+def assert_same_streams(master_seed, paths):
+    batched = rng_streams(master_seed, paths)
+    assert len(batched) == len(paths)
+    for rng, path in zip(batched, paths):
+        reference = rng_stream(master_seed, *path)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(rng.integers(2**62, size=8), reference.integers(2**62, size=8))
+        assert np.array_equal(rng.exponential(1.0, 5), reference.exponential(1.0, 5))
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**70 + 3])
+def test_rng_streams_draw_what_rng_stream_draws(master_seed):
+    # One, two and four parts: entropy shorter than, equal to and longer
+    # than SeedSequence's four-word pool, so rows of different word counts
+    # share one call; parts of 2**32 and more take several entropy words.
+    paths = [
+        (0,),
+        ("data",),
+        (2**32,),
+        ("trial", 3),
+        (0, 0),
+        (2**64 + 1, "x"),
+        ("trial", 2, "fading", 9),
+        ("trial", 0, "train", 0),
+        (1, 2**32 - 1, 2**32, 2**40),
+        (np.int64(4), "fading", np.int64(2**33), np.uint32(0)),
+        (True, "placement-eval"),
+    ]
+    assert_same_streams(master_seed, paths)
+    assert_same_streams(master_seed, [()])
+    assert_same_streams(master_seed, [("trial", t, "fading", r) for r in range(6) for t in range(7)])
+
+
+def test_rng_streams_of_no_paths_is_empty():
+    assert rng_streams(3, []) == []
+
+
+def test_rng_streams_reject_what_rng_stream_rejects():
+    for path in [(-1,), ("trial", -1, "fading", 0), (np.int64(-5),)]:
+        with pytest.raises(ValueError):
+            rng_stream(0, *path)
+        with pytest.raises(ValueError):
+            rng_streams(0, [(1,), path])  # never wrapped into a uint32 word
+    with pytest.raises(ValueError):
+        rng_streams(-1, [(1,)])
+    for path in [(1.5,), ("trial", 2.0), (None,)]:
+        with pytest.raises(TypeError):
+            rng_stream(0, *path)
+        with pytest.raises(TypeError):
+            rng_streams(0, [path])
 
 
 # ------------------------------------------------------------- config checks
