@@ -4,12 +4,14 @@ The round kernel :func:`link_round` takes only the config and a fading
 realization; the payloads follow from the config. Placement scores every
 candidate UAV position against every placement fading draw in one batched
 :func:`link_round`. Monte Carlo trials run in contiguous blocks, one block
-per worker: each round computes the physics of every trial of the block in
-one batched :func:`link_round` over a (T, M) realization, trains every
-trial of the block in one :func:`run_round` over its (T, d) global models
-and scores them in one evaluation pass; only the per-round records are
-assembled trial by trial. Models are plain arrays: the scenario's initial
-model ``w0`` is a (d,) vector.
+per worker. A chunk of rounds computes the physics of every trial of the
+block in one batched :func:`link_round` over an (R_c, T, M) realization of
+at most ``max(ROUND_BLOCK, T * M)`` fading states; that is exact because
+only the battery recurrence, which runs round by round after it, carries
+state across rounds. Each round trains every trial of the block in one
+:func:`run_round` over its (T, d) global models and scores them in one
+evaluation pass; only the per-round records are assembled trial by trial.
+Models are plain arrays: the scenario's initial model ``w0`` is a (d,) vector.
 
 Randomness discipline: every random draw comes from a named stream derived
 from the master seed via :func:`rng_stream`, so any trial, round, or device
@@ -30,7 +32,7 @@ identical fading (common random numbers). Stream tags used here:
 words of all its streams of one kind at once, in one vectorized pass of
 numpy's SeedSequence algorithm (:func:`rng_streams`), which is bit-identical
 to the per-stream rule. It keeps them as an (R, T, 4) uint64 array, 32 bytes
-per stream, and each round builds only its own generators from them.
+per stream, and each chunk of rounds builds only its own generators.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ from .timing import RoundDelay, local_train_time, round_total, uav_aggregation_t
 
 DELTA_MODE_FIXED = "fixed"
 DELTA_MODE_OPTIMIZED = "optimized"
+ROUND_BLOCK = 1 << 16  # (round, trial, device) fading states per link round of run_trial
 
 
 def rng_stream(master_seed: int, *path) -> np.random.Generator:
@@ -387,7 +390,7 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Aggregates across trials; delay stats cover finite rounds only."""
+    """Aggregates over the recorded rounds of all trials; delay stats cover finite ones only."""
 
     scenario: Scenario
     trials: list[TrialResult]
@@ -551,13 +554,18 @@ def build(config: ScenarioConfig) -> Scenario:
 def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     """A block of seeded trials: fresh fading each round, training, bookkeeping.
 
-    Each round runs the physics of the whole block in one link round over a
-    (T, M) realization of the trials' own fading streams, trains every
+    The physics of a chunk of rounds of the whole block runs in one link
+    round over an (R_c, T, M) realization of the trials' own fading
+    streams. That is exact: no term of a round's physics reads an earlier
+    round, and the battery recurrence, the one state carried across
+    rounds, runs round by round after the chunk's ledger. A chunk holds up
+    to ``max(1, ROUND_BLOCK // (T * M))`` rounds, so a link round covers at
+    most ``max(ROUND_BLOCK, T * M)`` fading states. Each round trains every
     trial still running in one :func:`run_round` over its (T, d) global
-    models, and scores them in one evaluation pass per dataset, so a
-    trial's records do not depend on its block. Only the assembly of the
-    per-round records is per trial. A trial whose training diverges stops
-    alone, keeping its rounds.
+    models and scores them in one evaluation pass per dataset, so a trial's
+    records depend on neither its block nor its chunks. Only the assembly
+    of the per-round records is per trial. A trial whose training diverges
+    stops alone, keeping its rounds.
 
     Without battery tracking every device runs every round and energy
     shortfalls only show up as infeasible flags (and outage counts). With
@@ -568,8 +576,11 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     """
     cfg = scenario.config
     seed, trials, task = cfg.master_seed, list(trial_indices), cfg.trainer.task
+    if not trials:
+        raise ValueError("a block of trials must not be empty")
     shape = (len(trials), cfg.device_count)
-    distances = np.tile(scenario.distances_m, (len(trials), 1))  # contiguous, like gains
+    chunk = min(cfg.rounds, max(1, ROUND_BLOCK // (shape[0] * shape[1])))
+    distances = np.tile(scenario.distances_m, (chunk, len(trials), 1))  # contiguous, like gains
     minibatch = cfg.trainer.minibatch(scenario.train_sets.count)
     models = np.tile(scenario.w0, (len(trials), 1))  # one row per trial in live
     battery = np.full(shape, cfg.battery_initial_j, dtype=float) if cfg.battery_ledger else None
@@ -577,7 +588,7 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     errors: dict[int, str] = {}  # block position -> divergence message
     live = list(range(len(trials)))  # block positions of the trials still training
     # The seed words of every stream of the block, (R, T, 4): one pass per
-    # stream kind, and each round builds only its own generators.
+    # stream kind, and each chunk builds only its own generators.
     rounds = range(cfg.rounds)
     fading = _stream_seeds(seed, [("trial", t, "fading", r) for r in rounds for t in trials])
     fading = fading.reshape(cfg.rounds, len(trials), 4)
@@ -585,29 +596,31 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
         train = _stream_seeds(seed, [("trial", t, "train", r) for r in rounds for t in trials])
         train = train.reshape(cfg.rounds, len(trials), 4)
     for r in rounds:
-        gains = np.array([_generator(words).exponential(1.0, shape[1]) for words in fading[r]])
-        rnd = link_round(cfg, ChannelRealization(gains, distances))
-        e_total, e_harvest = rnd.energy.e_total_j, rnd.energy.e_harvest_j
-        feasible = rnd.energy.feasible
-
-        if battery is None:
-            participate = np.ones(shape, dtype=bool)
-        else:
-            # Skip a round the device cannot pay for; it keeps whatever
-            # it harvests, so the balance never goes negative.
-            participate = np.isfinite(e_total) & (battery + e_harvest - e_total >= 0.0)
-            battery = battery + e_harvest - np.where(participate, e_total, 0.0)
-        delay = rnd.delay(None if battery is None else participate)
-        t_total = delay.t_total_s.tolist()
-        t_up, t_local, t_down = (
-            t.max(axis=-1).tolist() for t in (delay.t_uplink_s, delay.t_local_s, delay.t_downlink_s)
-        )
+        i = r % chunk  # the round's row in its chunk
+        if i == 0:  # the chunk's physics, then its battery recurrence round by round
+            n = min(chunk, cfg.rounds - r)
+            words = fading[r : r + n].reshape(-1, 4)
+            gains = np.array([_generator(w).exponential(1.0, shape[1]) for w in words])
+            phys = link_round(cfg, ChannelRealization(gains.reshape(n, *shape), distances[:n]))
+            e_total, e_harvest = phys.energy.e_total_j, phys.energy.e_harvest_j
+            participate = np.ones(e_total.shape, dtype=bool)
+            if battery is not None:
+                # Skip a round the device cannot pay for; it keeps whatever
+                # it harvests, so the balance never goes negative.
+                levels = np.empty(e_total.shape)
+                for part, level, bill, gain in zip(participate, levels, e_total, e_harvest):
+                    part[...] = np.isfinite(bill) & (battery + gain - bill >= 0.0)
+                    battery = level[...] = battery + gain - np.where(part, bill, 0.0)
+            delay = phys.delay(participate)
+            stages = (delay.t_uplink_s, delay.t_local_s, delay.t_downlink_s)
+            t_up, t_local, t_down = (t.max(axis=-1).tolist() for t in stages)
+            t_total = delay.t_total_s.tolist()
+            in_outage = (~np.isfinite(delay.t_total_s) | ~phys.energy.feasible.all(-1)).tolist()
 
         for k in live:
-            if not math.isfinite(t_total[k]) or not bool(feasible[k].all()):
-                outage[k] += 1
+            outage[k] += in_outage[i][k]
         rngs = [_generator(train[r, k]) for k in live] if minibatch else None
-        step = run_round(models, scenario.train_sets, cfg.trainer, rngs, participate[live])
+        step = run_round(models, scenario.train_sets, cfg.trainer, rngs, participate[i, live])
         models = step.models
         if step.errors:
             errors.update((live[j], msg) for j, msg in step.errors.items())
@@ -622,18 +635,18 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
             records[k].append(
                 RoundMetrics(
                     round_index=r,
-                    t_total_s=t_total[k],
-                    t_uplink_max_s=t_up[k],
-                    t_local_max_s=t_local[k],
-                    t_downlink_max_s=t_down[k],
+                    t_total_s=t_total[i][k],
+                    t_uplink_max_s=t_up[i][k],
+                    t_local_max_s=t_local[i][k],
+                    t_downlink_max_s=t_down[i][k],
                     t_uav_s=delay.t_uav_s,
-                    deltas=rnd.deltas[k],
-                    delta_method=rnd.method_at(k),
-                    e_total_j=e_total[k],
-                    e_harvest_j=e_harvest[k],
-                    feasible=feasible[k],
-                    participate=participate[k],
-                    battery_j=None if battery is None else battery[k],
+                    deltas=phys.deltas[i, k],
+                    delta_method=phys.method_at((i, k)),
+                    e_total_j=e_total[i, k],
+                    e_harvest_j=e_harvest[i, k],
+                    feasible=phys.energy.feasible[i, k],
+                    participate=participate[i, k],
+                    battery_j=None if battery is None else levels[i, k],
                     train_loss=loss,
                     val_metric=val,
                     test_metric=test,
@@ -663,8 +676,10 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
 
     kept = [rm.t_total_s for tr in trials if not tr.failed for rm in tr.rounds]
     finite = [t for t in kept if math.isfinite(t)]
-    executed = sum(len(tr.rounds) for tr in trials)
-    outages = sum(tr.outage_count for tr in trials)
+    # A diverging trial's last round is in its outage_count but has no record.
+    recorded = [rm for tr in trials for rm in tr.rounds]
+    executed = len(recorded)
+    outages = sum(1 for rm in recorded if not math.isfinite(rm.t_total_s) or not rm.feasible.all())
     if finite:
         delay_mean = float(np.mean(finite))
         delay_std = float(np.std(finite))

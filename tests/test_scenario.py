@@ -462,23 +462,25 @@ MIXED_GRID = dict(
     device_pays_downlink=False,
     harvest=HarvestModel(-1e3, 0.5, 0.0),
 )
+# The contested regime: optimized ratios against a small battery.
+OPTIMIZED_BATTERY = dict(
+    monte_carlo_trials=4,
+    rounds=6,
+    device_count=6,
+    delta_mode="optimized",
+    device_pays_downlink=False,
+    link=replace(ScenarioConfig().link, ptx_ul_w=1e-3),
+    compute=replace(ScenarioConfig().compute, kappa=1e-31),
+    battery_ledger=True,
+    battery_initial_j=1e-4,
+)
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
         dict(monte_carlo_trials=4, rounds=3, delta_fixed=0.37),
-        dict(
-            monte_carlo_trials=4,
-            rounds=6,
-            device_count=6,
-            delta_mode="optimized",
-            device_pays_downlink=False,
-            link=replace(ScenarioConfig().link, ptx_ul_w=1e-3),
-            compute=replace(ScenarioConfig().compute, kappa=1e-31),
-            battery_ledger=True,
-            battery_initial_j=1e-4,
-        ),
+        OPTIMIZED_BATTERY,
         MIXED_GRID,
     ],
     ids=["fixed", "optimized-battery", "mixed-grid"],
@@ -534,6 +536,95 @@ def test_diverging_trial_stops_alone(monkeypatch):
     assert_same_trial(block[2], singles[2])
     for ra, rb in zip(block[1].rounds, singles[1].rounds):
         assert ra.t_total_s == rb.t_total_s and ra.train_loss == rb.train_loss
+
+
+# Five rounds, so two-round chunks split a block 2 + 2 + 1.
+CHUNKED = {
+    "fixed": dict(monte_carlo_trials=3, rounds=5, delta_fixed=0.37),
+    "optimized-battery": dict(OPTIMIZED_BATTERY, rounds=5),
+    "grid": dict(MIXED_GRID, rounds=5),
+    "minibatch": dict(
+        monte_carlo_trials=3,
+        rounds=5,
+        trainer=TrainerConfig(learning_rate=0.1, local_iters=2, batch_size=5),
+    ),
+    # Every trial diverges in round 2, so the block stops inside a chunk.
+    "diverging": dict(
+        monte_carlo_trials=3, rounds=5, trainer=TrainerConfig(learning_rate=1e60, local_iters=2)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED))
+def test_chunking_leaves_every_record_unchanged(monkeypatch, name):
+    """A block runs all its rounds in one chunk here. One-round chunks and
+    uneven ones (2 + 2 + 1) give every record and every trial result bit
+    for bit: nothing in a round's physics reads an earlier round."""
+    cfg = small_config(**CHUNKED[name])
+    scenario = build(cfg)
+    trials = range(cfg.monte_carlo_trials)
+    states = cfg.monte_carlo_trials * cfg.device_count
+    assert cfg.rounds * states <= scenario_module.ROUND_BLOCK
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = run_trial(scenario, trials)
+        for rounds_per_chunk in (1, 2):
+            monkeypatch.setattr(scenario_module, "ROUND_BLOCK", rounds_per_chunk * states)
+            chunked = run_trial(scenario, trials)
+            assert len(chunked) == len(whole)
+            for a, b in zip(chunked, whole):
+                assert_same_trial(a, b)
+    if name == "grid":  # some rounds solved on the grid and some by bisection
+        assert {rm.delta_method for tr in whole for rm in tr.rounds} == {"grid", "bisection"}
+    if name == "diverging":
+        assert [(tr.failed, len(tr.rounds)) for tr in whole] == [(True, 2)] * 3
+
+
+def test_link_rounds_stay_within_the_round_block(monkeypatch):
+    """No link round of a block covers more than max(ROUND_BLOCK, T * M)
+    fading states, and a block with T * M >= ROUND_BLOCK makes one per round."""
+    cfg = small_config(monte_carlo_trials=3, rounds=5, device_count=4)
+    scenario = build(cfg)
+    states = 3 * 4
+    sizes = []
+
+    def counting_link_round(config, realization):
+        sizes.append(realization.gains_sq.size)
+        return link_round(config, realization)
+
+    monkeypatch.setattr(scenario_module, "link_round", counting_link_round)
+    cases = [(5 * states, 1), (2 * states, 3), (2 * states - 1, 5), (states, 5), (states - 1, 5), (1, 5)]
+    for block, calls in cases:
+        monkeypatch.setattr(scenario_module, "ROUND_BLOCK", block)
+        sizes.clear()
+        run_trial(scenario, range(3))
+        assert len(sizes) == calls, block
+        assert max(sizes) <= max(block, states), block
+
+
+def test_outage_rate_covers_the_recorded_rounds(monkeypatch):
+    """A trial that diverges in an outage round counts that round in its
+    outage_count but records no row for it, so the rate counts outages over
+    the recorded rounds alone: it recomputes from the records and stays in
+    [0, 1]. Every round of this config is in outage."""
+    cfg = small_config(monte_carlo_trials=2, rounds=3)
+    real_run_round = scenario_module.run_round
+    calls = []
+
+    def run_round(models, *args):
+        step = real_run_round(models, *args)
+        calls.append(len(models))
+        if len(calls) == 2:  # round 1: trial 0 diverges
+            return BlockRound(step.models, {0: "injected"})
+        return step
+
+    monkeypatch.setattr(scenario_module, "run_round", run_round)
+    res = run_monte_carlo(cfg)
+    diverged = res.trials[0]
+    assert diverged.failed and len(diverged.rounds) == 1 and diverged.outage_count == 2
+    records = [rm for tr in res.trials for rm in tr.rounds]
+    outages = [not math.isfinite(rm.t_total_s) or not rm.feasible.all() for rm in records]
+    assert all(outages)
+    assert res.outage_rate == sum(outages) / len(records) == 1.0
 
 
 def test_monte_carlo_metric_arrays_cover_every_round():
