@@ -75,8 +75,7 @@ class ChannelRealization:
         gains, dists = (np.asarray(a, dtype=float) for a in (self.gains_sq, self.distances_m))
         if min(gains.ndim, dists.ndim) == 0 or gains.shape[-1] != dists.shape[-1]:
             raise ValueError(f"device axes differ: {gains.shape} gains vs {dists.shape} distances")
-        if gains.shape != dists.shape:  # skipped on the per-round path: it costs ~4 us
-            gains, dists = np.broadcast_arrays(gains, dists)
+        gains, dists = np.broadcast_arrays(gains, dists)
         object.__setattr__(self, "gains_sq", gains)
         object.__setattr__(self, "distances_m", dists)
         if (self.gains_sq < 0).any():

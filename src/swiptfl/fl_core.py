@@ -169,7 +169,8 @@ def global_loss(models, data: LocalDataset | FederatedData, task: str) -> np.nda
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}")
     w = _block(models, data)
-    return _per_model_mean(_sample_losses(w, data.features, data.targets, task))
+    with np.errstate(over="ignore"):  # the loss of a model about to diverge is inf
+        return _per_model_mean(_sample_losses(w, data.features, data.targets, task))
 
 
 def _gradients(w: np.ndarray, x: np.ndarray, y: np.ndarray, task: str) -> np.ndarray:

@@ -28,11 +28,12 @@ identical fading (common random numbers). Stream tags used here:
   trial t in round r; derived only when training draws minibatches, never
   for full batch
 
-:func:`rng_stream` defines each stream. A block of trials derives the seed
-words of all its streams of one kind at once, in one vectorized pass of
-numpy's SeedSequence algorithm (:func:`rng_streams`), which is bit-identical
-to the per-stream rule. It keeps them as an (R, T, 4) uint64 array, 32 bytes
-per stream, and each chunk of rounds builds only its own generators.
+:func:`rng_stream` defines each stream. Every fading draw, of a chunk of
+trial rounds or of placement, comes from :func:`fading_draws`, which derives
+the seed words of all its streams in one vectorized pass of numpy's
+SeedSequence algorithm, bit-identical to the per-stream rule. Only training
+keeps a block's seed words, as an (R, T, 4) uint64 array, 32 bytes per
+stream, and each round builds only its own generators.
 """
 
 from __future__ import annotations
@@ -220,14 +221,18 @@ def _stream_seeds(master_seed: int, paths) -> np.ndarray:
     return seeds
 
 
-def rng_streams(master_seed: int, paths) -> list[np.random.Generator]:
-    """``[rng_stream(master_seed, *path) for path in paths]``, bit for bit.
+def fading_draws(master_seed: int, paths, device_count: int) -> np.ndarray:
+    """Squared Rayleigh gains, shape (K, M): row k is
+    ``rng_stream(master_seed, *paths[k]).exponential(1.0, device_count)``, bit
+    for bit, with the seed words of all K streams from one vectorized pass."""
+    seeds = _stream_seeds(master_seed, paths)
+    draws = [_generator(words).exponential(1.0, device_count) for words in seeds]
+    return np.array(draws).reshape(len(seeds), device_count)
 
-    All seed words come from one vectorized pass per entropy length, and
-    each generator costs under a microsecond to build from its words, about
-    a tenth of a fresh ``SeedSequence`` and ``PCG64``.
-    """
-    return [_generator(words) for words in _stream_seeds(master_seed, paths)]
+
+def fading_paths(trials, rounds) -> list[tuple]:
+    """The fading stream paths of ``trials`` in ``rounds``, round-major."""
+    return [("trial", t, "fading", r) for r in rounds for t in trials]
 
 
 @dataclass(frozen=True)
@@ -379,7 +384,7 @@ class RoundMetrics:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One Monte Carlo trial: per-round records plus outcome flags."""
+    """One Monte Carlo trial: per-round records, how many are in outage, and outcome flags."""
 
     trial_index: int
     rounds: list[RoundMetrics]
@@ -390,7 +395,10 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Aggregates over the recorded rounds of all trials; delay stats cover finite ones only."""
+    """Aggregates over recorded rounds. ``outage_rate`` covers every trial's,
+    failed trials included; the delay statistics cover the finite delays of
+    the trials that did not fail, and ``metric_mean`` and ``metric_std`` at
+    round r their round r."""
 
     scenario: Scenario
     trials: list[TrialResult]
@@ -496,8 +504,7 @@ def mean_round_delay(
     one link round over a (C, trials, M) realization.
     """
     paths = [("placement-eval", t) for t in range(config.placement_trials)]
-    m = config.device_count
-    fading = np.stack([rng.exponential(1.0, m) for rng in rng_streams(config.master_seed, paths)])
+    fading = fading_draws(config.master_seed, paths, config.device_count)
     dx = device_positions[:, 0] - candidates[:, :1]
     dy = device_positions[:, 1] - candidates[:, 1:2]
     dist = np.sqrt(dx * dx + dy * dy + candidates[:, 2:] ** 2)
@@ -565,7 +572,9 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     models and scores them in one evaluation pass per dataset, so a trial's
     records depend on neither its block nor its chunks. Only the assembly
     of the per-round records is per trial. A trial whose training diverges
-    stops alone, keeping its rounds.
+    stops alone, keeping its rounds. A recorded round is in outage when a
+    device is unreachable (an infinite delay) or short of energy; the round
+    a trial diverges in has no record and so no outage.
 
     Without battery tracking every device runs every round and energy
     shortfalls only show up as infeasible flags (and outage counts). With
@@ -580,28 +589,23 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
         raise ValueError("a block of trials must not be empty")
     shape = (len(trials), cfg.device_count)
     chunk = min(cfg.rounds, max(1, ROUND_BLOCK // (shape[0] * shape[1])))
-    distances = np.tile(scenario.distances_m, (chunk, len(trials), 1))  # contiguous, like gains
     minibatch = cfg.trainer.minibatch(scenario.train_sets.count)
     models = np.tile(scenario.w0, (len(trials), 1))  # one row per trial in live
     battery = np.full(shape, cfg.battery_initial_j, dtype=float) if cfg.battery_ledger else None
     records, outage = [[] for _ in trials], [0] * len(trials)
     errors: dict[int, str] = {}  # block position -> divergence message
     live = list(range(len(trials)))  # block positions of the trials still training
-    # The seed words of every stream of the block, (R, T, 4): one pass per
-    # stream kind, and each chunk builds only its own generators.
     rounds = range(cfg.rounds)
-    fading = _stream_seeds(seed, [("trial", t, "fading", r) for r in rounds for t in trials])
-    fading = fading.reshape(cfg.rounds, len(trials), 4)
-    if minibatch:
+    if minibatch:  # every training stream's seed words, (R, T, 4), in one pass
         train = _stream_seeds(seed, [("trial", t, "train", r) for r in rounds for t in trials])
         train = train.reshape(cfg.rounds, len(trials), 4)
     for r in rounds:
         i = r % chunk  # the round's row in its chunk
         if i == 0:  # the chunk's physics, then its battery recurrence round by round
             n = min(chunk, cfg.rounds - r)
-            words = fading[r : r + n].reshape(-1, 4)
-            gains = np.array([_generator(w).exponential(1.0, shape[1]) for w in words])
-            phys = link_round(cfg, ChannelRealization(gains.reshape(n, *shape), distances[:n]))
+            gains = fading_draws(seed, fading_paths(trials, range(r, r + n)), shape[1])
+            realization = ChannelRealization(gains.reshape(n, *shape), scenario.distances_m)
+            phys = link_round(cfg, realization)
             e_total, e_harvest = phys.energy.e_total_j, phys.energy.e_harvest_j
             participate = np.ones(e_total.shape, dtype=bool)
             if battery is not None:
@@ -617,8 +621,6 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
             t_total = delay.t_total_s.tolist()
             in_outage = (~np.isfinite(delay.t_total_s) | ~phys.energy.feasible.all(-1)).tolist()
 
-        for k in live:
-            outage[k] += in_outage[i][k]
         rngs = [_generator(train[r, k]) for k in live] if minibatch else None
         step = run_round(models, scenario.train_sets, cfg.trainer, rngs, participate[i, live])
         models = step.models
@@ -632,6 +634,7 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
         val_metric = evaluate_metric(models, scenario.val_set, task).tolist()
         test_metric = evaluate_metric(models, scenario.test_set, task).tolist()
         for k, loss, val, test in zip(live, train_loss, val_metric, test_metric):
+            outage[k] += in_outage[i][k]
             records[k].append(
                 RoundMetrics(
                     round_index=r,
@@ -676,22 +679,18 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
 
     kept = [rm.t_total_s for tr in trials if not tr.failed for rm in tr.rounds]
     finite = [t for t in kept if math.isfinite(t)]
-    # A diverging trial's last round is in its outage_count but has no record.
-    recorded = [rm for tr in trials for rm in tr.rounds]
-    executed = len(recorded)
-    outages = sum(1 for rm in recorded if not math.isfinite(rm.t_total_s) or not rm.feasible.all())
+    executed = sum(len(tr.rounds) for tr in trials)
     if finite:
         delay_mean = float(np.mean(finite))
         delay_std = float(np.std(finite))
-        delay_p5 = float(np.percentile(finite, 5))
-        delay_p95 = float(np.percentile(finite, 95))
+        delay_p5, delay_p95 = np.percentile(finite, [5, 95]).tolist()
     else:
         delay_mean = delay_std = delay_p5 = delay_p95 = float("nan")
 
     metric_mean = np.full(config.rounds, np.nan)
     metric_std = np.full(config.rounds, np.nan)
-    for r in range(config.rounds):
-        vals = [tr.rounds[r].test_metric for tr in trials if not tr.failed and len(tr.rounds) > r]
+    for r in range(config.rounds):  # a trial that did not fail records every round
+        vals = [tr.rounds[r].test_metric for tr in trials if not tr.failed]
         if vals:
             metric_mean[r] = float(np.mean(vals))
             metric_std[r] = float(np.std(vals))
@@ -703,7 +702,7 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
         delay_std_s=delay_std,
         delay_p5_s=delay_p5,
         delay_p95_s=delay_p95,
-        outage_rate=outages / executed if executed else float("nan"),
+        outage_rate=sum(tr.outage_count for tr in trials) / executed if executed else float("nan"),
         metric_mean=metric_mean,
         metric_std=metric_std,
         n_failed=sum(1 for tr in trials if tr.failed),

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import platform
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -571,6 +572,18 @@ def test_diverging_run_exits_3(tmp_path, capsys):
     rows = read_rows(out / "sweep.csv")
     assert rows[0] == cli.SWEEP_COLUMNS and len(rows) == 3
     assert json.loads((out / "manifest.json").read_text())["outputs"] == ["sweep.csv"]
+
+
+def test_diverging_run_prints_only_its_failures(tmp_path, capsys):
+    """A loss that overflows is recorded as inf without a numpy warning."""
+    args = ["run", "--config", str(CONFIGS / "default.yaml"), "--out", str(tmp_path)]
+    args += ["--override", "monte_carlo_trials=3", "--override", "trainer.learning_rate=1e60"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(args) == 3
+    failure = "failed: parameters overflowed at local iteration 1"
+    assert capsys.readouterr().err.splitlines() == [f"trial {t} {failure}" for t in range(3)]
+    assert read_rows(tmp_path / "rounds.csv")[2][-3:] == ["inf"] * 3
 
 
 def test_out_dir_env_default(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,9 @@
 """Scenario assembly, trial reproducibility, battery ledger, and sweeps."""
 
+import importlib.util
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,21 +12,24 @@ import oracles
 from swiptfl.channel import ChannelRealization
 from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy
 from swiptfl import scenario as scenario_module
+from swiptfl.cli import load_config
 from swiptfl.fl_core import BlockRound, TrainerConfig
 from swiptfl.scenario import (
     RoundMetrics,
     ScenarioConfig,
     build,
+    fading_draws,
     link_round,
     merge,
     rng_stream,
-    rng_streams,
     run_monte_carlo,
     run_trial,
     sweep,
     with_override,
 )
 from swiptfl.timing import local_train_time
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_config(**kwargs):
@@ -63,8 +68,14 @@ def test_rng_stream_rejects_unhashable_path_parts():
         rng_stream(0, 1.5)
 
 
+def streams(master_seed, paths):
+    """The generators of one vectorized seed pass, as :func:`fading_draws` builds them."""
+    seeds = scenario_module._stream_seeds(master_seed, paths)
+    return [scenario_module._generator(words) for words in seeds]
+
+
 def assert_same_streams(master_seed, paths):
-    batched = rng_streams(master_seed, paths)
+    batched = streams(master_seed, paths)
     assert len(batched) == len(paths)
     for rng, path in zip(batched, paths):
         reference = rng_stream(master_seed, *path)
@@ -97,7 +108,8 @@ def test_rng_streams_draw_what_rng_stream_draws(master_seed):
 
 
 def test_rng_streams_of_no_paths_is_empty():
-    assert rng_streams(3, []) == []
+    assert streams(3, []) == []
+    assert fading_draws(3, [], 4).shape == (0, 4)
 
 
 def test_rng_streams_reject_what_rng_stream_rejects():
@@ -105,14 +117,24 @@ def test_rng_streams_reject_what_rng_stream_rejects():
         with pytest.raises(ValueError):
             rng_stream(0, *path)
         with pytest.raises(ValueError):
-            rng_streams(0, [(1,), path])  # never wrapped into a uint32 word
+            streams(0, [(1,), path])  # never wrapped into a uint32 word
     with pytest.raises(ValueError):
-        rng_streams(-1, [(1,)])
+        streams(-1, [(1,)])
     for path in [(1.5,), ("trial", 2.0), (None,)]:
         with pytest.raises(TypeError):
             rng_stream(0, *path)
         with pytest.raises(TypeError):
-            rng_streams(0, [path])
+            streams(0, [path])
+
+
+@pytest.mark.parametrize("master_seed", [0, 2**32 + 5])
+def test_fading_draws_are_what_rng_stream_draws(master_seed):
+    paths = [("trial", t, "fading", r) for r in range(3) for t in range(4)]
+    paths += [("placement-eval", 2**40), (), (np.int64(7), "fading", 0)]
+    gains = fading_draws(master_seed, paths, 6)
+    assert gains.shape == (len(paths), 6)
+    for row, path in zip(gains, paths):
+        assert np.array_equal(row, rng_stream(master_seed, *path).exponential(1.0, 6))
 
 
 # ------------------------------------------------------------- config checks
@@ -529,9 +551,9 @@ def test_diverging_trial_stops_alone(monkeypatch):
     assert [tr.failed for tr in block] == [False, True, False]
     assert block[1].error == "injected"
     assert len(block[1].rounds) == 1
-    # The diverging round still counts its outage, as a lone trial's would.
+    # Only the recorded round counts its outage; the diverging round has no record.
     outages = [not math.isfinite(rm.t_total_s) or not rm.feasible.all() for rm in singles[1].rounds]
-    assert block[1].outage_count == sum(outages[:2])
+    assert block[1].outage_count == sum(outages[:1])
     assert_same_trial(block[0], singles[0])
     assert_same_trial(block[2], singles[2])
     for ra, rb in zip(block[1].rounds, singles[1].rounds):
@@ -602,10 +624,11 @@ def test_link_rounds_stay_within_the_round_block(monkeypatch):
 
 
 def test_outage_rate_covers_the_recorded_rounds(monkeypatch):
-    """A trial that diverges in an outage round counts that round in its
-    outage_count but records no row for it, so the rate counts outages over
-    the recorded rounds alone: it recomputes from the records and stays in
-    [0, 1]. Every round of this config is in outage."""
+    """A trial that diverges in an outage round records no row for it and
+    counts no outage for it, so every outage_count is the number of outages
+    among the trial's records, and the rate, the summed counts over the
+    recorded rounds, recomputes from the records and stays in [0, 1].
+    Every round of this config is in outage."""
     cfg = small_config(monte_carlo_trials=2, rounds=3)
     real_run_round = scenario_module.run_round
     calls = []
@@ -620,11 +643,28 @@ def test_outage_rate_covers_the_recorded_rounds(monkeypatch):
     monkeypatch.setattr(scenario_module, "run_round", run_round)
     res = run_monte_carlo(cfg)
     diverged = res.trials[0]
-    assert diverged.failed and len(diverged.rounds) == 1 and diverged.outage_count == 2
+    assert diverged.failed and len(diverged.rounds) == 1 and diverged.outage_count == 1
     records = [rm for tr in res.trials for rm in tr.rounds]
     outages = [not math.isfinite(rm.t_total_s) or not rm.feasible.all() for rm in records]
     assert all(outages)
     assert res.outage_rate == sum(outages) / len(records) == 1.0
+
+
+def test_diverging_run_passes_the_benchmark_checks():
+    """The benchmark's recomputation of every record, outage count and
+    aggregate accepts a run whose trials all diverge in round 1.
+    ``bench/checks.py`` is loaded, never changed."""
+    spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    cfg = load_config(str(ROOT / "configs" / "default.yaml"))
+    cfg = merge(cfg, {"monte_carlo_trials": 3, "rounds": 5, "trainer.learning_rate": 1e60})
+    res = run_monte_carlo(cfg)
+    assert [(tr.failed, len(tr.rounds)) for tr in res.trials] == [(True, 2)] * 3
+    ck = checks.Checker()
+    checks.check_rounds(ck, res)
+    checks.check_aggregates(ck, res)
+    assert ck.attempted > 0 and ck.failures == []
 
 
 def test_monte_carlo_metric_arrays_cover_every_round():
