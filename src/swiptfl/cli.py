@@ -118,9 +118,7 @@ def resolve_config(args) -> ScenarioConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))

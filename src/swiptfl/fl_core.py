@@ -7,8 +7,8 @@ aggregates local models weighted by dataset size at the end of
 :func:`run_round`. Models are plain float arrays. Training and evaluation
 work on a block of T independent trials at once: global models are (T, d)
 arrays, one round trains every participating (trial, device) pair in one
-kernel, and one evaluation pass scores every model of the block. A single model is the T = 1 case, a (1, d) block. Also provides the
-cross-validation procedure that picks the communication-round budget, and
+kernel, and one evaluation pass scores every model of the block; one model
+is a (1, d) block. Also provides the round-budget cross-validation and
 synthetic data generators with a planted weight vector.
 """
 
@@ -76,15 +76,6 @@ class FederatedData:
             raise ValueError("need at least one device, one sample and one feature")
         if not (np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.targets))):
             raise ValueError("features and targets must be finite")
-
-    @classmethod
-    def stack(cls, datasets: list[LocalDataset]) -> FederatedData:
-        """Stack per-device datasets that share one sample count and dim."""
-        if not datasets:
-            raise ValueError("datasets must be nonempty")
-        if len({(s.count, s.dim) for s in datasets}) != 1:
-            raise ValueError("stacking needs the same sample count and dim on every device")
-        return cls(np.stack([s.features for s in datasets]), np.stack([s.targets for s in datasets]))
 
     @property
     def count(self) -> int:
@@ -365,10 +356,7 @@ def make_logistic_data(
     """Gaussian features with linearly separable labels, each flipped with
     probability ``flip_prob``."""
     x = rng.standard_normal((n, len(w_true)))
-    y = (x @ w_true > 0).astype(float)
-    flips = rng.random(n) < flip_prob
-    y[flips] = 1.0 - y[flips]
-    return LocalDataset(x, y)
+    return LocalDataset(x, (x @ w_true > 0) ^ (rng.random(n) < flip_prob))
 
 
 def make_federated_problem(
@@ -381,18 +369,31 @@ def make_federated_problem(
     val_samples: int,
     test_samples: int,
     weight_scale: float = 1.0,
-) -> tuple[list[LocalDataset], LocalDataset, LocalDataset, np.ndarray]:
+) -> tuple[FederatedData, LocalDataset, LocalDataset, np.ndarray]:
     """Draw a full synthetic federated problem sharing one planted weight.
 
     ``noise`` is the target noise std for the linear task and the label
-    flip probability for the logistic task. Returns per-device training
-    sets plus pooled validation and test sets.
+    flip probability for the logistic task. Returns every device's training
+    set as one :class:`FederatedData`, the pooled validation and test sets,
+    and ``w_true``. The draws are ``w_true``'s and then those of
+    :func:`make_linear_data` or :func:`make_logistic_data` for device 0, 1,
+    ..., validation and test. A linear device draws n * d feature normals,
+    then n noise normals, and draws from one generator concatenate, so all
+    devices take one (M, n * d + n) draw. A logistic device interleaves
+    normals and uniforms, so the devices draw in turn.
     """
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}")
     w_true = weight_scale * rng.standard_normal(dim)
-    maker = make_linear_data if task == TASK_LINEAR else make_logistic_data
-    train_sets = [maker(rng, samples_per_device, w_true, noise) for _ in range(n_devices)]
-    val_set = maker(rng, val_samples, w_true, noise)
-    test_set = maker(rng, test_samples, w_true, noise)
-    return train_sets, val_set, test_set, w_true
+    m, n = n_devices, samples_per_device
+    if task == TASK_LINEAR:
+        maker, z = make_linear_data, rng.standard_normal((m, n * dim + n))
+        x = np.ascontiguousarray(z[:, : n * dim]).reshape(m, n, dim)
+        y = np.matmul(x, w_true) + noise * z[:, n * dim :]
+    else:
+        maker, x, y = make_logistic_data, np.empty((m, n, dim)), np.empty((m, n))
+        for xk, yk in zip(x, y):
+            rng.standard_normal(out=xk)
+            yk[...] = (xk @ w_true > 0) ^ (rng.random(n) < noise)
+    held_out = [maker(rng, count, w_true, noise) for count in (val_samples, test_samples)]
+    return FederatedData(x, y), *held_out, w_true

@@ -21,7 +21,7 @@ identical fading (common random numbers). Stream tags used here:
 * ``("placement",)`` device positions
 * ``("placement-eval", t)`` fading draw t, shared by every placement
   candidate in the one batched round of :func:`mean_round_delay`
-* ``("data",)`` synthetic federated datasets
+* ``("data",)`` synthetic datasets, in draw order ``w_true``, devices 0..M-1, val, test
 * ``("init",)`` initial global model
 * ``("trial", t, "fading", r)`` per-round channel gains
 * ``("trial", t, "train", r)`` minibatch sampling for all M devices of
@@ -81,6 +81,7 @@ from .timing import RoundDelay, local_train_time, round_total, uav_aggregation_t
 DELTA_MODE_FIXED = "fixed"
 DELTA_MODE_OPTIMIZED = "optimized"
 ROUND_BLOCK = 1 << 16  # (round, trial, device) fading states per link round of run_trial
+_SCORES = ("train loss", "val metric", "test metric")  # what run_trial records each round
 
 
 def rng_stream(master_seed: int, *path) -> np.random.Generator:
@@ -529,9 +530,8 @@ def build(config: ScenarioConfig) -> Scenario:
     ux, uy, uz = placement.position
     distances = np.sqrt((xs - ux) ** 2 + (ys - uy) ** 2 + uz**2)
 
-    data_rng = rng_stream(config.master_seed, "data")
     train_sets, val_set, test_set, w_true = make_federated_problem(
-        data_rng,
+        rng_stream(config.master_seed, "data"),
         config.trainer.task,
         config.device_count,
         config.data.samples_per_device,
@@ -550,7 +550,7 @@ def build(config: ScenarioConfig) -> Scenario:
         uav_position=placement.position,
         placement_objective_s=placement.objective_s,
         distances_m=distances,
-        train_sets=FederatedData.stack(train_sets),
+        train_sets=train_sets,
         val_set=val_set,
         test_set=test_set,
         w_true=w_true,
@@ -572,9 +572,9 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     models and scores them in one evaluation pass per dataset, so a trial's
     records depend on neither its block nor its chunks. Only the assembly
     of the per-round records is per trial. A trial whose training diverges
-    stops alone, keeping its rounds. A recorded round is in outage when a
-    device is unreachable (an infinite delay) or short of energy; the round
-    a trial diverges in has no record and so no outage.
+    or whose loss or a metric is not finite stops alone, keeping its rounds.
+    A recorded round is in outage when a device is unreachable (an infinite
+    delay) or short of energy; the round a trial diverges in has no record.
 
     Without battery tracking every device runs every round and energy
     shortfalls only show up as infeasible flags (and outage counts). With
@@ -623,17 +623,18 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
 
         rngs = [_generator(train[r, k]) for k in live] if minibatch else None
         step = run_round(models, scenario.train_sets, cfg.trainer, rngs, participate[i, live])
-        models = step.models
-        if step.errors:
-            errors.update((live[j], msg) for j, msg in step.errors.items())
-            kept = [j for j in range(len(live)) if j not in step.errors]
-            live, models = [live[j] for j in kept], models[kept]
+        models, failed = step.models, dict(step.errors)
+        held_out = [evaluate_metric(models, s, task) for s in (scenario.val_set, scenario.test_set)]
+        scores = np.array([global_loss(models, scenario.train_sets, task), *held_out])  # (3, T)
+        for j, which in zip(*np.nonzero(~np.isfinite(scores.T))):  # a loss that overflowed
+            failed.setdefault(j.item(), f"non-finite {_SCORES[which]} in round {r}")
+        if failed:
+            errors.update((live[j], msg) for j, msg in failed.items())
+            kept = [j for j in range(len(live)) if j not in failed]
+            live, models, scores = [live[j] for j in kept], models[kept], scores[:, kept]
             if not live:
                 break
-        train_loss = global_loss(models, scenario.train_sets, task).tolist()
-        val_metric = evaluate_metric(models, scenario.val_set, task).tolist()
-        test_metric = evaluate_metric(models, scenario.test_set, task).tolist()
-        for k, loss, val, test in zip(live, train_loss, val_metric, test_metric):
+        for k, (loss, val, test) in zip(live, scores.T.tolist()):
             outage[k] += in_outage[i][k]
             records[k].append(
                 RoundMetrics(

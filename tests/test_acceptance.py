@@ -173,12 +173,12 @@ def test_criterion_02_round_equals_centralized_step():
             targets = [rng.standard_normal(n) for _ in range(m)]
         else:
             targets = [rng.integers(0, 2, n).astype(float) for _ in range(m)]
-        datasets = [LocalDataset(x, y) for x, y in zip(blocks, targets)]
         w0 = rng.standard_normal(dim)
         lr = rng.uniform(0.01, 1.0)
 
         cfg = TrainerConfig(learning_rate=lr, local_iters=1, task=task, batch_size=None)
-        new_global = run_round(w0[None], FederatedData.stack(datasets), cfg).models[0]
+        train = FederatedData(np.stack(blocks), np.stack(targets))
+        new_global = run_round(w0[None], train, cfg).models[0]
         reference = oracles.centralized_step(w0, blocks, targets, lr, task)
 
         scale = max(float(np.max(np.abs(reference))), 1e-30)
@@ -535,7 +535,7 @@ def test_criterion_10_round_selection_tie_breaks():
     x = np.eye(dim)
     w_true = np.linspace(1.0, 2.0, dim)
     y = x @ w_true
-    train = FederatedData.stack([LocalDataset(x, y)])
+    train = FederatedData(x[None], y[None])
     val = LocalDataset(x, y)
     test = LocalDataset(x, y)
     w0 = np.zeros(dim)

@@ -575,15 +575,23 @@ def test_diverging_run_exits_3(tmp_path, capsys):
 
 
 def test_diverging_run_prints_only_its_failures(tmp_path, capsys):
-    """A loss that overflows is recorded as inf without a numpy warning."""
-    args = ["run", "--config", str(CONFIGS / "default.yaml"), "--out", str(tmp_path)]
-    args += ["--override", "monte_carlo_trials=3", "--override", "trainer.learning_rate=1e60"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert cli.main(args) == 3
-    failure = "failed: parameters overflowed at local iteration 1"
-    assert capsys.readouterr().err.splitlines() == [f"trial {t} {failure}" for t in range(3)]
-    assert read_rows(tmp_path / "rounds.csv")[2][-3:] == ["inf"] * 3
+    """A trial whose loss overflows fails in that round, which gets no
+    record, and no numpy warning is printed. At 1e60 the loss overflows in
+    round 1; at 1e30 it overflows in round 2 while the parameters stay finite."""
+    for rate, failing_round in (("1e60", 1), ("1e30", 2)):
+        out = tmp_path / rate
+        args = ["run", "--config", str(CONFIGS / "default.yaml"), "--out", str(out)]
+        args += ["--override", "monte_carlo_trials=3", "--override", f"trainer.learning_rate={rate}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(args) == 3
+        failure = f"failed: non-finite train loss in round {failing_round}"
+        assert capsys.readouterr().err.splitlines() == [f"trial {t} {failure}" for t in range(3)]
+        rows = read_rows(out / "rounds.csv")[1:]
+        assert [row[:2] for row in rows] == [
+            [str(t), str(r)] for t in range(3) for r in range(failing_round)
+        ]
+        assert "inf" not in {value for row in rows for value in row[-3:]}
 
 
 def test_out_dir_env_default(tmp_path, capsys, monkeypatch):

@@ -15,6 +15,8 @@ from swiptfl.fl_core import (
     evaluate_metric,
     global_loss,
     make_federated_problem,
+    make_linear_data,
+    make_logistic_data,
     run_round,
     select_rounds,
 )
@@ -24,6 +26,11 @@ def linear_cfg(**kw):
     base = dict(learning_rate=0.1, local_iters=1, task="linear", batch_size=None)
     base.update(kw)
     return TrainerConfig(**base)
+
+
+def stacked(sets):
+    """Per-device datasets of one size as one FederatedData."""
+    return FederatedData(np.stack([s.features for s in sets]), np.stack([s.targets for s in sets]))
 
 
 def test_local_loss_zero_at_interpolation():
@@ -51,7 +58,7 @@ def test_local_loss_duplication_invariant():
 def test_global_loss_rejects_unknown_task():
     data = LocalDataset(np.array([[1.0]]), np.array([1.0]))
     w = np.array([[0.5]])
-    for d in (data, FederatedData.stack([data])):
+    for d in (data, stacked([data])):
         with pytest.raises(ValueError, match="unknown task 'bogus'"):
             global_loss(w, d, "bogus")
 
@@ -60,7 +67,7 @@ def test_global_loss_single_device_equals_local():
     rng = np.random.default_rng(4)
     data = LocalDataset(rng.standard_normal((5, 2)), rng.standard_normal(5))
     w = rng.standard_normal(2)[None]
-    assert global_loss(w, FederatedData.stack([data]), "linear")[0] == pytest.approx(
+    assert global_loss(w, stacked([data]), "linear")[0] == pytest.approx(
         global_loss(w, data, "linear")[0], rel=1e-15
     )
 
@@ -70,7 +77,7 @@ def test_global_loss_equal_sizes_is_plain_mean():
     sets = [LocalDataset(rng.standard_normal((4, 2)), rng.standard_normal(4)) for _ in range(2)]
     w = rng.standard_normal(2)[None]
     mean = 0.5 * (global_loss(w, sets[0], "linear")[0] + global_loss(w, sets[1], "linear")[0])
-    assert global_loss(w, FederatedData.stack(sets), "linear")[0] == pytest.approx(mean, rel=1e-14)
+    assert global_loss(w, stacked(sets), "linear")[0] == pytest.approx(mean, rel=1e-14)
 
 
 def test_global_loss_weighted_identity():
@@ -116,7 +123,7 @@ def test_run_round_single_step_matches_fd_oracle():
     data = LocalDataset(rng.standard_normal((8, 4)), rng.standard_normal(8))
     w0 = rng.standard_normal(4)
     lr = 0.07
-    out = run_round(w0[None], FederatedData.stack([data]), linear_cfg(learning_rate=lr)).models[0]
+    out = run_round(w0[None], stacked([data]), linear_cfg(learning_rate=lr)).models[0]
     fd = oracles.fd_gradient(lambda v: global_loss(v[None], data, "linear")[0], w0)
     expected = w0 - lr * fd
     assert np.max(np.abs(out - expected) / np.maximum(1e-8, np.abs(expected))) <= 1e-5
@@ -129,10 +136,10 @@ def test_descent_below_lipschitz_rate_never_increases_loss():
     data = LocalDataset(x, y)
     lr = 0.9 / oracles.lipschitz_sq_loss(x)
     w = rng.standard_normal(5)[None]
-    stacked = FederatedData.stack([data])
+    federated = stacked([data])
     losses = [global_loss(w, data, "linear")[0]]
     for _ in range(15):
-        w = run_round(w, stacked, linear_cfg(learning_rate=lr)).models
+        w = run_round(w, federated, linear_cfg(learning_rate=lr)).models
         losses.append(global_loss(w, data, "linear")[0])
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -166,13 +173,11 @@ def test_run_round_single_participant_matches_local_gd(task):
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_federated_data_stack_rejects_unequal_sizes():
-    rng = np.random.default_rng(21)
-    sets = [LocalDataset(rng.standard_normal((n, 2)), rng.standard_normal(n)) for n in (3, 4)]
-    with pytest.raises(ValueError, match="same sample count"):
-        FederatedData.stack(sets)
-    stacked = FederatedData.stack(sets[:1] * 2)
-    assert stacked.features.shape == (2, 3, 2) and (stacked.count, stacked.dim) == (3, 2)
+def test_federated_data_rejects_unequal_sizes():
+    with pytest.raises(ValueError, match=r"targets \(M, n\)"):
+        FederatedData(np.zeros((2, 3, 2)), np.zeros((2, 4)))
+    data = FederatedData(np.zeros((2, 3, 2)), np.zeros((2, 3)))
+    assert data.features.shape == (2, 3, 2) and (data.count, data.dim) == (3, 2)
     with pytest.raises(ValueError):
         FederatedData(np.full((1, 2, 2), np.nan), np.zeros((1, 2)))
 
@@ -180,7 +185,7 @@ def test_federated_data_stack_rejects_unequal_sizes():
 def test_run_round_deterministic_given_streams():
     rng = np.random.default_rng(22)
     sets = [LocalDataset(rng.standard_normal((6, 3)), rng.standard_normal(6)) for _ in range(3)]
-    data = FederatedData.stack(sets)
+    data = stacked(sets)
     w0 = rng.standard_normal(3)[None]
     cfg = linear_cfg(batch_size=2, local_iters=3)
     out1 = run_round(w0, data, cfg, [np.random.default_rng(99)])
@@ -194,7 +199,7 @@ def test_run_round_nobody_participates_keeps_global():
     rng = np.random.default_rng(24)
     sets = [LocalDataset(rng.standard_normal((4, 2)), rng.standard_normal(4)) for _ in range(2)]
     w0 = rng.standard_normal(2)[None]
-    out = run_round(w0, FederatedData.stack(sets), linear_cfg(), participate=np.zeros((1, 2), bool))
+    out = run_round(w0, stacked(sets), linear_cfg(), participate=np.zeros((1, 2), bool))
     assert np.array_equal(out.models, w0) and out.errors == {}
 
 
@@ -203,7 +208,7 @@ def test_run_round_centralized_equivalence_small():
     sets = [LocalDataset(rng.standard_normal((5, 3)), rng.standard_normal(5)) for _ in range(4)]
     w0 = rng.standard_normal(3)
     lr = 0.05
-    out = run_round(w0[None], FederatedData.stack(sets), linear_cfg(learning_rate=lr)).models[0]
+    out = run_round(w0[None], stacked(sets), linear_cfg(learning_rate=lr)).models[0]
     ref = oracles.centralized_step(
         w0, [s.features for s in sets], [s.targets for s in sets], lr, "linear"
     )
@@ -261,7 +266,7 @@ def test_device_sitting_out_cannot_fail_the_round():
 def test_divergence_raises():
     """Divergence comes back as the trial's entry in ``BlockRound.errors``."""
     rng = np.random.default_rng(28)
-    data = FederatedData.stack([LocalDataset(rng.standard_normal((5, 3)), rng.standard_normal(5))])
+    data = stacked([LocalDataset(rng.standard_normal((5, 3)), rng.standard_normal(5))])
     out = run_round(rng.standard_normal(3)[None], data,
                     linear_cfg(learning_rate=1e200, local_iters=50))
     assert list(out.errors) == [0]
@@ -360,7 +365,7 @@ def _identity_problem(dim=4, seed=7):
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(dim)
     x = np.eye(dim)
-    train = FederatedData.stack([LocalDataset(x, x @ w_true)])
+    train = stacked([LocalDataset(x, x @ w_true)])
     val = LocalDataset(x, x @ w_true)
     test = LocalDataset(x, x @ w_true)
     return train, val, test, w_true
@@ -416,11 +421,12 @@ def test_make_federated_problem_shapes_and_shared_weight():
         rng, "logistic", n_devices=3, samples_per_device=10, dim=5, noise=0.0,
         val_samples=20, test_samples=30,
     )
-    assert len(train) == 3
-    assert all(s.count == 10 and s.dim == 5 for s in train)
+    assert train.features.shape[0] == 3
+    assert train.count == 10 and train.dim == 5
     assert val.count == 20 and test.count == 30
     # Noise-free labels must agree with the planted separator everywhere.
-    for s in [*train, val, test]:
+    devices = [LocalDataset(x, y) for x, y in zip(train.features, train.targets)]
+    for s in [*devices, val, test]:
         assert np.array_equal(s.targets, (s.features @ w_true > 0).astype(float))
 
 
@@ -430,6 +436,31 @@ def test_make_federated_problem_label_flips():
         rng, "logistic", n_devices=1, samples_per_device=4000, dim=3, noise=0.2,
         val_samples=2, test_samples=2,
     )
-    clean = (train[0].features @ w_true > 0).astype(float)
-    flip_rate = float(np.mean(clean != train[0].targets))
+    clean = (train.features[0] @ w_true > 0).astype(float)
+    flip_rate = float(np.mean(clean != train.targets[0]))
     assert 0.15 < flip_rate < 0.25
+
+
+@pytest.mark.parametrize("task", ["linear", "logistic"])
+def test_make_federated_problem_is_the_per_device_recipe(task):
+    """The stacked training sets, the val and test sets, ``w_true`` and the
+    generator's final state equal those of drawing ``w_true`` and then
+    calling the task's maker once per device, then for val and test, on a
+    twin generator, bit for bit; the stacked arrays are C-contiguous."""
+    maker = make_linear_data if task == "linear" else make_logistic_data
+    for m, n, dim, noise in [(1, 1, 1, 0.0), (4, 7, 3, 0.3), (9, 1, 5, 0.1), (3, 6, 1, 0.5)]:
+        rng, twin = np.random.default_rng(m * n * dim), np.random.default_rng(m * n * dim)
+        train, val, test, w_true = make_federated_problem(rng, task, m, n, dim, noise, 5, 8, 1.5)
+        w_twin = 1.5 * twin.standard_normal(dim)
+        devices = [maker(twin, n, w_twin, noise) for _ in range(m)]
+        expected = [
+            stacked(devices),
+            maker(twin, 5, w_twin, noise),
+            maker(twin, 8, w_twin, noise),
+        ]
+        for got, want in zip([train, val, test], expected):
+            assert got.features.tobytes() == want.features.tobytes()
+            assert got.targets.tobytes() == want.targets.tobytes()
+        assert w_true.tobytes() == w_twin.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert train.features.flags.c_contiguous and train.targets.flags.c_contiguous

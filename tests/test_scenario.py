@@ -570,7 +570,7 @@ CHUNKED = {
         rounds=5,
         trainer=TrainerConfig(learning_rate=0.1, local_iters=2, batch_size=5),
     ),
-    # Every trial diverges in round 2, so the block stops inside a chunk.
+    # Every trial's loss overflows in round 1, so the block stops inside a chunk.
     "diverging": dict(
         monte_carlo_trials=3, rounds=5, trainer=TrainerConfig(learning_rate=1e60, local_iters=2)
     ),
@@ -598,7 +598,7 @@ def test_chunking_leaves_every_record_unchanged(monkeypatch, name):
     if name == "grid":  # some rounds solved on the grid and some by bisection
         assert {rm.delta_method for tr in whole for rm in tr.rounds} == {"grid", "bisection"}
     if name == "diverging":
-        assert [(tr.failed, len(tr.rounds)) for tr in whole] == [(True, 2)] * 3
+        assert [(tr.failed, len(tr.rounds)) for tr in whole] == [(True, 1)] * 3
 
 
 def test_link_rounds_stay_within_the_round_block(monkeypatch):
@@ -660,7 +660,7 @@ def test_diverging_run_passes_the_benchmark_checks():
     cfg = load_config(str(ROOT / "configs" / "default.yaml"))
     cfg = merge(cfg, {"monte_carlo_trials": 3, "rounds": 5, "trainer.learning_rate": 1e60})
     res = run_monte_carlo(cfg)
-    assert [(tr.failed, len(tr.rounds)) for tr in res.trials] == [(True, 2)] * 3
+    assert [(tr.failed, len(tr.rounds)) for tr in res.trials] == [(True, 1)] * 3
     ck = checks.Checker()
     checks.check_rounds(ck, res)
     checks.check_aggregates(ck, res)
