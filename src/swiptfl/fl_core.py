@@ -198,16 +198,18 @@ def run_round(
     ``participate[t]`` (all by default); the others sit the round out and
     are neither trained nor aggregated, and a trial with no participant
     keeps its model. Every local iteration makes one gradient call over
-    the K participating (trial, device) rows, gathered as ``(K, n, d)``
-    features: K * n * d * 8 bytes, 3.8 MB for ``accuracy.yaml``'s one block
-    of 200 trials of 5 devices with 30 samples of 16 features. Each trial
+    the K participating (trial, device) rows. Full batch gathers their
+    ``(K, n, d)`` features once; minibatch gathers each iteration's
+    ``(K, batch_size, d)`` batch straight from ``data``: 1.0 MB for
+    ``accuracy.yaml``'s block of 200 trials of 5 devices with batches of 8
+    samples of 16 features, against 3.8 MB for their full sets. Each trial
     then aggregates its own rows by dataset size.
 
     Minibatch training draws, per local iteration, one
     ``rngs[t].random((M, n))`` for all M devices of trial t, participants
-    or not, and a row's batch is the first ``batch_size`` indices of its
-    device's argsort, so it never depends on who else takes part. Full-batch
-    training draws nothing and needs no ``rngs``.
+    or not, into one (T, M, n) buffer; a row's batch is the first
+    ``batch_size`` indices of its device's argsort, so it never depends on
+    who else takes part. Full-batch training draws nothing and needs no ``rngs``.
 
     A trial whose gradient or parameters stop being finite is reported in
     :attr:`BlockRound.errors` and its rows leave the batch; the other trials
@@ -223,17 +225,17 @@ def run_round(
         raise ValueError("minibatch training needs one rng per trial")
 
     trial, device = np.nonzero(active)  # rows grouped by trial, devices ascending
-    x, y, w = data.features, data.targets, models[trial]
-    if len(device) != m or t_count > 1:  # the gather is a copy unless it is the identity
-        x, y = x[device], y[device]
+    xb, yb, w = data.features, data.targets, models[trial]
+    if not minibatch and (len(device) != m or t_count > 1):  # a copy unless the identity
+        xb, yb = xb[device], yb[device]
+    draws = np.empty((t_count, m, n)) if minibatch else None
     errors: dict[int, str] = {}
     for it in range(cfg.local_iters):
-        xb, yb = x, y
         if minibatch:
-            draws = np.stack([rng.random((m, n)) for rng in rngs])
-            idx = np.argsort(draws[trial, device], axis=1)[:, : cfg.batch_size]
-            row = np.arange(len(idx))[:, None]
-            xb, yb = x[row, idx], y[row, idx]
+            for rng, buffer in zip(rngs, draws):
+                rng.random(out=buffer)
+            batch = device[:, None], np.argsort(draws[trial, device], axis=1)[:, : cfg.batch_size]
+            xb, yb = data.features[batch], data.targets[batch]
         g = _gradients(w, xb, yb, cfg.task)
         with np.errstate(over="ignore", invalid="ignore"):
             stepped = w - cfg.learning_rate * g
@@ -248,15 +250,16 @@ def run_round(
                     else f"parameters overflowed at local iteration {it}"
                 )
             keep = ~np.isin(trial, list(errors))
-            x, y, stepped, trial, device = x[keep], y[keep], stepped[keep], trial[keep], device[keep]
+            xb, yb, stepped, trial, device = (a[keep] for a in (xb, yb, stepped, trial, device))
         w = stepped
 
-    # Each coordinate's weighted sum is a math.fsum, which is correctly
-    # rounded, so a trial's model does not depend on the order of its devices.
-    out, columns, start = models.copy(), (float(n) * w).T.tolist(), 0
+    # A trial sums its contiguous (count, d) block with a math.fsum per coordinate,
+    # correctly rounded, so its model does not depend on the order of its devices.
+    out, weighted, start = models.copy(), float(n) * w, 0
     for k, count in enumerate(np.bincount(trial, minlength=t_count).tolist()):
         if count:
-            out[k] = [math.fsum(col[start : start + count]) / (n * count) for col in columns]
+            out[k] = list(map(math.fsum, weighted[start : start + count].T.tolist()))
+            out[k] /= n * count
         start += count
     return BlockRound(out, errors)
 

@@ -10,7 +10,8 @@ at most ``max(ROUND_BLOCK, T * M)`` fading states; that is exact because
 only the battery recurrence, which runs round by round after it, carries
 state across rounds. Each round trains every trial of the block in one
 :func:`run_round` over its (T, d) global models and scores them in one
-evaluation pass; only the per-round records are assembled trial by trial.
+evaluation pass; its records are list lookups into the chunk's nested lists
+of row views. :func:`run_monte_carlo` reduces all rounds' metrics at once.
 Models are plain arrays: the scenario's initial model ``w0`` is a (d,) vector.
 
 Randomness discipline: every random draw comes from a named stream derived
@@ -43,7 +44,6 @@ import math
 import re
 import typing
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
@@ -426,11 +426,11 @@ class LinkRound:
     t_local_s: np.ndarray
     t_uav_s: float
 
-    def method_at(self, index) -> str:
-        """How the ratios of fading state ``index`` were set: "grid" only if
-        one of its own devices needed the dense scan."""
-        keep = self.method != METHOD_GRID or self.grid[index].any()
-        return self.method if keep else METHOD_BISECTION
+    def methods(self) -> np.ndarray:
+        """How the ratios of each fading state were set, one label per state:
+        "grid" only if one of its own devices needed the dense scan."""
+        keep = (self.method != METHOD_GRID) | self.grid.any(axis=-1)
+        return np.where(keep, self.method, METHOD_BISECTION)
 
     def delay(self, participate: np.ndarray | None = None) -> RoundDelay:
         """Round delay when only the ``participate`` devices train and upload.
@@ -570,11 +570,12 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     most ``max(ROUND_BLOCK, T * M)`` fading states. Each round trains every
     trial still running in one :func:`run_round` over its (T, d) global
     models and scores them in one evaluation pass per dataset, so a trial's
-    records depend on neither its block nor its chunks. Only the assembly
-    of the per-round records is per trial. A trial whose training diverges
-    or whose loss or a metric is not finite stops alone, keeping its rounds.
-    A recorded round is in outage when a device is unreachable (an infinite
-    delay) or short of energy; the round a trial diverges in has no record.
+    records depend on neither its block nor its chunks. A record's fields
+    come from per-chunk nested lists of row views. A trial whose training
+    diverges or whose loss or a metric is not finite stops alone, keeping
+    its rounds. A recorded round is in outage when a device is unreachable
+    (an infinite delay) or short of energy; the round a trial diverges in
+    has no record.
 
     Without battery tracking every device runs every round and energy
     shortfalls only show up as infeasible flags (and outage counts). With
@@ -620,6 +621,16 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
             t_up, t_local, t_down = (t.max(axis=-1).tolist() for t in stages)
             t_total = delay.t_total_s.tolist()
             in_outage = (~np.isfinite(delay.t_total_s) | ~phys.energy.feasible.all(-1)).tolist()
+            # Every record's fields from t_total_s to battery_j at [round][trial];
+            # a per-device field is a view of its device row.
+            deltas, *energy_rows = (
+                [list(rows) for rows in a]
+                for a in (phys.deltas, e_total, e_harvest, phys.energy.feasible, participate)
+            )
+            stored = [[None] * shape[0]] * n if battery is None else [list(v) for v in levels]
+            t_uav, methods = [[delay.t_uav_s] * shape[0]] * n, phys.methods().tolist()
+            columns = (t_total, t_up, t_local, t_down, t_uav, deltas, methods, *energy_rows, stored)
+            fields = [list(zip(*per_round)) for per_round in zip(*columns)]
 
         rngs = [_generator(train[r, k]) for k in live] if minibatch else None
         step = run_round(models, scenario.train_sets, cfg.trainer, rngs, participate[i, live])
@@ -634,28 +645,9 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
             live, models, scores = [live[j] for j in kept], models[kept], scores[:, kept]
             if not live:
                 break
-        for k, (loss, val, test) in zip(live, scores.T.tolist()):
+        for k, scored in zip(live, scores.T.tolist()):
             outage[k] += in_outage[i][k]
-            records[k].append(
-                RoundMetrics(
-                    round_index=r,
-                    t_total_s=t_total[i][k],
-                    t_uplink_max_s=t_up[i][k],
-                    t_local_max_s=t_local[i][k],
-                    t_downlink_max_s=t_down[i][k],
-                    t_uav_s=delay.t_uav_s,
-                    deltas=phys.deltas[i, k],
-                    delta_method=phys.method_at((i, k)),
-                    e_total_j=e_total[i, k],
-                    e_harvest_j=e_harvest[i, k],
-                    feasible=phys.energy.feasible[i, k],
-                    participate=participate[i, k],
-                    battery_j=None if battery is None else levels[i, k],
-                    train_loss=loss,
-                    val_metric=val,
-                    test_metric=test,
-                )
-            )
+            records[k].append(RoundMetrics(r, *fields[i][k], *scored))
     return [
         TrialResult(t, records[k], outage[k], k in errors, errors.get(k))
         for k, t in enumerate(trials)
@@ -673,12 +665,14 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
     n, workers = config.monte_carlo_trials, min(config.workers, config.monte_carlo_trials)
     blocks = [range(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = [tr for block in pool.map(run_trial, repeat(scenario), blocks) for tr in block]
     else:
         trials = run_trial(scenario, blocks[0])
 
-    kept = [rm.t_total_s for tr in trials if not tr.failed for rm in tr.rounds]
+    ok = [tr for tr in trials if not tr.failed]  # a trial that did not fail records every round
+    kept = [rm.t_total_s for tr in ok for rm in tr.rounds]
     finite = [t for t in kept if math.isfinite(t)]
     executed = sum(len(tr.rounds) for tr in trials)
     if finite:
@@ -688,13 +682,11 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
     else:
         delay_mean = delay_std = delay_p5 = delay_p95 = float("nan")
 
-    metric_mean = np.full(config.rounds, np.nan)
-    metric_std = np.full(config.rounds, np.nan)
-    for r in range(config.rounds):  # a trial that did not fail records every round
-        vals = [tr.rounds[r].test_metric for tr in trials if not tr.failed]
-        if vals:
-            metric_mean[r] = float(np.mean(vals))
-            metric_std[r] = float(np.std(vals))
+    if ok:  # row r reduces as np.mean and np.std of round r's list: a pairwise sum
+        test = np.array([[rm.test_metric for rm in tr.rounds] for tr in ok]).T.copy()
+        metric_mean, metric_std = test.mean(axis=1), test.std(axis=1)
+    else:
+        metric_mean, metric_std = np.full(config.rounds, np.nan), np.full(config.rounds, np.nan)
 
     return MonteCarloResult(
         scenario=scenario,

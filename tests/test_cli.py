@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import platform
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -609,6 +611,18 @@ def test_workers_default_keeps_the_config_value():
     assert cli.resolve_config(args).workers == 1
     args = cli.build_parser().parse_args(["run", "--config", path, "--workers", "2"])
     assert cli.resolve_config(args).workers == 2
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """The process pool is imported only when a run uses more than one
+    worker, so a one-worker run never loads multiprocessing."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import swiptfl.cli; "
+        "print('multiprocessing' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 SMALL = ("monte_carlo_trials=3", "rounds=4")

@@ -318,20 +318,29 @@ def test_block_evaluation_equals_per_model_calls(m, n, dim, trials):
             assert np.array_equal(block, singles), (fn.__name__, task)
 
 
-def test_diverging_trial_fails_alone():
+@pytest.mark.parametrize("batch_size", [None, 3])
+def test_diverging_trial_fails_alone(batch_size):
     """A trial whose gradient or parameters blow up is reported with its
     lone-trial message and keeps its input model; the other trials match
-    their one-trial rounds bit for bit."""
+    their one-trial rounds bit for bit. Trials 3 and 1 leave the batch
+    after local iterations 0 and 1, so minibatch rows drop out mid-round."""
     data, w0, _ = _block_problem("linear", m=4, n=6, dim=3, trials=5, seed=44)
     data = FederatedData(data.features * np.array([1e200, 1, 1, 1])[:, None, None], data.targets)
     participate = np.ones((5, 4), dtype=bool)
     participate[:, 0] = False
     participate[3, 0] = True  # only trial 3 trains the device whose gradient overflows
     w0[1] *= 1e200  # each step multiplies |w| by about the rate: trial 1 leaves the floats
-    cfg = linear_cfg(learning_rate=1e60, local_iters=3)
+    cfg = linear_cfg(learning_rate=1e60, local_iters=3, batch_size=batch_size)
+
+    def streams(trials):
+        return [np.random.default_rng(200 + t) for t in trials]
+
     with np.errstate(over="ignore", invalid="ignore"):
-        block = run_round(w0, data, cfg, participate=participate)
-        alone = [run_round(w0[t : t + 1], data, cfg, participate=participate[t : t + 1]) for t in range(5)]
+        block = run_round(w0, data, cfg, streams(range(5)), participate)
+        alone = [
+            run_round(w0[t : t + 1], data, cfg, streams([t]), participate[t : t + 1])
+            for t in range(5)
+        ]
     assert block.errors == {1: alone[1].errors[0], 3: alone[3].errors[0]}
     assert block.errors[1] == "parameters overflowed at local iteration 1"
     assert block.errors[3] == (

@@ -362,7 +362,7 @@ def test_batched_link_round_equals_per_slice(delta_mode, harvest, method):
         want = np.array([[per_device(rnd)[name] for rnd in row] for row in singles])
         assert np.array_equal(got, want), name
     for c, row in enumerate(singles):
-        assert [batched.method_at((c, t)) for t in range(5)] == [rnd.method for rnd in row]
+        assert batched.methods()[c].tolist() == [rnd.method for rnd in row]
 
 
 # -------------------------------------------------------------- battery mode
@@ -667,7 +667,11 @@ def test_diverging_run_passes_the_benchmark_checks():
     assert ck.attempted > 0 and ck.failures == []
 
 
-def test_monte_carlo_metric_arrays_cover_every_round():
+def test_monte_carlo_metric_arrays_cover_every_round(monkeypatch):
+    """Round r's metric_mean and metric_std are np.mean and np.std of the
+    surviving trials' round-r test metrics, bit for bit, with enough trials
+    (>= 9) for numpy's pairwise summation to matter; with no survivor both
+    are NaN arrays of their own."""
     cfg = small_config(rounds=3)
     res = run_monte_carlo(cfg)
     assert res.metric_mean.shape == (3,)
@@ -675,6 +679,36 @@ def test_monte_carlo_metric_arrays_cover_every_round():
     assert np.all(np.isfinite(res.metric_mean))
     assert res.n_failed == 0
     assert 0.0 <= res.outage_rate <= 1.0
+
+    trainer = TrainerConfig(learning_rate=0.1, local_iters=2, batch_size=5)
+    cfg = small_config(rounds=3, monte_carlo_trials=12, trainer=trainer)
+    real_run_round = scenario_module.run_round
+    fail_in_round, calls = {1: [4]}, []  # round -> block positions whose training fails in it
+
+    def run_round(models, *args):
+        step = real_run_round(models, *args)
+        failing = fail_in_round.get(len(calls))
+        calls.append(len(models))
+        if failing is None:
+            return step
+        return BlockRound(step.models, {j: "injected" for j in failing})
+
+    monkeypatch.setattr(scenario_module, "run_round", run_round)
+    res = run_monte_carlo(cfg)
+    assert res.n_failed == 1 and res.trials[4].failed
+    survivors = [tr for tr in res.trials if not tr.failed]
+    assert len(survivors) == 11
+    for r in range(3):
+        metrics = [tr.rounds[r].test_metric for tr in survivors]
+        assert len(set(metrics)) > 1  # minibatches make the trials differ
+        assert res.metric_mean[r] == np.mean(metrics) and res.metric_std[r] == np.std(metrics)
+
+    fail_in_round, calls = {0: range(12)}, []
+    res = run_monte_carlo(cfg)
+    assert res.n_failed == 12
+    assert np.isnan(res.metric_mean).all() and np.isnan(res.metric_std).all()
+    assert res.metric_mean.shape == res.metric_std.shape == (3,)
+    assert res.metric_mean is not res.metric_std
 
 
 # ------------------------------------------------------------ overrides, sweep
