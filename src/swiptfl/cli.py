@@ -33,7 +33,7 @@ import yaml
 from . import __version__
 from .channel import ChannelRealization
 from .fl_core import DivergenceError, check_candidates, select_rounds
-from .scenario import ScenarioConfig, build, fading_draws, fading_paths, link_round, merge
+from .scenario import ScenarioConfig, build, fading_draws, link_round, merge
 from .scenario import rng_stream, run_monte_carlo, sweep
 
 SWEEP_COLUMNS = ["param_value", "mean_t_total_s", "std_t_total_s", "p5", "p95", "outage_rate"]
@@ -295,7 +295,7 @@ def cmd_select_rounds(config: ScenarioConfig, args, out: Path) -> tuple[list[str
 
 def cmd_optimize_delta(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
     scenario = build(config)
-    gains = fading_draws(config.master_seed, fading_paths([0], [0]), config.device_count)[0]
+    gains = fading_draws(config.master_seed, ("trial", 0, "fading", 0), config.device_count)
     rnd = link_round(config, ChannelRealization(gains, scenario.distances_m))
     rows = zip(
         range(config.device_count), rnd.deltas, rnd.energy.feasible, rnd.downlink.tx_time_s

@@ -211,9 +211,9 @@ def run_round(
     ``batch_size`` indices of its device's argsort, so it never depends on
     who else takes part. Full-batch training draws nothing and needs no ``rngs``.
 
-    A trial whose gradient or parameters stop being finite is reported in
-    :attr:`BlockRound.errors` and its rows leave the batch; the other trials
-    finish exactly as they would alone.
+    A trial whose gradient, parameters or aggregate stop being finite is
+    reported in :attr:`BlockRound.errors` and keeps its input model; the
+    other trials finish exactly as they would alone.
     """
     models = _block(global_models, data)
     t_count, (m, n) = len(models), data.targets.shape
@@ -236,8 +236,8 @@ def run_round(
                 rng.random(out=buffer)
             batch = device[:, None], np.argsort(draws[trial, device], axis=1)[:, : cfg.batch_size]
             xb, yb = data.features[batch], data.targets[batch]
-        g = _gradients(w, xb, yb, cfg.task)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # e^-z = inf: the sigmoid's limit 0
+            g = _gradients(w, xb, yb, cfg.task)
             stepped = w - cfg.learning_rate * g
         if not np.isfinite(stepped).all():  # a non-finite gradient makes a non-finite step
             bad_g, bad = ~np.isfinite(g).all(axis=1), ~np.isfinite(stepped).all(axis=1)
@@ -255,12 +255,19 @@ def run_round(
 
     # A trial sums its contiguous (count, d) block with a math.fsum per coordinate,
     # correctly rounded, so its model does not depend on the order of its devices.
-    out, weighted, start = models.copy(), float(n) * w, 0
+    with np.errstate(over="ignore"):  # an overflowed row or sum fails its trial below
+        out, weighted, start = models.copy(), float(n) * w, 0
     for k, count in enumerate(np.bincount(trial, minlength=t_count).tolist()):
         if count:
-            out[k] = list(map(math.fsum, weighted[start : start + count].T.tolist()))
+            try:
+                out[k] = list(map(math.fsum, weighted[start : start + count].T.tolist()))
+            except (OverflowError, ValueError):  # a sum overflows, or adds inf and -inf
+                out[k] = math.inf
             out[k] /= n * count
         start += count
+    if not np.isfinite(out).all():
+        for k in np.flatnonzero(~np.isfinite(out).all(axis=1)).tolist():
+            out[k], errors[k] = models[k], "aggregated model overflowed"
     return BlockRound(out, errors)
 
 
@@ -269,8 +276,8 @@ def evaluate_metric(models, data: LocalDataset, task: str) -> np.ndarray:
     for regression, accuracy for logistic."""
     if task == TASK_LOGISTIC:
         w = _block(models, data)
-        predicted = (_predictions(w, data.features) >= 0).astype(float)
-        return _per_model_mean(predicted == data.targets)
+        hits = (_predictions(w, data.features) >= 0) == data.targets
+        return np.count_nonzero(hits.reshape(len(w), -1), axis=1) / data.count
     return global_loss(models, data, task)
 
 

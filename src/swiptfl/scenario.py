@@ -9,10 +9,11 @@ block in one batched :func:`link_round` over an (R_c, T, M) realization of
 at most ``max(ROUND_BLOCK, T * M)`` fading states; that is exact because
 only the battery recurrence, which runs round by round after it, carries
 state across rounds. Each round trains every trial of the block in one
-:func:`run_round` over its (T, d) global models and scores them in one
-evaluation pass; its records are list lookups into the chunk's nested lists
-of row views. :func:`run_monte_carlo` reduces all rounds' metrics at once.
-Models are plain arrays: the scenario's initial model ``w0`` is a (d,) vector.
+:func:`run_round` over its (T, d) global models and computes their training
+loss; the end of the chunk scores all its models on the held-out sets in
+bounded passes, and its records are list lookups into the chunk's nested
+lists of row views. :func:`run_monte_carlo` reduces all rounds' metrics at
+once. Models are plain arrays: the scenario's initial model ``w0`` is a (d,) vector.
 
 Randomness discipline: every random draw comes from a named stream derived
 from the master seed via :func:`rng_stream`, so any trial, round, or device
@@ -29,12 +30,12 @@ identical fading (common random numbers). Stream tags used here:
   trial t in round r; derived only when training draws minibatches, never
   for full batch
 
-:func:`rng_stream` defines each stream. Every fading draw, of a chunk of
-trial rounds or of placement, comes from :func:`fading_draws`, which derives
-the seed words of all its streams in one vectorized pass of numpy's
-SeedSequence algorithm, bit-identical to the per-stream rule. Only training
-keeps a block's seed words, as an (R, T, 4) uint64 array, 32 bytes per
-stream, and each round builds only its own generators.
+:func:`rng_stream` defines each stream. A block names its fading or training
+streams, and placement its draws, by one path whose trial and round parts
+are broadcast integer arrays; :func:`_stream_seeds` derives all their seed
+words from one entropy array in one vectorized pass of numpy's SeedSequence
+algorithm, bit-identical to the per-stream rule. Only training keeps a
+block's seed words, (R, T, 4) uint64, and each round builds only its own generators.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ from .timing import RoundDelay, local_train_time, round_total, uav_aggregation_t
 DELTA_MODE_FIXED = "fixed"
 DELTA_MODE_OPTIMIZED = "optimized"
 ROUND_BLOCK = 1 << 16  # (round, trial, device) fading states per link round of run_trial
+EVAL_BLOCK = 1 << 13  # (model, sample) pairs per held-out scoring pass of run_trial
 _SCORES = ("train loss", "val metric", "test metric")  # what run_trial records each round
 
 
@@ -191,49 +193,42 @@ def _tag(text: str) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
-def _stream_seeds(master_seed: int, paths) -> np.ndarray:
-    """The PCG64 seed words of the stream of every path, shape (K, 4) uint64.
+def _stream_seeds(master_seed: int, path) -> np.ndarray:
+    """The PCG64 seed words of the streams that ``path`` names, shape (*S, 4) uint64.
 
-    Each path's entropy is assembled by the rule of :func:`rng_stream`, and
-    the paths whose entropy has the same number of uint32 words are seeded in
-    one :func:`_seed_words` pass, so a block derives all its streams of one
-    kind at a fixed cost of about 60 µs plus about half a microsecond per path.
+    A part is a str, an int or an integer array; the array parts broadcast
+    to shape S, and each element names the path with every array part
+    replaced by its element there, so ``("trial", t[None, :], "fading",
+    r[:, None])`` names the (r, t) fading streams. Their entropy, by the
+    rule of :func:`rng_stream` with one word per array element (so in
+    [0, 2**32)), is one (K, L) uint32 array seeded in one :func:`_seed_words` pass.
     """
-    head = _uint32_words(int(master_seed))
-    entropies = []
-    for path in paths:
-        words = [*head, len(path)]
-        for part in path:
-            if type(part) is int and 0 <= part <= _MASK32:
-                words.append(part)
-            elif isinstance(part, str):
-                words.append(_tag(part))
-            elif isinstance(part, (int, np.integer)):
-                words += _uint32_words(int(part))
-            else:
-                raise TypeError(f"stream path parts must be int or str, got {type(part).__name__}")
-        entropies.append(words)
-    seeds = np.empty((len(entropies), 4), dtype=np.uint64)
-    rows_by_length: dict[int, list[int]] = {}
-    for i, words in enumerate(entropies):
-        rows_by_length.setdefault(len(words), []).append(i)
-    for rows in rows_by_length.values():
-        seeds[rows] = _seed_words(np.array([entropies[i] for i in rows], dtype=np.uint32))
-    return seeds
+    columns = [*_uint32_words(int(master_seed)), len(path)]
+    for part in path:
+        if isinstance(part, str):
+            columns.append(_tag(part))
+        elif isinstance(part, (int, np.integer)):
+            columns += _uint32_words(int(part))
+        elif isinstance(part, np.ndarray) and part.dtype.kind in "iu":
+            if part.size and not (0 <= part.min() and part.max() <= _MASK32):
+                raise ValueError("array path parts must lie in [0, 2**32)")
+            columns.append(part.astype(np.uint32))
+        else:
+            raise TypeError(f"stream path parts must be int or str, got {type(part).__name__}")
+    entropy = np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint32)
+    return _seed_words(entropy.reshape(-1, len(columns))).reshape(*entropy.shape[:-1], 4)
 
 
-def fading_draws(master_seed: int, paths, device_count: int) -> np.ndarray:
-    """Squared Rayleigh gains, shape (K, M): row k is
-    ``rng_stream(master_seed, *paths[k]).exponential(1.0, device_count)``, bit
-    for bit, with the seed words of all K streams from one vectorized pass."""
-    seeds = _stream_seeds(master_seed, paths)
-    draws = [_generator(words).exponential(1.0, device_count) for words in seeds]
-    return np.array(draws).reshape(len(seeds), device_count)
-
-
-def fading_paths(trials, rounds) -> list[tuple]:
-    """The fading stream paths of ``trials`` in ``rounds``, round-major."""
-    return [("trial", t, "fading", r) for r in rounds for t in trials]
+def fading_draws(master_seed: int, path, device_count: int) -> np.ndarray:
+    """Squared Rayleigh gains of the streams of ``path``, shape (*S, M): the
+    row of each stream is ``rng_stream(master_seed, *p).exponential(1.0,
+    device_count)`` for its scalar path p, bit for bit, with the seed words
+    of all streams from one :func:`_stream_seeds` pass."""
+    seeds = _stream_seeds(master_seed, path)
+    gains = np.empty((*seeds.shape[:-1], device_count))
+    for words, row in zip(seeds.reshape(-1, 4), gains.reshape(-1, device_count)):
+        _generator(words).standard_exponential(out=row)  # exponential(1.0)'s bits
+    return gains
 
 
 @dataclass(frozen=True)
@@ -504,8 +499,8 @@ def mean_round_delay(
     independent of the trial streams. All candidates and draws go through
     one link round over a (C, trials, M) realization.
     """
-    paths = [("placement-eval", t) for t in range(config.placement_trials)]
-    fading = fading_draws(config.master_seed, paths, config.device_count)
+    path = ("placement-eval", np.arange(config.placement_trials))
+    fading = fading_draws(config.master_seed, path, config.device_count)
     dx = device_positions[:, 0] - candidates[:, :1]
     dy = device_positions[:, 1] - candidates[:, 1:2]
     dist = np.sqrt(dx * dx + dy * dy + candidates[:, 2:] ** 2)
@@ -568,14 +563,14 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     rounds, runs round by round after the chunk's ledger. A chunk holds up
     to ``max(1, ROUND_BLOCK // (T * M))`` rounds, so a link round covers at
     most ``max(ROUND_BLOCK, T * M)`` fading states. Each round trains every
-    trial still running in one :func:`run_round` over its (T, d) global
-    models and scores them in one evaluation pass per dataset, so a trial's
-    records depend on neither its block nor its chunks. A record's fields
-    come from per-chunk nested lists of row views. A trial whose training
-    diverges or whose loss or a metric is not finite stops alone, keeping
-    its rounds. A recorded round is in outage when a device is unreachable
-    (an infinite delay) or short of energy; the round a trial diverges in
-    has no record.
+    trial still running in one :func:`run_round` and computes the training
+    losses; the chunk's end scores all its models on the val and test sets
+    in passes of at most ``EVAL_BLOCK`` (model, sample) pairs. No model's
+    result depends on its batch, so neither does a trial's record. A trial
+    stops alone at the first round whose training diverges or whose train
+    loss, val or test metric (checked in that order) is not finite, and
+    keeps the rounds before it. A recorded round is in outage when a device
+    is unreachable (an infinite delay) or short of energy.
 
     Without battery tracking every device runs every round and energy
     shortfalls only show up as infeasible flags (and outage counts). With
@@ -596,58 +591,81 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     records, outage = [[] for _ in trials], [0] * len(trials)
     errors: dict[int, str] = {}  # block position -> divergence message
     live = list(range(len(trials)))  # block positions of the trials still training
-    rounds = range(cfg.rounds)
+    block = np.array(trials)[None, :]  # the trial part of the block's (round, trial) stream paths
     if minibatch:  # every training stream's seed words, (R, T, 4), in one pass
-        train = _stream_seeds(seed, [("trial", t, "train", r) for r in rounds for t in trials])
-        train = train.reshape(cfg.rounds, len(trials), 4)
-    for r in rounds:
-        i = r % chunk  # the round's row in its chunk
-        if i == 0:  # the chunk's physics, then its battery recurrence round by round
-            n = min(chunk, cfg.rounds - r)
-            gains = fading_draws(seed, fading_paths(trials, range(r, r + n)), shape[1])
-            realization = ChannelRealization(gains.reshape(n, *shape), scenario.distances_m)
-            phys = link_round(cfg, realization)
-            e_total, e_harvest = phys.energy.e_total_j, phys.energy.e_harvest_j
-            participate = np.ones(e_total.shape, dtype=bool)
-            if battery is not None:
-                # Skip a round the device cannot pay for; it keeps whatever
-                # it harvests, so the balance never goes negative.
-                levels = np.empty(e_total.shape)
-                for part, level, bill, gain in zip(participate, levels, e_total, e_harvest):
-                    part[...] = np.isfinite(bill) & (battery + gain - bill >= 0.0)
-                    battery = level[...] = battery + gain - np.where(part, bill, 0.0)
-            delay = phys.delay(participate)
-            stages = (delay.t_uplink_s, delay.t_local_s, delay.t_downlink_s)
-            t_up, t_local, t_down = (t.max(axis=-1).tolist() for t in stages)
-            t_total = delay.t_total_s.tolist()
-            in_outage = (~np.isfinite(delay.t_total_s) | ~phys.energy.feasible.all(-1)).tolist()
-            # Every record's fields from t_total_s to battery_j at [round][trial];
-            # a per-device field is a view of its device row.
-            deltas, *energy_rows = (
-                [list(rows) for rows in a]
-                for a in (phys.deltas, e_total, e_harvest, phys.energy.feasible, participate)
-            )
-            stored = [[None] * shape[0]] * n if battery is None else [list(v) for v in levels]
-            t_uav, methods = [[delay.t_uav_s] * shape[0]] * n, phys.methods().tolist()
-            columns = (t_total, t_up, t_local, t_down, t_uav, deltas, methods, *energy_rows, stored)
-            fields = [list(zip(*per_round)) for per_round in zip(*columns)]
+        train = _stream_seeds(seed, ("trial", block, "train", np.arange(cfg.rounds)[:, None]))
+    for start in range(0, cfg.rounds, chunk):
+        if not live:
+            break
+        # The chunk's physics, then its battery recurrence round by round.
+        n = min(chunk, cfg.rounds - start)
+        path = ("trial", block, "fading", np.arange(start, start + n)[:, None])
+        realization = ChannelRealization(fading_draws(seed, path, shape[1]), scenario.distances_m)
+        phys = link_round(cfg, realization)
+        e_total, e_harvest = phys.energy.e_total_j, phys.energy.e_harvest_j
+        participate = np.ones(e_total.shape, dtype=bool)
+        if battery is not None:
+            # Skip a round the device cannot pay for; it keeps whatever
+            # it harvests, so the balance never goes negative.
+            levels = np.empty(e_total.shape)
+            for part, level, bill, gain in zip(participate, levels, e_total, e_harvest):
+                part[...] = np.isfinite(bill) & (battery + gain - bill >= 0.0)
+                battery = level[...] = battery + gain - np.where(part, bill, 0.0)
+        delay = phys.delay(participate)
+        stages = (delay.t_uplink_s, delay.t_local_s, delay.t_downlink_s)
+        t_up, t_local, t_down = (t.max(axis=-1).tolist() for t in stages)
+        t_total = delay.t_total_s.tolist()
+        in_outage = (~np.isfinite(delay.t_total_s) | ~phys.energy.feasible.all(-1)).tolist()
+        # Every record's fields from t_total_s to battery_j at [round][trial];
+        # a per-device field is a view of its device row.
+        deltas, *energy_rows = (
+            [list(rows) for rows in a]
+            for a in (phys.deltas, e_total, e_harvest, phys.energy.feasible, participate)
+        )
+        stored = [[None] * shape[0]] * n if battery is None else [list(v) for v in levels]
+        t_uav, methods = [[delay.t_uav_s] * shape[0]] * n, phys.methods().tolist()
+        columns = (t_total, t_up, t_local, t_down, t_uav, deltas, methods, *energy_rows, stored)
+        fields = [list(zip(*per_round)) for per_round in zip(*columns)]
 
-        rngs = [_generator(train[r, k]) for k in live] if minibatch else None
-        step = run_round(models, scenario.train_sets, cfg.trainer, rngs, participate[i, live])
-        models, failed = step.models, dict(step.errors)
-        held_out = [evaluate_metric(models, s, task) for s in (scenario.val_set, scenario.test_set)]
-        scores = np.array([global_loss(models, scenario.train_sets, task), *held_out])  # (3, T)
-        for j, which in zip(*np.nonzero(~np.isfinite(scores.T))):  # a loss that overflowed
-            failed.setdefault(j.item(), f"non-finite {_SCORES[which]} in round {r}")
-        if failed:
-            errors.update((live[j], msg) for j, msg in failed.items())
-            kept = [j for j in range(len(live)) if j not in failed]
-            live, models, scores = [live[j] for j in kept], models[kept], scores[:, kept]
+        # Train round by round; a training error or an overflowed train loss stops a trial at once.
+        trained, done = np.empty((n, shape[0], len(scenario.w0))), []  # models; (i, live, loss)
+        for i, r in enumerate(range(start, start + n)):
+            rngs = [_generator(words) for words in train[r, live]] if minibatch else None
+            step = run_round(models, scenario.train_sets, cfg.trainer, rngs, participate[i, live])
+            models, failed = step.models, dict(step.errors)
+            loss = global_loss(models, scenario.train_sets, task)
+            for j in np.flatnonzero(~np.isfinite(loss)).tolist():
+                failed.setdefault(j, f"non-finite {_SCORES[0]} in round {r}")
+            if failed:
+                errors.update((live[j], msg) for j, msg in failed.items())
+                kept = [j for j in range(len(live)) if j not in failed]
+                live, models, loss = [live[j] for j in kept], models[kept], loss[kept]
+            trained[i, live] = models
+            done.append((i, live, loss))
             if not live:
                 break
-        for k, scored in zip(live, scores.T.tolist()):
-            outage[k] += in_outage[i][k]
-            records[k].append(RoundMetrics(r, *fields[i][k], *scored))
+
+        # Score the chunk's models on the held-out sets in passes of at most
+        # EVAL_BLOCK (model, sample) pairs. A trial stops at its first round
+        # with a non-finite metric, and what it trained after is dropped.
+        rows = [(i, k) for i, ks, _ in done for k in ks]  # round-major
+        flat = trained[[i for i, _ in rows], [k for _, k in rows]]  # (S, d), S may be 0
+        scores = np.empty((3, len(rows)))
+        scores[0] = np.concatenate([loss for *_, loss in done])
+        for held, dataset in zip(scores[1:], (scenario.val_set, scenario.test_set)):
+            size = max(1, EVAL_BLOCK // dataset.count)
+            for a in range(0, len(flat), size):
+                held[a : a + size] = evaluate_metric(flat[a : a + size], dataset, task)
+        bad, stop = ~np.isfinite(scores[1:]), {}
+        for s in np.flatnonzero(bad.any(axis=0))[::-1].tolist():  # a trial's earliest round last
+            (i, k), which = rows[s], _SCORES[1 if bad[0, s] else 2]
+            stop[k], errors[k] = i, f"non-finite {which} in round {start + i}"
+        for (i, k), scored in zip(rows, scores.T.tolist()):
+            if i < stop.get(k, n):
+                outage[k] += in_outage[i][k]
+                records[k].append(RoundMetrics(start + i, *fields[i][k], *scored))
+        kept = [j for j, k in enumerate(live) if k not in stop]
+        live, models = [live[j] for j in kept], models[kept]
     return [
         TrialResult(t, records[k], outage[k], k in errors, errors.get(k))
         for k, t in enumerate(trials)

@@ -596,6 +596,24 @@ def test_diverging_run_prints_only_its_failures(tmp_path, capsys):
         assert "inf" not in {value for row in rows for value in row[-3:]}
 
 
+def test_logistic_run_fails_cleanly_or_warns_nothing(tmp_path, capsys):
+    """accuracy.yaml at a learning rate of 1e307: every trial's aggregate
+    overflows in round 0, so the run exits 3 and prints one line per failed
+    trial, no traceback. At 1000, where e^-z overflows in the sigmoid, it
+    exits 0 and prints no numpy warning."""
+    overflowed = [f"trial {t} failed: aggregated model overflowed" for t in range(3)]
+    for rate, code, err in (("1e307", 3, overflowed), ("1000", 0, [])):
+        out = tmp_path / rate
+        args = ["run", "--config", str(CONFIGS / "accuracy.yaml"), "--out", str(out)]
+        args += ["--override", "monte_carlo_trials=3", "--override", f"trainer.learning_rate={rate}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args) == code
+        captured = capsys.readouterr()
+        assert captured.out.startswith("ran 3 trials x 30 rounds")
+        assert captured.err.splitlines() == err
+
+
 def test_out_dir_env_default(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
     target = tmp_path / "from-env"

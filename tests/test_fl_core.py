@@ -1,6 +1,8 @@
 """Federated training core: losses, gradients, rounds, round selection."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,6 +352,41 @@ def test_diverging_trial_fails_alone(batch_size):
     for t in (0, 2, 4):
         assert alone[t].errors == {}
         assert np.array_equal(block.models[t], alone[t].models[0]), t
+
+
+def test_aggregate_overflow_fails_its_trial_alone():
+    """Local models that stay finite but whose size-weighted sum at the
+    server overflows fail their trial as a divergence, with no exception and
+    no numpy warning; the trial keeps its input model and the others their
+    bits. Near 1e307 the exact sum overflows; at a rate of 1e308 some
+    weighted rows themselves overflow to inf or -inf."""
+    data, w0, _ = _block_problem("logistic", m=4, n=6, dim=3, trials=3, seed=46)
+    w0[1] *= 1e307 / np.max(np.abs(w0[1]))
+    cfg = TrainerConfig(learning_rate=0.1, local_iters=1, task="logistic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = run_round(w0, data, cfg)
+        alone = [run_round(w0[t : t + 1], data, cfg) for t in range(3)]
+        huge = run_round(w0[[0, 2]], data, replace(cfg, learning_rate=1e308))
+    assert block.errors == {1: "aggregated model overflowed"} == {1: alone[1].errors[0]}
+    assert np.array_equal(block.models[1], w0[1])
+    for t in (0, 2):
+        assert alone[t].errors == {}
+        assert np.array_equal(block.models[t], alone[t].models[0]), t
+    assert huge.errors == dict.fromkeys([0, 1], "aggregated model overflowed")
+    assert np.array_equal(huge.models, w0[[0, 2]])
+
+
+def test_logistic_training_of_a_confident_model_warns_nothing():
+    """e^-z overflows where a model is confident; the sigmoid there is its
+    limit 0, so the round runs without a numpy warning."""
+    data, w0, _ = _block_problem("logistic", m=5, n=30, dim=16, trials=4, seed=48)
+    w0 *= 300.0  # |x . w| well past 709, where e^|z| overflows
+    cfg = TrainerConfig(learning_rate=1000.0, local_iters=2, task="logistic", batch_size=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = run_round(w0, data, cfg, [np.random.default_rng(t) for t in range(4)])
+    assert step.errors == {} and np.isfinite(step.models).all()
 
 
 def test_select_rounds_raises_on_divergence():

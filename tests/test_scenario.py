@@ -68,14 +68,28 @@ def test_rng_stream_rejects_unhashable_path_parts():
         rng_stream(0, 1.5)
 
 
-def streams(master_seed, paths):
-    """The generators of one vectorized seed pass, as :func:`fading_draws` builds them."""
-    seeds = scenario_module._stream_seeds(master_seed, paths)
-    return [scenario_module._generator(words) for words in seeds]
+def streams(master_seed, path):
+    """The generators of one vectorized seed pass over ``path``, in C order of
+    its broadcast shape, as :func:`fading_draws` builds them."""
+    seeds = scenario_module._stream_seeds(master_seed, path)
+    return [scenario_module._generator(words) for words in seeds.reshape(-1, 4)]
 
 
-def assert_same_streams(master_seed, paths):
-    batched = streams(master_seed, paths)
+def scalar_paths(path):
+    """Every scalar path that ``path`` names, in C order of its broadcast shape."""
+    arrays = [part for part in path if isinstance(part, np.ndarray)]
+    if not arrays:
+        return [path]
+    out = []
+    for values in np.broadcast(*arrays):
+        it = iter(values)
+        out.append(tuple(int(next(it)) if isinstance(p, np.ndarray) else p for p in path))
+    return out
+
+
+def assert_same_streams(master_seed, path):
+    batched = streams(master_seed, path)
+    paths = scalar_paths(path)
     assert len(batched) == len(paths)
     for rng, path in zip(batched, paths):
         reference = rng_stream(master_seed, *path)
@@ -87,8 +101,8 @@ def assert_same_streams(master_seed, paths):
 @pytest.mark.parametrize("master_seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**70 + 3])
 def test_rng_streams_draw_what_rng_stream_draws(master_seed):
     # One, two and four parts: entropy shorter than, equal to and longer
-    # than SeedSequence's four-word pool, so rows of different word counts
-    # share one call; parts of 2**32 and more take several entropy words.
+    # than SeedSequence's four-word pool; parts of 2**32 and more take
+    # several entropy words.
     paths = [
         (0,),
         ("data",),
@@ -101,15 +115,28 @@ def test_rng_streams_draw_what_rng_stream_draws(master_seed):
         (1, 2**32 - 1, 2**32, 2**40),
         (np.int64(4), "fading", np.int64(2**33), np.uint32(0)),
         (True, "placement-eval"),
+        (),
     ]
-    assert_same_streams(master_seed, paths)
-    assert_same_streams(master_seed, [()])
-    assert_same_streams(master_seed, [("trial", t, "fading", r) for r in range(6) for t in range(7)])
+    for path in paths:
+        assert scenario_module._stream_seeds(master_seed, path).shape == (4,)
+        assert_same_streams(master_seed, path)
+    # Array parts broadcast to one stream per element, next to scalar parts
+    # of one or several words, at both ends of the uint32 range.
+    t, r = np.arange(7), np.arange(6)
+    grid = ("trial", t[None, :], "fading", r[:, None])
+    assert scenario_module._stream_seeds(master_seed, grid).shape == (6, 7, 4)
+    assert_same_streams(master_seed, grid)
+    edges = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint64)
+    assert_same_streams(master_seed, (edges, "x", 2**40))
+    assert_same_streams(master_seed, (np.int64(2**33), edges[:, None], 0, np.array([5, 0])))
+    assert_same_streams(master_seed, ("placement-eval", np.array(3)))
 
 
 def test_rng_streams_of_no_paths_is_empty():
-    assert streams(3, []) == []
-    assert fading_draws(3, [], 4).shape == (0, 4)
+    empty = np.arange(0)
+    assert scenario_module._stream_seeds(3, ("placement-eval", empty)).shape == (0, 4)
+    assert streams(3, ("trial", empty[None, :], "fading", np.arange(2)[:, None])) == []
+    assert fading_draws(3, ("placement-eval", empty), 4).shape == (0, 4)
 
 
 def test_rng_streams_reject_what_rng_stream_rejects():
@@ -117,24 +144,41 @@ def test_rng_streams_reject_what_rng_stream_rejects():
         with pytest.raises(ValueError):
             rng_stream(0, *path)
         with pytest.raises(ValueError):
-            streams(0, [(1,), path])  # never wrapped into a uint32 word
+            streams(0, path)
+        with pytest.raises(ValueError):
+            streams(0, (np.arange(3), *path))  # never wrapped into a uint32 word
     with pytest.raises(ValueError):
-        streams(-1, [(1,)])
+        streams(-1, (1,))
     for path in [(1.5,), ("trial", 2.0), (None,)]:
         with pytest.raises(TypeError):
             rng_stream(0, *path)
         with pytest.raises(TypeError):
-            streams(0, [path])
+            streams(0, path)
+    with pytest.raises(TypeError):
+        streams(0, ("trial", np.array([1.0])))
+    # An array part takes one entropy word per element.
+    wide = np.array([[1], [2**40]], dtype=np.uint64)
+    for part in (np.array([0, -1]), np.array([2**32]), wide):
+        with pytest.raises(ValueError):
+            streams(0, ("trial", part, "fading", 0))
 
 
-@pytest.mark.parametrize("master_seed", [0, 2**32 + 5])
+@pytest.mark.parametrize("master_seed", [0, 2**32 + 5, 2**70 + 3])
 def test_fading_draws_are_what_rng_stream_draws(master_seed):
-    paths = [("trial", t, "fading", r) for r in range(3) for t in range(4)]
-    paths += [("placement-eval", 2**40), (), (np.int64(7), "fading", 0)]
-    gains = fading_draws(master_seed, paths, 6)
-    assert gains.shape == (len(paths), 6)
-    for row, path in zip(gains, paths):
-        assert np.array_equal(row, rng_stream(master_seed, *path).exponential(1.0, 6))
+    t, r = np.arange(4), np.arange(3)
+    gains = fading_draws(master_seed, ("trial", t[None, :], "fading", r[:, None]), 6)
+    assert gains.shape == (3, 4, 6)
+    for (ri, ti), row in zip(np.ndindex(3, 4), gains.reshape(-1, 6)):
+        reference = rng_stream(master_seed, "trial", ti, "fading", ri)
+        assert np.array_equal(row, reference.exponential(1.0, 6))
+    gains = fading_draws(master_seed, ("placement-eval", np.arange(5)), 6)
+    assert gains.shape == (5, 6)
+    for t, row in enumerate(gains):
+        assert np.array_equal(row, rng_stream(master_seed, "placement-eval", t).exponential(1.0, 6))
+    for path in [("placement-eval", 2**40), (), (np.int64(7), "fading", 0)]:
+        gains = fading_draws(master_seed, path, 6)
+        assert gains.shape == (6,)
+        assert np.array_equal(gains, rng_stream(master_seed, *path).exponential(1.0, 6))
 
 
 # ------------------------------------------------------------- config checks
@@ -599,6 +643,93 @@ def test_chunking_leaves_every_record_unchanged(monkeypatch, name):
         assert {rm.delta_method for tr in whole for rm in tr.rounds} == {"grid", "bisection"}
     if name == "diverging":
         assert [(tr.failed, len(tr.rounds)) for tr in whole] == [(True, 1)] * 3
+
+
+MINIBATCH = TrainerConfig(learning_rate=0.1, local_iters=2, batch_size=5)
+
+
+def test_held_out_failure_mid_chunk_stops_the_trial_at_its_round(monkeypatch):
+    """A trial whose val or test metric is not finite in a round inside a
+    chunk stops at that round with the per-round message: val before test,
+    and before a training error the trial meets in a later round of the
+    chunk. It keeps the rounds before and their outages, and a run in
+    one-round chunks gives every trial result bit for bit."""
+    cfg = small_config(monte_carlo_trials=3, rounds=5, trainer=MINIBATCH)
+    scenario = build(cfg)
+    real_evaluate, real_run_round = scenario_module.evaluate_metric, scenario_module.run_round
+    passes = []
+
+    def recording(models, data, task):
+        passes.append(np.array(models))
+        return real_evaluate(models, data, task)
+
+    monkeypatch.setattr(scenario_module, "evaluate_metric", recording)
+    clean = run_trial(scenario, range(3))
+    assert len(passes) == 2  # one val pass and one test pass over the 15 models
+    trained = passes[0].reshape(5, 3, -1)  # [round, trial], round-major
+    # Keyed by sample count: val holds 200, test 400. Trial 0 fails in rounds 3 and 4.
+    poisoned = {200: [trained[1, 1]], 400: [trained[1, 1], trained[3, 0], trained[4, 0]]}
+    injected = []
+
+    def evaluate_metric(models, data, task):
+        out = real_evaluate(models, data, task)
+        for w in poisoned[data.count]:
+            out[(models == w).all(axis=1)] = np.nan
+        return out
+
+    def run_round(models, *args):  # trial 1's training fails in round 3
+        step = real_run_round(models, *args)
+        hit = np.flatnonzero((models == trained[2, 1]).all(axis=1)).tolist()
+        injected.extend(hit)
+        return BlockRound(step.models, {**step.errors, **dict.fromkeys(hit, "injected")})
+
+    monkeypatch.setattr(scenario_module, "evaluate_metric", evaluate_metric)
+    monkeypatch.setattr(scenario_module, "run_round", run_round)
+    whole = run_trial(scenario, range(3))
+    assert injected == [1]  # the chunk trained trial 1 past its failing round
+    assert [tr.error for tr in whole] == [
+        "non-finite test metric in round 3",
+        "non-finite val metric in round 1",
+        None,
+    ]
+    assert [len(tr.rounds) for tr in whole] == [3, 1, 5]
+    for tr, ref in zip(whole, clean):
+        kept = replace(ref, rounds=ref.rounds[: len(tr.rounds)], failed=tr.failed, error=tr.error)
+        outages = [not math.isfinite(rm.t_total_s) or not rm.feasible.all() for rm in kept.rounds]
+        assert_same_trial(tr, replace(kept, outage_count=sum(outages)))
+    monkeypatch.setattr(scenario_module, "ROUND_BLOCK", 3 * cfg.device_count)  # one-round chunks
+    injected.clear()
+    chunked = run_trial(scenario, range(3))
+    assert injected == []
+    for a, b in zip(chunked, whole):
+        assert_same_trial(a, b)
+
+
+@pytest.mark.parametrize("task", ["linear", "logistic"])
+def test_held_out_passes_split_by_eval_block_leave_every_record(monkeypatch, task):
+    """Scoring a chunk's models in passes of at most EVAL_BLOCK (model,
+    sample) pairs, or of one model each, gives the records of one pass."""
+    trainer = replace(MINIBATCH, task=task)
+    scenario = build(small_config(monte_carlo_trials=3, rounds=5, trainer=trainer))
+    real_evaluate, calls = scenario_module.evaluate_metric, []
+
+    def evaluate_metric(models, data, task):
+        calls.append((len(models), data.count))
+        return real_evaluate(models, data, task)
+
+    monkeypatch.setattr(scenario_module, "evaluate_metric", evaluate_metric)
+    monkeypatch.setattr(scenario_module, "EVAL_BLOCK", 1 << 30)
+    whole = run_trial(scenario, range(3))
+    assert calls == [(15, 200), (15, 400)]
+    for block, val_passes, test_passes in ((1000, 3, 8), (1, 15, 15)):
+        calls.clear()
+        monkeypatch.setattr(scenario_module, "EVAL_BLOCK", block)
+        split = run_trial(scenario, range(3))
+        assert [size for _, size in calls] == [200] * val_passes + [400] * test_passes
+        assert sum(n for n, _ in calls) == 30
+        assert all(n * size <= max(block, size) for n, size in calls)
+        for a, b in zip(split, whole):
+            assert_same_trial(a, b)
 
 
 def test_link_rounds_stay_within_the_round_block(monkeypatch):
