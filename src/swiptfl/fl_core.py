@@ -8,8 +8,9 @@ aggregates local models weighted by dataset size at the end of
 work on a block of T independent trials at once: global models are (T, d)
 arrays, one round trains every participating (trial, device) pair in one
 kernel, and one evaluation pass scores every model of the block; one model
-is a (1, d) block. Also provides the round-budget cross-validation and
-synthetic data generators with a planted weight vector.
+is a (1, d) block. Every dataset is a stack of sets, a held-out one a stack
+of one. Also provides the round-budget cross-validation and the synthetic
+problem with a planted weight vector, every set drawn by one recipe.
 """
 
 from __future__ import annotations
@@ -30,38 +31,11 @@ class DivergenceError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class LocalDataset:
-    """One device's samples: feature rows ``q`` and scalar targets ``v``."""
-
-    features: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
-        if self.features.ndim != 2 or self.targets.ndim != 1:
-            raise ValueError("features must be (n, d), targets (n,)")
-        if len(self.features) != len(self.targets) or len(self.targets) == 0:
-            raise ValueError("need at least one sample and matching lengths")
-        if not (np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.targets))):
-            raise ValueError("features and targets must be finite")
-
-    @property
-    def count(self) -> int:
-        return len(self.targets)
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass(frozen=True)
 class FederatedData:
-    """Every device's training samples stacked: ``features`` (M, n, d) and
-    ``targets`` (M, n).
-
-    All devices hold the same number of samples ``n``. The arrays are
-    validated once, here, so the round kernel uses them without rechecking.
+    """M datasets of n samples each, stacked: ``features`` (M, n, d) and
+    ``targets`` (M, n): the devices' training sets, or a held-out set as a
+    stack of one. The arrays are validated once, here, so the round kernel
+    uses them without rechecking.
     """
 
     features: np.ndarray
@@ -73,13 +47,13 @@ class FederatedData:
         if self.features.ndim != 3 or self.targets.shape != self.features.shape[:2]:
             raise ValueError("features must be (M, n, d), targets (M, n)")
         if self.features.size == 0:
-            raise ValueError("need at least one device, one sample and one feature")
+            raise ValueError("need at least one set, one sample and one feature")
         if not (np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.targets))):
             raise ValueError("features and targets must be finite")
 
     @property
     def count(self) -> int:
-        """Samples per device."""
+        """Samples per set."""
         return self.targets.shape[1]
 
     @property
@@ -116,7 +90,7 @@ class TrainerConfig:
         return self.batch_size is not None and self.batch_size < n
 
 
-def _block(models, data: LocalDataset | FederatedData) -> np.ndarray:
+def _block(models, data: FederatedData) -> np.ndarray:
     """``models`` as a float (T, d) block matching the data's dimension."""
     w = np.asarray(models, dtype=float)
     if w.ndim != 2:
@@ -127,7 +101,7 @@ def _block(models, data: LocalDataset | FederatedData) -> np.ndarray:
 
 
 def _predictions(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``x @ w[t]`` for every model of the block, shape (T, 1, N) or (T, M, n).
+    """``x @ w[t]`` for every model of the block and every set of ``x``, shape (T, M, n).
 
     A broadcast matmul runs one matrix-vector product per (model, device),
     the same one a lone ``x @ w[t]`` runs, so each model's predictions do
@@ -149,13 +123,12 @@ def _sample_losses(w: np.ndarray, x: np.ndarray, y: np.ndarray, task: str) -> np
     return np.logaddexp(0.0, z) - y * z
 
 
-def global_loss(models, data: LocalDataset | FederatedData, task: str) -> np.ndarray:
+def global_loss(models, data: FederatedData, task: str) -> np.ndarray:
     """Pooled mean loss of each (T, d) model over every sample of ``data``, shape (T,).
 
-    ``data`` is one dataset (a device's, or the devices' samples pooled
-    when their sizes differ) or the stacked training sets of all devices.
-    Either way each result is the dataset-size-weighted mean of the
-    per-device losses up to floating-point reordering.
+    ``data`` is the stacked training sets of all devices or a held-out set,
+    a stack of one. Each result is the dataset-size-weighted mean of the
+    per-set losses up to floating-point reordering.
     """
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}")
@@ -271,13 +244,13 @@ def run_round(
     return BlockRound(out, errors)
 
 
-def evaluate_metric(models, data: LocalDataset, task: str) -> np.ndarray:
-    """Validation/test metric of each (T, d) model, shape (T,): mean loss
-    for regression, accuracy for logistic."""
+def evaluate_metric(models, data: FederatedData, task: str) -> np.ndarray:
+    """Validation/test metric of each (T, d) model over every sample of
+    ``data``, shape (T,): mean loss for regression, accuracy for logistic."""
     if task == TASK_LOGISTIC:
         w = _block(models, data)
         hits = (_predictions(w, data.features) >= 0) == data.targets
-        return np.count_nonzero(hits.reshape(len(w), -1), axis=1) / data.count
+        return np.count_nonzero(hits.reshape(len(w), -1), axis=1) / data.targets.size
     return global_loss(models, data, task)
 
 
@@ -312,8 +285,8 @@ def check_candidates(candidates: list[int]) -> list[int]:
 def select_rounds(
     candidates: list[int],
     train_sets: FederatedData,
-    val_set: LocalDataset,
-    test_set: LocalDataset,
+    val_set: FederatedData,
+    test_set: FederatedData,
     cfg: TrainerConfig,
     rng: np.random.Generator,
     w0: np.ndarray,
@@ -351,22 +324,25 @@ def select_rounds(
     return RoundSelection(best_rounds=candidates[best], test_metric=test_metric, table=table)
 
 
-def make_linear_data(
-    rng: np.random.Generator, n: int, w_true: np.ndarray, noise_std: float
-) -> LocalDataset:
-    """Gaussian features with targets from a planted weight vector plus noise."""
-    x = rng.standard_normal((n, len(w_true)))
-    y = x @ w_true + noise_std * rng.standard_normal(n)
-    return LocalDataset(x, y)
-
-
-def make_logistic_data(
-    rng: np.random.Generator, n: int, w_true: np.ndarray, flip_prob: float
-) -> LocalDataset:
-    """Gaussian features with linearly separable labels, each flipped with
-    probability ``flip_prob``."""
-    x = rng.standard_normal((n, len(w_true)))
-    return LocalDataset(x, (x @ w_true > 0) ^ (rng.random(n) < flip_prob))
+def _draw_sets(
+    rng: np.random.Generator, task: str, m: int, n: int, w_true: np.ndarray, noise: float
+) -> FederatedData:
+    """``m`` sets of ``n`` Gaussian feature rows labelled by the planted
+    ``w_true``: linear targets with noise std ``noise``, or logistic labels
+    each flipped with probability ``noise``. Draws from one generator
+    concatenate, so linear sets, n * d feature normals then n noise normals
+    each, take one (m, n * d + n) draw; logistic sets draw in turn."""
+    dim = len(w_true)
+    if task == TASK_LINEAR:
+        z = rng.standard_normal((m, n * dim + n))
+        x = np.ascontiguousarray(z[:, : n * dim]).reshape(m, n, dim)
+        y = np.matmul(x, w_true) + noise * z[:, n * dim :]
+    else:
+        x, y = np.empty((m, n, dim)), np.empty((m, n))
+        for xk, yk in zip(x, y):
+            rng.standard_normal(out=xk)
+            yk[...] = (xk @ w_true > 0) ^ (rng.random(n) < noise)
+    return FederatedData(x, y)
 
 
 def make_federated_problem(
@@ -379,31 +355,18 @@ def make_federated_problem(
     val_samples: int,
     test_samples: int,
     weight_scale: float = 1.0,
-) -> tuple[FederatedData, LocalDataset, LocalDataset, np.ndarray]:
+) -> tuple[FederatedData, FederatedData, FederatedData, np.ndarray]:
     """Draw a full synthetic federated problem sharing one planted weight.
 
     ``noise`` is the target noise std for the linear task and the label
     flip probability for the logistic task. Returns every device's training
-    set as one :class:`FederatedData`, the pooled validation and test sets,
-    and ``w_true``. The draws are ``w_true``'s and then those of
-    :func:`make_linear_data` or :func:`make_logistic_data` for device 0, 1,
-    ..., validation and test. A linear device draws n * d feature normals,
-    then n noise normals, and draws from one generator concatenate, so all
-    devices take one (M, n * d + n) draw. A logistic device interleaves
-    normals and uniforms, so the devices draw in turn.
+    set as one :class:`FederatedData`, the validation and test sets, each a
+    stack of one drawn by the same recipe, and ``w_true``. The draws are
+    ``w_true``'s and then :func:`_draw_sets`'s for the devices, validation
+    and test, in that order.
     """
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}")
     w_true = weight_scale * rng.standard_normal(dim)
-    m, n = n_devices, samples_per_device
-    if task == TASK_LINEAR:
-        maker, z = make_linear_data, rng.standard_normal((m, n * dim + n))
-        x = np.ascontiguousarray(z[:, : n * dim]).reshape(m, n, dim)
-        y = np.matmul(x, w_true) + noise * z[:, n * dim :]
-    else:
-        maker, x, y = make_logistic_data, np.empty((m, n, dim)), np.empty((m, n))
-        for xk, yk in zip(x, y):
-            rng.standard_normal(out=xk)
-            yk[...] = (xk @ w_true > 0) ^ (rng.random(n) < noise)
-    held_out = [maker(rng, count, w_true, noise) for count in (val_samples, test_samples)]
-    return FederatedData(x, y), *held_out, w_true
+    sets = [(n_devices, samples_per_device), (1, val_samples), (1, test_samples)]
+    return *(_draw_sets(rng, task, m, n, w_true, noise) for m, n in sets), w_true

@@ -62,7 +62,6 @@ from .channel import (
 from .energy import ComputeProfile, EnergyLedger, HarvestModel, ledger
 from .fl_core import (
     FederatedData,
-    LocalDataset,
     TrainerConfig,
     evaluate_metric,
     global_loss,
@@ -251,6 +250,9 @@ class DataConfig:
         for name in ("dim", "samples_per_device", "val_samples", "test_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"DataConfig.{name} must be >= 1")
+        for name in ("noise", "weight_scale", "init_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"DataConfig.{name} must be finite")
         if self.noise < 0:
             raise ValueError("DataConfig.noise must be >= 0")
 
@@ -326,7 +328,7 @@ class ScenarioConfig:
             raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
         if not DELTA_MIN <= self.delta_fixed <= DELTA_MAX:
             raise ValueError(f"delta_fixed must be in [{DELTA_MIN}, {DELTA_MAX}]")
-        if self.battery_initial_j < 0:
+        if not self.battery_initial_j >= 0:
             raise ValueError("battery_initial_j must be >= 0")
         if self.payload_bits is not None and not self.payload_bits > 0:
             raise ValueError("payload_bits must be > 0 when set")
@@ -342,7 +344,9 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully materialized experiment: geometry, data, and initial model."""
+    """A fully materialized experiment: geometry, data, and initial model.
+
+    ``val_set`` and ``test_set`` are stacks of one, drawn as the devices' sets are."""
 
     config: ScenarioConfig
     device_positions: np.ndarray
@@ -350,8 +354,8 @@ class Scenario:
     placement_objective_s: float
     distances_m: np.ndarray
     train_sets: FederatedData
-    val_set: LocalDataset
-    test_set: LocalDataset
+    val_set: FederatedData
+    test_set: FederatedData
     w_true: np.ndarray
     w0: np.ndarray
 

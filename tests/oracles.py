@@ -132,6 +132,22 @@ def local_gd(w0, x, y, task, lr, iters, batch_indices=None):
     return np.array(w)
 
 
+def make_linear_data(rng, n, w_true, noise_std):
+    """One dataset of the linear synthetic problem, drawn alone: Gaussian
+    features, then targets from the planted weight vector plus noise.
+    Returns (x, y), shapes (n, d) and (n,)."""
+    x = rng.standard_normal((n, len(w_true)))
+    return x, x @ w_true + noise_std * rng.standard_normal(n)
+
+
+def make_logistic_data(rng, n, w_true, flip_prob):
+    """One dataset of the logistic synthetic problem, drawn alone: Gaussian
+    features with linearly separable labels, each flipped with probability
+    ``flip_prob``. Returns (x, y), shapes (n, d) and (n,)."""
+    x = rng.standard_normal((n, len(w_true)))
+    return x, ((x @ w_true > 0) ^ (rng.random(n) < flip_prob)).astype(float)
+
+
 def lipschitz_sq_loss(features):
     """Largest eigenvalue of X^T X / n: smoothness constant of the squared
     loss, from the Gram spectrum."""

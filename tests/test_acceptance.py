@@ -30,7 +30,6 @@ from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy, harvest
 from swiptfl import fl_core
 from swiptfl.fl_core import (
     FederatedData,
-    LocalDataset,
     TrainerConfig,
     global_loss,
     run_round,
@@ -202,7 +201,7 @@ def test_criterion_03_gradients_match_finite_differences():
             y = np.array([float(x[0] @ w) - rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0)])
         else:
             y = np.array([float(rng.integers(0, 2))])
-        data = LocalDataset(x, y)
+        data = FederatedData(x[None], y[None])
 
         analytic = fl_core._gradients(w[None], x[None], y[None], task)[0]
         fd = oracles.fd_gradient(lambda v: global_loss(v[None], data, task)[0], w, h=1e-6)
@@ -229,7 +228,7 @@ def test_criterion_04_global_loss_is_weighted_mean():
             blocks.append(x)
             targets.append(y)
         w = rng.standard_normal(dim)
-        pooled = LocalDataset(np.vstack(blocks), np.concatenate(targets))
+        pooled = FederatedData(np.vstack(blocks)[None], np.concatenate(targets)[None])
         worst = max(
             worst,
             rel_err(
@@ -536,8 +535,8 @@ def test_criterion_10_round_selection_tie_breaks():
     w_true = np.linspace(1.0, 2.0, dim)
     y = x @ w_true
     train = FederatedData(x[None], y[None])
-    val = LocalDataset(x, y)
-    test = LocalDataset(x, y)
+    val = FederatedData(x[None], y[None])
+    test = FederatedData(x[None], y[None])
     w0 = np.zeros(dim)
 
     # Error contracts by 0.25 per round: every extra round strictly helps.

@@ -719,6 +719,26 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "override",
+    ["data.noise=.nan", "data.weight_scale=.inf", "data.init_scale=.nan", "battery_initial_j=.nan"],
+)
+def test_non_finite_setting_exits_2_without_a_traceback(tmp_path, override):
+    """A setting no run can use is a config error, reported before the run
+    starts: exit 2 and one ``error:`` line naming the field."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = f"import sys; sys.path.insert(0, {src!r}); from swiptfl import cli; sys.exit(cli.main())"
+    args = ["run", "--config", str(CONFIGS / "default.yaml"), "--out", str(tmp_path / "o")]
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args, "--override", override],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert override.split("=")[0].split(".")[-1] in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
     "command, module, name",
     [
         (["run"], cli, "run_monte_carlo"),

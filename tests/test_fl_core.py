@@ -12,13 +12,10 @@ from swiptfl import fl_core
 from swiptfl.fl_core import (
     DivergenceError,
     FederatedData,
-    LocalDataset,
     TrainerConfig,
     evaluate_metric,
     global_loss,
     make_federated_problem,
-    make_linear_data,
-    make_logistic_data,
     run_round,
     select_rounds,
 )
@@ -30,20 +27,26 @@ def linear_cfg(**kw):
     return TrainerConfig(**base)
 
 
+def one_set(x, y):
+    """The (n, d) features and (n,) targets of one dataset as a stack of one."""
+    return FederatedData(x[None], y[None])
+
+
 def stacked(sets):
-    """Per-device datasets of one size as one FederatedData."""
-    return FederatedData(np.stack([s.features for s in sets]), np.stack([s.targets for s in sets]))
+    """Stacks of one, all of one size, joined into one FederatedData, one set each."""
+    return FederatedData(np.concatenate([s.features for s in sets]),
+                         np.concatenate([s.targets for s in sets]))
 
 
 def test_local_loss_zero_at_interpolation():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     w = np.array([2.0, -1.0])
-    data = LocalDataset(x, x @ w)
+    data = one_set(x, x @ w)
     assert global_loss(w[None], data, "linear")[0] == 0.0
 
 
 def test_local_loss_single_sample():
-    data = LocalDataset(np.array([[1.0]]), np.array([2.0]))
+    data = one_set(np.array([[1.0]]), np.array([2.0]))
     assert global_loss(np.array([[0.0]]), data, "linear")[0] == 2.0
 
 
@@ -52,31 +55,29 @@ def test_local_loss_duplication_invariant():
     x = rng.standard_normal((6, 3))
     y = rng.standard_normal(6)
     w = rng.standard_normal(3)[None]
-    once = global_loss(w, LocalDataset(x, y), "linear")[0]
-    twice = global_loss(w, LocalDataset(np.vstack([x, x]), np.concatenate([y, y])), "linear")[0]
+    once = global_loss(w, one_set(x, y), "linear")[0]
+    twice = global_loss(w, one_set(np.vstack([x, x]), np.concatenate([y, y])), "linear")[0]
     assert twice == pytest.approx(once, rel=1e-15)
 
 
 def test_global_loss_rejects_unknown_task():
-    data = LocalDataset(np.array([[1.0]]), np.array([1.0]))
-    w = np.array([[0.5]])
-    for d in (data, stacked([data])):
-        with pytest.raises(ValueError, match="unknown task 'bogus'"):
-            global_loss(w, d, "bogus")
+    data = one_set(np.array([[1.0]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="unknown task 'bogus'"):
+        global_loss(np.array([[0.5]]), data, "bogus")
 
 
 def test_global_loss_single_device_equals_local():
     rng = np.random.default_rng(4)
-    data = LocalDataset(rng.standard_normal((5, 2)), rng.standard_normal(5))
+    x, y = rng.standard_normal((5, 2)), rng.standard_normal(5)
     w = rng.standard_normal(2)[None]
-    assert global_loss(w, stacked([data]), "linear")[0] == pytest.approx(
-        global_loss(w, data, "linear")[0], rel=1e-15
+    assert global_loss(w, one_set(x, y), "linear")[0] == pytest.approx(
+        oracles.pooled_loss(w[0], [x], [y], "linear"), rel=1e-15
     )
 
 
 def test_global_loss_equal_sizes_is_plain_mean():
     rng = np.random.default_rng(6)
-    sets = [LocalDataset(rng.standard_normal((4, 2)), rng.standard_normal(4)) for _ in range(2)]
+    sets = [one_set(rng.standard_normal((4, 2)), rng.standard_normal(4)) for _ in range(2)]
     w = rng.standard_normal(2)[None]
     mean = 0.5 * (global_loss(w, sets[0], "linear")[0] + global_loss(w, sets[1], "linear")[0])
     assert global_loss(w, stacked(sets), "linear")[0] == pytest.approx(mean, rel=1e-14)
@@ -90,18 +91,17 @@ def test_global_loss_weighted_identity():
         sizes = (1, 2, 3)
         if task == "logistic":
             sets = [
-                LocalDataset(rng.standard_normal((n, 3)), rng.integers(0, 2, n).astype(float))
+                one_set(rng.standard_normal((n, 3)), rng.integers(0, 2, n).astype(float))
                 for n in sizes
             ]
         else:
-            sets = [LocalDataset(rng.standard_normal((n, 3)), rng.standard_normal(n)) for n in sizes]
+            sets = [one_set(rng.standard_normal((n, 3)), rng.standard_normal(n)) for n in sizes]
         w = rng.standard_normal(3)[None]
-        pooled = LocalDataset(
-            np.vstack([s.features for s in sets]), np.concatenate([s.targets for s in sets])
-        )
+        features, targets = [s.features[0] for s in sets], [s.targets[0] for s in sets]
+        pooled = one_set(np.vstack(features), np.concatenate(targets))
         weighted = sum(n * global_loss(w, s, task)[0] for n, s in zip(sizes, sets)) / sum(sizes)
         assert global_loss(w, pooled, task)[0] == pytest.approx(weighted, rel=1e-12)
-        ref = oracles.pooled_loss(w[0], [s.features for s in sets], [s.targets for s in sets], task)
+        ref = oracles.pooled_loss(w[0], features, targets, task)
         assert global_loss(w, pooled, task)[0] == pytest.approx(ref, rel=1e-12)
 
 
@@ -113,7 +113,7 @@ def test_gradients_match_finite_differences():
             n = int(rng.integers(1, 8))
             x = rng.standard_normal((n, d))
             y = rng.integers(0, 2, n).astype(float) if task == "logistic" else rng.standard_normal(n)
-            data = LocalDataset(x, y)
+            data = one_set(x, y)
             w = rng.standard_normal(d)
             grad = fl_core._gradients(w[None], x[None], y[None], task)[0]
             fd = oracles.fd_gradient(lambda v: global_loss(v[None], data, task)[0], w)
@@ -122,10 +122,10 @@ def test_gradients_match_finite_differences():
 
 def test_run_round_single_step_matches_fd_oracle():
     rng = np.random.default_rng(14)
-    data = LocalDataset(rng.standard_normal((8, 4)), rng.standard_normal(8))
+    data = one_set(rng.standard_normal((8, 4)), rng.standard_normal(8))
     w0 = rng.standard_normal(4)
     lr = 0.07
-    out = run_round(w0[None], stacked([data]), linear_cfg(learning_rate=lr)).models[0]
+    out = run_round(w0[None], data, linear_cfg(learning_rate=lr)).models[0]
     fd = oracles.fd_gradient(lambda v: global_loss(v[None], data, "linear")[0], w0)
     expected = w0 - lr * fd
     assert np.max(np.abs(out - expected) / np.maximum(1e-8, np.abs(expected))) <= 1e-5
@@ -135,13 +135,12 @@ def test_descent_below_lipschitz_rate_never_increases_loss():
     rng = np.random.default_rng(16)
     x = rng.standard_normal((20, 5))
     y = rng.standard_normal(20)
-    data = LocalDataset(x, y)
+    data = one_set(x, y)
     lr = 0.9 / oracles.lipschitz_sq_loss(x)
     w = rng.standard_normal(5)[None]
-    federated = stacked([data])
     losses = [global_loss(w, data, "linear")[0]]
     for _ in range(15):
-        w = run_round(w, federated, linear_cfg(learning_rate=lr)).models
+        w = run_round(w, data, linear_cfg(learning_rate=lr)).models
         losses.append(global_loss(w, data, "linear")[0])
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -180,13 +179,15 @@ def test_federated_data_rejects_unequal_sizes():
         FederatedData(np.zeros((2, 3, 2)), np.zeros((2, 4)))
     data = FederatedData(np.zeros((2, 3, 2)), np.zeros((2, 3)))
     assert data.features.shape == (2, 3, 2) and (data.count, data.dim) == (3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be finite"):
         FederatedData(np.full((1, 2, 2), np.nan), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="at least one set, one sample"):
+        FederatedData(np.zeros((1, 0, 2)), np.zeros((1, 0)))
 
 
 def test_run_round_deterministic_given_streams():
     rng = np.random.default_rng(22)
-    sets = [LocalDataset(rng.standard_normal((6, 3)), rng.standard_normal(6)) for _ in range(3)]
+    sets = [one_set(rng.standard_normal((6, 3)), rng.standard_normal(6)) for _ in range(3)]
     data = stacked(sets)
     w0 = rng.standard_normal(3)[None]
     cfg = linear_cfg(batch_size=2, local_iters=3)
@@ -199,7 +200,7 @@ def test_run_round_deterministic_given_streams():
 
 def test_run_round_nobody_participates_keeps_global():
     rng = np.random.default_rng(24)
-    sets = [LocalDataset(rng.standard_normal((4, 2)), rng.standard_normal(4)) for _ in range(2)]
+    sets = [one_set(rng.standard_normal((4, 2)), rng.standard_normal(4)) for _ in range(2)]
     w0 = rng.standard_normal(2)[None]
     out = run_round(w0, stacked(sets), linear_cfg(), participate=np.zeros((1, 2), bool))
     assert np.array_equal(out.models, w0) and out.errors == {}
@@ -207,13 +208,11 @@ def test_run_round_nobody_participates_keeps_global():
 
 def test_run_round_centralized_equivalence_small():
     rng = np.random.default_rng(26)
-    sets = [LocalDataset(rng.standard_normal((5, 3)), rng.standard_normal(5)) for _ in range(4)]
+    x, y = rng.standard_normal((4, 5, 3)), rng.standard_normal((4, 5))
     w0 = rng.standard_normal(3)
     lr = 0.05
-    out = run_round(w0[None], stacked(sets), linear_cfg(learning_rate=lr)).models[0]
-    ref = oracles.centralized_step(
-        w0, [s.features for s in sets], [s.targets for s in sets], lr, "linear"
-    )
+    out = run_round(w0[None], FederatedData(x, y), linear_cfg(learning_rate=lr)).models[0]
+    ref = oracles.centralized_step(w0, list(x), list(y), lr, "linear")
     assert np.linalg.norm(out - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
 
 
@@ -268,7 +267,7 @@ def test_device_sitting_out_cannot_fail_the_round():
 def test_divergence_raises():
     """Divergence comes back as the trial's entry in ``BlockRound.errors``."""
     rng = np.random.default_rng(28)
-    data = stacked([LocalDataset(rng.standard_normal((5, 3)), rng.standard_normal(5))])
+    data = one_set(rng.standard_normal((5, 3)), rng.standard_normal(5))
     out = run_round(rng.standard_normal(3)[None], data,
                     linear_cfg(learning_rate=1e200, local_iters=50))
     assert list(out.errors) == [0]
@@ -312,7 +311,7 @@ def test_block_evaluation_equals_per_model_calls(m, n, dim, trials):
     for task in ("linear", "logistic"):
         data, w, _ = _block_problem(task, m, n, dim, trials, seed=42)
         w = 3.0 * w
-        pooled = LocalDataset(data.features.reshape(-1, dim), data.targets.reshape(-1))
+        pooled = one_set(data.features.reshape(-1, dim), data.targets.reshape(-1))
         for fn, dataset in ((global_loss, data), (global_loss, pooled), (evaluate_metric, pooled)):
             block = fn(w, dataset, task)
             assert block.shape == (trials,)
@@ -399,9 +398,9 @@ def test_select_rounds_raises_on_divergence():
 def test_evaluate_metric_semantics():
     x = np.array([[1.0], [-1.0], [2.0]])
     y = np.array([1.0, 0.0, 1.0])
-    data = LocalDataset(x, y)
+    data = one_set(x, y)
     assert evaluate_metric(np.array([[1.0], [-1.0]]), data, "logistic").tolist() == [1.0, 0.0]
-    lin = LocalDataset(np.array([[1.0]]), np.array([2.0]))
+    lin = one_set(np.array([[1.0]]), np.array([2.0]))
     assert evaluate_metric(np.array([[0.0]]), lin, "linear").tolist() == [2.0]
 
 
@@ -411,9 +410,9 @@ def _identity_problem(dim=4, seed=7):
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(dim)
     x = np.eye(dim)
-    train = stacked([LocalDataset(x, x @ w_true)])
-    val = LocalDataset(x, x @ w_true)
-    test = LocalDataset(x, x @ w_true)
+    train = one_set(x, x @ w_true)
+    val = one_set(x, x @ w_true)
+    test = one_set(x, x @ w_true)
     return train, val, test, w_true
 
 
@@ -469,10 +468,9 @@ def test_make_federated_problem_shapes_and_shared_weight():
     )
     assert train.features.shape[0] == 3
     assert train.count == 10 and train.dim == 5
-    assert val.count == 20 and test.count == 30
+    assert val.features.shape == (1, 20, 5) and test.features.shape == (1, 30, 5)
     # Noise-free labels must agree with the planted separator everywhere.
-    devices = [LocalDataset(x, y) for x, y in zip(train.features, train.targets)]
-    for s in [*devices, val, test]:
+    for s in [train, val, test]:
         assert np.array_equal(s.targets, (s.features @ w_true > 0).astype(float))
 
 
@@ -489,24 +487,26 @@ def test_make_federated_problem_label_flips():
 
 @pytest.mark.parametrize("task", ["linear", "logistic"])
 def test_make_federated_problem_is_the_per_device_recipe(task):
-    """The stacked training sets, the val and test sets, ``w_true`` and the
-    generator's final state equal those of drawing ``w_true`` and then
-    calling the task's maker once per device, then for val and test, on a
-    twin generator, bit for bit; the stacked arrays are C-contiguous."""
-    maker = make_linear_data if task == "linear" else make_logistic_data
+    """The stacked training sets, the val and test sets (stacks of one),
+    ``w_true`` and the generator's final state equal those of drawing
+    ``w_true`` and then calling the task's per-device recipe in
+    ``oracles`` once per device, then for val and test, on a twin
+    generator, bit for bit; the stacked arrays are C-contiguous."""
+    maker = oracles.make_linear_data if task == "linear" else oracles.make_logistic_data
     for m, n, dim, noise in [(1, 1, 1, 0.0), (4, 7, 3, 0.3), (9, 1, 5, 0.1), (3, 6, 1, 0.5)]:
         rng, twin = np.random.default_rng(m * n * dim), np.random.default_rng(m * n * dim)
         train, val, test, w_true = make_federated_problem(rng, task, m, n, dim, noise, 5, 8, 1.5)
         w_twin = 1.5 * twin.standard_normal(dim)
         devices = [maker(twin, n, w_twin, noise) for _ in range(m)]
         expected = [
-            stacked(devices),
-            maker(twin, 5, w_twin, noise),
-            maker(twin, 8, w_twin, noise),
+            [np.stack(part) for part in zip(*devices)],
+            [part[None] for part in maker(twin, 5, w_twin, noise)],
+            [part[None] for part in maker(twin, 8, w_twin, noise)],
         ]
-        for got, want in zip([train, val, test], expected):
-            assert got.features.tobytes() == want.features.tobytes()
-            assert got.targets.tobytes() == want.targets.tobytes()
+        for got, (x, y) in zip([train, val, test], expected):
+            assert got.features.shape == x.shape and got.targets.shape == y.shape
+            assert got.features.tobytes() == x.tobytes()
+            assert got.targets.tobytes() == y.tobytes()
         assert w_true.tobytes() == w_twin.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
         assert train.features.flags.c_contiguous and train.targets.flags.c_contiguous

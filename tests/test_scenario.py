@@ -15,6 +15,7 @@ from swiptfl import scenario as scenario_module
 from swiptfl.cli import load_config
 from swiptfl.fl_core import BlockRound, TrainerConfig
 from swiptfl.scenario import (
+    DataConfig,
     RoundMetrics,
     ScenarioConfig,
     build,
@@ -99,7 +100,7 @@ def assert_same_streams(master_seed, path):
 
 
 @pytest.mark.parametrize("master_seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**70 + 3])
-def test_rng_streams_draw_what_rng_stream_draws(master_seed):
+def test_stream_seeds_draw_what_rng_stream_draws(master_seed):
     # One, two and four parts: entropy shorter than, equal to and longer
     # than SeedSequence's four-word pool; parts of 2**32 and more take
     # several entropy words.
@@ -132,14 +133,14 @@ def test_rng_streams_draw_what_rng_stream_draws(master_seed):
     assert_same_streams(master_seed, ("placement-eval", np.array(3)))
 
 
-def test_rng_streams_of_no_paths_is_empty():
+def test_stream_seeds_of_no_paths_is_empty():
     empty = np.arange(0)
     assert scenario_module._stream_seeds(3, ("placement-eval", empty)).shape == (0, 4)
     assert streams(3, ("trial", empty[None, :], "fading", np.arange(2)[:, None])) == []
     assert fading_draws(3, ("placement-eval", empty), 4).shape == (0, 4)
 
 
-def test_rng_streams_reject_what_rng_stream_rejects():
+def test_stream_seeds_reject_what_rng_stream_rejects():
     for path in [(-1,), ("trial", -1, "fading", 0), (np.int64(-5),)]:
         with pytest.raises(ValueError):
             rng_stream(0, *path)
@@ -207,6 +208,19 @@ def test_config_validation():
         ScenarioConfig(uav_cpu_hz=0.0)
     with pytest.raises(ValueError, match="uav_cycles_per_bit"):
         ScenarioConfig(uav_cycles_per_bit=-1.0)
+    for name in ("noise", "weight_scale", "init_scale"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"DataConfig.{name} must be finite"):
+                DataConfig(**{name: value})
+    with pytest.raises(ValueError, match="DataConfig.noise must be >= 0"):
+        DataConfig(noise=-0.1)
+
+
+def test_battery_initial_j_rejects_nan_and_takes_inf():
+    """A NaN battery would keep every device out of every round."""
+    with pytest.raises(ValueError, match="battery_initial_j must be >= 0"):
+        ScenarioConfig(battery_initial_j=math.nan)
+    assert ScenarioConfig(battery_initial_j=math.inf).battery_initial_j == math.inf
 
 
 def test_config_rejects_mismatched_iteration_counts():
