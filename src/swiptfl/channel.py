@@ -9,9 +9,11 @@ downlink receiver is a power splitter: a fraction ``delta`` of the received
 power feeds the decoder, the remaining ``1 - delta`` feeds the energy
 harvester.
 
-Each elementwise helper checks its inputs, then runs a private kernel with
-the arithmetic alone; the ratio solver's interior probes call the kernels
-directly on arrays that one checked call already produced.
+The elementwise helpers are the arithmetic alone: the config fixes and
+checks the scalar constants once (:class:`LinkParams`), and
+:class:`ChannelRealization` and :func:`downlink_budget` check the arrays
+that do not come from the config, so the ratio solver's interior probes
+call the same helpers as the chain.
 """
 
 from __future__ import annotations
@@ -21,20 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import POSITIVE_FINITE, check_domains, within
+
 # The power-splitting ratio lives on the open interval (0, 1); the clamp
 # keeps both the decode and harvest branches strictly alive.
 DELTA_MIN = 1e-3
 DELTA_MAX = 1.0 - DELTA_MIN
-
-_POSITIVE_LINK_FIELDS = (
-    "pathloss_exponent",
-    "bandwidth_hz",
-    "noise_power_ul_w",
-    "noise_power_dl_w",
-    "ptx_ul_w",
-    "ptx_dl_w",
-)
-
 
 @dataclass(frozen=True)
 class LinkParams:
@@ -44,18 +38,15 @@ class LinkParams:
     fading state and distances vary per device.
     """
 
-    pathloss_exponent: float
-    bandwidth_hz: float
-    noise_power_ul_w: float
-    noise_power_dl_w: float
-    ptx_ul_w: float
-    ptx_dl_w: float
+    pathloss_exponent: float = within(POSITIVE_FINITE)
+    bandwidth_hz: float = within(POSITIVE_FINITE)
+    noise_power_ul_w: float = within(POSITIVE_FINITE)
+    noise_power_dl_w: float = within(POSITIVE_FINITE)
+    ptx_ul_w: float = within(POSITIVE_FINITE)
+    ptx_dl_w: float = within(POSITIVE_FINITE)
 
     def __post_init__(self):
-        for name in _POSITIVE_LINK_FIELDS:
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"LinkParams.{name} must be > 0, got {value!r}")
+        check_domains(self)
         if not 2.0 <= self.pathloss_exponent <= 6.0:
             warnings.warn(
                 f"pathloss_exponent={self.pathloss_exponent} is outside the "
@@ -78,7 +69,7 @@ class ChannelRealization:
         gains, dists = np.broadcast_arrays(gains, dists)
         object.__setattr__(self, "gains_sq", gains)
         object.__setattr__(self, "distances_m", dists)
-        if (self.gains_sq < 0).any():
+        if not (self.gains_sq >= 0).all():
             raise ValueError("gains_sq must be >= 0")
         if not (self.distances_m > 0).all():
             raise ValueError("distances_m must be > 0")
@@ -101,12 +92,7 @@ class LinkBudget:
 
 def received_power(ptx_w: float, distance_m, alpha: float, gain_sq):
     """Power-law received power: ptx * d^(-alpha) * |g|^2, elementwise."""
-    distance_m = np.asarray(distance_m, dtype=float)
-    if not (distance_m > 0).all():
-        raise ValueError(f"distance_m must be > 0, got {distance_m!r}")
-    if ptx_w < 0 or (np.asarray(gain_sq) < 0).any():
-        raise ValueError("ptx_w and gain_sq must be >= 0")
-    return ptx_w * distance_m ** (-alpha) * gain_sq
+    return ptx_w * np.asarray(distance_m, dtype=float) ** (-alpha) * gain_sq
 
 
 def interference_power(prx_w) -> np.ndarray:
@@ -130,29 +116,11 @@ def sinr(prx_decode_w, interference_w, noise_w: float):
     For the downlink, pass ``delta * prx`` as the decode power: only the
     decoder branch of the power splitter sees the signal.
     """
-    if not noise_w > 0:
-        raise ValueError(f"noise_w must be > 0, got {noise_w!r}")
-    prx_decode_w, interference_w = np.asarray(prx_decode_w), np.asarray(interference_w)
-    if (prx_decode_w < 0).any() or (interference_w < 0).any():
-        raise ValueError("powers must be >= 0")
-    return _sinr(prx_decode_w, interference_w, noise_w)
-
-
-def _sinr(prx_decode_w, interference_w, noise_w):
     return prx_decode_w / (interference_w + noise_w)
 
 
 def achievable_rate(bandwidth_hz: float, sinr_value):
     """Shannon-style rate: bandwidth * log2(1 + sinr), in bits/s."""
-    if not bandwidth_hz > 0:
-        raise ValueError(f"bandwidth_hz must be > 0, got {bandwidth_hz!r}")
-    sinr_value = np.asarray(sinr_value)
-    if (sinr_value < 0).any():
-        raise ValueError("sinr must be >= 0")
-    return _rate(bandwidth_hz, sinr_value)
-
-
-def _rate(bandwidth_hz, sinr_value):
     return bandwidth_hz * np.log2(1.0 + sinr_value)
 
 
@@ -163,16 +131,11 @@ def tx_time(payload_bits: float, rate_bps):
     the device is unreachable this round, which downstream feasibility
     checks reject; it is a value, not an error.
     """
-    if payload_bits < 0:
-        raise ValueError("payload_bits must be >= 0")
-    with np.errstate(divide="ignore"):
-        return _tx_time(payload_bits, np.asarray(rate_bps, dtype=float))
-
-
-def _tx_time(payload_bits, rate):  # a zero rate divides by zero: callers ignore that
+    rate = np.asarray(rate_bps, dtype=float)
     if payload_bits == 0:
         return np.zeros_like(rate)
-    return payload_bits / rate
+    with np.errstate(divide="ignore"):
+        return payload_bits / rate
 
 
 def _link_budget(ptx_w, noise_w, decode_share, params, realization, payload_bits):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkBudget
+from .domains import FINITE, NONNEGATIVE_INT, POSITIVE_FINITE, check_domains, within
 
 
 @dataclass(frozen=True)
@@ -26,18 +27,14 @@ class ComputeProfile:
     local training iterations per round; ``cpu_hz`` the clock speed.
     """
 
-    kappa: float
-    cycles_per_bit: float
-    data_bits: float
-    local_iters: int
-    cpu_hz: float
+    kappa: float = within(POSITIVE_FINITE)
+    cycles_per_bit: float = within(POSITIVE_FINITE)
+    data_bits: float = within(POSITIVE_FINITE)
+    local_iters: int = within(NONNEGATIVE_INT)
+    cpu_hz: float = within(POSITIVE_FINITE)
 
     def __post_init__(self):
-        for name in ("kappa", "cycles_per_bit", "data_bits", "cpu_hz"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"ComputeProfile.{name} must be > 0")
-        if self.local_iters < 0 or self.local_iters != int(self.local_iters):
-            raise ValueError("local_iters must be an integer >= 0")
+        check_domains(self)
 
 
 @dataclass(frozen=True)
@@ -48,9 +45,12 @@ class HarvestModel:
     keeps calibrated fits from going negative near x = 0.
     """
 
-    a1: float
-    a2: float
-    a3: float
+    a1: float = within(FINITE)
+    a2: float = within(FINITE)
+    a3: float = within(FINITE)
+
+    def __post_init__(self):
+        check_domains(self)
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,8 @@ def transmit_energy(tx_time_s, ptx_w: float):
     return t * ptx_w if ptx_w else np.zeros_like(t)
 
 
-def harvest_power(model: HarvestModel, harvest_input_w):
-    """Harvested power for given harvest-branch inputs, clamped at zero."""
-    x = np.asarray(harvest_input_w, dtype=float)
-    if (x < 0).any():
-        raise ValueError("harvest_input_w must be >= 0")
-    return _harvest_power(model, x)
-
-
-def _harvest_power(model: HarvestModel, x):
+def harvest_power(model: HarvestModel, x):
+    """Harvested power at harvest-branch inputs ``x`` (W), clamped at zero."""
     return np.maximum(0.0, model.a1 * x * x + model.a2 * x + model.a3)
 
 

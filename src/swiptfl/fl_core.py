@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import AT_LEAST_1, POSITIVE_FINITE, check_domains, within
+
 TASK_LINEAR = "linear"
 TASK_LOGISTIC = "logistic"
 _TASKS = (TASK_LINEAR, TASK_LOGISTIC)
@@ -70,20 +72,15 @@ class TrainerConfig:
     scenario config, not here).
     """
 
-    learning_rate: float
-    local_iters: int
+    learning_rate: float = within(POSITIVE_FINITE)
+    local_iters: int = within(AT_LEAST_1)
     task: str = TASK_LINEAR
-    batch_size: int | None = None
+    batch_size: int | None = within(AT_LEAST_1, None)
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.local_iters < 1:
-            raise ValueError("local_iters must be >= 1")
+        check_domains(self)
         if self.task not in _TASKS:
             raise ValueError(f"task must be one of {_TASKS}, got {self.task!r}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1 when set")
 
     def minibatch(self, n: int) -> bool:
         """Whether training on ``n`` samples per device draws minibatches."""

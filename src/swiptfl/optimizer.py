@@ -9,11 +9,10 @@ harvest curve is nondecreasing on the device's harvest input range
 [delta_min, delta_max] whose upper edge bisection finds. Devices whose
 curve can dip on that range are scanned on a dense grid instead. Every
 device of every fading state in a batch (..., M) is solved at once, as
-arrays. Only the two bracket ends run the validated public chain
-(``downlink_budget``, then ``ledger``); every interior probe, bisection or
-grid, reuses the ratio-independent terms it produced and runs the
-unchecked arithmetic kernels of the elementwise helpers, whose inputs that
-chain has already checked.
+arrays. Only the two bracket ends run the whole chain (``downlink_budget``,
+then ``ledger``); every interior probe, bisection or grid, reuses the
+ratio-independent terms it produced and calls the same elementwise helpers
+for the rest.
 
 Placement scores all candidate UAV positions with one call of an array
 objective, (C, 3) positions to (C,) expected delays, and picks the winner
@@ -33,17 +32,17 @@ from .channel import (
     ChannelRealization,
     LinkBudget,
     LinkParams,
-    _rate,
-    _sinr,
-    _tx_time,
+    achievable_rate,
     downlink_budget,
+    sinr,
+    tx_time,
 )
 from .energy import (
     ComputeProfile,
     HarvestModel,
-    _harvest_power,
     _harvested_energy,
     compute_energy,
+    harvest_power,
     ledger,
     transmit_energy,
 )
@@ -104,8 +103,8 @@ def optimize_delta_all(
     bracket ends stacked. Each interior probe reuses their received power,
     interference and compute + uplink bill, which do not depend on the
     ratio, and evaluates only SINR, rate, downlink time, harvest and the
-    verdict with the same expressions, through the helpers' unchecked
-    kernels, under one ``np.errstate`` for the whole probe loop.
+    verdict, through the same elementwise helpers as that chain, under one
+    ``np.errstate`` for the whole probe loop.
     """
     shape = realization.gains_sq.shape
     lo, hi = np.full(shape, DELTA_MIN), np.full(shape, DELTA_MAX)
@@ -125,12 +124,12 @@ def optimize_delta_all(
     e_fixed = compute_energy(profile) + transmit_energy(uplink.tx_time_s, params.ptx_ul_w)
 
     def feasible_at(deltas):  # the ratio-dependent tail of downlink_budget + ledger
-        g = _sinr(deltas * prx, interf, params.noise_power_dl_w)
-        t_dl = _tx_time(payload_dl_bits, _rate(params.bandwidth_hz, g))
+        g = sinr(deltas * prx, interf, params.noise_power_dl_w)
+        t_dl = tx_time(payload_dl_bits, achievable_rate(params.bandwidth_hz, g))
         e_total = e_fixed
         if device_pays_downlink:
             e_total = e_total + transmit_energy(t_dl, params.ptx_dl_w)
-        e_h = _harvested_energy(_harvest_power(harvest, (1.0 - deltas) * prx), t_dl)
+        e_h = _harvested_energy(harvest_power(harvest, (1.0 - deltas) * prx), t_dl)
         return np.isfinite(e_total) & (e_total <= e_h)
 
     # The harvest input (1 - delta) * prx spans [0, prx]. Where the curve

@@ -59,8 +59,11 @@ from .channel import (
     downlink_budget,
     uplink_budget,
 )
+from .domains import AT_LEAST_1, FINITE, NONNEGATIVE_FINITE, NONNEGATIVE_INT, NONNEGATIVE_OR_INF
+from .domains import POSITIVE_FINITE, at_least, check_domains, interval, within
 from .energy import ComputeProfile, EnergyLedger, HarvestModel, ledger
 from .fl_core import (
+    TASK_LOGISTIC,
     FederatedData,
     TrainerConfig,
     evaluate_metric,
@@ -235,26 +238,20 @@ class DataConfig:
     """Synthetic dataset shape and noise.
 
     ``noise`` is the target noise std for the linear task and the label
-    flip probability for the logistic task.
+    flip probability for the logistic task, where :class:`ScenarioConfig`,
+    which sees the task, keeps it in [0, 1].
     """
 
-    dim: int = 4
-    samples_per_device: int = 20
-    val_samples: int = 200
-    test_samples: int = 400
-    noise: float = 0.1
-    weight_scale: float = 1.0
-    init_scale: float = 0.01
+    dim: int = within(AT_LEAST_1, 4)
+    samples_per_device: int = within(AT_LEAST_1, 20)
+    val_samples: int = within(AT_LEAST_1, 200)
+    test_samples: int = within(AT_LEAST_1, 400)
+    noise: float = within(NONNEGATIVE_FINITE, 0.1)
+    weight_scale: float = within(FINITE, 1.0)
+    init_scale: float = within(FINITE, 0.01)
 
     def __post_init__(self):
-        for name in ("dim", "samples_per_device", "val_samples", "test_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"DataConfig.{name} must be >= 1")
-        for name in ("noise", "weight_scale", "init_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"DataConfig.{name} must be finite")
-        if self.noise < 0:
-            raise ValueError("DataConfig.noise must be >= 0")
+        check_domains(self)
 
 
 @dataclass(frozen=True)
@@ -267,25 +264,25 @@ class ScenarioConfig:
     ``uav_payload_scales_with_m`` is false.
     """
 
-    master_seed: int = 0
-    device_count: int = 5
-    monte_carlo_trials: int = 10
-    rounds: int = 10
-    area_bounds: tuple[float, float, float, float] = (0.0, 100.0, 0.0, 100.0)
-    uav_altitude_m: float = 20.0
+    master_seed: int = within(NONNEGATIVE_INT, 0)
+    device_count: int = within(AT_LEAST_1, 5)
+    monte_carlo_trials: int = within(AT_LEAST_1, 10)
+    rounds: int = within(AT_LEAST_1, 10)
+    area_bounds: tuple[float, float, float, float] = within(FINITE, (0.0, 100.0, 0.0, 100.0))
+    uav_altitude_m: float = within(POSITIVE_FINITE, 20.0)
     placement_mode: str = MODE_CENTROID
-    placement_grid_points: int = 9
-    placement_trials: int = 25
+    placement_grid_points: int = within(at_least(2), 9)
+    placement_trials: int = within(AT_LEAST_1, 25)
     delta_mode: str = DELTA_MODE_FIXED
-    delta_fixed: float = 0.5
+    delta_fixed: float = within(interval(DELTA_MIN, DELTA_MAX), 0.5)
     device_pays_downlink: bool = True
     uav_payload_scales_with_m: bool = True
     battery_ledger: bool = False
-    battery_initial_j: float = 0.0
-    payload_bits: float | None = None
-    uav_cycles_per_bit: float = 100.0
-    uav_cpu_hz: float = 1e9
-    workers: int = 1
+    battery_initial_j: float = within(NONNEGATIVE_OR_INF, 0.0)
+    payload_bits: float | None = within(POSITIVE_FINITE, None)
+    uav_cycles_per_bit: float = within(POSITIVE_FINITE, 100.0)
+    uav_cpu_hz: float = within(POSITIVE_FINITE, 1e9)
+    workers: int = within(AT_LEAST_1, 1)
     link: LinkParams = field(
         default_factory=lambda: LinkParams(
             pathloss_exponent=2.7,
@@ -309,31 +306,20 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "area_bounds", tuple(float(v) for v in self.area_bounds))
+        check_domains(self)
         if len(self.area_bounds) != 4:
             raise ValueError("area_bounds must be (xmin, xmax, ymin, ymax)")
         xmin, xmax, ymin, ymax = self.area_bounds
         if not (xmax > xmin and ymax > ymin):
             raise ValueError("area_bounds must satisfy xmax > xmin and ymax > ymin")
-        for name in ("device_count", "monte_carlo_trials", "rounds", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("uav_altitude_m", "uav_cycles_per_bit", "uav_cpu_hz"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
         if self.placement_mode not in (MODE_CENTROID, MODE_GRID_SEARCH):
             raise ValueError(f"unknown placement_mode {self.placement_mode!r}")
-        if self.placement_grid_points < 2 or self.placement_trials < 1:
-            raise ValueError("placement_grid_points must be >= 2 and placement_trials >= 1")
         if self.delta_mode not in (DELTA_MODE_FIXED, DELTA_MODE_OPTIMIZED):
             raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
-        if not DELTA_MIN <= self.delta_fixed <= DELTA_MAX:
-            raise ValueError(f"delta_fixed must be in [{DELTA_MIN}, {DELTA_MAX}]")
-        if not self.battery_initial_j >= 0:
-            raise ValueError("battery_initial_j must be >= 0")
-        if self.payload_bits is not None and not self.payload_bits > 0:
-            raise ValueError("payload_bits must be > 0 when set")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
+        if self.trainer.task == TASK_LOGISTIC and not self.data.noise <= 1:
+            raise ValueError(
+                f"DataConfig.noise must be in [0, 1] for the logistic task, got {self.data.noise!r}"
+            )
         if self.trainer.local_iters != self.compute.local_iters:
             raise ValueError(
                 "trainer.local_iters and compute.local_iters must agree "

@@ -6,8 +6,10 @@ import json
 import platform
 import subprocess
 import sys
+import typing
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -736,6 +738,58 @@ def test_non_finite_setting_exits_2_without_a_traceback(tmp_path, override):
     assert out.returncode == 2
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert override.split("=")[0].split(".")[-1] in out.stderr and "Traceback" not in out.stderr
+
+
+def numeric_leaves(config, prefix=""):
+    """(dotted path, entry index or None) of every int or float leaf of the
+    config tree, optional ones included; a tuple field gives one per entry."""
+    hints = typing.get_type_hints(type(config))
+    for item in fields(config):
+        value, path = getattr(config, item.name), prefix + item.name
+        if is_dataclass(value):
+            yield from numeric_leaves(value, path + ".")
+        elif isinstance(value, tuple):
+            yield from ((path, index) for index in range(len(value)))
+        elif {int, float} & set(typing.get_args(hints[item.name]) or [hints[item.name]]):
+            yield path, None
+
+
+def test_every_numeric_leaf_takes_or_rejects_bad_values_cleanly(tmp_path, capsys):
+    """NaN, +-inf, 0 and -1 in any numeric field either run to a finite mean
+    delay and outage and a rounds.csv without NaN, or exit 2 with one
+    ``error:`` line naming the field, or fail trials by divergence (exit 3);
+    never a traceback. NaN is no value of any field, so it never runs."""
+    config = str(CONFIGS / "default.yaml")
+    base = cli.load_config(config)
+    short = ["--override", "monte_carlo_trials=1", "--override", "rounds=1"]
+    bad = []
+    for path, index in numeric_leaves(base):
+        for text in (".nan", ".inf", "-.inf", "0", "-1"):
+            if index is None:
+                override = f"{path}={text}"
+            else:
+                entries = [repr(v) for v in attrgetter(path)(base)]
+                entries[index] = text
+                override = f"{path}=[{', '.join(entries)}]"
+            args = ["run", "--config", config, "--out", str(tmp_path / "o"), *short]
+            try:
+                code = run_cli([*args, "--override", override])
+            except Exception as exc:  # a traceback at the command line
+                code = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            if code == 0:
+                summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+                finite = None not in (summary["delay_mean_s"], summary["outage_rate"])  # JSON null
+                rows = read_rows(tmp_path / "o" / "rounds.csv")[1:]
+                ok = text != ".nan" and finite and "nan" not in {v for row in rows for v in row}
+            elif code == 2:
+                leaf = path.rpartition(".")[2]
+                ok = err.startswith("error: ") and err.count("\n") == 1 and leaf in err
+            else:
+                ok = code == 3
+            if not ok:
+                bad.append(f"{override}: exit {code}, {err.strip()!r}")
+    assert not bad, "\n".join(bad)
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,9 @@ def test_compute_energy_quadratic_in_frequency():
 def test_compute_profile_validation():
     with pytest.raises(ValueError):
         make_profile(kappa=0.0)
+    for name in ("kappa", "cycles_per_bit", "data_bits", "cpu_hz"):
+        with pytest.raises(ValueError, match=rf"^ComputeProfile\.{name} must be > 0 and finite"):
+            make_profile(**{name: math.inf})
     with pytest.raises(ValueError):
         make_profile(local_iters=-1)
     with pytest.raises(ValueError):
@@ -72,9 +75,14 @@ def test_harvest_power_hand_values():
     assert harvest_power(HarvestModel(0.0, 0.0, -0.01), 0.0) == 0.0
 
 
-def test_harvest_power_rejects_negative_input():
-    with pytest.raises(ValueError):
-        harvest_power(HarvestModel(0.1, 0.5, 0.0), -0.1)
+def test_harvest_model_rejects_non_finite_coefficients():
+    for index in range(3):
+        for bad in (math.nan, math.inf, -math.inf):
+            coefficients = [0.1, 0.5, 0.0]
+            coefficients[index] = bad
+            with pytest.raises(ValueError, match=rf"^HarvestModel\.a{index + 1} must be finite"):
+                HarvestModel(*coefficients)
+    assert HarvestModel(-0.1, -0.5, -1.0).a3 == -1.0  # negative coefficients are a shape
 
 
 def test_harvest_power_monotone_for_nonnegative_coefficients():

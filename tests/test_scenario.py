@@ -208,12 +208,25 @@ def test_config_validation():
         ScenarioConfig(uav_cpu_hz=0.0)
     with pytest.raises(ValueError, match="uav_cycles_per_bit"):
         ScenarioConfig(uav_cycles_per_bit=-1.0)
+    for name in ("uav_altitude_m", "uav_cpu_hz", "uav_cycles_per_bit", "payload_bits"):
+        with pytest.raises(ValueError, match=f"ScenarioConfig.{name} must be > 0 and finite"):
+            ScenarioConfig(**{name: math.inf})
+    with pytest.raises(ValueError, match="ScenarioConfig.area_bounds must be finite"):
+        ScenarioConfig(area_bounds=(0.0, math.inf, 0.0, 100.0))
     for name in ("noise", "weight_scale", "init_scale"):
         for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"DataConfig.{name} must be finite"):
+            with pytest.raises(ValueError, match=rf"DataConfig.{name} must be (>= 0 and )?finite"):
                 DataConfig(**{name: value})
     with pytest.raises(ValueError, match="DataConfig.noise must be >= 0"):
         DataConfig(noise=-0.1)
+
+
+def test_logistic_noise_is_a_flip_probability():
+    logistic = TrainerConfig(learning_rate=0.1, local_iters=2, task="logistic")
+    with pytest.raises(ValueError, match=r"DataConfig.noise must be in \[0, 1\] for the logistic"):
+        ScenarioConfig(trainer=logistic, data=DataConfig(noise=1.5))
+    assert ScenarioConfig(trainer=logistic, data=DataConfig(noise=1.0)).data.noise == 1.0
+    assert ScenarioConfig(data=DataConfig(noise=1.5)).data.noise == 1.5  # a linear std
 
 
 def test_battery_initial_j_rejects_nan_and_takes_inf():

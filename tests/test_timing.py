@@ -31,10 +31,6 @@ def test_uav_aggregation_time():
     assert uav_aggregation_time(1, 1e6, 1e6) == 1.0
     assert uav_aggregation_time(1, 0, 1e6) == 0.0
     assert uav_aggregation_time(2, 1e6, 1e6) == 2.0
-    with pytest.raises(ValueError):
-        uav_aggregation_time(0, 1e6, 1e6)
-    with pytest.raises(ValueError):
-        uav_aggregation_time(1, -1, 1e6)
 
 
 def test_round_total_single_device_is_plain_sum():
