@@ -3,120 +3,3 @@ devices split received downlink power between decoding and energy
 harvesting."""
 
 __version__ = "0.1.0"
-
-from .channel import (
-    DELTA_MAX,
-    DELTA_MIN,
-    ChannelRealization,
-    LinkBudget,
-    LinkParams,
-    achievable_rate,
-    downlink_budget,
-    interference_power,
-    received_power,
-    sinr,
-    tx_time,
-    uplink_budget,
-)
-from .energy import (
-    ComputeProfile,
-    EnergyLedger,
-    HarvestModel,
-    compute_energy,
-    harvest_power,
-    ledger,
-    transmit_energy,
-)
-from .fl_core import (
-    BlockRound,
-    DivergenceError,
-    FederatedData,
-    RoundSelection,
-    TrainerConfig,
-    evaluate_metric,
-    global_loss,
-    make_federated_problem,
-    run_round,
-    select_rounds,
-)
-from .optimizer import (
-    DeltaSolution,
-    PlacementSolution,
-    optimize_delta_all,
-    place_uav,
-)
-from .scenario import (
-    DataConfig,
-    LinkRound,
-    MonteCarloResult,
-    RoundMetrics,
-    Scenario,
-    ScenarioConfig,
-    TrialResult,
-    build,
-    fading_draws,
-    link_round,
-    merge,
-    rng_stream,
-    run_monte_carlo,
-    run_trial,
-    sweep,
-    with_override,
-)
-from .timing import RoundDelay, local_train_time, round_total, uav_aggregation_time
-
-__all__ = [
-    "DELTA_MAX",
-    "DELTA_MIN",
-    "BlockRound",
-    "ChannelRealization",
-    "ComputeProfile",
-    "DataConfig",
-    "DeltaSolution",
-    "DivergenceError",
-    "EnergyLedger",
-    "FederatedData",
-    "HarvestModel",
-    "LinkBudget",
-    "LinkParams",
-    "LinkRound",
-    "MonteCarloResult",
-    "PlacementSolution",
-    "RoundDelay",
-    "RoundMetrics",
-    "RoundSelection",
-    "Scenario",
-    "ScenarioConfig",
-    "TrainerConfig",
-    "TrialResult",
-    "achievable_rate",
-    "build",
-    "compute_energy",
-    "downlink_budget",
-    "evaluate_metric",
-    "fading_draws",
-    "global_loss",
-    "harvest_power",
-    "interference_power",
-    "ledger",
-    "link_round",
-    "local_train_time",
-    "make_federated_problem",
-    "merge",
-    "optimize_delta_all",
-    "place_uav",
-    "received_power",
-    "rng_stream",
-    "round_total",
-    "run_monte_carlo",
-    "run_round",
-    "run_trial",
-    "select_rounds",
-    "sinr",
-    "sweep",
-    "transmit_energy",
-    "tx_time",
-    "uav_aggregation_time",
-    "uplink_budget",
-    "with_override",
-]

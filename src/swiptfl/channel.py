@@ -18,7 +18,6 @@ call the same helpers as the chain.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +46,6 @@ class LinkParams:
 
     def __post_init__(self):
         check_domains(self)
-        if not 2.0 <= self.pathloss_exponent <= 6.0:
-            warnings.warn(
-                f"pathloss_exponent={self.pathloss_exponent} is outside the "
-                "usual [2, 6] range",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ block in one batched :func:`link_round` over an (R_c, T, M) realization of
 at most ``max(ROUND_BLOCK, T * M)`` fading states; that is exact because
 only the battery recurrence, which runs round by round after it, carries
 state across rounds. Each round trains every trial of the block in one
-:func:`run_round` over its (T, d) global models and computes their training
-loss; the end of the chunk scores all its models on the held-out sets in
-bounded passes, and its records are list lookups into the chunk's nested
+:func:`run_round` over its (T, d) global models and runs nothing else; the
+end of the chunk scores all its models on the training, val and test sets
+in bounded passes, and its records are list lookups into the chunk's nested
 lists of row views. :func:`run_monte_carlo` reduces all rounds' metrics at
 once. Models are plain arrays: the scenario's initial model ``w0`` is a (d,) vector.
 
@@ -84,7 +84,7 @@ from .timing import RoundDelay, local_train_time, round_total, uav_aggregation_t
 DELTA_MODE_FIXED = "fixed"
 DELTA_MODE_OPTIMIZED = "optimized"
 ROUND_BLOCK = 1 << 16  # (round, trial, device) fading states per link round of run_trial
-EVAL_BLOCK = 1 << 13  # (model, sample) pairs per held-out scoring pass of run_trial
+EVAL_BLOCK = 1 << 13  # (model, sample) pairs per scoring pass of run_trial
 _SCORES = ("train loss", "val metric", "test metric")  # what run_trial records each round
 
 
@@ -552,15 +552,17 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     round, and the battery recurrence, the one state carried across
     rounds, runs round by round after the chunk's ledger. A chunk holds up
     to ``max(1, ROUND_BLOCK // (T * M))`` rounds, so a link round covers at
-    most ``max(ROUND_BLOCK, T * M)`` fading states. Each round trains every
-    trial still running in one :func:`run_round` and computes the training
-    losses; the chunk's end scores all its models on the val and test sets
-    in passes of at most ``EVAL_BLOCK`` (model, sample) pairs. No model's
-    result depends on its batch, so neither does a trial's record. A trial
-    stops alone at the first round whose training diverges or whose train
-    loss, val or test metric (checked in that order) is not finite, and
-    keeps the rounds before it. A recorded round is in outage when a device
-    is unreachable (an infinite delay) or short of energy.
+    most ``max(ROUND_BLOCK, T * M)`` fading states. A round runs only what
+    carries state to the next: each trial still running trains in one
+    :func:`run_round`. The chunk's end scores all its models on the training
+    sets, then the val and test sets, in passes of at most ``EVAL_BLOCK``
+    (model, sample) pairs, samples counted over all of a dataset's sets. No
+    model's score depends on its batch, so neither does a trial's record. A
+    trial stops alone at its training's first error, in that round, or at
+    its first round with a non-finite score, whichever is earlier; the
+    message names the train loss, val metric or test metric, the first of
+    them not finite. It keeps the rounds before. A recorded round is in
+    outage when a device is unreachable (an infinite delay) or short of energy.
 
     Without battery tracking every device runs every round and energy
     shortfalls only show up as infeasible flags (and outage counts). With
@@ -617,38 +619,36 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
         columns = (t_total, t_up, t_local, t_down, t_uav, deltas, methods, *energy_rows, stored)
         fields = [list(zip(*per_round)) for per_round in zip(*columns)]
 
-        # Train round by round; a training error or an overflowed train loss stops a trial at once.
-        trained, done = np.empty((n, shape[0], len(scenario.w0))), []  # models; (i, live, loss)
+        # Train round by round; a training error stops a trial at once.
+        trained, done = np.empty((n, shape[0], len(scenario.w0))), []  # models; (i, live)
         for i, r in enumerate(range(start, start + n)):
             rngs = [_generator(words) for words in train[r, live]] if minibatch else None
             step = run_round(models, scenario.train_sets, cfg.trainer, rngs, participate[i, live])
-            models, failed = step.models, dict(step.errors)
-            loss = global_loss(models, scenario.train_sets, task)
-            for j in np.flatnonzero(~np.isfinite(loss)).tolist():
-                failed.setdefault(j, f"non-finite {_SCORES[0]} in round {r}")
-            if failed:
-                errors.update((live[j], msg) for j, msg in failed.items())
-                kept = [j for j in range(len(live)) if j not in failed]
-                live, models, loss = [live[j] for j in kept], models[kept], loss[kept]
+            models = step.models
+            if step.errors:
+                errors.update((live[j], msg) for j, msg in step.errors.items())
+                kept = [j for j in range(len(live)) if j not in step.errors]
+                live, models = [live[j] for j in kept], models[kept]
             trained[i, live] = models
-            done.append((i, live, loss))
+            done.append((i, live))
             if not live:
                 break
 
-        # Score the chunk's models on the held-out sets in passes of at most
-        # EVAL_BLOCK (model, sample) pairs. A trial stops at its first round
-        # with a non-finite metric, and what it trained after is dropped.
-        rows = [(i, k) for i, ks, _ in done for k in ks]  # round-major
+        # Score the chunk's models on the training, val and test sets in passes
+        # of at most EVAL_BLOCK (model, sample) pairs. A trial stops at its first
+        # round with a non-finite score, and what it trained after is dropped.
+        rows = [(i, k) for i, ks in done for k in ks]  # round-major
         flat = trained[[i for i, _ in rows], [k for _, k in rows]]  # (S, d), S may be 0
-        scores = np.empty((3, len(rows)))
-        scores[0] = np.concatenate([loss for *_, loss in done])
-        for held, dataset in zip(scores[1:], (scenario.val_set, scenario.test_set)):
-            size = max(1, EVAL_BLOCK // dataset.count)
+        scores = np.empty((len(_SCORES), len(rows)))
+        sets = (scenario.train_sets, scenario.val_set, scenario.test_set)
+        metrics = (global_loss, evaluate_metric, evaluate_metric)
+        for score, dataset, metric in zip(scores, sets, metrics):
+            size = max(1, EVAL_BLOCK // dataset.targets.size)
             for a in range(0, len(flat), size):
-                held[a : a + size] = evaluate_metric(flat[a : a + size], dataset, task)
-        bad, stop = ~np.isfinite(scores[1:]), {}
+                score[a : a + size] = metric(flat[a : a + size], dataset, task)
+        bad, stop = ~np.isfinite(scores), {}
         for s in np.flatnonzero(bad.any(axis=0))[::-1].tolist():  # a trial's earliest round last
-            (i, k), which = rows[s], _SCORES[1 if bad[0, s] else 2]
+            (i, k), which = rows[s], _SCORES[bad[:, s].argmax()]
             stop[k], errors[k] = i, f"non-finite {which} in round {start + i}"
         for (i, k), scored in zip(rows, scores.T.tolist()):
             if i < stop.get(k, n):

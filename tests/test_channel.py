@@ -214,8 +214,6 @@ def test_link_params_validation():
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=rf"^LinkParams\.{name} must be > 0 and finite"):
                 make_params(**{name: bad})
-    with pytest.warns(UserWarning):
-        make_params(pathloss_exponent=7.0)
 
 
 def test_channel_realization_validation():

@@ -676,57 +676,67 @@ MINIBATCH = TrainerConfig(learning_rate=0.1, local_iters=2, batch_size=5)
 
 
 def test_held_out_failure_mid_chunk_stops_the_trial_at_its_round(monkeypatch):
-    """A trial whose val or test metric is not finite in a round inside a
-    chunk stops at that round with the per-round message: val before test,
-    and before a training error the trial meets in a later round of the
-    chunk. It keeps the rounds before and their outages, and a run in
-    one-round chunks gives every trial result bit for bit."""
-    cfg = small_config(monte_carlo_trials=3, rounds=5, trainer=MINIBATCH)
+    """A trial whose train loss, val or test metric is not finite in a round
+    inside a chunk stops at that round with the per-round message: train
+    loss before val before test, and before a training error the trial meets
+    in a later round of the chunk. It keeps the rounds before and their
+    outages, and a run in one-round chunks gives every trial result bit for bit."""
+    cfg = small_config(monte_carlo_trials=4, rounds=5, trainer=MINIBATCH)
     scenario = build(cfg)
     real_evaluate, real_run_round = scenario_module.evaluate_metric, scenario_module.run_round
-    passes = []
+    real_loss, passes = scenario_module.global_loss, []
 
     def recording(models, data, task):
         passes.append(np.array(models))
         return real_evaluate(models, data, task)
 
     monkeypatch.setattr(scenario_module, "evaluate_metric", recording)
-    clean = run_trial(scenario, range(3))
-    assert len(passes) == 2  # one val pass and one test pass over the 15 models
-    trained = passes[0].reshape(5, 3, -1)  # [round, trial], round-major
-    # Keyed by sample count: val holds 200, test 400. Trial 0 fails in rounds 3 and 4.
-    poisoned = {200: [trained[1, 1]], 400: [trained[1, 1], trained[3, 0], trained[4, 0]]}
+    clean = run_trial(scenario, range(4))
+    assert len(passes) == 2  # one val pass and one test pass over the 20 models
+    trained = passes[0].reshape(5, 4, -1)  # [round, trial], round-major
+    # Keyed by samples per set: training 20, val 200, test 400. Trial 0 fails
+    # in rounds 3 and 4, trial 1 in round 1, trial 2 on train loss and val in round 2.
+    poisoned = {
+        20: [trained[2, 2]],
+        200: [trained[1, 1], trained[2, 2]],
+        400: [trained[1, 1], trained[3, 0], trained[4, 0]],
+    }
     injected = []
 
-    def evaluate_metric(models, data, task):
-        out = real_evaluate(models, data, task)
-        for w in poisoned[data.count]:
-            out[(models == w).all(axis=1)] = np.nan
-        return out
+    def poisoning(real):
+        def score(models, data, task):
+            out = real(models, data, task)
+            for w in poisoned[data.count]:
+                out[(models == w).all(axis=1)] = np.nan
+            return out
 
-    def run_round(models, *args):  # trial 1's training fails in round 3
+        return score
+
+    def run_round(models, *args):  # trials 1 and 2's training fails in round 3
         step = real_run_round(models, *args)
-        hit = np.flatnonzero((models == trained[2, 1]).all(axis=1)).tolist()
+        hit = np.flatnonzero([(w == trained[2, 1:3]).all(-1).any() for w in models]).tolist()
         injected.extend(hit)
         return BlockRound(step.models, {**step.errors, **dict.fromkeys(hit, "injected")})
 
-    monkeypatch.setattr(scenario_module, "evaluate_metric", evaluate_metric)
+    monkeypatch.setattr(scenario_module, "global_loss", poisoning(real_loss))
+    monkeypatch.setattr(scenario_module, "evaluate_metric", poisoning(real_evaluate))
     monkeypatch.setattr(scenario_module, "run_round", run_round)
-    whole = run_trial(scenario, range(3))
-    assert injected == [1]  # the chunk trained trial 1 past its failing round
+    whole = run_trial(scenario, range(4))
+    assert injected == [1, 2]  # the chunk trained trials 1 and 2 past their failing rounds
     assert [tr.error for tr in whole] == [
         "non-finite test metric in round 3",
         "non-finite val metric in round 1",
+        "non-finite train loss in round 2",
         None,
     ]
-    assert [len(tr.rounds) for tr in whole] == [3, 1, 5]
+    assert [len(tr.rounds) for tr in whole] == [3, 1, 2, 5]
     for tr, ref in zip(whole, clean):
         kept = replace(ref, rounds=ref.rounds[: len(tr.rounds)], failed=tr.failed, error=tr.error)
         outages = [not math.isfinite(rm.t_total_s) or not rm.feasible.all() for rm in kept.rounds]
         assert_same_trial(tr, replace(kept, outage_count=sum(outages)))
-    monkeypatch.setattr(scenario_module, "ROUND_BLOCK", 3 * cfg.device_count)  # one-round chunks
+    monkeypatch.setattr(scenario_module, "ROUND_BLOCK", 4 * cfg.device_count)  # one-round chunks
     injected.clear()
-    chunked = run_trial(scenario, range(3))
+    chunked = run_trial(scenario, range(4))
     assert injected == []
     for a, b in zip(chunked, whole):
         assert_same_trial(a, b)
