@@ -117,14 +117,6 @@ def resolve_config(args) -> ScenarioConfig:
     return _config(merge, load_config(args.config), changes)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_atomic(path: Path, write) -> None:
     """Write ``path`` through ``write(fh)`` atomically: a crash mid-write leaves
     neither a half file nor the temporary file, and an earlier ``path`` stays intact."""
@@ -139,10 +131,10 @@ def _write_atomic(path: Path, write) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    def write(fh):
+    def write(fh):  # rows of ints, floats and text; csv writes a float as its repr
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerows(rows)
 
     _write_atomic(path, write)
 
@@ -181,27 +173,18 @@ def _utc_now() -> str:
 def cmd_run(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
     result = run_monte_carlo(config)
 
-    rows = []
-    for tr in result.trials:
-        for rm in tr.rounds:
-            rows.append(
-                [
-                    tr.trial_index,
-                    rm.round_index,
-                    rm.t_total_s,
-                    rm.t_uplink_max_s,
-                    rm.t_local_max_s,
-                    rm.t_downlink_max_s,
-                    rm.t_uav_s,
-                    float(np.sum(rm.e_total_j)),
-                    float(np.sum(rm.e_harvest_j)),
-                    int(np.sum(rm.feasible)),
-                    rm.train_loss,
-                    rm.val_metric,
-                    rm.test_metric,
-                ]
-            )
-    _write_csv(out / "rounds.csv", ROUNDS_COLUMNS, rows)
+    # rounds.csv from the record's columns: the recorded rounds trial by trial,
+    # a device column summed over the devices. Every cell is an int or a float
+    # (written as its repr), so no cell needs csv quoting.
+    rec, done = result.record, result.record.recorded()
+    trial, rnd = np.broadcast_arrays(rec["trial_index"][:, None], np.arange(config.rounds))
+    times = ("t_total_s", "t_uplink_max_s", "t_local_max_s", "t_downlink_max_s", "t_uav_s")
+    sums = [rec[name][done].sum(axis=-1) for name in ("e_total_j", "e_harvest_j", "feasible")]
+    scores = ("train_loss", "val_metric", "test_metric")
+    columns = [trial, rnd, *map(rec.__getitem__, times), *sums, *map(rec.__getitem__, scores)]
+    rows = zip(*(map(repr, (c if c.ndim == 1 else c[done]).tolist()) for c in columns))
+    text = "\n".join(map(",".join, [ROUNDS_COLUMNS, *rows])) + "\n"
+    _write_atomic(out / "rounds.csv", lambda fh: fh.write(text))
 
     summary = {
         "trials": config.monte_carlo_trials,
@@ -211,6 +194,8 @@ def cmd_run(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
         "delay_p5_s": result.delay_p5_s,
         "delay_p95_s": result.delay_p95_s,
         "outage_rate": result.outage_rate,
+        "outage_unreachable_rounds": result.outage_unreachable,
+        "outage_energy_short_rounds": result.outage_energy_short,
         "failed_trials": result.n_failed,
         "final_round_metric_mean": float(result.metric_mean[-1]),
         "final_round_metric_std": float(result.metric_std[-1]),
@@ -238,7 +223,9 @@ def cmd_sweep(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
         raise ConfigError("--values must list at least one value")
 
     rows = sweep(config, args.param, values)
-    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, [[row[c] for c in SWEEP_COLUMNS] for row in rows])
+    table = [[row[c] for c in SWEEP_COLUMNS] for row in rows]
+    table = [[int(v) if isinstance(v, bool) else v for v in line] for line in table]  # bool: 0/1
+    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, table)
     for row in rows:
         point = f"{args.param}={row['param_value']}"
         print(f"{point}: mean delay {row['mean_t_total_s']:.6g} s")
@@ -297,9 +284,8 @@ def cmd_optimize_delta(config: ScenarioConfig, args, out: Path) -> tuple[list[st
     scenario = build(config)
     gains = fading_draws(config.master_seed, ("trial", 0, "fading", 0), config.device_count)
     rnd = link_round(config, ChannelRealization(gains, scenario.distances_m))
-    rows = zip(
-        range(config.device_count), rnd.deltas, rnd.energy.feasible, rnd.downlink.tx_time_s
-    )
+    feasible = rnd.energy.feasible.astype(int)  # written as 1 or 0
+    rows = zip(range(config.device_count), rnd.deltas, feasible, rnd.downlink.tx_time_s)
     _write_csv(out / "deltas.csv", ["device", "delta", "feasible", "t_downlink_s"], rows)
     print(f"solved ratios via {rnd.method}: round delay {rnd.delay().t_total_s:.6g} s")
     return ["deltas.csv"], 0

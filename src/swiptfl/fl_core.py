@@ -299,7 +299,9 @@ def select_rounds(
     go to the smaller budget, which costs less to communicate. The test
     metric is reported only for the chosen budget. Raises ValueError for
     candidates that :func:`check_candidates` rejects and
-    :class:`DivergenceError` if training diverges.
+    :class:`DivergenceError` if training diverges or a score is not finite:
+    the val metric of a candidate, the first such one named, or the chosen
+    budget's test metric.
     """
     check_candidates(candidates)
     checkpoints, wanted, w = [], set(candidates), np.asarray(w0, dtype=float)[None]
@@ -312,12 +314,17 @@ def select_rounds(
             checkpoints.append(w[0])
 
     metrics = evaluate_metric(np.array(checkpoints), val_set, cfg.task).tolist()
+    for r, metric in zip(candidates, metrics):
+        if not math.isfinite(metric):
+            raise DivergenceError(f"non-finite val metric at round budget {r}")
     best = 0
     for i, metric in enumerate(metrics):
         if _better(metric, metrics[best], cfg.task):
             best = i
     table = [{"rounds": r, "val_metric": v} for r, v in zip(candidates, metrics)]
     test_metric = float(evaluate_metric(checkpoints[best][None], test_set, cfg.task)[0])
+    if not math.isfinite(test_metric):
+        raise DivergenceError(f"non-finite test metric at round budget {candidates[best]}")
     return RoundSelection(best_rounds=candidates[best], test_metric=test_metric, table=table)
 
 

@@ -4,16 +4,9 @@ The round kernel :func:`link_round` takes only the config and a fading
 realization; the payloads follow from the config. Placement scores every
 candidate UAV position against every placement fading draw in one batched
 :func:`link_round`. Monte Carlo trials run in contiguous blocks, one block
-per worker. A chunk of rounds computes the physics of every trial of the
-block in one batched :func:`link_round` over an (R_c, T, M) realization of
-at most ``max(ROUND_BLOCK, T * M)`` fading states; that is exact because
-only the battery recurrence, which runs round by round after it, carries
-state across rounds. Each round trains every trial of the block in one
-:func:`run_round` over its (T, d) global models and runs nothing else; the
-end of the chunk scores all its models on the training, val and test sets
-in bounded passes, and its records are list lookups into the chunk's nested
-lists of row views. :func:`run_monte_carlo` reduces all rounds' metrics at
-once. Models are plain arrays: the scenario's initial model ``w0`` is a (d,) vector.
+per worker; :func:`run_trial` runs a block chunk by chunk into one columnar
+:class:`BlockRecord`, and :func:`run_monte_carlo` reduces its columns.
+Models are plain arrays: the scenario's initial model ``w0`` is a (d,) vector.
 
 Randomness discipline: every random draw comes from a named stream derived
 from the master seed via :func:`rng_stream`, so any trial, round, or device
@@ -41,11 +34,11 @@ block's seed words, (R, T, 4) uint64, and each round builds only its own generat
 from __future__ import annotations
 
 import functools
-import math
 import re
 import typing
 import zlib
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 
 import numpy as np
@@ -368,12 +361,49 @@ class RoundMetrics:
     test_metric: float
 
 
+_COLUMNS = [f.name for f in fields(RoundMetrics)][1:]  # a block record's round columns
+
+
+class BlockRecord(dict):
+    """Every round of a block of T trials as columns, the trials in block order.
+
+    Each :class:`RoundMetrics` field after ``round_index`` names its (T, R)
+    column, or (T, R, M) for a per-device field; ``battery_j`` is None
+    without a battery ledger. ``trial_index``, ``rounds_done``,
+    ``outage_count`` and ``error`` are (T,) columns. Trial k's records are
+    its first ``rounds_done[k]`` rounds, and the rest of its row is filler.
+    """
+
+    def recorded(self) -> np.ndarray:
+        """(T, R) mask of the recorded rounds."""
+        return np.arange(self["t_total_s"].shape[1]) < self["rounds_done"][:, None]
+
+
+class TrialRounds(Sequence):
+    """One trial's rounds in a :class:`BlockRecord`, read-only: indexing,
+    slicing and iteration build each :class:`RoundMetrics` as it is read."""
+
+    def __init__(self, record: BlockRecord, k: int):
+        self.record, self.k = record, k
+
+    def __len__(self) -> int:
+        return int(self.record["rounds_done"][self.k])
+
+    def __getitem__(self, index):
+        r = range(len(self))[index]  # IndexError past the records
+        if isinstance(r, range):
+            return [self[i] for i in r]
+        cells = [c if c is None else c[self.k, r] for c in map(self.record.get, _COLUMNS)]
+        return RoundMetrics(r, *(c.item() if isinstance(c, np.generic) else c for c in cells))
+
+
 @dataclass(frozen=True)
 class TrialResult:
-    """One Monte Carlo trial: per-round records, how many are in outage, and outcome flags."""
+    """One Monte Carlo trial: its round records (a :class:`TrialRounds` view,
+    or a list), how many are in outage, and outcome flags."""
 
     trial_index: int
-    rounds: list[RoundMetrics]
+    rounds: Sequence[RoundMetrics]
     outage_count: int
     failed: bool
     error: str | None
@@ -384,7 +414,8 @@ class MonteCarloResult:
     """Aggregates over recorded rounds. ``outage_rate`` covers every trial's,
     failed trials included; the delay statistics cover the finite delays of
     the trials that did not fail, and ``metric_mean`` and ``metric_std`` at
-    round r their round r."""
+    round r their round r. ``record`` holds every trial's rounds as columns:
+    the blocks' records, whose rows ``trials`` read, joined in trial order."""
 
     scenario: Scenario
     trials: list[TrialResult]
@@ -396,6 +427,9 @@ class MonteCarloResult:
     metric_mean: np.ndarray
     metric_std: np.ndarray
     n_failed: int
+    outage_unreachable: int
+    outage_energy_short: int
+    record: BlockRecord
 
 
 @dataclass(frozen=True)
@@ -563,6 +597,9 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     message names the train loss, val metric or test metric, the first of
     them not finite. It keeps the rounds before. A recorded round is in
     outage when a device is unreachable (an infinite delay) or short of energy.
+    Each chunk writes into the columns of one :class:`BlockRecord` and builds
+    no per-round object; every result's ``rounds`` is a :class:`TrialRounds`
+    view of its row, so a pickled block carries the record's arrays once.
 
     Without battery tracking every device runs every round and energy
     shortfalls only show up as infeasible flags (and outage counts). With
@@ -580,7 +617,10 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     minibatch = cfg.trainer.minibatch(scenario.train_sets.count)
     models = np.tile(scenario.w0, (len(trials), 1))  # one row per trial in live
     battery = np.full(shape, cfg.battery_initial_j, dtype=float) if cfg.battery_ledger else None
-    records, outage = [[] for _ in trials], [0] * len(trials)
+    # The block record's columns, trial-major: (T, R), or (T, R, M) per device.
+    grid, rounds_done = (len(trials), cfg.rounds), np.zeros(len(trials), dtype=int)
+    columns = {name: np.zeros(grid) for name in _COLUMNS[-3:]}  # the scores
+    columns["battery_j"] = None if battery is None else np.zeros((*grid, shape[1]))
     errors: dict[int, str] = {}  # block position -> divergence message
     live = list(range(len(trials)))  # block positions of the trials still training
     block = np.array(trials)[None, :]  # the trial part of the block's (round, trial) stream paths
@@ -599,28 +639,22 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
         if battery is not None:
             # Skip a round the device cannot pay for; it keeps whatever
             # it harvests, so the balance never goes negative.
-            levels = np.empty(e_total.shape)
-            for part, level, bill, gain in zip(participate, levels, e_total, e_harvest):
+            for i, (part, bill, gain) in enumerate(zip(participate, e_total, e_harvest)):
                 part[...] = np.isfinite(bill) & (battery + gain - bill >= 0.0)
-                battery = level[...] = battery + gain - np.where(part, bill, 0.0)
+                battery = battery + gain - np.where(part, bill, 0.0)
+                columns["battery_j"][:, start + i] = battery
         delay = phys.delay(participate)
-        stages = (delay.t_uplink_s, delay.t_local_s, delay.t_downlink_s)
-        t_up, t_local, t_down = (t.max(axis=-1).tolist() for t in stages)
-        t_total = delay.t_total_s.tolist()
-        in_outage = (~np.isfinite(delay.t_total_s) | ~phys.energy.feasible.all(-1)).tolist()
-        # Every record's fields from t_total_s to battery_j at [round][trial];
-        # a per-device field is a view of its device row.
-        deltas, *energy_rows = (
-            [list(rows) for rows in a]
-            for a in (phys.deltas, e_total, e_harvest, phys.energy.feasible, participate)
-        )
-        stored = [[None] * shape[0]] * n if battery is None else [list(v) for v in levels]
-        t_uav, methods = [[delay.t_uav_s] * shape[0]] * n, phys.methods().tolist()
-        columns = (t_total, t_up, t_local, t_down, t_uav, deltas, methods, *energy_rows, stored)
-        fields = [list(zip(*per_round)) for per_round in zip(*columns)]
+        maxima = (t.max(axis=-1) for t in (delay.t_uplink_s, delay.t_local_s, delay.t_downlink_s))
+        t_uav = np.broadcast_to(delay.t_uav_s, delay.t_total_s.shape)
+        energy = (e_total, e_harvest, phys.energy.feasible, participate)
+        values = (delay.t_total_s, *maxima, t_uav, phys.deltas, phys.methods(), *energy)
+        for name, value in zip(_COLUMNS, values):  # the fields t_total_s to participate
+            if name not in columns:  # typed as the first chunk's values are
+                columns[name] = np.zeros((*grid, *value.shape[2:]), value.dtype)
+            columns[name][:, start : start + n] = value.swapaxes(0, 1)
 
         # Train round by round; a training error stops a trial at once.
-        trained, done = np.empty((n, shape[0], len(scenario.w0))), []  # models; (i, live)
+        trained = np.empty((n, shape[0], len(scenario.w0)))
         for i, r in enumerate(range(start, start + n)):
             rngs = [_generator(words) for words in train[r, live]] if minibatch else None
             step = run_round(models, scenario.train_sets, cfg.trainer, rngs, participate[i, live])
@@ -629,36 +663,40 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
                 errors.update((live[j], msg) for j, msg in step.errors.items())
                 kept = [j for j in range(len(live)) if j not in step.errors]
                 live, models = [live[j] for j in kept], models[kept]
-            trained[i, live] = models
-            done.append((i, live))
+            trained[i, live], rounds_done[live] = models, r + 1
             if not live:
                 break
 
         # Score the chunk's models on the training, val and test sets in passes
         # of at most EVAL_BLOCK (model, sample) pairs. A trial stops at its first
         # round with a non-finite score, and what it trained after is dropped.
-        rows = [(i, k) for i, ks in done for k in ks]  # round-major
-        flat = trained[[i for i, _ in rows], [k for _, k in rows]]  # (S, d), S may be 0
-        scores = np.empty((len(_SCORES), len(rows)))
+        at = np.nonzero(np.arange(start, start + n)[:, None] < rounds_done)  # (i, k) trained
+        flat = trained[at]  # (S, d) round-major, S may be 0
+        chunk_scores = np.empty((len(_SCORES), len(flat)))
         sets = (scenario.train_sets, scenario.val_set, scenario.test_set)
         metrics = (global_loss, evaluate_metric, evaluate_metric)
-        for score, dataset, metric in zip(scores, sets, metrics):
+        for score, dataset, metric in zip(chunk_scores, sets, metrics):
             size = max(1, EVAL_BLOCK // dataset.targets.size)
             for a in range(0, len(flat), size):
                 score[a : a + size] = metric(flat[a : a + size], dataset, task)
-        bad, stop = ~np.isfinite(scores), {}
+        for name, score in zip(_COLUMNS[-3:], chunk_scores):  # train_loss, val and test metric
+            columns[name][at[1], start + at[0]] = score
+        bad, stop = ~np.isfinite(chunk_scores), {}
         for s in np.flatnonzero(bad.any(axis=0))[::-1].tolist():  # a trial's earliest round last
-            (i, k), which = rows[s], _SCORES[bad[:, s].argmax()]
-            stop[k], errors[k] = i, f"non-finite {which} in round {start + i}"
-        for (i, k), scored in zip(rows, scores.T.tolist()):
-            if i < stop.get(k, n):
-                outage[k] += in_outage[i][k]
-                records[k].append(RoundMetrics(start + i, *fields[i][k], *scored))
+            i, k, which = int(at[0][s]), int(at[1][s]), _SCORES[bad[:, s].argmax()]
+            stop[k], rounds_done[k] = i, start + i
+            errors[k] = f"non-finite {which} in round {start + i}"
         kept = [j for j, k in enumerate(live) if k not in stop]
         live, models = [live[j] for j in kept], models[kept]
+
+    in_outage = ~np.isfinite(columns["t_total_s"]) | ~columns["feasible"].all(axis=-1)
+    record = BlockRecord(columns, trial_index=np.array(trials), rounds_done=rounds_done)
+    outages = np.count_nonzero(in_outage & record.recorded(), axis=1)
+    record["outage_count"] = outages
+    record["error"] = np.array([errors.get(k) for k in range(len(trials))], dtype=object)
     return [
-        TrialResult(t, records[k], outage[k], k in errors, errors.get(k))
-        for k, t in enumerate(trials)
+        TrialResult(t, TrialRounds(record, k), n, k in errors, errors.get(k))
+        for k, (t, n) in enumerate(zip(trials, outages.tolist()))
     ]
 
 
@@ -666,7 +704,12 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
     """Run all trials in contiguous blocks, one per worker, and aggregate.
 
     Results are ordered by trial index, and a trial's records do not depend
-    on its block, so the output is identical for any worker count.
+    on its block, so the output is identical for any worker count. The
+    blocks' records join into one :class:`BlockRecord`, and every statistic
+    is a masked reduction over its columns, summed in trial order, then
+    round order, as over a list of the records. ``outage_unreachable``
+    counts the recorded rounds with an unreachable device, and
+    ``outage_energy_short`` the other rounds in outage.
     """
     if scenario is None:
         scenario = build(config)
@@ -675,27 +718,34 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            trials = [tr for block in pool.map(run_trial, repeat(scenario), blocks) for tr in block]
+            results = list(pool.map(run_trial, repeat(scenario), blocks))
     else:
-        trials = run_trial(scenario, blocks[0])
+        results = [run_trial(scenario, blocks[0])]
+    trials = [tr for block in results for tr in block]
+    rec, *others = [block[0].rounds.record for block in results]
+    if others:  # join the blocks' columns in trial order
+        cols = {name: [r[name] for r in (rec, *others)] for name in rec}
+        rec = BlockRecord({k: c[0] if c[0] is None else np.concatenate(c) for k, c in cols.items()})
 
-    ok = [tr for tr in trials if not tr.failed]  # a trial that did not fail records every round
-    kept = [rm.t_total_s for tr in ok for rm in tr.rounds]
-    finite = [t for t in kept if math.isfinite(t)]
-    executed = sum(len(tr.rounds) for tr in trials)
-    if finite:
+    ok = np.array([error is None for error in rec["error"]])  # these record every round
+    kept = rec["t_total_s"][ok]
+    finite = kept[np.isfinite(kept)]  # trial-major, as the records list them
+    if finite.size:
         delay_mean = float(np.mean(finite))
         delay_std = float(np.std(finite))
         delay_p5, delay_p95 = np.percentile(finite, [5, 95]).tolist()
     else:
         delay_mean = delay_std = delay_p5 = delay_p95 = float("nan")
 
-    if ok:  # row r reduces as np.mean and np.std of round r's list: a pairwise sum
-        test = np.array([[rm.test_metric for rm in tr.rounds] for tr in ok]).T.copy()
+    if ok.any():  # row r reduces as np.mean and np.std of round r's list: a pairwise sum
+        test = rec["test_metric"][ok].T.copy()
         metric_mean, metric_std = test.mean(axis=1), test.std(axis=1)
     else:
         metric_mean, metric_std = np.full(config.rounds, np.nan), np.full(config.rounds, np.nan)
 
+    executed, reachable = int(rec["rounds_done"].sum()), np.isfinite(rec["t_total_s"])
+    recorded = rec.recorded()
+    short = recorded & reachable & ~rec["feasible"].all(axis=-1)
     return MonteCarloResult(
         scenario=scenario,
         trials=trials,
@@ -703,10 +753,13 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
         delay_std_s=delay_std,
         delay_p5_s=delay_p5,
         delay_p95_s=delay_p95,
-        outage_rate=sum(tr.outage_count for tr in trials) / executed if executed else float("nan"),
+        outage_rate=int(rec["outage_count"].sum()) / executed if executed else float("nan"),
         metric_mean=metric_mean,
         metric_std=metric_std,
-        n_failed=sum(1 for tr in trials if tr.failed),
+        n_failed=int(np.count_nonzero(~ok)),
+        outage_unreachable=int(np.count_nonzero(recorded & ~reachable)),
+        outage_energy_short=int(np.count_nonzero(short)),
+        record=rec,
     )
 
 

@@ -426,6 +426,35 @@ def test_select_rounds_picks_a_candidate(tmp_path, capsys):
     capsys.readouterr()
 
 
+
+def test_select_rounds_on_a_diverged_trajectory_exits_3(tmp_path, capsys, monkeypatch):
+    """At a learning rate of 1e30 the val metric overflows to inf by the
+    third round: select-rounds names that budget in one ``numeric failure:``
+    line and exits 3 instead of choosing a budget. A non-finite test metric
+    at the chosen budget fails the same way."""
+    args = ["select-rounds", "--config", str(CONFIGS / "default.yaml"), "--out", str(tmp_path)]
+    args += ["--override", "trainer.learning_rate=1e30", "--candidates", "1,2,3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric failure: non-finite val metric at round budget 3\n"
+    assert not (tmp_path / "selection.csv").exists()
+
+    real_metric = fl_core.evaluate_metric
+
+    def test_set_overflows(models, data, task):
+        scores = real_metric(models, data, task)
+        return np.full_like(scores, np.inf) if data.count == 400 else scores
+
+    monkeypatch.setattr(fl_core, "evaluate_metric", test_set_overflows)
+    args = ["select-rounds", "--config", str(CONFIGS / "default.yaml"), "--out", str(tmp_path)]
+    assert cli.main([*args, "--candidates", "1,2,3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: non-finite test metric at round budget ")
+    assert err.count("\n") == 1
+
 def test_optimize_delta_writes_per_device_ratios(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "o"
@@ -524,9 +553,10 @@ def test_failed_json_dump_leaves_no_partial_file(
 
 
 def test_failed_csv_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
-    """A CSV write that raises partway through its rows leaves neither a
-    truncated CSV nor a temporary file, and the outputs of an earlier run in
-    the same directory stay intact. Outputs get a new file's usual mode."""
+    """A CSV write that raises partway through its rows (the disk fills up
+    inside the first data row of rounds.csv) leaves neither a truncated CSV
+    nor a temporary file, and the outputs of an earlier run in the same
+    directory stay intact. Outputs get a new file's usual mode."""
     cfg, out = write_config(tmp_path), tmp_path / "o"
     args = ["run", "--config", cfg, "--out", str(out), "--workers", "1"]
     assert run_cli(args) == 0
@@ -535,15 +565,28 @@ def test_failed_csv_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
     probe.touch()
     assert {p.stat().st_mode for p in out.iterdir()} == {probe.stat().st_mode}
 
-    fmt, calls = cli._fmt, []
+    real_open = open
 
-    def broken_fmt(value):
-        calls.append(value)
-        if len(calls) == len(cli.ROUNDS_COLUMNS) + 2:  # inside the second row
-            raise OSError("No space left on device")
-        return fmt(value)
+    class FillingDisk:
+        """A file on a disk that fills up once 200 characters are written."""
 
-    monkeypatch.setattr(cli, "_fmt", broken_fmt)
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, text):
+            room = max(0, 200 - self.fh.tell())
+            self.fh.write(text[:room])
+            if len(text) > room:
+                raise OSError("No space left on device")
+            return len(text)
+
+    monkeypatch.setattr(cli, "open", FillingDisk, raising=False)
     assert run_cli(args) == 2
     assert capsys.readouterr().err.endswith("error: No space left on device\n")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
@@ -700,6 +743,46 @@ def test_shipped_config_rounds_match_golden_hash(tmp_path, capsys, name):
         capsys.readouterr()
         assert hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest() == golden
 
+
+
+def test_commands_build_no_round_record(tmp_path, capsys, monkeypatch):
+    """run, sweep and accuracy-curve read the block record's columns and
+    build no RoundMetrics; run's rounds.csv still matches its golden."""
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("a command built a RoundMetrics")
+
+    monkeypatch.setattr(scenario_module, "RoundMetrics", no_records)
+    config, overrides, golden = GOLDEN_ROUNDS_SHA256["default.yaml"]
+    args = ["--config", str(CONFIGS / config), "--out", str(tmp_path)]
+    for text in overrides:
+        args += ["--override", text]
+    assert run_cli(["run", *args]) == 0
+    assert hashlib.sha256((tmp_path / "rounds.csv").read_bytes()).hexdigest() == golden
+    assert run_cli(["sweep", *args, "--param", "link.ptx_dl_w", "--values", "0.5,2.0"]) == 0
+    assert run_cli(["accuracy-curve", *args]) == 0
+    capsys.readouterr()
+
+
+def test_summary_splits_outage_into_unreachable_and_energy_short(tmp_path, capsys):
+    """The two outage counts of summary.json add up to outage_rate times the
+    recorded rounds, and each matches the rounds of rounds.csv that it counts:
+    an infinite delay, or a finite one with a device short of energy."""
+    config, overrides, golden = GOLDEN_ROUNDS_SHA256["contested"]
+    args = ["run", "--config", str(CONFIGS / config), "--out", str(tmp_path)]
+    for text in overrides:
+        args += ["--override", text]
+    assert run_cli(args) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "rounds.csv").read_bytes()).hexdigest() == golden
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    rows = read_rows(tmp_path / "rounds.csv")[1:]
+    unreachable = summary["outage_unreachable_rounds"]
+    short = summary["outage_energy_short_rounds"]
+    assert (unreachable + short) / len(rows) == summary["outage_rate"]
+    assert 0 < unreachable + short < len(rows)
+    assert unreachable == sum(row[2] == "inf" for row in rows)
+    assert short == sum(row[2] != "inf" and int(row[9]) < 12 for row in rows)
 
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys):
     cfg = write_config(tmp_path)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import pickle
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -877,6 +878,113 @@ def test_monte_carlo_metric_arrays_cover_every_round(monkeypatch):
     assert np.isnan(res.metric_mean).all() and np.isnan(res.metric_std).all()
     assert res.metric_mean.shape == res.metric_std.shape == (3,)
     assert res.metric_mean is not res.metric_std
+
+
+def list_statistics(res):
+    """Every aggregate of ``res`` by list formulas over its records, the
+    reference the columnar reductions must match: delay mean, std, p5 and
+    p95, outage rate, metric mean and std, and the failed trials."""
+    ok = [tr for tr in res.trials if not tr.failed]
+    finite = [rm.t_total_s for tr in ok for rm in tr.rounds if math.isfinite(rm.t_total_s)]
+    delay = [math.nan] * 4
+    if finite:
+        delay = [float(np.mean(finite)), float(np.std(finite))]
+        delay += np.percentile(finite, [5, 95]).tolist()
+    metric = [np.full(res.scenario.config.rounds, np.nan)] * 2
+    if ok:
+        test = np.array([[rm.test_metric for rm in tr.rounds] for tr in ok]).T.copy()
+        metric = [test.mean(axis=1), test.std(axis=1)]
+    records = [rm for tr in res.trials for rm in tr.rounds]
+    outages = sum(not math.isfinite(rm.t_total_s) or not rm.feasible.all() for rm in records)
+    return [*delay, outages / len(records), *metric, len(res.trials) - len(ok)]
+
+
+# The contested golden case of tests/test_cli.py: outage 0.533, with a battery.
+CONTESTED_RUN = {
+    "monte_carlo_trials": 5,
+    "rounds": 6,
+    "device_count": 12,
+    "delta_mode": "optimized",
+    "device_pays_downlink": False,
+    "link.ptx_ul_w": 1e-3,
+    "compute.kappa": 1e-31,
+    "battery_ledger": True,
+    "battery_initial_j": 1e-4,
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, failing, n_failed",
+    [
+        ({}, None, 0),
+        (CONTESTED_RUN, None, 0),
+        ({"trainer.learning_rate": 1e30}, None, 50),
+        ({"trainer.learning_rate": 1e60}, None, 50),
+        ({}, [1, 3], 2),
+    ],
+    ids=["default", "contested", "rate-1e30", "rate-1e60", "two-fail"],
+)
+def test_statistics_from_columns_equal_the_list_formulas(monkeypatch, overrides, failing, n_failed):
+    """The masked reductions over the block record give every statistic bit
+    for bit as the list formulas over the records do. At a learning rate of
+    1e30 every trial fails in round 2, and at 1e60 in round 1, so neither
+    has a finite delay; in "two-fail" trials 1 and 3 fail in round 2."""
+    cfg = merge(load_config(str(ROOT / "configs" / "default.yaml")), overrides)
+    if failing:
+        real_run_round, calls = scenario_module.run_round, []
+
+        def run_round(models, *args):
+            calls.append(len(models))
+            step = real_run_round(models, *args)
+            if len(calls) == 3:
+                return BlockRound(step.models, {j: "injected" for j in failing})
+            return step
+
+        monkeypatch.setattr(scenario_module, "run_round", run_round)
+    res = run_monte_carlo(cfg)
+    columns = [res.delay_mean_s, res.delay_std_s, res.delay_p5_s, res.delay_p95_s]
+    columns += [res.outage_rate, res.metric_mean, res.metric_std, res.n_failed]
+    expected = list_statistics(res)
+    for got, want in zip(columns, expected):
+        assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+    assert res.n_failed == n_failed
+    records = [rm for tr in res.trials for rm in tr.rounds]
+    unreachable = sum(not math.isfinite(rm.t_total_s) for rm in records)
+    short = sum(math.isfinite(rm.t_total_s) and not rm.feasible.all() for rm in records)
+    assert (res.outage_unreachable, res.outage_energy_short) == (unreachable, short)
+
+
+def test_trial_rounds_view_reads_the_block_record():
+    """A trial's rounds are a read-only sequence view of its block's record:
+    len, index (negative too), slice and iteration give records whose fields
+    have their declared types, and a pickled block carries its one shared
+    record once."""
+    cfg = small_config(**OPTIMIZED_BATTERY)
+    block = run_trial(build(cfg), range(cfg.monte_carlo_trials))
+    view = block[1].rounds
+    assert len(view) == cfg.rounds and view.record is block[0].rounds.record
+    records = list(view)
+    assert [rm.round_index for rm in records] == list(range(cfg.rounds))
+    assert_same_trial(replace(block[1], rounds=records), block[1])
+    assert view[-1].round_index == cfg.rounds - 1 and len(view[1:4]) == 3
+    with pytest.raises(IndexError):
+        view[cfg.rounds]
+    rm = view[2]
+    for item in fields(RoundMetrics):
+        if item.type == "float":
+            assert type(getattr(rm, item.name)) is float, item.name
+    assert type(rm.round_index) is int and type(rm.delta_method) is str
+    assert rm.deltas.shape == rm.battery_j.shape == (cfg.device_count,)
+    assert rm.feasible.dtype == rm.participate.dtype == bool
+    with pytest.raises(TypeError):
+        view[0] = rm
+
+    restored = pickle.loads(pickle.dumps(block))
+    assert len({id(tr.rounds.record) for tr in restored}) == 1
+    for a, b in zip(restored, block):
+        assert_same_trial(a, b)
+    one = len(pickle.dumps(block[0].rounds.record))
+    assert len(pickle.dumps(block)) < one + 2000  # the record once, not once per trial
 
 
 # ------------------------------------------------------------ overrides, sweep
