@@ -14,9 +14,11 @@ then ``ledger``); every interior probe, bisection or grid, reuses the
 ratio-independent terms it produced and calls the same elementwise helpers
 for the rest.
 
-Placement scores all candidate UAV positions with one call of an array
-objective, (C, 3) positions to (C,) expected delays, and picks the winner
-with one lexicographic sort.
+Grid-search placement scores all candidate UAV positions with one call of
+an array objective, (C, 3) positions to (C,) expected delays, and picks the
+winner with one lexicographic sort. Centroid placement has one candidate and
+nothing to compare, so it calls no objective and leaves the expected delay
+to whoever reads it.
 """
 
 from __future__ import annotations
@@ -76,10 +78,12 @@ class DeltaSolution:
 
 @dataclass(frozen=True)
 class PlacementSolution:
-    """Chosen UAV position and the expected round delay there."""
+    """Chosen UAV position and the expected round delay there.
+
+    ``objective_s`` is None for centroid placement, which scores nothing."""
 
     position: tuple[float, float, float]
-    objective_s: float
+    objective_s: float | None
 
 
 def optimize_delta_all(
@@ -174,23 +178,24 @@ def place_uav(
     """Pick the UAV position: area center, or expected-delay grid search.
 
     ``objective`` maps a (C, 3) array of candidate positions to their (C,)
-    expected delays and is called exactly once. The grid always contains
-    the exact centroid so the search can never do worse than the centroid
-    choice under the same objective. Ties go to the candidate nearest the
-    centroid, then to the smaller (x, y) for full determinism.
+    expected delays. Grid search calls it exactly once, on every candidate;
+    the centroid is returned without calling it, with ``objective_s`` None.
+    The grid always contains the exact centroid so the search can never do
+    worse than the centroid choice under the same objective. Ties go to the
+    candidate nearest the centroid, then to the smaller (x, y) for full
+    determinism.
     """
     xmin, xmax, ymin, ymax = area_bounds
     centroid = np.array([[0.5 * (xmin + xmax), 0.5 * (ymin + ymax)]])
     if mode == MODE_CENTROID:
-        xy = centroid
-    elif mode != MODE_GRID_SEARCH:
+        return PlacementSolution((*map(float, centroid[0]), float(altitude_m)), None)
+    if mode != MODE_GRID_SEARCH:
         raise ValueError(f"unknown placement mode {mode!r}")
-    elif grid_points < 2:
+    if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    else:
-        axes = np.linspace(xmin, xmax, grid_points), np.linspace(ymin, ymax, grid_points)
-        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-        xy = np.vstack([lattice, centroid])
+    axes = np.linspace(xmin, xmax, grid_points), np.linspace(ymin, ymax, grid_points)
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    xy = np.vstack([lattice, centroid])
     candidates = np.column_stack([xy, np.full(len(xy), float(altitude_m))])
 
     delays = np.asarray(objective(candidates), dtype=float)

@@ -1,11 +1,13 @@
 """Scenario assembly, seeded Monte Carlo trials, and parameter sweeps.
 
 The round kernel :func:`link_round` takes only the config and a fading
-realization; the payloads follow from the config. Placement scores every
-candidate UAV position against every placement fading draw in one batched
-:func:`link_round`. Monte Carlo trials run in contiguous blocks, one block
-per worker; :func:`run_trial` runs a block chunk by chunk into one columnar
-:class:`BlockRecord`, and :func:`run_monte_carlo` reduces its columns.
+realization; the payloads follow from the config. Grid-search placement
+scores every candidate UAV position against every placement fading draw in
+one batched :func:`link_round`; centroid placement scores its one position
+only when the scenario's ``placement_objective_s`` is first read. Monte
+Carlo trials run in contiguous blocks, one block per worker; :func:`run_trial`
+runs a block chunk by chunk into one columnar :class:`BlockRecord`, and
+:func:`run_monte_carlo` reduces its columns.
 Models are plain arrays: the scenario's initial model ``w0`` is a (d,) vector.
 
 Randomness discipline: every random draw comes from a named stream derived
@@ -321,16 +323,46 @@ class ScenarioConfig:
             )
 
 
+class _ExpectedDelay:
+    """A :class:`Scenario` field holding the expected round delay at the UAV.
+
+    Set to None, it is computed on first read, by the call grid search
+    makes, ``mean_round_delay(config, device_positions, [uav_position])``,
+    and kept on the instance. Pickling copies what is stored, so a copy sent
+    to a worker computes nothing. Read on the class it raises AttributeError,
+    so the dataclass field has no default.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None) -> float:
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if value is None:
+            uav = np.array([obj.uav_position])
+            value = float(mean_round_delay(obj.config, obj.device_positions, uav)[0])
+            obj.__dict__[self.name] = value
+        return value
+
+    def __set__(self, obj, value: float | None) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A fully materialized experiment: geometry, data, and initial model.
 
-    ``val_set`` and ``test_set`` are stacks of one, drawn as the devices' sets are."""
+    ``val_set`` and ``test_set`` are stacks of one, drawn as the devices' sets are.
+    ``placement_objective_s`` is the expected round delay at ``uav_position``:
+    grid search scored it while placing the UAV; centroid placement leaves
+    it None, and the first read computes it."""
 
     config: ScenarioConfig
     device_positions: np.ndarray
     uav_position: tuple[float, float, float]
-    placement_objective_s: float
+    placement_objective_s: _ExpectedDelay = _ExpectedDelay()
     distances_m: np.ndarray
     train_sets: FederatedData
     val_set: FederatedData
@@ -533,7 +565,11 @@ def mean_round_delay(
 
 
 def build(config: ScenarioConfig) -> Scenario:
-    """Materialize geometry, placement, datasets, and the initial model."""
+    """Materialize geometry, placement, datasets, and the initial model.
+
+    Grid-search placement scores every candidate in one batched link round;
+    centroid placement scores nothing here, and the scenario's
+    ``placement_objective_s`` is computed when it is first read."""
     xmin, xmax, ymin, ymax = config.area_bounds
     place_rng = rng_stream(config.master_seed, "placement")
     xs = place_rng.uniform(xmin, xmax, config.device_count)
@@ -732,14 +768,14 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
     finite = kept[np.isfinite(kept)]  # trial-major, as the records list them
     if finite.size:
         delay_mean = float(np.mean(finite))
-        delay_std = float(np.std(finite))
+        delay_std = float(_std(finite))
         delay_p5, delay_p95 = np.percentile(finite, [5, 95]).tolist()
     else:
         delay_mean = delay_std = delay_p5 = delay_p95 = float("nan")
 
     if ok.any():  # row r reduces as np.mean and np.std of round r's list: a pairwise sum
         test = rec["test_metric"][ok].T.copy()
-        metric_mean, metric_std = test.mean(axis=1), test.std(axis=1)
+        metric_mean, metric_std = test.mean(axis=1), _std(test, axis=1)
     else:
         metric_mean, metric_std = np.full(config.rounds, np.nan), np.full(config.rounds, np.nan)
 
@@ -761,6 +797,22 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
         outage_energy_short=int(np.count_nonzero(short)),
         record=rec,
     )
+
+
+def _std(x: np.ndarray, axis=None) -> np.ndarray:
+    """``np.std`` that stays finite on finite values: where their squared
+    deviations overflow, the values are divided by their largest magnitude
+    first and the std scaled back, which cannot overflow, since a std is at
+    most that magnitude. Everywhere else the result is ``np.std``'s, bit for bit."""
+    with np.errstate(over="ignore"):
+        std = np.std(x, axis=axis)
+    if np.isfinite(std).all():
+        return std
+    redo = ~np.isfinite(std) & np.isfinite(x).all(axis=axis)
+    scale = np.abs(x).max(axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # all-zero rows are not redone
+        rescaled = np.std(x / scale, axis=axis) * np.squeeze(scale, axis)
+    return np.where(redo, rescaled, std)
 
 
 @functools.cache

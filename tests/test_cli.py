@@ -641,6 +641,23 @@ def test_diverging_run_prints_only_its_failures(tmp_path, capsys):
         assert "inf" not in {value for row in rows for value in row[-3:]}
 
 
+def test_huge_finite_metrics_have_a_finite_std(tmp_path, capsys):
+    """The contested case at a learning rate of 1e10: no trial fails, the
+    final-round test metrics are finite near 1e241 and their squared
+    deviations overflow; the std is still finite and no warning is printed."""
+    args = ["run", "--config", str(CONFIGS / "default.yaml"), "--out", str(tmp_path)]
+    for text in (*CONTESTED, "trainer.learning_rate=1e10"):
+        args += ["--override", text]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(args) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    mean, std = summary["final_round_metric_mean"], summary["final_round_metric_std"]
+    assert 1e240 < mean < 1e242
+    assert std is not None and 0.0 < std < mean
+
+
 def test_logistic_run_fails_cleanly_or_warns_nothing(tmp_path, capsys):
     """accuracy.yaml at a learning rate of 1e307: every trial's aggregate
     overflows in round 0, so the run exits 3 and prints one line per failed

@@ -384,9 +384,17 @@ def lattice_and_centroid(config):
 
 
 def test_place_uav_centroid_of_square():
-    sol = place_uav((0.0, 100.0, 0.0, 100.0), 20.0, "centroid", constant(1.0))
+    """The centroid is the only candidate, so its objective is not called."""
+    calls = []
+
+    def objective(candidates):
+        calls.append(candidates)
+        return np.ones(len(candidates))
+
+    sol = place_uav((0.0, 100.0, 0.0, 100.0), 20.0, "centroid", objective)
     assert sol.position == (50.0, 50.0, 20.0)
-    assert sol.objective_s == 1.0
+    assert sol.objective_s is None
+    assert calls == []
 
 
 def test_place_uav_rejects_bad_arguments():
@@ -452,10 +460,11 @@ def test_grid_search_objective_never_worse_than_centroid():
         return mean_round_delay(config, devices, candidates)
 
     centroid = place_uav(config.area_bounds, config.uav_altitude_m, "centroid", objective)
+    at_centroid = objective(np.array([centroid.position]))[0]
     grid = place_uav(
         config.area_bounds, config.uav_altitude_m, "grid_search", objective, grid_points=5
     )
-    assert grid.objective_s <= centroid.objective_s
+    assert grid.objective_s <= at_centroid
 
 
 def test_batched_placement_grid_scan_stays_small():

@@ -262,6 +262,80 @@ def test_build_is_deterministic_and_in_bounds():
     assert np.all(s1.distances_m >= cfg.uav_altitude_m)
 
 
+# The expected round delay at the centroid on configs/default.yaml, as
+# place_uav scored it at build when centroid placement was eager. The
+# grid-search values are pinned in tests/test_cli.py.
+EAGER_CENTROID_OBJECTIVES = [
+    ({}, 0.11336552834191224),
+    ({"delta_mode": "optimized"}, 31.100894555155016),
+]
+
+
+def counted_mean_round_delay(monkeypatch):
+    """Replace scenario.mean_round_delay with a wrapper that records the
+    candidates of each call."""
+    calls, real = [], scenario_module.mean_round_delay
+
+    def counted(config, device_positions, candidates):
+        calls.append(candidates.shape)
+        return real(config, device_positions, candidates)
+
+    monkeypatch.setattr(scenario_module, "mean_round_delay", counted)
+    return calls
+
+
+@pytest.mark.parametrize("delta_mode", ["fixed", "optimized"])
+def test_centroid_placement_scores_nothing_until_read(monkeypatch, delta_mode):
+    """Building and running a centroid scenario runs no placement link
+    round; the first read of its objective runs one, on the UAV position
+    alone, and a second read reuses it."""
+    calls = counted_mean_round_delay(monkeypatch)
+    cfg = small_config(delta_mode=delta_mode, placement_mode="centroid")
+    scenario = build(cfg)
+    run_monte_carlo(cfg, scenario)
+    assert calls == []
+    first = scenario.placement_objective_s
+    assert calls == [(1, 3)]
+    assert scenario.placement_objective_s is first
+    assert calls == [(1, 3)]
+
+
+@pytest.mark.parametrize("overrides, objective", EAGER_CENTROID_OBJECTIVES)
+def test_centroid_objective_reads_the_eager_value(overrides, objective):
+    cfg = merge(load_config(str(ROOT / "configs" / "default.yaml")), overrides)
+    assert repr(build(cfg).placement_objective_s) == repr(objective)
+
+
+def test_pickled_scenario_computes_its_objective_after_unpickling(monkeypatch):
+    """A worker's copy of an unread scenario carries no objective and
+    computes the same one when read."""
+    calls = counted_mean_round_delay(monkeypatch)
+    scenario = build(small_config())
+    copy = pickle.loads(pickle.dumps(scenario))
+    assert calls == []
+    assert copy.placement_objective_s == scenario.placement_objective_s
+    assert len(calls) == 2
+
+
+def test_replaced_placement_objective_is_kept(monkeypatch):
+    calls = counted_mean_round_delay(monkeypatch)
+    scenario = build(small_config())
+    assert replace(scenario, placement_objective_s=1.25).placement_objective_s == 1.25
+    assert calls == []
+    with pytest.raises(AttributeError):
+        scenario_module.Scenario.placement_objective_s
+
+
+def test_grid_search_scores_every_candidate_in_one_call(monkeypatch):
+    """Grid search scores its 9 x 9 lattice and the centroid in one call at
+    build, and reading the objective then computes nothing."""
+    calls = counted_mean_round_delay(monkeypatch)
+    scenario = build(small_config(placement_mode="grid_search"))
+    assert calls == [(82, 3)]
+    assert scenario.placement_objective_s > 0.0
+    assert calls == [(82, 3)]
+
+
 def test_link_round_payloads_follow_the_config():
     """Both links carry ``payload_bits``, or 32 bits per model coordinate
     when it is unset, and the UAV aggregates M payloads unless
