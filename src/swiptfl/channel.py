@@ -67,10 +67,6 @@ class ChannelRealization:
         if not (self.distances_m > 0).all():
             raise ValueError("distances_m must be > 0")
 
-    @property
-    def n_devices(self) -> int:
-        return self.gains_sq.shape[-1]
-
 
 @dataclass(frozen=True)
 class LinkBudget:

@@ -74,7 +74,7 @@ from .optimizer import (
     optimize_delta_all,
     place_uav,
 )
-from .timing import RoundDelay, local_train_time, round_total, uav_aggregation_time
+from .timing import local_train_time, round_total, uav_aggregation_time
 
 DELTA_MODE_FIXED = "fixed"
 DELTA_MODE_OPTIMIZED = "optimized"
@@ -401,9 +401,9 @@ class BlockRecord(dict):
 
     Each :class:`RoundMetrics` field after ``round_index`` names its (T, R)
     column, or (T, R, M) for a per-device field; ``battery_j`` is None
-    without a battery ledger. ``trial_index``, ``rounds_done``,
-    ``outage_count`` and ``error`` are (T,) columns. Trial k's records are
-    its first ``rounds_done[k]`` rounds, and the rest of its row is filler.
+    without a battery ledger. ``trial_index``, ``rounds_done``, ``outage_count``,
+    ``outage_unreachable`` and ``error`` are (T,) columns. Trial k's records
+    are its first ``rounds_done[k]`` rounds, and the rest of its row is filler.
     """
 
     def recorded(self) -> np.ndarray:
@@ -466,7 +466,7 @@ class MonteCarloResult:
 
 @dataclass(frozen=True)
 class LinkRound:
-    """The physical layer of one round over all devices, at one or a batch of fading states."""
+    """One round's physics, stage times included, for all devices at one or a batch of states."""
 
     deltas: np.ndarray
     method: str
@@ -483,16 +483,10 @@ class LinkRound:
         keep = (self.method != METHOD_GRID) | self.grid.any(axis=-1)
         return np.where(keep, self.method, METHOD_BISECTION)
 
-    def delay(self, participate: np.ndarray | None = None) -> RoundDelay:
-        """Round delay when only the ``participate`` devices train and upload.
-
-        All devices take part by default. Every device still receives the
-        downlink, so its download gates the round either way.
-        """
-        t_up, t_local = self.uplink.tx_time_s, self.t_local_s
-        if participate is not None:
-            t_up, t_local = np.where(participate, t_up, 0.0), np.where(participate, t_local, 0.0)
-        return round_total(t_up, t_local, self.downlink.tx_time_s, self.t_uav_s)
+    def delay(self) -> float | np.ndarray:
+        """Round delay with every device taking part: a float, or shape (...) for a batch."""
+        t_up, t_down = self.uplink.tx_time_s, self.downlink.tx_time_s
+        return round_total(t_up, self.t_local_s, t_down, self.t_uav_s)
 
 
 def link_round(config: ScenarioConfig, realization: ChannelRealization) -> LinkRound:
@@ -501,7 +495,8 @@ def link_round(config: ScenarioConfig, realization: ChannelRealization) -> LinkR
     Computes the uplink once, resolves the power-splitting ratios per the
     configured mode, then computes the downlink and the energy ledger once
     at those ratios. A realization of shape (..., M) runs a whole batch of
-    fading states in this one call; every per-device field has its shape.
+    fading states in this one call; every per-device field, the stage times
+    that :meth:`LinkRound.delay` composes included, has its shape.
     The payloads follow from the config, as :class:`ScenarioConfig` says.
     """
     link = config.link
@@ -561,7 +556,7 @@ def mean_round_delay(
     dy = device_positions[:, 1] - candidates[:, 1:2]
     dist = np.sqrt(dx * dx + dy * dy + candidates[:, 2:] ** 2)
     realization = ChannelRealization(fading, dist[:, None, :])
-    return link_round(config, realization).delay().t_total_s.mean(axis=-1)
+    return link_round(config, realization).delay().mean(axis=-1)
 
 
 def build(config: ScenarioConfig) -> Scenario:
@@ -632,7 +627,8 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     its first round with a non-finite score, whichever is earlier; the
     message names the train loss, val metric or test metric, the first of
     them not finite. It keeps the rounds before. A recorded round is in
-    outage when a device is unreachable (an infinite delay) or short of energy.
+    outage when a device is unreachable (an infinite delay) or short of
+    energy; the record counts them, and the unreachable ones among them.
     Each chunk writes into the columns of one :class:`BlockRecord` and builds
     no per-round object; every result's ``rounds`` is a :class:`TrialRounds`
     view of its row, so a pickled block carries the record's arrays once.
@@ -641,8 +637,10 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     shortfalls only show up as infeasible flags (and outage counts). With
     ``battery_ledger`` a device skips rounds it cannot afford from stored
     plus harvested energy; a skipping device still receives the downlink
-    and harvests from it, but trains and uploads nothing, and its uplink
-    and compute times stop gating the round. Batteries are not capped.
+    and harvests from it, but trains and uploads nothing. One mask per chunk
+    zeroes its uplink and compute times, and the round total and the three
+    stage maxima come from those masked stages, so its download still gates
+    the round. Batteries are not capped.
     """
     cfg = scenario.config
     seed, trials, task = cfg.master_seed, list(trial_indices), cfg.trainer.task
@@ -679,11 +677,13 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
                 part[...] = np.isfinite(bill) & (battery + gain - bill >= 0.0)
                 battery = battery + gain - np.where(part, bill, 0.0)
                 columns["battery_j"][:, start + i] = battery
-        delay = phys.delay(participate)
-        maxima = (t.max(axis=-1) for t in (delay.t_uplink_s, delay.t_local_s, delay.t_downlink_s))
-        t_uav = np.broadcast_to(delay.t_uav_s, delay.t_total_s.shape)
+        masked = (np.where(participate, t, 0.0) for t in (phys.uplink.tx_time_s, phys.t_local_s))
+        stages = (*masked, phys.downlink.tx_time_s)  # a device that sits out still downloads
+        total = round_total(*stages, phys.t_uav_s)
+        maxima = (t.max(axis=-1) for t in stages)
+        t_uav = np.broadcast_to(phys.t_uav_s, total.shape)
         energy = (e_total, e_harvest, phys.energy.feasible, participate)
-        values = (delay.t_total_s, *maxima, t_uav, phys.deltas, phys.methods(), *energy)
+        values = (total, *maxima, t_uav, phys.deltas, phys.methods(), *energy)
         for name, value in zip(_COLUMNS, values):  # the fields t_total_s to participate
             if name not in columns:  # typed as the first chunk's values are
                 columns[name] = np.zeros((*grid, *value.shape[2:]), value.dtype)
@@ -725,10 +725,12 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
         kept = [j for j, k in enumerate(live) if k not in stop]
         live, models = [live[j] for j in kept], models[kept]
 
-    in_outage = ~np.isfinite(columns["t_total_s"]) | ~columns["feasible"].all(axis=-1)
     record = BlockRecord(columns, trial_index=np.array(trials), rounds_done=rounds_done)
-    outages = np.count_nonzero(in_outage & record.recorded(), axis=1)
+    unreachable = ~np.isfinite(columns["t_total_s"]) & record.recorded()
+    short = ~columns["feasible"].all(axis=-1) & record.recorded()
+    outages = np.count_nonzero(unreachable | short, axis=1)
     record["outage_count"] = outages
+    record["outage_unreachable"] = np.count_nonzero(unreachable, axis=1)
     record["error"] = np.array([errors.get(k) for k in range(len(trials))], dtype=object)
     return [
         TrialResult(t, TrialRounds(record, k), n, k in errors, errors.get(k))
@@ -743,9 +745,9 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
     on its block, so the output is identical for any worker count. The
     blocks' records join into one :class:`BlockRecord`, and every statistic
     is a masked reduction over its columns, summed in trial order, then
-    round order, as over a list of the records. ``outage_unreachable``
-    counts the recorded rounds with an unreachable device, and
-    ``outage_energy_short`` the other rounds in outage.
+    round order, as over a list of the records. ``outage_unreachable`` sums
+    the trials' counts of recorded rounds with an unreachable device, and
+    ``outage_energy_short`` is the rest of their outage rounds.
     """
     if scenario is None:
         scenario = build(config)
@@ -779,9 +781,8 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
     else:
         metric_mean, metric_std = np.full(config.rounds, np.nan), np.full(config.rounds, np.nan)
 
-    executed, reachable = int(rec["rounds_done"].sum()), np.isfinite(rec["t_total_s"])
-    recorded = rec.recorded()
-    short = recorded & reachable & ~rec["feasible"].all(axis=-1)
+    executed, outages = int(rec["rounds_done"].sum()), int(rec["outage_count"].sum())
+    unreachable = int(rec["outage_unreachable"].sum())
     return MonteCarloResult(
         scenario=scenario,
         trials=trials,
@@ -789,12 +790,12 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
         delay_std_s=delay_std,
         delay_p5_s=delay_p5,
         delay_p95_s=delay_p95,
-        outage_rate=int(rec["outage_count"].sum()) / executed if executed else float("nan"),
+        outage_rate=outages / executed if executed else float("nan"),
         metric_mean=metric_mean,
         metric_std=metric_std,
         n_failed=int(np.count_nonzero(~ok)),
-        outage_unreachable=int(np.count_nonzero(recorded & ~reachable)),
-        outage_energy_short=int(np.count_nonzero(short)),
+        outage_unreachable=unreachable,
+        outage_energy_short=outages - unreachable,
         record=rec,
     )
 

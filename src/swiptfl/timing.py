@@ -3,28 +3,16 @@
 The round delay composes three stages: every device uploads after finishing
 its local training (slowest device gates the stage), the UAV aggregates,
 and the UAV unicasts the new global model back (slowest download gates the
-stage). Infinite per-device times propagate into an infinite total so Monte
-Carlo sweeps can count outage rounds instead of aborting.
+stage). :func:`round_total` returns that number: a float for one fading
+state, an array for a batch. Infinite per-device times propagate into an
+infinite total so Monte Carlo sweeps can count outage rounds instead of aborting.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import dataclass
-
 from .energy import ComputeProfile
-
-
-@dataclass(frozen=True)
-class RoundDelay:
-    """Stage times (..., M) and the round total: a float, or shape (...) for a batch."""
-
-    t_local_s: np.ndarray
-    t_uplink_s: np.ndarray
-    t_downlink_s: np.ndarray
-    t_uav_s: float
-    t_total_s: float | np.ndarray
 
 
 def local_train_time(profile: ComputeProfile) -> float:
@@ -42,11 +30,12 @@ def round_total(
     t_local_s,
     t_downlink_s,
     t_uav_s: float,
-) -> RoundDelay:
-    """Compose the total round delay from per-device stage times.
+) -> float | np.ndarray:
+    """The total round delay from per-device stage times (..., M):
 
     total = max_i(uplink_i + local_i) + max_i(downlink_i) + aggregation,
-    with the maxima taken along the last (device) axis.
+    with the maxima taken along the last (device) axis, so a float for one
+    fading state and shape (...) for a batch.
     """
     t_up = np.asarray(t_uplink_s, dtype=float)
     t_loc = np.asarray(t_local_s, dtype=float)
@@ -60,10 +49,4 @@ def round_total(
         raise ValueError("t_uav_s must be >= 0")
 
     total = (t_up + t_loc).max(axis=-1) + t_down.max(axis=-1) + float(t_uav_s)
-    return RoundDelay(
-        t_local_s=t_loc,
-        t_uplink_s=t_up,
-        t_downlink_s=t_down,
-        t_uav_s=float(t_uav_s),
-        t_total_s=total if total.ndim else float(total),
-    )
+    return total if total.ndim else float(total)

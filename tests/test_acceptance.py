@@ -148,7 +148,7 @@ def test_criterion_01_link_chain_matches_oracles():
         worst = max(
             worst,
             rel_err(
-                round_total(t_up, t_loc, t_down, t_server).t_total_s,
+                round_total(t_up, t_loc, t_down, t_server),
                 oracles.t_round(t_up, t_loc, t_down, t_server),
             ),
         )

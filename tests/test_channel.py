@@ -225,7 +225,7 @@ def test_channel_realization_validation():
     for distance in (0.0, -3.0):  # the only guard of received_power's distances
         with pytest.raises(ValueError):
             ChannelRealization([1.0], [distance])
-    assert ChannelRealization([1.0, 2.0], [3.0, 4.0]).n_devices == 2
+    assert ChannelRealization([1.0, 2.0], [3.0, 4.0]).gains_sq.shape[-1] == 2
     # Leading axes broadcast; the device axis must match exactly.
     for gains, dists in (
         (np.ones((2, 3)), np.ones((2, 2))),
@@ -235,4 +235,4 @@ def test_channel_realization_validation():
         with pytest.raises(ValueError):
             ChannelRealization(gains, dists)
     batch = ChannelRealization(np.ones((2, 3)), [3.0, 4.0, 5.0])
-    assert batch.distances_m.shape == (2, 3) and batch.n_devices == 3
+    assert batch.distances_m.shape == (2, 3) and batch.gains_sq.shape[-1] == 3

@@ -20,7 +20,15 @@ from swiptfl.channel import (
 )
 from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy, ledger, transmit_energy
 from swiptfl.optimizer import optimize_delta_all, place_uav
-from swiptfl.scenario import ScenarioConfig, build, link_round, mean_round_delay, rng_stream
+from swiptfl.scenario import (
+    ScenarioConfig,
+    build,
+    link_round,
+    mean_round_delay,
+    merge,
+    rng_stream,
+    run_monte_carlo,
+)
 
 
 class Case(NamedTuple):
@@ -348,6 +356,50 @@ def test_solver_runs_the_full_chain_once(monkeypatch, shape, a2):
     assert calls == {"downlink_budget": 1, "ledger": 1}
 
 
+def test_optimized_delta_dominates_fixed_on_paired_rounds():
+    """The same seeds at fixed delta 0.5 and at optimized delta, round by round.
+
+    Fading streams are keyed by (trial, round), not by the delta mode, so
+    the two runs see the same channels. The solver's first bisection probe
+    is 0.5 * (delta_min + delta_max), which is exactly 0.5, so wherever 0.5
+    is feasible the solved ratio is at least 0.5; a ratio changes no
+    device's interference, and a larger one never slows its download.
+    Hence, exactly: every device feasible at fixed delta is feasible at
+    optimized delta, and every round all-feasible at fixed delta is no
+    slower at optimized delta.
+    """
+    assert 0.5 * (DELTA_MIN + DELTA_MAX) == 0.5
+    base = merge(
+        ScenarioConfig(),
+        {
+            "master_seed": 4,
+            "monte_carlo_trials": 50,
+            "rounds": 10,
+            "delta_fixed": 0.5,
+            "device_pays_downlink": False,
+            "link.ptx_ul_w": 1e-6,
+            "link.bandwidth_hz": 1e4,
+            "compute.kappa": 1e-34,
+        },
+    )
+    checked = faster = 0
+    for m in (1, 3, 5, 10):
+        fixed = run_monte_carlo(merge(base, {"device_count": m})).record
+        solved = run_monte_carlo(merge(base, {"device_count": m, "delta_mode": "optimized"})).record
+        assert np.array_equal(fixed["rounds_done"], solved["rounds_done"])
+        recorded = fixed.recorded()[..., None]
+        lost = recorded & fixed["feasible"] & ~solved["feasible"]
+        assert not lost.any(), f"M={m}: {lost.sum()} devices feasible only at fixed delta"
+        all_feasible = fixed.recorded() & fixed["feasible"].all(axis=-1)
+        slower = all_feasible & (solved["t_total_s"] > fixed["t_total_s"])
+        assert not slower.any(), f"M={m}: {slower.sum()} all-feasible rounds slower when solved"
+        checked += int(all_feasible.sum())
+        faster += int((all_feasible & (solved["t_total_s"] < fixed["t_total_s"])).sum())
+    # Not vacuous: many rounds are all-feasible at fixed delta, and in some
+    # of them the solved ratios make the round strictly faster.
+    assert checked >= 1000 and faster > 0, (checked, faster)
+
+
 def constant(value):
     return lambda candidates: np.full(len(candidates), value)
 
@@ -364,10 +416,7 @@ def per_candidate_objective(config, devices, candidates):
     for x, y, z in candidates:
         dx, dy = devices[:, 0] - x, devices[:, 1] - y
         dist = np.sqrt(dx * dx + dy * dy + z**2)
-        totals = [
-            link_round(config, ChannelRealization(gains, dist)).delay().t_total_s
-            for gains in draws
-        ]
+        totals = [link_round(config, ChannelRealization(gains, dist)).delay() for gains in draws]
         out.append(np.mean(totals))
     return np.array(out)
 

@@ -501,7 +501,7 @@ def test_batched_link_round_equals_per_slice(delta_mode, harvest, method):
             "e_total_j": rnd.energy.e_total_j,
             "e_harvest_j": rnd.energy.e_harvest_j,
             "feasible": rnd.energy.feasible,
-            "t_total_s": rnd.delay().t_total_s,
+            "t_total_s": rnd.delay(),
         }
 
     for name, got in per_device(batched).items():
@@ -1026,6 +1026,8 @@ def test_statistics_from_columns_equal_the_list_formulas(monkeypatch, overrides,
     unreachable = sum(not math.isfinite(rm.t_total_s) for rm in records)
     short = sum(math.isfinite(rm.t_total_s) and not rm.feasible.all() for rm in records)
     assert (res.outage_unreachable, res.outage_energy_short) == (unreachable, short)
+    per_trial = [sum(not math.isfinite(rm.t_total_s) for rm in tr.rounds) for tr in res.trials]
+    assert res.record["outage_unreachable"].tolist() == per_trial
 
 
 def test_trial_rounds_view_reads_the_block_record():

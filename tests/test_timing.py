@@ -35,15 +35,23 @@ def test_uav_aggregation_time():
 
 def test_round_total_single_device_is_plain_sum():
     d = round_total([0.2], [0.5], [0.1], 0.05)
-    assert d.t_total_s == 0.2 + 0.5 + 0.1 + 0.05
+    assert d == 0.2 + 0.5 + 0.1 + 0.05
+
+
+def test_round_total_is_the_delay_itself():
+    """A float for one fading state, an array over the batch axes for a batch."""
+    assert type(round_total([0.2, 0.1], [0.5, 0.5], [0.1, 0.3], 0.05)) is float
+    batch = round_total(np.ones((2, 3, 4)), np.ones((2, 3, 4)), np.ones((2, 3, 4)), 0.5)
+    assert isinstance(batch, np.ndarray) and batch.shape == (2, 3)
+    assert (batch == 3.5).all()
 
 
 def test_round_total_dominating_device():
     """Device 0 is slowest in both stages, so it alone sets the total."""
     d = round_total([5.0, 1.0, 0.5], [3.0, 0.1, 0.2], [4.0, 0.3, 0.1], 0.25)
-    assert d.t_total_s == 5.0 + 3.0 + 4.0 + 0.25
+    assert d == 5.0 + 3.0 + 4.0 + 0.25
     brute = oracles.t_round([5.0, 1.0, 0.5], [3.0, 0.1, 0.2], [4.0, 0.3, 0.1], 0.25)
-    assert d.t_total_s == brute
+    assert d == brute
 
 
 def test_round_total_matches_oracle_randomized():
@@ -53,20 +61,20 @@ def test_round_total_matches_oracle_randomized():
         t_up, t_loc, t_down = rng.uniform(0, 3, (3, m))
         t_uav = float(rng.uniform(0, 1))
         d = round_total(t_up, t_loc, t_down, t_uav)
-        assert d.t_total_s == pytest.approx(
+        assert d == pytest.approx(
             oracles.t_round(list(t_up), list(t_loc), list(t_down), t_uav), rel=1e-12
         )
     # A 2-D batch reduces along the device axis: each row equals its 1-D total.
     t_up, t_loc, t_down = rng.uniform(0, 3, (3, 4, 6))
-    batch = round_total(t_up, t_loc, t_down, 0.2).t_total_s
+    batch = round_total(t_up, t_loc, t_down, 0.2)
     assert batch.shape == (4,)
-    rows = [round_total(t_up[i], t_loc[i], t_down[i], 0.2).t_total_s for i in range(4)]
+    rows = [round_total(t_up[i], t_loc[i], t_down[i], 0.2) for i in range(4)]
     assert np.array_equal(batch, rows)
 
 
 def test_round_total_absorbs_infinity():
-    assert math.isinf(round_total([math.inf, 1.0], [0.1, 0.1], [0.2, 0.2], 0.0).t_total_s)
-    assert math.isinf(round_total([1.0], [1.0], [math.inf], 0.5).t_total_s)
+    assert math.isinf(round_total([math.inf, 1.0], [0.1, 0.1], [0.2, 0.2], 0.0))
+    assert math.isinf(round_total([1.0], [1.0], [math.inf], 0.5))
 
 
 def test_round_total_monotone_in_every_component():
@@ -75,24 +83,24 @@ def test_round_total_monotone_in_every_component():
         m = int(rng.integers(1, 6))
         t_up, t_loc, t_down = rng.uniform(0, 2, (3, m))
         t_uav = float(rng.uniform(0, 1))
-        base = round_total(t_up, t_loc, t_down, t_uav).t_total_s
+        base = round_total(t_up, t_loc, t_down, t_uav)
         k = int(rng.integers(0, m))
         bump = float(rng.uniform(0, 2))
         up2 = t_up.copy(); up2[k] += bump
         loc2 = t_loc.copy(); loc2[k] += bump
         down2 = t_down.copy(); down2[k] += bump
-        assert round_total(up2, t_loc, t_down, t_uav).t_total_s >= base
-        assert round_total(t_up, loc2, t_down, t_uav).t_total_s >= base
-        assert round_total(t_up, t_loc, down2, t_uav).t_total_s >= base
-        assert round_total(t_up, t_loc, t_down, t_uav + bump).t_total_s >= base
+        assert round_total(up2, t_loc, t_down, t_uav) >= base
+        assert round_total(t_up, loc2, t_down, t_uav) >= base
+        assert round_total(t_up, t_loc, down2, t_uav) >= base
+        assert round_total(t_up, t_loc, t_down, t_uav + bump) >= base
 
 
 def test_round_total_symmetric_under_relabeling():
     rng = np.random.default_rng(13)
     t_up, t_loc, t_down = rng.uniform(0, 2, (3, 6))
     perm = rng.permutation(6)
-    a = round_total(t_up, t_loc, t_down, 0.3).t_total_s
-    b = round_total(t_up[perm], t_loc[perm], t_down[perm], 0.3).t_total_s
+    a = round_total(t_up, t_loc, t_down, 0.3)
+    b = round_total(t_up[perm], t_loc[perm], t_down[perm], 0.3)
     assert a == b
 
 
@@ -133,7 +141,7 @@ def test_total_nonincreasing_in_downlink_power_pointwise():
             ptx_dl_w=ptx_dl,
         )
         t_down = downlink_budget(params, r, 0.5, 4096.0).tx_time_s
-        return round_total(t_up, t_loc, t_down, 0.01).t_total_s
+        return round_total(t_up, t_loc, t_down, 0.01)
 
     totals = [total(p) for p in np.logspace(-1, 1, 6)]
     assert all(b <= a for a, b in zip(totals, totals[1:]))
