@@ -1,13 +1,14 @@
-"""Command-line front end: YAML configs, subcommands, CSV/JSON emission.
+"""Command-line front end: argument parsing, subcommands, CSV/JSON emission.
 
 Every subcommand runs one pipeline. :func:`resolve_config` merges the
-config file (YAML mirroring ScenarioConfig) with one mapping of every
-``--override dotted.path=value`` (or ``section={...}``), then ``--seed``,
-then ``--workers``, then what the subcommand fixes, a later value for the
-same key winning, in one :func:`scenario.merge`. The command runs on that
-config and :func:`main` writes a manifest next to its outputs that
-snapshots the config; passing a manifest as ``--config`` replays the run
-it records. Power fields accept a ``dBm`` suffix (e.g. ``"20 dBm"``).
+config file, which :func:`~swiptfl.config.load_config` reads, with one
+mapping of every ``--override dotted.path=value`` (or ``section={...}``),
+then ``--seed``, then ``--workers``, then what the subcommand fixes, a later
+value for the same key winning, in one :func:`~swiptfl.config.merge`. The
+command runs on that config and :func:`main` writes a manifest next to its
+outputs that snapshots the config; passing a manifest as ``--config``
+replays the run it records. Power fields accept a ``dBm`` suffix (e.g.
+``"20 dBm"``).
 
 Exit codes: 0 success, 2 config, argument or I/O error, 3 numeric failure.
 Any other exception is a bug and propagates with its traceback.
@@ -28,13 +29,12 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .channel import ChannelRealization
+from .config import ConfigError, ScenarioConfig, load_config, merged, parse_yaml
 from .fl_core import DivergenceError, check_candidates, select_rounds
-from .scenario import ScenarioConfig, build, fading_draws, link_round, merge
-from .scenario import rng_stream, run_monte_carlo, sweep
+from .scenario import build, fading_draws, link_round, rng_stream, run_monte_carlo, sweep
 
 SWEEP_COLUMNS = ["param_value", "mean_t_total_s", "std_t_total_s", "p5", "p95", "outage_rate"]
 ROUNDS_COLUMNS = [
@@ -53,50 +53,6 @@ ROUNDS_COLUMNS = [
     "test_metric",
 ]
 
-# libyaml's loader parses a config about six times faster than the pure-Python one.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-class ConfigError(Exception):
-    """Bad config file, unknown key, or malformed override."""
-
-
-def _config(fn, *args):
-    """``fn(*args)``, built from values given on the command line or in a
-    file, with its errors as ConfigError."""
-    try:
-        return fn(*args)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _yaml(text: str, what: str):
-    """``text`` parsed as YAML; a parse error is a one-line ConfigError that
-    names ``what``, the problem, and its line and column."""
-    try:
-        return yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        detail = problem or str(exc).splitlines()[0]
-        raise ConfigError(f"cannot parse {what}: {detail}{where}") from exc
-
-
-def load_config(path: str) -> ScenarioConfig:
-    """Load a YAML config, or replay the config snapshot of a manifest, onto the defaults."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    raw = _yaml(text, f"config {path}")
-    if raw is None:
-        raw = {}
-    if isinstance(raw, dict) and "config" in raw and raw.get("tool") == "swiptfl":
-        raw = raw["config"]
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    return _config(merge, ScenarioConfig(), raw)
-
 
 def resolve_config(args) -> ScenarioConfig:
     """The config a subcommand runs: its ``--config`` file merged in one step
@@ -107,14 +63,14 @@ def resolve_config(args) -> ScenarioConfig:
         path, eq, value = text.partition("=")
         if not (path and eq):
             raise ConfigError(f"override must look like dotted.path=value, got {text!r}")
-        pairs.append((path, _yaml(value, f"override value {value!r}")))
+        pairs.append((path, parse_yaml(value, f"override value {value!r}")))
     options = {"master_seed": args.seed, "workers": args.workers}
     pairs += [item for item in options.items() if item[1] is not None]
     changes = {}
     for key, value in [*pairs, *args.fixed.items()]:
         changes.pop(key, None)  # re-inserted last, so it applies after every earlier key
         changes[key] = value
-    return _config(merge, load_config(args.config), changes)
+    return merged(load_config(args.config), changes)
 
 
 def _write_atomic(path: Path, write) -> None:
@@ -214,11 +170,10 @@ def cmd_run(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
 
 
 def cmd_sweep(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
-    items = _yaml(f"[{args.values}]", f"--values {args.values!r}")
-    # Each value as its (first) field takes it, e.g. "20 dBm" as 0.1, before the first run.
-    paths = args.param.split(",")
-    field = attrgetter(paths[0])
-    values = [field(_config(merge, config, dict.fromkeys(paths, item))) for item in items]
+    items = parse_yaml(f"[{args.values}]", f"--values {args.values!r}")
+    # Each value as its field takes it, e.g. "20 dBm" as 0.1, before the first run.
+    field = attrgetter(args.param)
+    values = [field(merged(config, {args.param: item})) for item in items]
     if not values:
         raise ConfigError("--values must list at least one value")
 
@@ -263,6 +218,7 @@ def cmd_select_rounds(config: ScenarioConfig, args, out: Path) -> tuple[list[str
         scenario.val_set,
         scenario.test_set,
         config.trainer,
+        config.compute.local_iters,
         rng_stream(config.master_seed, "select"),
         scenario.w0,
     )
@@ -345,14 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_run)
 
-    p = subs.add_parser("sweep", help="re-run while varying config fields; writes sweep.csv")
+    p = subs.add_parser("sweep", help="re-run while varying one config field; writes sweep.csv")
     _add_common(p)
-    p.add_argument(
-        "--param",
-        required=True,
-        help="dotted config path, e.g. link.ptx_dl_w, or several joined by commas, "
-        "each set to every value",
-    )
+    p.add_argument("--param", required=True, help="dotted config path, e.g. link.ptx_dl_w")
     p.add_argument("--values", required=True, help="comma-separated YAML values, lists included")
     p.set_defaults(func=cmd_sweep)
 

@@ -67,13 +67,10 @@ class FederatedData:
 class TrainerConfig:
     """Local training hyperparameters, identical on every device.
 
-    ``batch_size`` of None means full batch; the local iteration count must
-    match the energy model's per-round iteration count (checked by the
-    scenario config, not here).
+    ``batch_size`` of None means full batch.
     """
 
     learning_rate: float = within(POSITIVE_FINITE)
-    local_iters: int = within(AT_LEAST_1)
     task: str = TASK_LINEAR
     batch_size: int | None = within(AT_LEAST_1, None)
 
@@ -159,6 +156,7 @@ def run_round(
     global_models,
     data: FederatedData,
     cfg: TrainerConfig,
+    local_iters: int,
     rngs: Sequence[np.random.Generator] | None = None,
     participate: np.ndarray | None = None,
 ) -> BlockRound:
@@ -167,10 +165,12 @@ def run_round(
     Trial t broadcasts ``global_models[t]`` to the devices marked in
     ``participate[t]`` (all by default); the others sit the round out and
     are neither trained nor aggregated, and a trial with no participant
-    keeps its model. Every local iteration makes one gradient call over
-    the K participating (trial, device) rows. Full batch gathers their
-    ``(K, n, d)`` features once; minibatch gathers each iteration's
-    ``(K, batch_size, d)`` batch straight from ``data``: 1.0 MB for
+    keeps its model. Each of the ``local_iters`` local iterations makes one
+    gradient call over the K participating (trial, device) rows; with none,
+    each trial aggregates its broadcast model, which it keeps up to the
+    rounding of the average. Full batch gathers their ``(K, n, d)``
+    features once; minibatch gathers each iteration's ``(K, batch_size,
+    d)`` batch straight from ``data``: 1.0 MB for
     ``accuracy.yaml``'s block of 200 trials of 5 devices with batches of 8
     samples of 16 features, against 3.8 MB for their full sets. Each trial
     then aggregates its own rows by dataset size.
@@ -200,7 +200,7 @@ def run_round(
         xb, yb = xb[device], yb[device]
     draws = np.empty((t_count, m, n)) if minibatch else None
     errors: dict[int, str] = {}
-    for it in range(cfg.local_iters):
+    for it in range(local_iters):
         if minibatch:
             for rng, buffer in zip(rngs, draws):
                 rng.random(out=buffer)
@@ -285,28 +285,29 @@ def select_rounds(
     val_set: FederatedData,
     test_set: FederatedData,
     cfg: TrainerConfig,
+    local_iters: int,
     rng: np.random.Generator,
     w0: np.ndarray,
 ) -> RoundSelection:
     """Pick the communication-round budget by validation performance.
 
-    Trains one model from the (d,) vector ``w0``, as a block of one trial,
-    up to the largest candidate and snapshots it at every candidate
-    checkpoint (training to R and continuing is identical to training
-    straight to R' > R, since every round draws its minibatches from the
-    one generator ``rng``), then scores every checkpoint in one evaluation
-    pass. Returns the candidate with the best validation metric; exact ties
-    go to the smaller budget, which costs less to communicate. The test
-    metric is reported only for the chosen budget. Raises ValueError for
-    candidates that :func:`check_candidates` rejects and
-    :class:`DivergenceError` if training diverges or a score is not finite:
-    the val metric of a candidate, the first such one named, or the chosen
-    budget's test metric.
+    Trains one model from the (d,) vector ``w0``, as a block of one trial of
+    ``local_iters`` local iterations a round, up to the largest candidate
+    and snapshots it at every candidate checkpoint (training to R and
+    continuing is identical to training straight to R' > R, since every
+    round draws its minibatches from the one generator ``rng``), then scores
+    every checkpoint in one evaluation pass. Returns the candidate with the
+    best validation metric; exact ties go to the smaller budget, which costs
+    less to communicate. The test metric is reported only for the chosen
+    budget. Raises ValueError for candidates that :func:`check_candidates`
+    rejects and :class:`DivergenceError` if training diverges or a score is
+    not finite: the val metric of a candidate, the first such one named, or
+    the chosen budget's test metric.
     """
     check_candidates(candidates)
     checkpoints, wanted, w = [], set(candidates), np.asarray(w0, dtype=float)[None]
     for r in range(1, candidates[-1] + 1):
-        step = run_round(w, train_sets, cfg, [rng])
+        step = run_round(w, train_sets, cfg, local_iters, [rng])
         if step.errors:
             raise DivergenceError(step.errors[0])
         w = step.models

@@ -1,5 +1,7 @@
 """Scenario assembly, seeded Monte Carlo trials, and parameter sweeps.
 
+Everything here runs on a :class:`~swiptfl.config.ScenarioConfig`; the config
+classes and the merge that builds a config live in :mod:`swiptfl.config`.
 The round kernel :func:`link_round` takes only the config and a fading
 realization; the payloads follow from the config. Grid-search placement
 scores every candidate UAV position against every placement fading draw in
@@ -36,48 +38,20 @@ block's seed words, (R, T, 4) uint64, and each round builds only its own generat
 from __future__ import annotations
 
 import functools
-import re
-import typing
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
 
-from .channel import (
-    DELTA_MAX,
-    DELTA_MIN,
-    ChannelRealization,
-    LinkBudget,
-    LinkParams,
-    downlink_budget,
-    uplink_budget,
-)
-from .domains import AT_LEAST_1, FINITE, NONNEGATIVE_FINITE, NONNEGATIVE_INT, NONNEGATIVE_OR_INF
-from .domains import POSITIVE_FINITE, at_least, check_domains, interval, within
-from .energy import ComputeProfile, EnergyLedger, HarvestModel, ledger
-from .fl_core import (
-    TASK_LOGISTIC,
-    FederatedData,
-    TrainerConfig,
-    evaluate_metric,
-    global_loss,
-    make_federated_problem,
-    run_round,
-)
-from .optimizer import (
-    METHOD_BISECTION,
-    METHOD_GRID,
-    MODE_CENTROID,
-    MODE_GRID_SEARCH,
-    optimize_delta_all,
-    place_uav,
-)
+from .channel import ChannelRealization, LinkBudget, downlink_budget, uplink_budget
+from .config import DELTA_MODE_FIXED, DELTA_MODE_OPTIMIZED, ScenarioConfig, with_override
+from .energy import EnergyLedger, ledger
+from .fl_core import FederatedData, evaluate_metric, global_loss, make_federated_problem, run_round
+from .optimizer import METHOD_BISECTION, METHOD_GRID, optimize_delta_all, place_uav
 from .timing import local_train_time, round_total, uav_aggregation_time
 
-DELTA_MODE_FIXED = "fixed"
-DELTA_MODE_OPTIMIZED = "optimized"
 ROUND_BLOCK = 1 << 16  # (round, trial, device) fading states per link round of run_trial
 EVAL_BLOCK = 1 << 13  # (model, sample) pairs per scoring pass of run_trial
 _SCORES = ("train loss", "val metric", "test metric")  # what run_trial records each round
@@ -226,101 +200,6 @@ def fading_draws(master_seed: int, path, device_count: int) -> np.ndarray:
     for words, row in zip(seeds.reshape(-1, 4), gains.reshape(-1, device_count)):
         _generator(words).standard_exponential(out=row)  # exponential(1.0)'s bits
     return gains
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    """Synthetic dataset shape and noise.
-
-    ``noise`` is the target noise std for the linear task and the label
-    flip probability for the logistic task, where :class:`ScenarioConfig`,
-    which sees the task, keeps it in [0, 1].
-    """
-
-    dim: int = within(AT_LEAST_1, 4)
-    samples_per_device: int = within(AT_LEAST_1, 20)
-    val_samples: int = within(AT_LEAST_1, 200)
-    test_samples: int = within(AT_LEAST_1, 400)
-    noise: float = within(NONNEGATIVE_FINITE, 0.1)
-    weight_scale: float = within(FINITE, 1.0)
-    init_scale: float = within(FINITE, 0.01)
-
-    def __post_init__(self):
-        check_domains(self)
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Everything that defines one experiment, defaults included.
-
-    The model payload, the same on uplink and downlink, is ``payload_bits``,
-    or 32 bits per model coordinate when that is None. The UAV aggregation
-    processes the payloads of all devices, or a single payload when
-    ``uav_payload_scales_with_m`` is false.
-    """
-
-    master_seed: int = within(NONNEGATIVE_INT, 0)
-    device_count: int = within(AT_LEAST_1, 5)
-    monte_carlo_trials: int = within(AT_LEAST_1, 10)
-    rounds: int = within(AT_LEAST_1, 10)
-    area_bounds: tuple[float, float, float, float] = within(FINITE, (0.0, 100.0, 0.0, 100.0))
-    uav_altitude_m: float = within(POSITIVE_FINITE, 20.0)
-    placement_mode: str = MODE_CENTROID
-    placement_grid_points: int = within(at_least(2), 9)
-    placement_trials: int = within(AT_LEAST_1, 25)
-    delta_mode: str = DELTA_MODE_FIXED
-    delta_fixed: float = within(interval(DELTA_MIN, DELTA_MAX), 0.5)
-    device_pays_downlink: bool = True
-    uav_payload_scales_with_m: bool = True
-    battery_ledger: bool = False
-    battery_initial_j: float = within(NONNEGATIVE_OR_INF, 0.0)
-    payload_bits: float | None = within(POSITIVE_FINITE, None)
-    uav_cycles_per_bit: float = within(POSITIVE_FINITE, 100.0)
-    uav_cpu_hz: float = within(POSITIVE_FINITE, 1e9)
-    workers: int = within(AT_LEAST_1, 1)
-    link: LinkParams = field(
-        default_factory=lambda: LinkParams(
-            pathloss_exponent=2.7,
-            bandwidth_hz=1e6,
-            noise_power_ul_w=1e-13,
-            noise_power_dl_w=1e-13,
-            ptx_ul_w=0.1,
-            ptx_dl_w=1.0,
-        )
-    )
-    compute: ComputeProfile = field(
-        default_factory=lambda: ComputeProfile(
-            kappa=1e-28, cycles_per_bit=1e3, data_bits=1e4, local_iters=2, cpu_hz=1e9
-        )
-    )
-    harvest: HarvestModel = field(default_factory=lambda: HarvestModel(a1=0.1, a2=0.5, a3=0.0))
-    trainer: TrainerConfig = field(
-        default_factory=lambda: TrainerConfig(learning_rate=0.1, local_iters=2)
-    )
-    data: DataConfig = field(default_factory=DataConfig)
-
-    def __post_init__(self):
-        object.__setattr__(self, "area_bounds", tuple(float(v) for v in self.area_bounds))
-        check_domains(self)
-        if len(self.area_bounds) != 4:
-            raise ValueError("area_bounds must be (xmin, xmax, ymin, ymax)")
-        xmin, xmax, ymin, ymax = self.area_bounds
-        if not (xmax > xmin and ymax > ymin):
-            raise ValueError("area_bounds must satisfy xmax > xmin and ymax > ymin")
-        if self.placement_mode not in (MODE_CENTROID, MODE_GRID_SEARCH):
-            raise ValueError(f"unknown placement_mode {self.placement_mode!r}")
-        if self.delta_mode not in (DELTA_MODE_FIXED, DELTA_MODE_OPTIMIZED):
-            raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
-        if self.trainer.task == TASK_LOGISTIC and not self.data.noise <= 1:
-            raise ValueError(
-                f"DataConfig.noise must be in [0, 1] for the logistic task, got {self.data.noise!r}"
-            )
-        if self.trainer.local_iters != self.compute.local_iters:
-            raise ValueError(
-                "trainer.local_iters and compute.local_iters must agree "
-                f"({self.trainer.local_iters} vs {self.compute.local_iters}); "
-                "the energy model bills exactly the iterations the trainer runs"
-            )
 
 
 class _ExpectedDelay:
@@ -649,6 +528,7 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     shape = (len(trials), cfg.device_count)
     chunk = min(cfg.rounds, max(1, ROUND_BLOCK // (shape[0] * shape[1])))
     minibatch = cfg.trainer.minibatch(scenario.train_sets.count)
+    iters = cfg.compute.local_iters
     models = np.tile(scenario.w0, (len(trials), 1))  # one row per trial in live
     battery = np.full(shape, cfg.battery_initial_j, dtype=float) if cfg.battery_ledger else None
     # The block record's columns, trial-major: (T, R), or (T, R, M) per device.
@@ -693,7 +573,9 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
         trained = np.empty((n, shape[0], len(scenario.w0)))
         for i, r in enumerate(range(start, start + n)):
             rngs = [_generator(words) for words in train[r, live]] if minibatch else None
-            step = run_round(models, scenario.train_sets, cfg.trainer, rngs, participate[i, live])
+            step = run_round(
+                models, scenario.train_sets, cfg.trainer, iters, rngs, participate[i, live]
+            )
             models = step.models
             if step.errors:
                 errors.update((live[j], msg) for j, msg in step.errors.items())
@@ -816,103 +698,17 @@ def _std(x: np.ndarray, axis=None) -> np.ndarray:
     return np.where(redo, rescaled, std)
 
 
-@functools.cache
-def _field_types(cls) -> dict[str, tuple[type, bool]]:
-    """Each field of config class ``cls``: its declared type, with ``X | None``
-    read as X and ``tuple[...]`` as tuple, and whether it takes None."""
-    out = {}
-    for name, hint in typing.get_type_hints(cls).items():
-        args = typing.get_args(hint)
-        kinds = [kind for kind in args if kind is not type(None)]
-        optional = len(kinds) < len(args)
-        out[name] = (kinds[0] if optional else typing.get_origin(hint) or hint, optional)
-    return out
-
-
-# The leaf types, each with what its error message expects; every other field is a section.
-_EXPECTS = {bool: "a bool", int: "an int", float: "a number", tuple: "a list", str: "a string"}
-_DBM = re.compile(r"\s*([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*dBm\s*")
-
-
-def _coerce(kind: type, optional: bool, value, path: str):
-    """``value`` for the leaf at ``path`` of declared type ``kind``, or ValueError."""
-    if value is None and optional:
-        return None
-    if isinstance(value, str) and kind in (int, float):
-        dbm = _DBM.fullmatch(value) if path.endswith("_w") else None
-        try:
-            value = 1e-3 * 10.0 ** (float(dbm.group(1)) / 10.0) if dbm else float(value)
-        except ValueError:
-            pass  # reported below as the text it was
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is int and number and (isinstance(value, int) or value.is_integer()):
-        return int(value)
-    if kind is float and number:
-        return float(value)
-    if kind is tuple and isinstance(value, (list, tuple)):
-        return tuple(value)
-    if kind in (bool, str) and isinstance(value, kind):
-        return value
-    raise ValueError(f"{path} expects {_EXPECTS[kind]}, got {value!r}")
-
-
-def merge(config, mapping: dict, prefix: str = ""):
-    """``config`` with every field that ``mapping`` names replaced, or ValueError.
-
-    The one walk over a config tree, for config files, manifests and
-    overrides alike. A key is a field name or a dotted path into sections
-    (``"link.ptx_dl_w"``), and the keys apply in order, so a later key for a
-    section merges into the section as earlier keys left it and a later key
-    for the same leaf wins. The config is checked once, with every key
-    applied, so fields that must agree change together. A section field
-    takes a mapping, which merges into the section, so a section lists only
-    the fields it changes. A leaf takes the type its field declares: 30.0 is
-    the int 30 for an int field but 1.5 is rejected, and an optional field
-    (``X | None``) takes null or a value by the rule of X. A number field
-    also reads numeric text, such as the ``1.0e6`` that YAML leaves as a
-    string, and a power field (its name ends in ``_w``) also reads ``"<x>
-    dBm"`` as watts. ``prefix`` is the dotted path of ``config`` within the
-    tree, which error messages name.
-    """
-    types, changes = _field_types(type(config)), {}
-    for key, value in mapping.items():
-        name, dot, rest = str(key).partition(".")
-        path = f"{prefix}{name}"
-        if name not in types:
-            owner = type(config).__name__
-            raise ValueError(f"unknown config field {path!r} (no {name!r} on {owner})")
-        kind, optional = types[name]
-        if dot:
-            value = {rest: value}
-        if kind in _EXPECTS:
-            changes[name] = _coerce(kind, optional, value, path)
-        elif isinstance(value, dict):
-            changes[name] = merge(changes.get(name, getattr(config, name)), value, path + ".")
-        else:
-            raise ValueError(f"{path} expects a mapping, got {value!r}")
-    return replace(config, **changes)
-
-
-def with_override(config, path: str, value):
-    """New config with the dotted-path field replaced: ``merge(config, {path: value})``,
-    so ``rounds=30.0`` becomes the int 30, ``rounds=1.5`` and unknown field
-    names raise ValueError, and ``link.ptx_ul_w="20 dBm"`` is 0.1 W."""
-    return merge(config, {path: value})
-
-
 def sweep(config: ScenarioConfig, param_path: str, values) -> list[dict]:
     """Monte Carlo at each value of one config field, same seed throughout.
 
-    ``param_path`` is a dotted path, or several joined by commas, which
-    each point sets to its value in one :func:`merge`, so fields that must
-    agree sweep together (``"trainer.local_iters,compute.local_iters"``).
-    Reusing the master seed pairs the fading draws across sweep points, so
-    observed trends are not noise from re-rolled channels. Each row also
-    counts the point's ``failed_trials``.
+    ``param_path`` is one dotted path, which each point sets to its value
+    by :func:`with_override`. Reusing the master seed pairs the fading draws
+    across sweep points, so observed trends are not noise from re-rolled
+    channels. Each row also counts the point's ``failed_trials``.
     """
-    paths, rows = param_path.split(","), []
+    rows = []
     for v in values:
-        res = run_monte_carlo(merge(config, dict.fromkeys(paths, v)))
+        res = run_monte_carlo(with_override(config, param_path, v))
         rows.append(
             {
                 "param_value": v,

@@ -36,7 +36,8 @@ from swiptfl.fl_core import (
     select_rounds,
 )
 from swiptfl.optimizer import optimize_delta_all
-from swiptfl.scenario import DataConfig, ScenarioConfig, build, rng_stream, run_trial, sweep
+from swiptfl.config import DataConfig, ScenarioConfig
+from swiptfl.scenario import build, rng_stream, run_trial, sweep
 from swiptfl import cli
 
 
@@ -175,9 +176,9 @@ def test_criterion_02_round_equals_centralized_step():
         w0 = rng.standard_normal(dim)
         lr = rng.uniform(0.01, 1.0)
 
-        cfg = TrainerConfig(learning_rate=lr, local_iters=1, task=task, batch_size=None)
+        cfg = TrainerConfig(learning_rate=lr, task=task, batch_size=None)
         train = FederatedData(np.stack(blocks), np.stack(targets))
-        new_global = run_round(w0[None], train, cfg).models[0]
+        new_global = run_round(w0[None], train, cfg, 1).models[0]
         reference = oracles.centralized_step(w0, blocks, targets, lr, task)
 
         scale = max(float(np.max(np.abs(reference))), 1e-30)
@@ -282,7 +283,7 @@ def test_criterion_06_accuracy_curve_improves():
         monte_carlo_trials=200,
         rounds=30,
         placement_trials=4,
-        trainer=TrainerConfig(learning_rate=0.03, local_iters=1, task="logistic", batch_size=8),
+        trainer=TrainerConfig(learning_rate=0.03, task="logistic", batch_size=8),
         compute=ComputeProfile(
             kappa=1e-28, cycles_per_bit=1e3, data_bits=1e4, local_iters=1, cpu_hz=1e9
         ),
@@ -540,16 +541,16 @@ def test_criterion_10_round_selection_tie_breaks():
     w0 = np.zeros(dim)
 
     # Error contracts by 0.25 per round: every extra round strictly helps.
-    cfg = TrainerConfig(learning_rate=0.75 * dim, local_iters=1, task="linear")
-    strict = select_rounds([1, 2, 4, 8], train, val, test, cfg, np.random.default_rng(0), w0)
+    cfg = TrainerConfig(learning_rate=0.75 * dim, task="linear")
+    strict = select_rounds([1, 2, 4, 8], train, val, test, cfg, 1, np.random.default_rng(0), w0)
     metrics = [row["val_metric"] for row in strict.table]
     strictly_improving = all(a > b for a, b in zip(metrics, metrics[1:]))
     largest_wins = strict.best_rounds == 8
 
     # Error contracts by 2e-5 per round: at 12-decimal resolution the metric
     # plateaus from the second round on, so the smallest such budget wins.
-    cfg = TrainerConfig(learning_rate=(1.0 - 2e-5) * dim, local_iters=1, task="linear")
-    plateau = select_rounds([1, 2, 3, 4], train, val, test, cfg, np.random.default_rng(0), w0)
+    cfg = TrainerConfig(learning_rate=(1.0 - 2e-5) * dim, task="linear")
+    plateau = select_rounds([1, 2, 3, 4], train, val, test, cfg, 1, np.random.default_rng(0), w0)
     rounded = [round(row["val_metric"], 12) for row in plateau.table]
     plateau_shape = rounded[0] > rounded[1] and rounded[1] == rounded[2] == rounded[3]
     smallest_wins = plateau.best_rounds == 2

@@ -17,8 +17,9 @@ import pytest
 import yaml
 
 from swiptfl import cli, fl_core
+from swiptfl import config as config_module
 from swiptfl import scenario as scenario_module
-from swiptfl.scenario import ScenarioConfig
+from swiptfl.config import ScenarioConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -81,7 +82,7 @@ def test_bad_overrides_exit_2(tmp_path, capsys):
 def test_yaml_leaves_follow_the_override_type_rule(tmp_path, capsys):
     """A config file value is typed exactly as the same --override would be."""
     out = str(tmp_path / "o")
-    trainer = "trainer:\n  learning_rate: 0.1\n  local_iters: 2\n  batch_size: {}\n"
+    trainer = "trainer:\n  learning_rate: 0.1\n  batch_size: {}\n"
     cases = [
         (
             BASE_CONFIG.replace("rounds: 2\n", "rounds: 2.5\n"),
@@ -131,7 +132,7 @@ def test_libyaml_loader_reads_configs_as_the_python_loader_does(tmp_path, capsys
     and on a manifest."""
     if not hasattr(yaml, "CSafeLoader"):
         pytest.skip("PyYAML built without libyaml")
-    assert cli._YAML_LOADER is yaml.CSafeLoader
+    assert config_module._YAML_LOADER is yaml.CSafeLoader
     out = tmp_path / "o"
     assert run_cli(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 0
     capsys.readouterr()
@@ -235,8 +236,7 @@ def leaf_paths_that_differ(a, b, prefix=""):
 
 def test_override_touches_exactly_one_config_field(tmp_path, capsys):
     """A leaf override, or a section override that merges one field. The
-    overrides of a command merge in one step, so a pair of fields that must
-    agree changes together."""
+    local iteration count is one field, compute.local_iters."""
     cfg = write_config(tmp_path)
     base_out, mod_out = tmp_path / "base", tmp_path / "mod"
     assert run_cli(["run", "--config", cfg, "--out", str(base_out), "--workers", "1"]) == 0
@@ -247,11 +247,11 @@ def test_override_touches_exactly_one_config_field(tmp_path, capsys):
         mod = json.loads((mod_out / "manifest.json").read_text())["config"]
         assert leaf_paths_that_differ(base, mod) == {"link.ptx_dl_w"}
         assert mod["link"]["ptx_dl_w"] == 5.0
-    pair = ["--override", "trainer.local_iters=3", "--override", "compute.local_iters=3"]
-    assert run_cli(["run", "--config", cfg, "--out", str(mod_out), "--workers", "1", *pair]) == 0
+    iters = ["--override", "compute.local_iters=3"]
+    assert run_cli(["run", "--config", cfg, "--out", str(mod_out), "--workers", "1", *iters]) == 0
     mod = json.loads((mod_out / "manifest.json").read_text())["config"]
-    assert leaf_paths_that_differ(base, mod) == {"trainer.local_iters", "compute.local_iters"}
-    assert mod["trainer"]["local_iters"] == mod["compute"]["local_iters"] == 3
+    assert leaf_paths_that_differ(base, mod) == {"compute.local_iters"}
+    assert mod["compute"]["local_iters"] == 3 and "local_iters" not in mod["trainer"]
     capsys.readouterr()
 
 
@@ -310,11 +310,13 @@ def test_manifest_replay_reproduces_the_run(tmp_path, capsys):
 
 def test_manifest_of_an_earlier_version_replays_to_its_config():
     """A manifest written by an earlier version of the CLI, which built each
-    section whole, replays to exactly the config it records: accuracy.yaml
-    with the overrides below."""
+    section whole and held the local iteration count in the trainer too,
+    replays to exactly the config it records, less trainer.local_iters:
+    accuracy.yaml with the overrides below."""
     path = Path(__file__).resolve().parent / "data" / "earlier_manifest.json"
     config = cli.load_config(str(path))
     recorded = json.loads(path.read_text())["config"]
+    assert recorded["trainer"].pop("local_iters") == config.compute.local_iters
     assert json.dumps(asdict(config), sort_keys=True) == json.dumps(recorded, sort_keys=True)
     expected = cli.load_config(str(CONFIGS / "accuracy.yaml"))
     for override, value in [
@@ -329,7 +331,7 @@ def test_manifest_of_an_earlier_version_replays_to_its_config():
         ("battery_initial_j", 1e-4),
         ("area_bounds", [0, 80, 0, 60]),
     ]:
-        expected = scenario_module.with_override(expected, override, value)
+        expected = config_module.with_override(expected, override, value)
     assert config == expected
 
 
@@ -377,21 +379,45 @@ def test_sweep_writes_table(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_sweep_sets_every_listed_path_at_each_point(tmp_path, capsys):
-    # The local iteration count lives in two fields that must agree, so it
-    # sweeps only as both paths at once.
+def test_sweep_of_the_local_iteration_count(tmp_path, capsys):
+    """The local iteration count is one field, so it sweeps as one path."""
     cfg = write_config(tmp_path)
     out = tmp_path / "o"
     args = ["sweep", "--config", cfg, "--out", str(out), "--workers", "1", "--values", "1,3"]
-    assert run_cli([*args, "--param", "trainer.local_iters"]) == 2
-    assert "must agree" in capsys.readouterr().err
-    assert run_cli([*args, "--param", "trainer.local_iters,compute.local_iters"]) == 0
-    printed = capsys.readouterr().out
-    assert "trainer.local_iters,compute.local_iters=3: mean delay" in printed
+    assert run_cli([*args, "--param", "compute.local_iters"]) == 0
+    assert "compute.local_iters=3: mean delay" in capsys.readouterr().out
     rows = read_rows(out / "sweep.csv")
     assert [r[0] for r in rows[1:]] == ["1", "3"]
     # Each compute iteration adds local training time, so the delay grows.
     assert float(rows[2][1]) > float(rows[1][1])
+
+
+def test_zero_local_iterations_run_and_train_nothing(tmp_path, capsys, monkeypatch):
+    """compute.local_iters=0 is a run: no local time, and every model the
+    run trains is the initial model up to the rounding of the average."""
+    trained = []
+    real_run_round = scenario_module.run_round
+
+    def run_round(models, *args):
+        step = real_run_round(models, *args)
+        trained.append(step.models)
+        return step
+
+    monkeypatch.setattr(scenario_module, "run_round", run_round)
+    config = str(CONFIGS / "default.yaml")
+    args = ["run", "--config", config, "--out", str(tmp_path), "--override", "monte_carlo_trials=3"]
+    assert run_cli([*args, "--override", "compute.local_iters=0"]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert all(np.isfinite(summary[k]) for k in ("delay_mean_s", "outage_rate"))
+    assert summary["failed_trials"] == 0
+    rows = read_rows(tmp_path / "rounds.csv")
+    local = rows[0].index("t_local_max_s")
+    assert {row[local] for row in rows[1:]} == {"0.0"}
+    w0 = scenario_module.build(cli.load_config(config)).w0
+    assert len(trained) == 5  # default.yaml's rounds, one block
+    for models in trained:
+        np.testing.assert_allclose(models, np.tile(w0, (3, 1)), rtol=1e-15, atol=0)
 
 
 def test_accuracy_curve_writes_per_round_metrics(tmp_path, capsys):
@@ -695,14 +721,21 @@ def test_workers_default_keeps_the_config_value():
 
 def test_cli_import_leaves_multiprocessing_unloaded():
     """The process pool is imported only when a run uses more than one
-    worker, so a one-worker run never loads multiprocessing."""
+    worker, so a one-worker run never loads multiprocessing. The config
+    module sits below the simulation and the command line: it loads neither."""
     src = str(Path(cli.__file__).resolve().parent.parent)
-    script = (
-        f"import sys; sys.path.insert(0, {src!r}); import swiptfl.cli; "
-        "print('multiprocessing' in sys.modules)"
-    )
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    for module, unloaded in [
+        ("swiptfl.cli", ["multiprocessing"]),
+        ("swiptfl.config", ["multiprocessing", "swiptfl.cli", "swiptfl.scenario"]),
+    ]:
+        script = (
+            f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            f"print([name for name in {unloaded!r} if name in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]", module
 
 
 SMALL = ("monte_carlo_trials=3", "rounds=4")
@@ -813,6 +846,10 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys):
         ["sweep", "--config", cfg, "--out", out, "--param", "no_such", "--values", "1,2"],
         ["run", "--config", cfg, "--out", out, "--override", "uav_cpu_hz=0"],
         ["run", "--config", cfg, "--out", out, "--override", "uav_cycles_per_bit=-1"],
+        # compute.local_iters is the one iteration count: the trainer has none.
+        ["run", "--config", cfg, "--out", out, "--override", "trainer.local_iters=3"],
+        ["sweep", "--config", cfg, "--out", out, "--param", "trainer.local_iters,compute.local_iters",
+         "--values", "1,3"],
     ]
     for args in cases:
         assert run_cli(args) == 2

@@ -22,7 +22,7 @@ from swiptfl.fl_core import (
 
 
 def linear_cfg(**kw):
-    base = dict(learning_rate=0.1, local_iters=1, task="linear", batch_size=None)
+    base = dict(learning_rate=0.1, task="linear", batch_size=None)
     base.update(kw)
     return TrainerConfig(**base)
 
@@ -125,7 +125,7 @@ def test_run_round_single_step_matches_fd_oracle():
     data = one_set(rng.standard_normal((8, 4)), rng.standard_normal(8))
     w0 = rng.standard_normal(4)
     lr = 0.07
-    out = run_round(w0[None], data, linear_cfg(learning_rate=lr)).models[0]
+    out = run_round(w0[None], data, linear_cfg(learning_rate=lr), 1).models[0]
     fd = oracles.fd_gradient(lambda v: global_loss(v[None], data, "linear")[0], w0)
     expected = w0 - lr * fd
     assert np.max(np.abs(out - expected) / np.maximum(1e-8, np.abs(expected))) <= 1e-5
@@ -140,7 +140,7 @@ def test_descent_below_lipschitz_rate_never_increases_loss():
     w = rng.standard_normal(5)[None]
     losses = [global_loss(w, data, "linear")[0]]
     for _ in range(15):
-        w = run_round(w, data, linear_cfg(learning_rate=lr)).models
+        w = run_round(w, data, linear_cfg(learning_rate=lr), 1).models
         losses.append(global_loss(w, data, "linear")[0])
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -152,13 +152,13 @@ def test_run_round_device_order_does_not_change_the_model(task):
     bit for bit, and so does a repeated call."""
     data, w0, rng = _block_problem(task, m=6, n=5, dim=4, trials=3, seed=20)
     participate = rng.random((3, 6)) < 0.7
-    cfg = TrainerConfig(learning_rate=0.3, local_iters=3, task=task)
-    out = run_round(w0, data, cfg, participate=participate)
-    assert np.array_equal(out.models, run_round(w0, data, cfg, participate=participate).models)
+    cfg = TrainerConfig(learning_rate=0.3, task=task)
+    out = run_round(w0, data, cfg, 3, participate=participate)
+    assert np.array_equal(out.models, run_round(w0, data, cfg, 3, participate=participate).models)
     for _ in range(5):
         perm = rng.permutation(6)
         shuffled = FederatedData(data.features[perm], data.targets[perm])
-        moved = run_round(w0, shuffled, cfg, participate=participate[:, perm])
+        moved = run_round(w0, shuffled, cfg, 3, participate=participate[:, perm])
         assert np.array_equal(moved.models, out.models)
 
 
@@ -167,9 +167,9 @@ def test_run_round_single_participant_matches_local_gd(task):
     """With one device taking part, the new global model is that device's
     local model."""
     data, w0, _ = _block_problem(task, m=4, n=6, dim=3, trials=1, seed=19)
-    cfg = TrainerConfig(learning_rate=0.2, local_iters=3, task=task)
+    cfg = TrainerConfig(learning_rate=0.2, task=task)
     participate = np.array([[False, False, True, False]])
-    out = run_round(w0, data, cfg, participate=participate).models[0]
+    out = run_round(w0, data, cfg, 3, participate=participate).models[0]
     expected = oracles.local_gd(w0[0], data.features[2], data.targets[2], task, 0.2, 3)
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -190,19 +190,19 @@ def test_run_round_deterministic_given_streams():
     sets = [one_set(rng.standard_normal((6, 3)), rng.standard_normal(6)) for _ in range(3)]
     data = stacked(sets)
     w0 = rng.standard_normal(3)[None]
-    cfg = linear_cfg(batch_size=2, local_iters=3)
-    out1 = run_round(w0, data, cfg, [np.random.default_rng(99)])
-    out2 = run_round(w0, data, cfg, [np.random.default_rng(99)])
+    cfg = linear_cfg(batch_size=2)
+    out1 = run_round(w0, data, cfg, 3, [np.random.default_rng(99)])
+    out2 = run_round(w0, data, cfg, 3, [np.random.default_rng(99)])
     assert np.array_equal(out1.models, out2.models)
     with pytest.raises(ValueError, match="rng"):
-        run_round(w0, data, cfg)
+        run_round(w0, data, cfg, 3)
 
 
 def test_run_round_nobody_participates_keeps_global():
     rng = np.random.default_rng(24)
     sets = [one_set(rng.standard_normal((4, 2)), rng.standard_normal(4)) for _ in range(2)]
     w0 = rng.standard_normal(2)[None]
-    out = run_round(w0, stacked(sets), linear_cfg(), participate=np.zeros((1, 2), bool))
+    out = run_round(w0, stacked(sets), linear_cfg(), 1, participate=np.zeros((1, 2), bool))
     assert np.array_equal(out.models, w0) and out.errors == {}
 
 
@@ -211,7 +211,7 @@ def test_run_round_centralized_equivalence_small():
     x, y = rng.standard_normal((4, 5, 3)), rng.standard_normal((4, 5))
     w0 = rng.standard_normal(3)
     lr = 0.05
-    out = run_round(w0[None], FederatedData(x, y), linear_cfg(learning_rate=lr)).models[0]
+    out = run_round(w0[None], FederatedData(x, y), linear_cfg(learning_rate=lr), 1).models[0]
     ref = oracles.centralized_step(w0, list(x), list(y), lr, "linear")
     assert np.linalg.norm(out - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
 
@@ -231,10 +231,10 @@ def test_run_round_matches_per_device_oracle(task, batch_size):
         y = rng.integers(0, 2, (m, n)).astype(float)
     w0 = rng.standard_normal(dim)
     participate = np.array([True, False, True, True])
-    cfg = TrainerConfig(learning_rate=lr, local_iters=iters, task=task, batch_size=batch_size)
+    cfg = TrainerConfig(learning_rate=lr, task=task, batch_size=batch_size)
 
     out = run_round(
-        w0[None], FederatedData(x, y), cfg, [np.random.default_rng(seed)], participate[None]
+        w0[None], FederatedData(x, y), cfg, iters, [np.random.default_rng(seed)], participate[None]
     ).models[0]
 
     draws = np.random.default_rng(seed)
@@ -255,12 +255,13 @@ def test_device_sitting_out_cannot_fail_the_round():
     x[1] *= 1e200
     y = rng.standard_normal((3, 5))
     w0 = rng.standard_normal(2)[None]
-    cfg = linear_cfg(local_iters=2)
+    cfg = linear_cfg()
     with np.errstate(over="ignore", invalid="ignore"):
-        failed = run_round(w0, FederatedData(x, y), cfg)
+        failed = run_round(w0, FederatedData(x, y), cfg, 2)
     assert list(failed.errors) == [0] and np.array_equal(failed.models, w0)
-    masked = run_round(w0, FederatedData(x, y), cfg, participate=np.array([[True, False, True]]))
-    without = run_round(w0, FederatedData(x[[0, 2]], y[[0, 2]]), cfg)
+    participate = np.array([[True, False, True]])
+    masked = run_round(w0, FederatedData(x, y), cfg, 2, participate=participate)
+    without = run_round(w0, FederatedData(x[[0, 2]], y[[0, 2]]), cfg, 2)
     assert masked.errors == {} and np.array_equal(masked.models, without.models)
 
 
@@ -269,7 +270,7 @@ def test_divergence_raises():
     rng = np.random.default_rng(28)
     data = one_set(rng.standard_normal((5, 3)), rng.standard_normal(5))
     out = run_round(rng.standard_normal(3)[None], data,
-                    linear_cfg(learning_rate=1e200, local_iters=50))
+                    linear_cfg(learning_rate=1e200), 50)
     assert list(out.errors) == [0]
     assert out.errors[0].startswith(("non-finite gradient", "parameters overflowed"))
 
@@ -291,16 +292,16 @@ def test_block_round_equals_per_trial_calls(task, batch_size):
     participate = rng.random((6, 5)) < 0.6
     participate[2] = False
     participate[4] = True
-    cfg = TrainerConfig(learning_rate=0.3, local_iters=3, task=task, batch_size=batch_size)
+    cfg = TrainerConfig(learning_rate=0.3, task=task, batch_size=batch_size)
 
     def streams(trials):
         return [np.random.default_rng(100 + t) for t in trials]
 
-    block = run_round(w0, data, cfg, streams(range(6)), participate)
+    block = run_round(w0, data, cfg, 3, streams(range(6)), participate)
     assert block.errors == {}
     assert np.array_equal(block.models[2], w0[2])
     for t in range(6):
-        alone = run_round(w0[t : t + 1], data, cfg, streams([t]), participate[t : t + 1])
+        alone = run_round(w0[t : t + 1], data, cfg, 3, streams([t]), participate[t : t + 1])
         assert np.array_equal(block.models[t], alone.models[0]), t
 
 
@@ -331,15 +332,15 @@ def test_diverging_trial_fails_alone(batch_size):
     participate[:, 0] = False
     participate[3, 0] = True  # only trial 3 trains the device whose gradient overflows
     w0[1] *= 1e200  # each step multiplies |w| by about the rate: trial 1 leaves the floats
-    cfg = linear_cfg(learning_rate=1e60, local_iters=3, batch_size=batch_size)
+    cfg = linear_cfg(learning_rate=1e60, batch_size=batch_size)
 
     def streams(trials):
         return [np.random.default_rng(200 + t) for t in trials]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        block = run_round(w0, data, cfg, streams(range(5)), participate)
+        block = run_round(w0, data, cfg, 3, streams(range(5)), participate)
         alone = [
-            run_round(w0[t : t + 1], data, cfg, streams([t]), participate[t : t + 1])
+            run_round(w0[t : t + 1], data, cfg, 3, streams([t]), participate[t : t + 1])
             for t in range(5)
         ]
     assert block.errors == {1: alone[1].errors[0], 3: alone[3].errors[0]}
@@ -361,12 +362,12 @@ def test_aggregate_overflow_fails_its_trial_alone():
     weighted rows themselves overflow to inf or -inf."""
     data, w0, _ = _block_problem("logistic", m=4, n=6, dim=3, trials=3, seed=46)
     w0[1] *= 1e307 / np.max(np.abs(w0[1]))
-    cfg = TrainerConfig(learning_rate=0.1, local_iters=1, task="logistic")
+    cfg = TrainerConfig(learning_rate=0.1, task="logistic")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        block = run_round(w0, data, cfg)
-        alone = [run_round(w0[t : t + 1], data, cfg) for t in range(3)]
-        huge = run_round(w0[[0, 2]], data, replace(cfg, learning_rate=1e308))
+        block = run_round(w0, data, cfg, 1)
+        alone = [run_round(w0[t : t + 1], data, cfg, 1) for t in range(3)]
+        huge = run_round(w0[[0, 2]], data, replace(cfg, learning_rate=1e308), 1)
     assert block.errors == {1: "aggregated model overflowed"} == {1: alone[1].errors[0]}
     assert np.array_equal(block.models[1], w0[1])
     for t in (0, 2):
@@ -381,18 +382,18 @@ def test_logistic_training_of_a_confident_model_warns_nothing():
     limit 0, so the round runs without a numpy warning."""
     data, w0, _ = _block_problem("logistic", m=5, n=30, dim=16, trials=4, seed=48)
     w0 *= 300.0  # |x . w| well past 709, where e^|z| overflows
-    cfg = TrainerConfig(learning_rate=1000.0, local_iters=2, task="logistic", batch_size=8)
+    cfg = TrainerConfig(learning_rate=1000.0, task="logistic", batch_size=8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        step = run_round(w0, data, cfg, [np.random.default_rng(t) for t in range(4)])
+        step = run_round(w0, data, cfg, 2, [np.random.default_rng(t) for t in range(4)])
     assert step.errors == {} and np.isfinite(step.models).all()
 
 
 def test_select_rounds_raises_on_divergence():
     train, val, test, _ = _identity_problem()
-    cfg = linear_cfg(learning_rate=1e200, local_iters=50)
+    cfg = linear_cfg(learning_rate=1e200)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
-        select_rounds([1, 2], train, val, test, cfg, np.random.default_rng(0), np.ones(4))
+        select_rounds([1, 2], train, val, test, cfg, 50, np.random.default_rng(0), np.ones(4))
 
 
 def test_evaluate_metric_semantics():
@@ -418,7 +419,7 @@ def _identity_problem(dim=4, seed=7):
 
 def test_select_rounds_single_candidate():
     train, val, test, _ = _identity_problem()
-    sel = select_rounds([5], train, val, test, linear_cfg(), np.random.default_rng(0),
+    sel = select_rounds([5], train, val, test, linear_cfg(), 1, np.random.default_rng(0),
                         np.zeros(4))
     assert sel.best_rounds == 5
 
@@ -426,7 +427,7 @@ def test_select_rounds_single_candidate():
 def test_select_rounds_strict_improvement_returns_largest():
     train, val, test, _ = _identity_problem(seed=9)
     cfg = linear_cfg(learning_rate=1.0)  # contraction 0.75 per round at lr=1, features=I, n=4
-    sel = select_rounds([1, 2, 4, 8], train, val, test, cfg, np.random.default_rng(0),
+    sel = select_rounds([1, 2, 4, 8], train, val, test, cfg, 1, np.random.default_rng(0),
                         np.zeros(4))
     metrics = [row["val_metric"] for row in sel.table]
     assert all(a > b for a, b in zip(metrics, metrics[1:]))
@@ -441,7 +442,7 @@ def test_select_rounds_plateau_ties_to_smallest():
     train, val, test, _ = _identity_problem(dim=dim, seed=11)
     lr = dim * (1.0 - 2e-5)
     cfg = linear_cfg(learning_rate=lr)
-    sel = select_rounds([1, 2, 3, 4], train, val, test, cfg, np.random.default_rng(0),
+    sel = select_rounds([1, 2, 3, 4], train, val, test, cfg, 1, np.random.default_rng(0),
                         np.zeros(dim))
     metrics = [round(row["val_metric"], 12) for row in sel.table]
     assert metrics[0] > metrics[1]
@@ -453,11 +454,11 @@ def test_select_rounds_validation():
     train, val, test, _ = _identity_problem()
     w0 = np.zeros(4)
     with pytest.raises(ValueError):
-        select_rounds([], train, val, test, linear_cfg(), np.random.default_rng(0), w0)
+        select_rounds([], train, val, test, linear_cfg(), 1, np.random.default_rng(0), w0)
     with pytest.raises(ValueError):
-        select_rounds([4, 2], train, val, test, linear_cfg(), np.random.default_rng(0), w0)
+        select_rounds([4, 2], train, val, test, linear_cfg(), 1, np.random.default_rng(0), w0)
     with pytest.raises(ValueError):
-        select_rounds([0, 1], train, val, test, linear_cfg(), np.random.default_rng(0), w0)
+        select_rounds([0, 1], train, val, test, linear_cfg(), 1, np.random.default_rng(0), w0)
 
 
 def test_make_federated_problem_shapes_and_shared_weight():

@@ -20,15 +20,8 @@ from swiptfl.channel import (
 )
 from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy, ledger, transmit_energy
 from swiptfl.optimizer import optimize_delta_all, place_uav
-from swiptfl.scenario import (
-    ScenarioConfig,
-    build,
-    link_round,
-    mean_round_delay,
-    merge,
-    rng_stream,
-    run_monte_carlo,
-)
+from swiptfl.config import ScenarioConfig, merge
+from swiptfl.scenario import build, link_round, mean_round_delay, rng_stream, run_monte_carlo
 
 
 class Case(NamedTuple):

@@ -13,21 +13,24 @@ import oracles
 from swiptfl.channel import ChannelRealization
 from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy
 from swiptfl import scenario as scenario_module
-from swiptfl.cli import load_config
-from swiptfl.fl_core import BlockRound, TrainerConfig
-from swiptfl.scenario import (
+from swiptfl.config import (
+    ConfigError,
     DataConfig,
-    RoundMetrics,
     ScenarioConfig,
+    load_config,
+    merge,
+    with_override,
+)
+from swiptfl.fl_core import BlockRound, TrainerConfig, global_loss
+from swiptfl.scenario import (
+    RoundMetrics,
     build,
     fading_draws,
     link_round,
-    merge,
     rng_stream,
     run_monte_carlo,
     run_trial,
     sweep,
-    with_override,
 )
 from swiptfl.timing import local_train_time
 
@@ -223,7 +226,7 @@ def test_config_validation():
 
 
 def test_logistic_noise_is_a_flip_probability():
-    logistic = TrainerConfig(learning_rate=0.1, local_iters=2, task="logistic")
+    logistic = TrainerConfig(learning_rate=0.1, task="logistic")
     with pytest.raises(ValueError, match=r"DataConfig.noise must be in \[0, 1\] for the logistic"):
         ScenarioConfig(trainer=logistic, data=DataConfig(noise=1.5))
     assert ScenarioConfig(trainer=logistic, data=DataConfig(noise=1.0)).data.noise == 1.0
@@ -237,14 +240,25 @@ def test_battery_initial_j_rejects_nan_and_takes_inf():
     assert ScenarioConfig(battery_initial_j=math.inf).battery_initial_j == math.inf
 
 
-def test_config_rejects_mismatched_iteration_counts():
-    with pytest.raises(ValueError, match="local_iters"):
-        small_config(trainer=TrainerConfig(learning_rate=0.1, local_iters=3))
-    with pytest.raises(ValueError, match="local_iters"):
+def test_config_rejects_mismatched_iteration_counts(tmp_path):
+    """compute.local_iters is the one local iteration count. A file or
+    manifest that still names trainer.local_iters loads when the two agree,
+    the trainer's dropped, and is a one-line ConfigError naming both fields
+    when they differ. Anywhere else the trainer has no such field."""
+    path = tmp_path / "legacy.yaml"
+    for iters in (2, 3):
+        path.write_text(f"compute:\n  local_iters: {iters}\ntrainer:\n  local_iters: {iters}\n")
+        assert load_config(str(path)) == merge(ScenarioConfig(), {"compute.local_iters": iters})
+    path.write_text("trainer:\n  learning_rate: 0.1\n  local_iters: 3\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    message = str(err.value)
+    assert "trainer.local_iters (3)" in message and "compute.local_iters (2)" in message
+    assert "\n" not in message
+    with pytest.raises(ValueError, match="unknown config field 'trainer.local_iters'"):
         merge(small_config(), {"trainer.local_iters": 3})
-    # One merge checks the config once, with every key applied.
-    cfg = merge(small_config(), {"trainer.local_iters": 3, "compute.local_iters": 3})
-    assert cfg.trainer.local_iters == cfg.compute.local_iters == 3
+    with pytest.raises(TypeError, match="local_iters"):
+        TrainerConfig(learning_rate=0.1, local_iters=3)
 
 
 def test_build_is_deterministic_and_in_bounds():
@@ -714,12 +728,10 @@ CHUNKED = {
     "minibatch": dict(
         monte_carlo_trials=3,
         rounds=5,
-        trainer=TrainerConfig(learning_rate=0.1, local_iters=2, batch_size=5),
+        trainer=TrainerConfig(learning_rate=0.1, batch_size=5),
     ),
     # Every trial's loss overflows in round 1, so the block stops inside a chunk.
-    "diverging": dict(
-        monte_carlo_trials=3, rounds=5, trainer=TrainerConfig(learning_rate=1e60, local_iters=2)
-    ),
+    "diverging": dict(monte_carlo_trials=3, rounds=5, trainer=TrainerConfig(learning_rate=1e60)),
 }
 
 
@@ -747,7 +759,7 @@ def test_chunking_leaves_every_record_unchanged(monkeypatch, name):
         assert [(tr.failed, len(tr.rounds)) for tr in whole] == [(True, 1)] * 3
 
 
-MINIBATCH = TrainerConfig(learning_rate=0.1, local_iters=2, batch_size=5)
+MINIBATCH = TrainerConfig(learning_rate=0.1, batch_size=5)
 
 
 def test_held_out_failure_mid_chunk_stops_the_trial_at_its_round(monkeypatch):
@@ -923,7 +935,7 @@ def test_monte_carlo_metric_arrays_cover_every_round(monkeypatch):
     assert res.n_failed == 0
     assert 0.0 <= res.outage_rate <= 1.0
 
-    trainer = TrainerConfig(learning_rate=0.1, local_iters=2, batch_size=5)
+    trainer = TrainerConfig(learning_rate=0.1, batch_size=5)
     cfg = small_config(rounds=3, monte_carlo_trials=12, trainer=trainer)
     real_run_round = scenario_module.run_round
     fail_in_round, calls = {1: [4]}, []  # round -> block positions whose training fails in it
@@ -1158,3 +1170,38 @@ def test_compute_profile_is_shared_per_device():
     rm = run_trial(build(cfg), [0])[0].rounds[0]
     assert rm.t_local_max_s == local_train_time(cfg.compute)
     assert np.allclose(rm.e_total_j, compute_energy(cfg.compute), rtol=1e-12, atol=0.0)
+
+
+def test_the_trainer_runs_what_the_ledger_bills(monkeypatch):
+    """default.yaml at compute.local_iters=3, the one override: the delay
+    model bills 3 iterations of local time, the ledger 3 of compute energy
+    on top of the same transmit energy, and trial 0's round-0 model is the
+    one a direct run_round of 3 local iterations from w0 trains."""
+    base = merge(
+        load_config(str(ROOT / "configs" / "default.yaml")), {"monte_carlo_trials": 2, "rounds": 2}
+    )
+    cfg = with_override(base, "compute.local_iters", 3)
+    c = cfg.compute
+    real_run_round, trained = scenario_module.run_round, []
+
+    def run_round(models, *args):
+        step = real_run_round(models, *args)
+        trained.append(step.models)
+        return step
+
+    monkeypatch.setattr(scenario_module, "run_round", run_round)
+    scenario = build(cfg)
+    three = run_trial(scenario, [0, 1])[0].rounds.record
+    two = run_trial(build(base), [0, 1])[0].rounds.record
+    assert np.all(three["t_local_max_s"] == 3 * c.cycles_per_bit * c.data_bits / c.cpu_hz)
+    assert np.all(three["participate"])
+    e_compute = compute_energy(c)
+    assert e_compute == pytest.approx(3 * c.kappa * c.cycles_per_bit * c.data_bits * c.cpu_hz**2)
+    billed = three["e_total_j"] - two["e_total_j"]  # the same fading and transmit energy
+    assert np.allclose(billed, e_compute - compute_energy(base.compute), rtol=1e-9, atol=0.0)
+
+    direct = real_run_round(scenario.w0[None], scenario.train_sets, cfg.trainer, 3).models[0]
+    assert np.array_equal(trained[0][0], direct)
+    assert three["train_loss"][0, 0] == global_loss(direct[None], scenario.train_sets, "linear")[0]
+    fewer = real_run_round(scenario.w0[None], scenario.train_sets, cfg.trainer, 2).models[0]
+    assert not np.array_equal(direct, fewer)
