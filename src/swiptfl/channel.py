@@ -4,10 +4,12 @@ Everything is SI: watts, meters, hertz, bits, seconds. Channels are
 block-Rayleigh fades: squared magnitudes are drawn once per communication
 round (elsewhere) and passed in here as nonnegative arrays over devices.
 Every function is array-valued: a budget covers all devices at once, and
-leading axes ``(..., M)`` batch independent fading states or positions. The
-downlink receiver is a power splitter: a fraction ``delta`` of the received
-power feeds the decoder, the remaining ``1 - delta`` feeds the energy
-harvester.
+leading axes ``(..., M)`` batch independent fading states or positions. A
+realization keeps its distances at the shape they vary on, so the path loss
+``ptx * d**-alpha`` is computed once per position and then broadcast over
+the fading draws. The downlink receiver is a power splitter: a fraction
+``delta`` of the received power feeds the decoder, the remaining
+``1 - delta`` feeds the energy harvester.
 
 The elementwise helpers are the arithmetic alone: the config fixes and
 checks the scalar constants once (:class:`LinkParams`), and
@@ -50,7 +52,10 @@ class LinkParams:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Fading states (..., M): squared gains and 3-D distances; leading axes broadcast."""
+    """Fading states (..., M): squared gains and 3-D distances; leading axes broadcast.
+
+    ``gains_sq`` carries the batch shape; ``distances_m`` keeps its own, such
+    as (M,) per device or (C, 1, M) per candidate position and device."""
 
     gains_sq: np.ndarray
     distances_m: np.ndarray
@@ -59,13 +64,13 @@ class ChannelRealization:
         gains, dists = (np.asarray(a, dtype=float) for a in (self.gains_sq, self.distances_m))
         if min(gains.ndim, dists.ndim) == 0 or gains.shape[-1] != dists.shape[-1]:
             raise ValueError(f"device axes differ: {gains.shape} gains vs {dists.shape} distances")
-        gains, dists = np.broadcast_arrays(gains, dists)
+        if not (gains >= 0).all():
+            raise ValueError("gains_sq must be >= 0")
+        if not (dists > 0).all():
+            raise ValueError("distances_m must be > 0")
+        gains = np.broadcast_to(gains, np.broadcast_shapes(gains.shape, dists.shape))
         object.__setattr__(self, "gains_sq", gains)
         object.__setattr__(self, "distances_m", dists)
-        if not (self.gains_sq >= 0).all():
-            raise ValueError("gains_sq must be >= 0")
-        if not (self.distances_m > 0).all():
-            raise ValueError("distances_m must be > 0")
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,7 @@ class LinkBudget:
 
 
 def received_power(ptx_w: float, distance_m, alpha: float, gain_sq):
-    """Power-law received power: ptx * d^(-alpha) * |g|^2, elementwise."""
+    """Power-law received power: ptx * d^(-alpha) at the distances' shape, times |g|^2."""
     return ptx_w * np.asarray(distance_m, dtype=float) ** (-alpha) * gain_sq
 
 

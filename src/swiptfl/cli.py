@@ -75,7 +75,9 @@ def resolve_config(args) -> ScenarioConfig:
 
 def _write_atomic(path: Path, write) -> None:
     """Write ``path`` through ``write(fh)`` atomically: a crash mid-write leaves
-    neither a half file nor the temporary file, and an earlier ``path`` stays intact."""
+    neither a half file nor the temporary file, and an earlier ``path`` stays intact.
+    The first write makes the directory, so a command that fails before it leaves none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
@@ -170,6 +172,8 @@ def cmd_run(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
 
 
 def cmd_sweep(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
+    if "," in args.param:
+        raise ConfigError(f"--param takes one dotted path, got {args.param!r}")
     items = parse_yaml(f"[{args.values}]", f"--values {args.values!r}")
     # Each value as its field takes it, e.g. "20 dBm" as 0.1, before the first run.
     field = attrgetter(args.param)
@@ -330,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config, started = resolve_config(args), _utc_now()
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        config, started, out = resolve_config(args), _utc_now(), Path(args.out)
         outputs, code = args.func(config, args, out)
         manifest = {
             "tool": "swiptfl",

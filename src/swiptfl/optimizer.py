@@ -10,8 +10,9 @@ harvest curve is nondecreasing on the device's harvest input range
 curve can dip on that range are scanned on a dense grid instead. Every
 device of every fading state in a batch (..., M) is solved at once, as
 arrays. Only the two bracket ends run the whole chain (``downlink_budget``,
-then ``ledger``); every interior probe, bisection or grid, reuses the
-ratio-independent terms it produced and calls the same elementwise helpers
+then ``ledger``); every interior probe, bisection or grid, and the downlink
+at the solved ratios, which the solver hands to the round, reuse the
+ratio-independent terms it produced and call the same elementwise helpers
 for the rest.
 
 Grid-search placement scores all candidate UAV positions with one call of
@@ -67,13 +68,15 @@ class DeltaSolution:
 
     ``grid`` marks the devices that needed the dense scan, and ``method`` is
     "grid" if any device of the whole batch did. Infeasible devices carry
-    ``delta_min`` (maximum harvest share) and a False flag.
+    ``delta_min`` (maximum harvest share) and a False flag. ``downlink`` is
+    the downlink budget at ``deltas``, equal to ``downlink_budget``'s.
     """
 
     deltas: np.ndarray
     feasible: np.ndarray
     grid: np.ndarray
     method: str
+    downlink: LinkBudget
 
 
 @dataclass(frozen=True)
@@ -108,28 +111,25 @@ def optimize_delta_all(
     interference and compute + uplink bill, which do not depend on the
     ratio, and evaluates only SINR, rate, downlink time, harvest and the
     verdict, through the same elementwise helpers as that chain, under one
-    ``np.errstate`` for the whole probe loop.
+    ``np.errstate`` for the whole probe loop. The returned downlink at the
+    solved ratios is built the same way: the round needs no second budget.
     """
     shape = realization.gains_sq.shape
     lo, hi = np.full(shape, DELTA_MIN), np.full(shape, DELTA_MAX)
     bounds = np.stack([lo, hi])
     ends = downlink_budget(params, realization, bounds, payload_dl_bits)
-    ok_lo, ok_hi = ledger(
-        profile,
-        harvest,
-        uplink,
-        ends,
-        bounds,
-        params.ptx_ul_w,
-        params.ptx_dl_w,
-        device_pays_downlink=device_pays_downlink,
-    ).feasible
+    args = profile, harvest, uplink, ends, bounds, params.ptx_ul_w, params.ptx_dl_w
+    ok_lo, ok_hi = ledger(*args, device_pays_downlink=device_pays_downlink).feasible
     prx, interf = ends.prx_w, ends.interference_w
     e_fixed = compute_energy(profile) + transmit_energy(uplink.tx_time_s, params.ptx_ul_w)
 
-    def feasible_at(deltas):  # the ratio-dependent tail of downlink_budget + ledger
+    def tail(deltas):  # the ratio-dependent tail of downlink_budget: SINR, rate, time
         g = sinr(deltas * prx, interf, params.noise_power_dl_w)
-        t_dl = tx_time(payload_dl_bits, achievable_rate(params.bandwidth_hz, g))
+        rate = achievable_rate(params.bandwidth_hz, g)
+        return g, rate, tx_time(payload_dl_bits, rate)
+
+    def feasible_at(deltas):  # the ratio-dependent tail of ledger: the verdict
+        t_dl = tail(deltas)[2]
         e_total = e_fixed
         if device_pays_downlink:
             e_total = e_total + transmit_energy(t_dl, params.ptx_dl_w)
@@ -151,21 +151,21 @@ def optimize_delta_all(
                 lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
         deltas = np.where(ok_hi, DELTA_MAX, np.where(ok_lo, lo, DELTA_MIN))
         feasible = ok_lo | ok_hi
-        if not dips.any():
-            return DeltaSolution(deltas, feasible, dips, METHOD_BISECTION)
+        method = METHOD_GRID if dips.any() else METHOD_BISECTION
+        if method == METHOD_GRID:
+            # The scan runs in blocks of ratios in front of the batch axes, so its
+            # temporaries stay near GRID_BLOCK entries however large the batch is.
+            # best is the largest feasible ratio so far, 0 while there is none.
+            grid = np.append(np.arange(DELTA_MIN, DELTA_MAX, GRID_STEP), DELTA_MAX)
+            step = max(1, GRID_BLOCK // dips.size)
+            best = np.zeros(shape)
+            for start in range(0, len(grid), step):
+                block = grid[start : start + step].reshape((-1,) + (1,) * len(shape))
+                best = np.maximum(best, np.where(feasible_at(block), block, 0.0).max(axis=0))
+            deltas = np.where(dips, np.where(best > 0, best, DELTA_MIN), deltas)
+            feasible = np.where(dips, best > 0, feasible)
 
-        # The scan runs in blocks of ratios in front of the batch axes, so its
-        # temporaries stay near GRID_BLOCK entries however large the batch is.
-        # best is the largest feasible ratio so far, 0 while there is none.
-        grid = np.append(np.arange(DELTA_MIN, DELTA_MAX, GRID_STEP), DELTA_MAX)
-        step = max(1, GRID_BLOCK // dips.size)
-        best = np.zeros(shape)
-        for start in range(0, len(grid), step):
-            block = grid[start : start + step].reshape((-1,) + (1,) * len(shape))
-            best = np.maximum(best, np.where(feasible_at(block), block, 0.0).max(axis=0))
-        deltas = np.where(dips, np.where(best > 0, best, DELTA_MIN), deltas)
-        feasible = np.where(dips, best > 0, feasible)
-        return DeltaSolution(deltas, feasible, dips, METHOD_GRID)
+    return DeltaSolution(deltas, feasible, dips, method, LinkBudget(prx, interf, *tail(deltas)))
 
 
 def place_uav(

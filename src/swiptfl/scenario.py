@@ -345,16 +345,26 @@ class MonteCarloResult:
 
 @dataclass(frozen=True)
 class LinkRound:
-    """One round's physics, stage times included, for all devices at one or a batch of states."""
+    """One round's physics, stage times included, for all devices at one or a batch of states.
 
+    ``energy`` is built from ``config`` on its first read and kept, so a
+    reader of the delay alone, such as placement, never builds a ledger."""
+
+    config: ScenarioConfig
     deltas: np.ndarray
     method: str
     grid: np.ndarray
     uplink: LinkBudget
     downlink: LinkBudget
-    energy: EnergyLedger
     t_local_s: np.ndarray
     t_uav_s: float
+
+    @functools.cached_property
+    def energy(self) -> EnergyLedger:
+        """Every device's energy ledger at these links and ratios."""
+        cfg, up, down = self.config, self.uplink, self.downlink
+        args = cfg.compute, cfg.harvest, up, down, self.deltas, cfg.link.ptx_ul_w, cfg.link.ptx_dl_w
+        return ledger(*args, device_pays_downlink=cfg.device_pays_downlink)
 
     def methods(self) -> np.ndarray:
         """How the ratios of each fading state were set, one label per state:
@@ -371,12 +381,14 @@ class LinkRound:
 def link_round(config: ScenarioConfig, realization: ChannelRealization) -> LinkRound:
     """Physical-layer bookkeeping for one round at one fading state.
 
-    Computes the uplink once, resolves the power-splitting ratios per the
-    configured mode, then computes the downlink and the energy ledger once
-    at those ratios. A realization of shape (..., M) runs a whole batch of
-    fading states in this one call; every per-device field, the stage times
-    that :meth:`LinkRound.delay` composes included, has its shape.
-    The payloads follow from the config, as :class:`ScenarioConfig` says.
+    Computes the uplink once and resolves the power-splitting ratios per
+    the configured mode. In optimized mode the solver hands over the
+    downlink at its ratios; a fixed ratio runs :func:`downlink_budget`
+    once. The energy ledger is built only when :attr:`LinkRound.energy` is
+    read. A realization of shape (..., M) runs a whole batch of fading
+    states in this one call; every per-device field, the stage times that
+    :meth:`LinkRound.delay` composes included, has its shape. The payloads
+    follow from the config, as :class:`ScenarioConfig` says.
     """
     link = config.link
     payload = float(config.payload_bits) if config.payload_bits else 32.0 * config.data.dim
@@ -392,28 +404,18 @@ def link_round(config: ScenarioConfig, realization: ChannelRealization) -> LinkR
             payload,
             device_pays_downlink=config.device_pays_downlink,
         )
-        deltas, method, grid = sol.deltas, sol.method, sol.grid
+        deltas, method, grid, downlink = sol.deltas, sol.method, sol.grid, sol.downlink
     else:
         deltas, method = np.full(realization.gains_sq.shape, config.delta_fixed), DELTA_MODE_FIXED
         grid = np.zeros(deltas.shape, dtype=bool)
-    downlink = downlink_budget(link, realization, deltas, payload)
-    energy = ledger(
-        config.compute,
-        config.harvest,
-        uplink,
-        downlink,
-        deltas,
-        link.ptx_ul_w,
-        link.ptx_dl_w,
-        device_pays_downlink=config.device_pays_downlink,
-    )
+        downlink = downlink_budget(link, realization, deltas, payload)
     return LinkRound(
+        config=config,
         deltas=deltas,
         method=method,
         grid=grid,
         uplink=uplink,
         downlink=downlink,
-        energy=energy,
         t_local_s=np.full(realization.gains_sq.shape, local_train_time(config.compute)),
         t_uav_s=uav_aggregation_time(config.uav_cycles_per_bit, uav_payload, config.uav_cpu_hz),
     )

@@ -41,6 +41,27 @@ def test_received_power_hand_values():
     assert received_power(1.0, 5.0, 2.0, 0.0) == 0.0
 
 
+def test_received_power_per_position_equals_its_broadcast_copy():
+    """Distances per candidate position, (C, 1, M), keep their shape in a
+    realization and give, bit for bit, the received power of their copy
+    broadcast over the fading draws, (C, T, M)."""
+    rng = np.random.default_rng(23)
+    gains = rng.exponential(1.0, (4, 6))
+    dists = rng.uniform(20.0, 150.0, (3, 1, 6))
+    per_position = ChannelRealization(gains, dists)
+    copied = ChannelRealization(gains, np.broadcast_to(dists, (3, 4, 6)).copy())
+    assert per_position.distances_m.shape == (3, 1, 6)
+    assert per_position.gains_sq.shape == copied.distances_m.shape == (3, 4, 6)
+    got, want = (
+        received_power(0.1, r.distances_m, 2.7, r.gains_sq) for r in (per_position, copied)
+    )
+    assert got.shape == (3, 4, 6) and np.array_equal(got, want)
+    params = make_params(pathloss_exponent=2.7)
+    for name in ("prx_w", "interference_w", "sinr", "rate_bps", "tx_time_s"):
+        got, want = (getattr(uplink_budget(params, r, 100.0), name) for r in (per_position, copied))
+        assert np.array_equal(got, want), name
+
+
 def test_received_power_homogeneous_in_ptx_and_gain():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -234,5 +255,6 @@ def test_channel_realization_validation():
     ):
         with pytest.raises(ValueError):
             ChannelRealization(gains, dists)
+    # The gains carry the batch shape; the distances keep their own shape.
     batch = ChannelRealization(np.ones((2, 3)), [3.0, 4.0, 5.0])
-    assert batch.distances_m.shape == (2, 3) and batch.gains_sq.shape[-1] == 3
+    assert batch.distances_m.shape == (3,) and batch.gains_sq.shape == (2, 3)

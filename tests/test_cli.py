@@ -549,6 +549,29 @@ def test_place_uav_reports_position(tmp_path, capsys, monkeypatch):
         assert len(uplink_calls) == 1
 
 
+def test_placement_builds_no_energy_ledger(tmp_path, capsys, monkeypatch):
+    """Placement reads only the round delay, so grid search and the centroid's
+    expected delay build no energy ledger, and the recorded placements hold."""
+
+    def no_ledger(*args, **kwargs):
+        raise AssertionError("placement built an energy ledger")
+
+    monkeypatch.setattr(scenario_module, "ledger", no_ledger)
+    for name, overrides, position, objective in PLACEMENT_CHARACTERIZATIONS:
+        for mode in ("grid_search", "centroid"):
+            out = tmp_path / f"{mode}-{name}"
+            args = ["place-uav", "--config", str(CONFIGS / name), "--out", str(out)]
+            for text in [f"placement_mode={mode}", "workers=1", *overrides]:
+                args += ["--override", text]
+            assert run_cli(args) == 0
+            placement = json.loads((out / "placement.json").read_text())
+            assert placement["objective_s"] > 0.0
+            if mode == "grid_search":
+                assert placement["position"] == position
+                assert placement["objective_s"] == objective
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("failing_dump, kept", [(0, []), (1, ["placement.json"])])
 def test_failed_json_dump_leaves_no_partial_file(
     tmp_path, capsys, monkeypatch, failing_dump, kept
@@ -855,6 +878,36 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys):
         assert run_cli(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_comma_joined_sweep_param_is_one_direct_error(tmp_path, capsys):
+    """--param takes one dotted path; a comma in it is named as such, not read
+    as a field name with a comma in it."""
+    cfg = write_config(tmp_path)
+    param = "trainer.local_iters,compute.local_iters"
+    args = ["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--param", param]
+    assert run_cli([*args, "--values", "1,3"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --param takes one dotted path, got {param!r}\n"
+
+
+def test_rejected_sweep_leaves_no_output_directory(tmp_path, capsys):
+    """The first output written makes the output directory, so a sweep
+    rejected for its --param or --values exits 2 and leaves none."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    args = ["sweep", "--config", cfg, "--out", str(out), "--workers", "1"]
+    for param, values in [
+        ("rounds,device_count", "1,2"),
+        ("no_such", "1,2"),
+        ("rounds", "1.5"),
+        ("rounds", ""),
+    ]:
+        assert run_cli([*args, "--param", param, "--values", values]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+    assert run_cli([*args, "--param", "rounds", "--values", "1"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sweep.csv"]
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import oracles
-from swiptfl.channel import ChannelRealization
+from swiptfl import optimizer as optimizer_module
+from swiptfl.channel import DELTA_MAX, DELTA_MIN, ChannelRealization, downlink_budget
 from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy
 from swiptfl import scenario as scenario_module
 from swiptfl.config import (
@@ -523,6 +524,50 @@ def test_batched_link_round_equals_per_slice(delta_mode, harvest, method):
         assert np.array_equal(got, want), name
     for c, row in enumerate(singles):
         assert batched.methods()[c].tolist() == [rnd.method for rnd in row]
+
+
+@pytest.mark.parametrize(
+    "harvest, method",
+    [(HarvestModel(0.1, 0.5, 0.0), "bisection"), (HarvestModel(0.4, -0.1, 0.003), "grid")],
+    ids=["bisection", "grid"],
+)
+def test_optimized_round_takes_the_solvers_downlink(monkeypatch, harvest, method):
+    """An optimized round's downlink is the solver's, equal bit for bit to
+    ``downlink_budget`` at its ratios, and the solver's bracket ends are the
+    round's one ``downlink_budget`` call. Its energy ledger is built on read."""
+    cfg = small_config(
+        device_count=4,
+        delta_mode="optimized",
+        harvest=harvest,
+        device_pays_downlink=False,
+        link=replace(ScenarioConfig().link, ptx_ul_w=1e-3),
+        compute=replace(ScenarioConfig().compute, kappa=1e-31),
+    )
+    rng = np.random.default_rng(29)
+    realization = ChannelRealization(
+        rng.exponential(1.0, (3, 5, 4)), rng.uniform(20.0, 150.0, (3, 1, 4))
+    )
+    calls = []
+
+    def counted(module):
+        budget = module.downlink_budget
+
+        def counted_budget(*args, **kwargs):
+            calls.append(module.__name__)
+            return budget(*args, **kwargs)
+
+        monkeypatch.setattr(module, "downlink_budget", counted_budget)
+
+    counted(scenario_module)
+    counted(optimizer_module)
+    rnd = link_round(cfg, realization)
+    assert rnd.method == method and calls == ["swiptfl.optimizer"]
+    assert ((rnd.deltas > DELTA_MIN) & (rnd.deltas < DELTA_MAX)).any()  # solved inside
+    assert "energy" not in vars(rnd)  # nothing read it yet
+    assert rnd.energy is rnd.energy and "energy" in vars(rnd)
+    want = downlink_budget(cfg.link, realization, rnd.deltas, 32.0 * cfg.data.dim)
+    for name in ("prx_w", "interference_w", "sinr", "rate_bps", "tx_time_s"):
+        assert np.array_equal(getattr(rnd.downlink, name), getattr(want, name)), name
 
 
 # -------------------------------------------------------------- battery mode
