@@ -15,7 +15,7 @@ The elementwise helpers are the arithmetic alone: the config fixes and
 checks the scalar constants once (:class:`LinkParams`), and
 :class:`ChannelRealization` and :func:`downlink_budget` check the arrays
 that do not come from the config, so the ratio solver's interior probes
-call the same helpers as the chain.
+call the chain's own tail, :func:`chain_tail`.
 """
 
 from __future__ import annotations
@@ -132,14 +132,23 @@ def tx_time(payload_bits: float, rate_bps):
         return payload_bits / rate
 
 
+def chain_tail(prx_w, interference_w, decode_share, noise_w, bandwidth_hz, payload_bits):
+    """The chain after the powers: (SINR, rate, time) at decode shares ``decode_share``.
+
+    Every budget ends with it, and the ratio solver's probes call it alone,
+    since received and interference power do not depend on the share."""
+    g = sinr(decode_share * prx_w, interference_w, noise_w)
+    rate = achievable_rate(bandwidth_hz, g)
+    return g, rate, tx_time(payload_bits, rate)
+
+
 def _link_budget(ptx_w, noise_w, decode_share, params, realization, payload_bits):
     prx = received_power(
         ptx_w, realization.distances_m, params.pathloss_exponent, realization.gains_sq
     )
     interf = interference_power(prx)
-    g = sinr(decode_share * prx, interf, noise_w)
-    rate = achievable_rate(params.bandwidth_hz, g)
-    return LinkBudget(prx, interf, g, rate, tx_time(payload_bits, rate))
+    tail = chain_tail(prx, interf, decode_share, noise_w, params.bandwidth_hz, payload_bits)
+    return LinkBudget(prx, interf, *tail)
 
 
 def uplink_budget(

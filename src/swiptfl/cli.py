@@ -247,7 +247,7 @@ def cmd_optimize_delta(config: ScenarioConfig, args, out: Path) -> tuple[list[st
     feasible = rnd.energy.feasible.astype(int)  # written as 1 or 0
     rows = zip(range(config.device_count), rnd.deltas, feasible, rnd.downlink.tx_time_s)
     _write_csv(out / "deltas.csv", ["device", "delta", "feasible", "t_downlink_s"], rows)
-    print(f"solved ratios via {rnd.method}: round delay {rnd.delay():.6g} s")
+    print(f"solved ratios via {rnd.methods().item()}: round delay {rnd.delay():.6g} s")
     return ["deltas.csv"], 0
 
 

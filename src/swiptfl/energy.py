@@ -59,16 +59,12 @@ class EnergyLedger:
 
     ``e_total_j`` is the energy billed to the device: compute + uplink,
     plus the UAV-side downlink energy when ``device_pays_downlink`` was set
-    (the default convention). ``e_downlink_j`` always records the UAV-side
-    energy regardless of who is billed. ``feasible`` means the billed total
-    does not exceed the harvested energy and is finite.
+    (the default convention). ``e_harvest_j`` is what the harvest branch
+    gathers over the downlink. ``feasible`` means the billed total does not
+    exceed the harvested energy and is finite.
     """
 
-    e_compute_j: np.ndarray
-    e_uplink_j: np.ndarray
-    e_downlink_j: np.ndarray
     e_total_j: np.ndarray
-    p_harvest_w: np.ndarray
     e_harvest_j: np.ndarray
     feasible: np.ndarray
 
@@ -99,8 +95,20 @@ def harvest_power(model: HarvestModel, x):
     return np.maximum(0.0, model.a1 * x * x + model.a2 * x + model.a3)
 
 
-def _harvested_energy(p_harvest_w, t_s):  # zero power times infinite time: callers ignore invalid
-    return np.where(p_harvest_w > 0.0, t_s * p_harvest_w, 0.0)
+def balance(e_fixed_j, model: HarvestModel, prx_w, t_dl_s, delta, ptx_dl_w, device_pays_downlink):
+    """The ratio-dependent end of the ledger: (billed total, harvest, verdict).
+
+    ``e_fixed_j`` is the compute + uplink bill, which no ratio changes; the
+    ratio solver's probes call this alone. Zero harvested power yields zero
+    harvested energy even over an infinite downlink time (an unreachable
+    device harvests nothing); that product is invalid, so callers ignore it.
+    """
+    e_total = e_fixed_j
+    if device_pays_downlink:
+        e_total = e_total + transmit_energy(t_dl_s, ptx_dl_w)
+    p_h = harvest_power(model, (1.0 - delta) * prx_w)
+    e_h = np.where(p_h > 0.0, t_dl_s * p_h, 0.0)
+    return e_total, e_h, np.isfinite(e_total) & (e_total <= e_h)
 
 
 def ledger(
@@ -117,27 +125,12 @@ def ledger(
     """Assemble the energy balance of every device for one round.
 
     Harvesting runs for the downlink transmission time on the harvest
-    branch's share ``(1 - delta)`` of the received power. Zero harvested
-    power yields zero harvested energy even when the downlink time is
-    infinite (an unreachable device harvests nothing). A device with an
-    infinite billed total is never feasible, even if the harvested energy
-    is infinite as well.
+    branch's share ``(1 - delta)`` of the received power, as
+    :func:`balance` says. A device with an infinite billed total is never
+    feasible, even if the harvested energy is infinite as well.
     """
-    e_c = compute_energy(profile)
-    e_u = transmit_energy(uplink.tx_time_s, ptx_ul_w)
-    e_d = transmit_energy(downlink.tx_time_s, ptx_dl_w)
-    e_total = e_c + e_u + (e_d if device_pays_downlink else 0.0)
-
-    p_h = harvest_power(harvest_model, (1.0 - delta) * downlink.prx_w)
+    e_fixed = compute_energy(profile) + transmit_energy(uplink.tx_time_s, ptx_ul_w)
+    down = downlink.prx_w, downlink.tx_time_s
     with np.errstate(invalid="ignore"):
-        e_h = _harvested_energy(p_h, downlink.tx_time_s)
-
-    return EnergyLedger(
-        e_compute_j=np.full_like(e_total, e_c),
-        e_uplink_j=e_u,
-        e_downlink_j=e_d,
-        e_total_j=e_total,
-        p_harvest_w=p_h,
-        e_harvest_j=e_h,
-        feasible=np.isfinite(e_total) & (e_total <= e_h),
-    )
+        verdict = balance(e_fixed, harvest_model, *down, delta, ptx_dl_w, device_pays_downlink)
+    return EnergyLedger(*verdict)

@@ -12,8 +12,9 @@ device of every fading state in a batch (..., M) is solved at once, as
 arrays. Only the two bracket ends run the whole chain (``downlink_budget``,
 then ``ledger``); every interior probe, bisection or grid, and the downlink
 at the solved ratios, which the solver hands to the round, reuse the
-ratio-independent terms it produced and call the same elementwise helpers
-for the rest.
+ratio-independent terms it produced and run the rest through the chain's
+own tails, :func:`~swiptfl.channel.chain_tail` and
+:func:`~swiptfl.energy.balance`.
 
 Grid-search placement scores all candidate UAV positions with one call of
 an array objective, (C, 3) positions to (C,) expected delays, and picks the
@@ -35,20 +36,10 @@ from .channel import (
     ChannelRealization,
     LinkBudget,
     LinkParams,
-    achievable_rate,
+    chain_tail,
     downlink_budget,
-    sinr,
-    tx_time,
 )
-from .energy import (
-    ComputeProfile,
-    HarvestModel,
-    _harvested_energy,
-    compute_energy,
-    harvest_power,
-    ledger,
-    transmit_energy,
-)
+from .energy import ComputeProfile, HarvestModel, balance, compute_energy, ledger, transmit_energy
 
 METHOD_BISECTION = "bisection"
 METHOD_GRID = "grid"
@@ -66,16 +57,15 @@ GRID_BLOCK = 1 << 16  # (ratio, state, device) entries per block of that scan
 class DeltaSolution:
     """Per-device ratios for a realization, shaped like its gains.
 
-    ``grid`` marks the devices that needed the dense scan, and ``method`` is
-    "grid" if any device of the whole batch did. Infeasible devices carry
-    ``delta_min`` (maximum harvest share) and a False flag. ``downlink`` is
-    the downlink budget at ``deltas``, equal to ``downlink_budget``'s.
+    ``grid`` marks the devices that needed the dense scan; the others were
+    bisected. Infeasible devices carry ``delta_min`` (maximum harvest share)
+    and a False flag. ``downlink`` is the downlink budget at ``deltas``,
+    equal to ``downlink_budget``'s.
     """
 
     deltas: np.ndarray
     feasible: np.ndarray
     grid: np.ndarray
-    method: str
     downlink: LinkBudget
 
 
@@ -109,10 +99,10 @@ def optimize_delta_all(
     ``downlink_budget`` and ``ledger`` are called once each, on both
     bracket ends stacked. Each interior probe reuses their received power,
     interference and compute + uplink bill, which do not depend on the
-    ratio, and evaluates only SINR, rate, downlink time, harvest and the
-    verdict, through the same elementwise helpers as that chain, under one
-    ``np.errstate`` for the whole probe loop. The returned downlink at the
-    solved ratios is built the same way: the round needs no second budget.
+    ratio, and runs only the ratio-dependent tails of that chain,
+    ``chain_tail`` and ``balance``, under one ``np.errstate`` for the whole
+    probe loop. The returned downlink at the solved ratios is completed by
+    ``chain_tail`` too: the round needs no second budget.
     """
     shape = realization.gains_sq.shape
     lo, hi = np.full(shape, DELTA_MIN), np.full(shape, DELTA_MAX)
@@ -122,19 +112,12 @@ def optimize_delta_all(
     ok_lo, ok_hi = ledger(*args, device_pays_downlink=device_pays_downlink).feasible
     prx, interf = ends.prx_w, ends.interference_w
     e_fixed = compute_energy(profile) + transmit_energy(uplink.tx_time_s, params.ptx_ul_w)
+    link = params.noise_power_dl_w, params.bandwidth_hz, payload_dl_bits  # chain_tail's constants
+    bill = params.ptx_dl_w, device_pays_downlink  # balance's
 
-    def tail(deltas):  # the ratio-dependent tail of downlink_budget: SINR, rate, time
-        g = sinr(deltas * prx, interf, params.noise_power_dl_w)
-        rate = achievable_rate(params.bandwidth_hz, g)
-        return g, rate, tx_time(payload_dl_bits, rate)
-
-    def feasible_at(deltas):  # the ratio-dependent tail of ledger: the verdict
-        t_dl = tail(deltas)[2]
-        e_total = e_fixed
-        if device_pays_downlink:
-            e_total = e_total + transmit_energy(t_dl, params.ptx_dl_w)
-        e_h = _harvested_energy(harvest_power(harvest, (1.0 - deltas) * prx), t_dl)
-        return np.isfinite(e_total) & (e_total <= e_h)
+    def feasible_at(deltas):
+        t_dl = chain_tail(prx, interf, deltas, *link)[2]
+        return balance(e_fixed, harvest, prx, t_dl, deltas, *bill)[2]
 
     # The harvest input (1 - delta) * prx spans [0, prx]. Where the curve
     # is nondecreasing there, feasibility is a prefix interval; elsewhere
@@ -151,8 +134,7 @@ def optimize_delta_all(
                 lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
         deltas = np.where(ok_hi, DELTA_MAX, np.where(ok_lo, lo, DELTA_MIN))
         feasible = ok_lo | ok_hi
-        method = METHOD_GRID if dips.any() else METHOD_BISECTION
-        if method == METHOD_GRID:
+        if dips.any():
             # The scan runs in blocks of ratios in front of the batch axes, so its
             # temporaries stay near GRID_BLOCK entries however large the batch is.
             # best is the largest feasible ratio so far, 0 while there is none.
@@ -165,7 +147,8 @@ def optimize_delta_all(
             deltas = np.where(dips, np.where(best > 0, best, DELTA_MIN), deltas)
             feasible = np.where(dips, best > 0, feasible)
 
-    return DeltaSolution(deltas, feasible, dips, method, LinkBudget(prx, interf, *tail(deltas)))
+    downlink = LinkBudget(prx, interf, *chain_tail(prx, interf, deltas, *link))
+    return DeltaSolution(deltas, feasible, dips, downlink)
 
 
 def place_uav(

@@ -352,7 +352,6 @@ class LinkRound:
 
     config: ScenarioConfig
     deltas: np.ndarray
-    method: str
     grid: np.ndarray
     uplink: LinkBudget
     downlink: LinkBudget
@@ -368,9 +367,11 @@ class LinkRound:
 
     def methods(self) -> np.ndarray:
         """How the ratios of each fading state were set, one label per state:
-        "grid" only if one of its own devices needed the dense scan."""
-        keep = (self.method != METHOD_GRID) | self.grid.any(axis=-1)
-        return np.where(keep, self.method, METHOD_BISECTION)
+        "grid" if one of its own devices needed the dense scan, else "fixed"
+        or "bisection" as ``config.delta_mode`` says."""
+        solved = self.config.delta_mode == DELTA_MODE_OPTIMIZED
+        label = METHOD_BISECTION if solved else DELTA_MODE_FIXED
+        return np.where(self.grid.any(axis=-1), METHOD_GRID, label)
 
     def delay(self) -> float | np.ndarray:
         """Round delay with every device taking part: a float, or shape (...) for a batch."""
@@ -404,21 +405,27 @@ def link_round(config: ScenarioConfig, realization: ChannelRealization) -> LinkR
             payload,
             device_pays_downlink=config.device_pays_downlink,
         )
-        deltas, method, grid, downlink = sol.deltas, sol.method, sol.grid, sol.downlink
+        deltas, grid, downlink = sol.deltas, sol.grid, sol.downlink
     else:
-        deltas, method = np.full(realization.gains_sq.shape, config.delta_fixed), DELTA_MODE_FIXED
+        deltas = np.full(realization.gains_sq.shape, config.delta_fixed)
         grid = np.zeros(deltas.shape, dtype=bool)
         downlink = downlink_budget(link, realization, deltas, payload)
     return LinkRound(
         config=config,
         deltas=deltas,
-        method=method,
         grid=grid,
         uplink=uplink,
         downlink=downlink,
         t_local_s=np.full(realization.gains_sq.shape, local_train_time(config.compute)),
         t_uav_s=uav_aggregation_time(config.uav_cycles_per_bit, uav_payload, config.uav_cpu_hz),
     )
+
+
+def _distances(device_positions: np.ndarray, uav_positions: np.ndarray) -> np.ndarray:
+    """3-D distances from (M, 2) ground devices to (C, 3) UAV positions, shape (C, M)."""
+    dx = device_positions[:, 0] - uav_positions[:, :1]
+    dy = device_positions[:, 1] - uav_positions[:, 1:2]
+    return np.sqrt(dx * dx + dy * dy + uav_positions[:, 2:] ** 2)
 
 
 def mean_round_delay(
@@ -433,10 +440,7 @@ def mean_round_delay(
     """
     path = ("placement-eval", np.arange(config.placement_trials))
     fading = fading_draws(config.master_seed, path, config.device_count)
-    dx = device_positions[:, 0] - candidates[:, :1]
-    dy = device_positions[:, 1] - candidates[:, 1:2]
-    dist = np.sqrt(dx * dx + dy * dy + candidates[:, 2:] ** 2)
-    realization = ChannelRealization(fading, dist[:, None, :])
+    realization = ChannelRealization(fading, _distances(device_positions, candidates)[:, None, :])
     return link_round(config, realization).delay().mean(axis=-1)
 
 
@@ -458,8 +462,7 @@ def build(config: ScenarioConfig) -> Scenario:
         lambda xyz: mean_round_delay(config, positions, xyz),
         config.placement_grid_points,
     )
-    ux, uy, uz = placement.position
-    distances = np.sqrt((xs - ux) ** 2 + (ys - uy) ** 2 + uz**2)
+    distances = _distances(positions, np.array([placement.position]))[0]
 
     train_sets, val_set, test_set, w_true = make_federated_problem(
         rng_stream(config.master_seed, "data"),

@@ -19,6 +19,7 @@ import yaml
 from swiptfl import cli, fl_core
 from swiptfl import config as config_module
 from swiptfl import scenario as scenario_module
+from swiptfl.channel import ChannelRealization
 from swiptfl.config import ScenarioConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -481,19 +482,43 @@ def test_select_rounds_on_a_diverged_trajectory_exits_3(tmp_path, capsys, monkey
     assert err.startswith("numeric failure: non-finite test metric at round budget ")
     assert err.count("\n") == 1
 
-def test_optimize_delta_writes_per_device_ratios(tmp_path, capsys):
-    cfg = write_config(tmp_path)
+# The contested regime of one optimize-delta round, as the CI smoke step runs it.
+CONTESTED_DELTA = (
+    "device_count=12",
+    "device_pays_downlink=false",
+    "link.ptx_ul_w=1e-3",
+    "compute.kappa=1e-31",
+)
+
+
+@pytest.mark.parametrize(
+    "dip, method",
+    [([], "bisection"), (["harvest.a2=-0.1", "harvest.a3=0.003"], "grid")],
+    ids=["bisection", "grid"],
+)
+def test_optimize_delta_writes_per_device_ratios(tmp_path, capsys, dip, method):
+    """In the contested regime the printed label and round delay are those
+    of the link round on the same draw; a dipping harvest curve is scanned."""
     out = tmp_path / "o"
-    code = run_cli(["optimize-delta", "--config", cfg, "--out", str(out), "--workers", "1"])
-    assert code == 0
-    assert "solved ratios via" in capsys.readouterr().out
+    args = ["optimize-delta", "--config", str(CONFIGS / "default.yaml"), "--out", str(out)]
+    for override in (*CONTESTED_DELTA, *dip):
+        args += ["--override", override]
+    assert run_cli([*args, "--workers", "1"]) == 0
+    config = cli.load_config(str(out / "manifest.json"))
+    assert config.delta_mode == "optimized"
+    scenario = scenario_module.build(config)
+    draw = ("trial", 0, "fading", 0)
+    gains = scenario_module.fading_draws(config.master_seed, draw, config.device_count)
+    rnd = scenario_module.link_round(config, ChannelRealization(gains, scenario.distances_m))
+    assert rnd.methods().item() == method
+    printed = capsys.readouterr().out
+    assert printed == f"solved ratios via {method}: round delay {rnd.delay():.6g} s\n"
     rows = read_rows(out / "deltas.csv")
     assert rows[0] == ["device", "delta", "feasible", "t_downlink_s"]
-    assert len(rows) == 1 + 3
+    assert len(rows) == 1 + 12
+    assert [float(row[1]) for row in rows[1:]] == rnd.deltas.tolist()
     for row in rows[1:]:
         assert 0.0 < float(row[1]) < 1.0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["delta_mode"] == "optimized"
 
 
 # Grid-search placements of the shipped configs, recorded when every

@@ -209,7 +209,6 @@ def test_solver_falls_back_to_grid_on_nonmonotone_feasibility():
     assert _feasible(case, DELTA_MAX)[0]
 
     sol = solve(case)
-    assert sol.method == "grid"
     assert sol.grid.tolist() == [True]
     assert sol.feasible[0]
     assert sol.deltas[0] == DELTA_MAX
@@ -259,7 +258,6 @@ def test_optimize_delta_all_solves_interfering_devices_together():
         )
         sol = solve(case)
         assert sol.deltas.shape == (m,) and sol.feasible.shape == (m,)
-        assert sol.method == "bisection"
         assert not sol.grid.any()
         for i in range(m):
             ref = _oracle_solve(case, device=i)
@@ -316,7 +314,7 @@ def test_solver_equals_full_chain_reference(harvest, pays_downlink):
         assert np.array_equal(sol.deltas, deltas)
         assert np.array_equal(sol.feasible, feasible)
         assert np.array_equal(sol.grid, grid)
-        assert sol.method == ("grid" if grid.any() else "bisection")
+        assert sol.grid.any() == (harvest.a2 < 0)
         assert not sol.feasible.all() and sol.feasible.any()
         interior += int((sol.feasible & (sol.deltas < DELTA_MAX)).sum())
     assert interior >= 40
@@ -345,7 +343,7 @@ def test_solver_runs_the_full_chain_once(monkeypatch, shape, a2):
     sol = optimize_delta_all(*args, device_pays_downlink=False)
     assert sol.deltas.shape == shape
     assert (sol.feasible & (sol.deltas > DELTA_MIN) & (sol.deltas < DELTA_MAX)).any()
-    assert sol.method == ("grid" if a2 < 0 else "bisection")
+    assert sol.grid.any() == (a2 < 0)
     assert calls == {"downlink_budget": 1, "ledger": 1}
 
 
