@@ -165,8 +165,10 @@ def run_round(
     Trial t broadcasts ``global_models[t]`` to the devices marked in
     ``participate[t]`` (all by default); the others sit the round out and
     are neither trained nor aggregated, and a trial with no participant
-    keeps its model. Each of the ``local_iters`` local iterations makes one
-    gradient call over the K participating (trial, device) rows; with none,
+    keeps its model bit for bit: :func:`~swiptfl.scenario.run_trial` holds
+    a stopped trial in its block that way. Each of the ``local_iters``
+    local iterations makes one gradient call over the K participating
+    (trial, device) rows; with none,
     each trial aggregates its broadcast model, which it keeps up to the
     rounding of the average. Full batch gathers their ``(K, n, d)``
     features once; minibatch gathers each iteration's ``(K, batch_size,

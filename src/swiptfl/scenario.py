@@ -246,7 +246,6 @@ class Scenario:
     train_sets: FederatedData
     val_set: FederatedData
     test_set: FederatedData
-    w_true: np.ndarray
     w0: np.ndarray
 
 
@@ -464,7 +463,7 @@ def build(config: ScenarioConfig) -> Scenario:
     )
     distances = _distances(positions, np.array([placement.position]))[0]
 
-    train_sets, val_set, test_set, w_true = make_federated_problem(
+    train_sets, val_set, test_set, _ = make_federated_problem(
         rng_stream(config.master_seed, "data"),
         config.trainer.task,
         config.device_count,
@@ -487,7 +486,6 @@ def build(config: ScenarioConfig) -> Scenario:
         train_sets=train_sets,
         val_set=val_set,
         test_set=test_set,
-        w_true=w_true,
         w0=w0,
     )
 
@@ -502,20 +500,25 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     rounds, runs round by round after the chunk's ledger. A chunk holds up
     to ``max(1, ROUND_BLOCK // (T * M))`` rounds, so a link round covers at
     most ``max(ROUND_BLOCK, T * M)`` fading states. A round runs only what
-    carries state to the next: each trial still running trains in one
-    :func:`run_round`. The chunk's end scores all its models on the training
-    sets, then the val and test sets, in passes of at most ``EVAL_BLOCK``
-    (model, sample) pairs, samples counted over all of a dataset's sets. No
-    model's score depends on its batch, so neither does a trial's record. A
-    trial stops alone at its training's first error, in that round, or at
-    its first round with a non-finite score, whichever is earlier; the
-    message names the train loss, val metric or test metric, the first of
-    them not finite. It keeps the rounds before. A recorded round is in
-    outage when a device is unreachable (an infinite delay) or short of
+    carries state to the next: one :func:`run_round` of all T models. The
+    chunk's end scores all its (R_c, T) models on the training sets, then
+    the val and test sets, in passes of at most ``EVAL_BLOCK`` (model,
+    sample) pairs, samples counted over all of a dataset's sets. No model's
+    score depends on its batch, so neither does a trial's record.
+
+    A trial stops at its training's first error, in that round, or at its
+    first round with a non-finite score, whichever is earlier; the message
+    names the train loss, val metric or test metric, the first of them not
+    finite. It keeps the rounds before. ``rounds_done`` starts at the round
+    count and only falls. A stopped trial stays in the block: later rounds
+    hand it no participant, so :func:`run_round` keeps its model, and what
+    it reports or scores for the trial changes nothing. A recorded round is
+    in outage when a device is unreachable (an infinite delay) or short of
     energy; the record counts them, and the unreachable ones among them.
-    Each chunk writes into the columns of one :class:`BlockRecord` and builds
-    no per-round object; every result's ``rounds`` is a :class:`TrialRounds`
-    view of its row, so a pickled block carries the record's arrays once.
+    Each chunk writes every column of one :class:`BlockRecord` in one loop
+    and builds no per-round object; every result's ``rounds`` is a
+    :class:`TrialRounds` view of its row, so a pickled block carries the
+    record's arrays once.
 
     Without battery tracking every device runs every round and energy
     shortfalls only show up as infeasible flags (and outage counts). With
@@ -534,83 +537,73 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     chunk = min(cfg.rounds, max(1, ROUND_BLOCK // (shape[0] * shape[1])))
     minibatch = cfg.trainer.minibatch(scenario.train_sets.count)
     iters = cfg.compute.local_iters
-    models = np.tile(scenario.w0, (len(trials), 1))  # one row per trial in live
+    models = np.tile(scenario.w0, (len(trials), 1))  # one row per trial, stopped or not
     battery = np.full(shape, cfg.battery_initial_j, dtype=float) if cfg.battery_ledger else None
-    # The block record's columns, trial-major: (T, R), or (T, R, M) per device.
-    grid, rounds_done = (len(trials), cfg.rounds), np.zeros(len(trials), dtype=int)
-    columns = {name: np.zeros(grid) for name in _COLUMNS[-3:]}  # the scores
-    columns["battery_j"] = None if battery is None else np.zeros((*grid, shape[1]))
-    errors: dict[int, str] = {}  # block position -> divergence message
-    live = list(range(len(trials)))  # block positions of the trials still training
+    # The block record's columns, trial-major: (T, R), or (T, R, M) per device,
+    # typed as the first chunk's values are; battery_j stays None without a battery.
+    grid, columns = (len(trials), cfg.rounds), dict.fromkeys(_COLUMNS)
+    rounds_done = np.full(len(trials), cfg.rounds)
+    error = np.full(len(trials), None, dtype=object)
     block = np.array(trials)[None, :]  # the trial part of the block's (round, trial) stream paths
     if minibatch:  # every training stream's seed words, (R, T, 4), in one pass
         train = _stream_seeds(seed, ("trial", block, "train", np.arange(cfg.rounds)[:, None]))
+    sets = (scenario.train_sets, scenario.val_set, scenario.test_set)
+    metrics = (global_loss, evaluate_metric, evaluate_metric)
     for start in range(0, cfg.rounds, chunk):
-        if not live:
-            break
         # The chunk's physics, then its battery recurrence round by round.
         n = min(chunk, cfg.rounds - start)
-        path = ("trial", block, "fading", np.arange(start, start + n)[:, None])
+        rounds = np.arange(start, start + n)
+        path = ("trial", block, "fading", rounds[:, None])
         realization = ChannelRealization(fading_draws(seed, path, shape[1]), scenario.distances_m)
         phys = link_round(cfg, realization)
         e_total, e_harvest = phys.energy.e_total_j, phys.energy.e_harvest_j
         participate = np.ones(e_total.shape, dtype=bool)
+        levels = None if battery is None else np.empty(e_total.shape)
         if battery is not None:
             # Skip a round the device cannot pay for; it keeps whatever
             # it harvests, so the balance never goes negative.
-            for i, (part, bill, gain) in enumerate(zip(participate, e_total, e_harvest)):
+            for part, bill, gain, level in zip(participate, e_total, e_harvest, levels):
                 part[...] = np.isfinite(bill) & (battery + gain - bill >= 0.0)
-                battery = battery + gain - np.where(part, bill, 0.0)
-                columns["battery_j"][:, start + i] = battery
+                battery = level[...] = battery + gain - np.where(part, bill, 0.0)
+
+        # Train round by round; a training error stops a trial at once.
+        trained = np.empty((n, *models.shape))
+        for i, r in enumerate(rounds.tolist()):
+            rngs = [_generator(words) for words in train[r]] if minibatch else None
+            running = participate[i] & (rounds_done > r)[:, None]
+            step = run_round(models, scenario.train_sets, cfg.trainer, iters, rngs, running)
+            for k, message in step.errors.items():
+                if rounds_done[k] > r:  # a report for a stopped trial changes nothing
+                    rounds_done[k], error[k] = r, message
+            models = trained[i] = step.models
+
+        # Score every model of the chunk on the training, val and test sets in
+        # passes of at most EVAL_BLOCK (model, sample) pairs. A trial stops at its
+        # first recorded round with a non-finite score.
+        flat = trained.reshape(-1, models.shape[1])  # round-major
+        scores = np.empty((len(_SCORES), n, len(trials)))
+        for score, dataset, metric in zip(scores.reshape(len(_SCORES), -1), sets, metrics):
+            size = max(1, EVAL_BLOCK // dataset.targets.size)
+            for a in range(0, len(flat), size):
+                score[a : a + size] = metric(flat[a : a + size], dataset, task)
+        bad = ~np.isfinite(scores) & (rounds[:, None] < rounds_done)
+        for k in np.flatnonzero(bad.any(axis=(0, 1))).tolist():
+            i = int(bad[:, :, k].any(axis=0).argmax())  # the trial's first such round
+            rounds_done[k] = start + i
+            error[k] = f"non-finite {_SCORES[bad[:, i, k].argmax()]} in round {start + i}"
+
         masked = (np.where(participate, t, 0.0) for t in (phys.uplink.tx_time_s, phys.t_local_s))
         stages = (*masked, phys.downlink.tx_time_s)  # a device that sits out still downloads
         total = round_total(*stages, phys.t_uav_s)
         maxima = (t.max(axis=-1) for t in stages)
         t_uav = np.broadcast_to(phys.t_uav_s, total.shape)
-        energy = (e_total, e_harvest, phys.energy.feasible, participate)
-        values = (total, *maxima, t_uav, phys.deltas, phys.methods(), *energy)
-        for name, value in zip(_COLUMNS, values):  # the fields t_total_s to participate
-            if name not in columns:  # typed as the first chunk's values are
-                columns[name] = np.zeros((*grid, *value.shape[2:]), value.dtype)
-            columns[name][:, start : start + n] = value.swapaxes(0, 1)
-
-        # Train round by round; a training error stops a trial at once.
-        trained = np.empty((n, shape[0], len(scenario.w0)))
-        for i, r in enumerate(range(start, start + n)):
-            rngs = [_generator(words) for words in train[r, live]] if minibatch else None
-            step = run_round(
-                models, scenario.train_sets, cfg.trainer, iters, rngs, participate[i, live]
-            )
-            models = step.models
-            if step.errors:
-                errors.update((live[j], msg) for j, msg in step.errors.items())
-                kept = [j for j in range(len(live)) if j not in step.errors]
-                live, models = [live[j] for j in kept], models[kept]
-            trained[i, live], rounds_done[live] = models, r + 1
-            if not live:
-                break
-
-        # Score the chunk's models on the training, val and test sets in passes
-        # of at most EVAL_BLOCK (model, sample) pairs. A trial stops at its first
-        # round with a non-finite score, and what it trained after is dropped.
-        at = np.nonzero(np.arange(start, start + n)[:, None] < rounds_done)  # (i, k) trained
-        flat = trained[at]  # (S, d) round-major, S may be 0
-        chunk_scores = np.empty((len(_SCORES), len(flat)))
-        sets = (scenario.train_sets, scenario.val_set, scenario.test_set)
-        metrics = (global_loss, evaluate_metric, evaluate_metric)
-        for score, dataset, metric in zip(chunk_scores, sets, metrics):
-            size = max(1, EVAL_BLOCK // dataset.targets.size)
-            for a in range(0, len(flat), size):
-                score[a : a + size] = metric(flat[a : a + size], dataset, task)
-        for name, score in zip(_COLUMNS[-3:], chunk_scores):  # train_loss, val and test metric
-            columns[name][at[1], start + at[0]] = score
-        bad, stop = ~np.isfinite(chunk_scores), {}
-        for s in np.flatnonzero(bad.any(axis=0))[::-1].tolist():  # a trial's earliest round last
-            i, k, which = int(at[0][s]), int(at[1][s]), _SCORES[bad[:, s].argmax()]
-            stop[k], rounds_done[k] = i, start + i
-            errors[k] = f"non-finite {which} in round {start + i}"
-        kept = [j for j, k in enumerate(live) if k not in stop]
-        live, models = [live[j] for j in kept], models[kept]
+        energy = (e_total, e_harvest, phys.energy.feasible, participate, levels)
+        values = (total, *maxima, t_uav, phys.deltas, phys.methods(), *energy, *scores)
+        for name, value in zip(_COLUMNS, values):  # the fields t_total_s to test_metric
+            if value is not None:
+                if columns[name] is None:
+                    columns[name] = np.zeros((*grid, *value.shape[2:]), value.dtype)
+                columns[name][:, start : start + n] = value.swapaxes(0, 1)
 
     record = BlockRecord(columns, trial_index=np.array(trials), rounds_done=rounds_done)
     unreachable = ~np.isfinite(columns["t_total_s"]) & record.recorded()
@@ -618,10 +611,10 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     outages = np.count_nonzero(unreachable | short, axis=1)
     record["outage_count"] = outages
     record["outage_unreachable"] = np.count_nonzero(unreachable, axis=1)
-    record["error"] = np.array([errors.get(k) for k in range(len(trials))], dtype=object)
+    record["error"] = error
     return [
-        TrialResult(t, TrialRounds(record, k), n, k in errors, errors.get(k))
-        for k, (t, n) in enumerate(zip(trials, outages.tolist()))
+        TrialResult(t, TrialRounds(record, k), n, e is not None, e)
+        for k, (t, n, e) in enumerate(zip(trials, outages.tolist(), error))
     ]
 
 

@@ -842,6 +842,43 @@ def test_shipped_config_rounds_match_golden_hash(tmp_path, capsys, name):
         assert hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest() == golden
 
 
+# Runs whose trials stop, on accuracy.yaml with 8 trials of 8 rounds: sha256 of
+# rounds.csv and the rounds each trial records, per learning rate. The server's
+# aggregate overflows: at 4e306 in every trial, at 3e306 in trial 1 alone.
+GOLDEN_STOPPING_ROUNDS = {
+    "4e306": (
+        [4, 4, 4, 5, 2, 1, 1, 6],
+        "a47b1c36c24fbcb93a84599c291c7d91e80be8c41367e45509ff54d0d040f3e7",
+    ),
+    "3e306": (
+        [8, 6, 8, 8, 8, 8, 8, 8],
+        "7f84d7b67054618472dc075713586c5eb277d0f64b05e1f489bd9a7d48eca963",
+    ),
+}
+
+
+@pytest.mark.parametrize("rate", sorted(GOLDEN_STOPPING_ROUNDS))
+def test_stopping_trials_rounds_match_golden_hash(tmp_path, capsys, rate):
+    """A run whose trials stop exits 3 with one line per stopped trial, and
+    its rounds.csv is the same at every worker count."""
+    rounds_done, golden = GOLDEN_STOPPING_ROUNDS[rate]
+    overrides = ("monte_carlo_trials=8", "rounds=8", f"trainer.learning_rate={rate}")
+    stopped = [t for t, n in enumerate(rounds_done) if n < 8]
+    lines = [f"trial {t} failed: aggregated model overflowed" for t in stopped]
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        args = ["run", "--config", str(CONFIGS / "accuracy.yaml"), "--out", str(out)]
+        args += ["--workers", workers]
+        for text in overrides:
+            args += ["--override", text]
+        assert run_cli(args) == 3
+        assert capsys.readouterr().err.splitlines() == lines
+        assert [row[0] for row in read_rows(out / "rounds.csv")[1:]] == [
+            str(t) for t, n in enumerate(rounds_done) for _ in range(n)
+        ]
+        assert hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest() == golden
+
+
 
 def test_commands_build_no_round_record(tmp_path, capsys, monkeypatch):
     """run, sweep and accuracy-curve read the block record's columns and

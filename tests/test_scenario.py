@@ -752,7 +752,7 @@ def test_diverging_trial_stops_alone(monkeypatch):
 
     monkeypatch.setattr(scenario_module, "run_round", run_round)
     block = run_trial(scenario, range(3))
-    assert calls == [3, 3, 2]  # the diverged trial leaves the block's later rounds
+    assert calls == [3, 3, 3]  # the diverged trial keeps its row in the block's later rounds
     assert [tr.failed for tr in block] == [False, True, False]
     assert block[1].error == "injected"
     assert len(block[1].rounds) == 1
@@ -763,6 +763,43 @@ def test_diverging_trial_stops_alone(monkeypatch):
     assert_same_trial(block[2], singles[2])
     for ra, rb in zip(block[1].rounds, singles[1].rounds):
         assert ra.t_total_s == rb.t_total_s and ra.train_loss == rb.train_loss
+
+
+def test_stopped_trial_keeps_its_row_and_its_late_reports_change_nothing(monkeypatch):
+    """After trial 1 stops in round 1, every later run_round call of its block
+    receives all three rows, row 1 of ``participate`` all False, and returns
+    row 1 unchanged. An error reported for the stopped trial changes no record."""
+    cfg = small_config(monte_carlo_trials=3, rounds=4)
+    scenario = build(cfg)
+    real_run_round = scenario_module.run_round
+
+    def run(late_report):
+        calls = []
+
+        def run_round(models, *args):
+            step = real_run_round(models, *args)
+            calls.append((np.array(models), np.array(args[-1]), step.models.copy()))
+            if len(calls) == 2:  # round 1: trial 1 fails and keeps its input model
+                kept = step.models.copy()
+                kept[1] = models[1]
+                return BlockRound(kept, {1: "injected"})
+            if late_report and len(calls) == 4:  # round 3: a report for the stopped trial
+                return BlockRound(step.models, {1: "late"})
+            return step
+
+        monkeypatch.setattr(scenario_module, "run_round", run_round)
+        return run_trial(scenario, range(3)), calls
+
+    block, calls = run(late_report=True)
+    assert len(calls) == cfg.rounds
+    for models, participate, out in calls[2:]:
+        assert len(models) == len(participate) == len(out) == 3
+        assert not participate[1].any()
+        assert np.array_equal(out[1], models[1])
+    assert (block[1].error, len(block[1].rounds)) == ("injected", 1)
+    quiet, _ = run(late_report=False)
+    for a, b in zip(block, quiet):
+        assert_same_trial(a, b)
 
 
 # Five rounds, so two-round chunks split a block 2 + 2 + 1.
@@ -869,7 +906,7 @@ def test_held_out_failure_mid_chunk_stops_the_trial_at_its_round(monkeypatch):
     monkeypatch.setattr(scenario_module, "ROUND_BLOCK", 4 * cfg.device_count)  # one-round chunks
     injected.clear()
     chunked = run_trial(scenario, range(4))
-    assert injected == []
+    assert injected == [2, 2]  # trial 2, stopped in round 2, keeps its row in rounds 3 and 4
     for a, b in zip(chunked, whole):
         assert_same_trial(a, b)
 
