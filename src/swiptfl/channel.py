@@ -84,6 +84,27 @@ class LinkBudget:
     tx_time_s: np.ndarray
 
 
+# A (..., M) batch of S >= 64 M states reduces over its devices faster as one
+# contiguous (M, S) copy, a vector operation per device: 1.1-2.3x at S = 64 M for
+# M from 3 to 32, break-even near S = 30-50 M (measured with numpy 2.4 on 2 cores).
+_WIDE = 64
+
+
+def _device_major(a: np.ndarray) -> np.ndarray | None:
+    """A wide (..., M) batch as a contiguous (M, S) copy, devices first, else None."""
+    m = a.shape[-1]
+    if a.size < max(1, _WIDE * m * m):
+        return None
+    return np.moveaxis(a, -1, 0).copy().reshape(m, -1)
+
+
+def device_max(a: np.ndarray) -> np.ndarray:
+    """The maximum along the last (device) axis of a (..., M) array without NaN,
+    device-major for a wide batch: a maximum's bits do not depend on its order."""
+    cols = _device_major(a)
+    return a.max(axis=-1) if cols is None else cols.max(axis=0).reshape(a.shape[:-1])
+
+
 def received_power(ptx_w: float, distance_m, alpha: float, gain_sq):
     """Power-law received power: ptx * d^(-alpha) at the distances' shape, times |g|^2."""
     return ptx_w * np.asarray(distance_m, dtype=float) ** (-alpha) * gain_sq
@@ -96,12 +117,23 @@ def interference_power(prx_w) -> np.ndarray:
     own gain and distance, so device j interferes with exactly its own
     received power. The sums come from prefix and suffix sums along the last
     axis, never ``total - own``, which loses all precision when one dominates.
+    A wide batch builds them device-major, in ``cumsum``'s order one row add
+    at a time: the same bits, signs of zero included, in an (M, S) layout.
     """
     prx = np.asarray(prx_w, dtype=float)
-    out = np.zeros(prx.shape)
-    out[..., 1:] = prx[..., :-1].cumsum(axis=-1)
-    out[..., :-1] += prx[..., ::-1].cumsum(axis=-1)[..., -2::-1]
-    return out
+    cols = _device_major(prx)
+    if cols is None:
+        out = np.zeros(prx.shape)
+        out[..., 1:] = prx[..., :-1].cumsum(axis=-1)
+        out[..., :-1] += prx[..., ::-1].cumsum(axis=-1)[..., -2::-1]
+        return out
+    out, suffix = np.zeros(cols.shape), cols[-1].copy()  # the assignments and += above
+    for j in range(1, len(cols)):
+        out[j] = cols[0] if j == 1 else out[j - 1] + cols[j - 1]
+    for j in range(len(cols) - 2, -1, -1):
+        out[j] += suffix
+        suffix += cols[j]
+    return np.moveaxis(out.reshape(prx.shape[-1:] + prx.shape[:-1]), 0, -1)
 
 
 def sinr(prx_decode_w, interference_w, noise_w: float):

@@ -10,8 +10,9 @@ outputs that snapshots the config; passing a manifest as ``--config``
 replays the run it records. Power fields accept a ``dBm`` suffix (e.g.
 ``"20 dBm"``).
 
-Exit codes: 0 success, 2 config, argument or I/O error, 3 numeric failure.
-Any other exception is a bug and propagates with its traceback.
+Exit codes: 0 success, 2 config, argument or I/O error, 3 numeric failure,
+4 a worker process died. Any other exception is a bug and propagates with
+its traceback.
 """
 
 from __future__ import annotations
@@ -351,15 +352,18 @@ def main(argv=None) -> int:
         }
         _write_json(out / "manifest.json", manifest)
         return code
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except RuntimeError as exc:  # a BrokenExecutor; its module loads only with a pool
+        futures = sys.modules.get("concurrent.futures")
+        if futures is None or not isinstance(exc, futures.BrokenExecutor):
+            raise
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

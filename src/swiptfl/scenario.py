@@ -45,7 +45,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import ChannelRealization, LinkBudget, downlink_budget, uplink_budget
+from .channel import ChannelRealization, LinkBudget, device_max, downlink_budget, uplink_budget
 from .config import DELTA_MODE_FIXED, DELTA_MODE_OPTIMIZED, ScenarioConfig, with_override
 from .energy import EnergyLedger, ledger
 from .fl_core import FederatedData, evaluate_metric, global_loss, make_federated_problem, run_round
@@ -595,7 +595,7 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
         masked = (np.where(participate, t, 0.0) for t in (phys.uplink.tx_time_s, phys.t_local_s))
         stages = (*masked, phys.downlink.tx_time_s)  # a device that sits out still downloads
         total = round_total(*stages, phys.t_uav_s)
-        maxima = (t.max(axis=-1) for t in stages)
+        maxima = map(device_max, stages)
         t_uav = np.broadcast_to(phys.t_uav_s, total.shape)
         energy = (e_total, e_harvest, phys.energy.feasible, participate, levels)
         values = (total, *maxima, t_uav, phys.deltas, phys.methods(), *energy, *scores)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import device_max
 from .energy import ComputeProfile
 
 
@@ -35,7 +36,8 @@ def round_total(
 
     total = max_i(uplink_i + local_i) + max_i(downlink_i) + aggregation,
     with the maxima taken along the last (device) axis, so a float for one
-    fading state and shape (...) for a batch.
+    fading state and shape (...) for a batch, by :func:`~swiptfl.channel.device_max`:
+    bit for bit as ``max(axis=-1)``, since no stage time is NaN (checked) or -0.0.
     """
     t_up = np.asarray(t_uplink_s, dtype=float)
     t_loc = np.asarray(t_local_s, dtype=float)
@@ -48,5 +50,5 @@ def round_total(
     if not t_uav_s >= 0:
         raise ValueError("t_uav_s must be >= 0")
 
-    total = (t_up + t_loc).max(axis=-1) + t_down.max(axis=-1) + float(t_uav_s)
+    total = device_max(t_up + t_loc) + device_max(t_down) + float(t_uav_s)
     return total if total.ndim else float(total)

@@ -6,6 +6,9 @@ shapes (math module, explicit loops, pooled formulations) so a shared bug
 cannot hide on both sides of a comparison. The one exception is
 ``full_chain_delta_solve``: it checks how the ratio solver reuses terms,
 not the physics, so it calls the package's validated public chain.
+``last_axis_interference`` and ``last_axis_max`` are bit references, not
+models: the package's last-axis expressions, which its device-major path
+for wide batches must match bit for bit.
 """
 
 import math
@@ -26,6 +29,17 @@ def interference(ptx, gains_sq, dists, alpha, excluded):
         if j != excluded:
             total += ptx * gains_sq[j] / dists[j] ** alpha
     return total
+
+
+def last_axis_interference(prx):
+    out = np.zeros(prx.shape)
+    out[..., 1:] = prx[..., :-1].cumsum(axis=-1)
+    out[..., :-1] += prx[..., ::-1].cumsum(axis=-1)[..., -2::-1]
+    return out
+
+
+def last_axis_max(a):
+    return a.max(axis=-1)
 
 
 def sinr_value(p_signal, p_interference, p_noise):

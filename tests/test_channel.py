@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import oracles
+from swiptfl import channel
 from swiptfl.channel import (
     DELTA_MAX,
     DELTA_MIN,
     ChannelRealization,
     LinkParams,
     achievable_rate,
+    device_max,
     downlink_budget,
     interference_power,
     received_power,
@@ -122,17 +124,55 @@ def test_interference_matches_loop_oracle():
 def test_interference_survives_one_dominant_device():
     """A sum of all devices minus the device's own power would cancel to
     rounding noise at the dominant device; prefix and suffix sums do not.
-    A 2-D batch sums along its device axis, row by row."""
+    A 2-D batch sums along its device axis, row by row, and so does one wide
+    enough to sum device-major."""
     dominant = np.array([1e20, 1.0, 1.0, 1.0])
     dists = np.array([10.0, 20.0, 30.0, 40.0])
     batch = np.stack([dominant, dominant[::-1], np.full(4, 2.0)])
-    for gains in (dominant, batch):
+    wide = np.tile(batch, (100, 1))
+    assert channel._device_major(batch) is None and channel._device_major(wide) is not None
+    for gains in (dominant, batch, wide):
         mine = _interference(0.1, ChannelRealization(gains, dists), 2.7)
         assert mine.shape == gains.shape
         for row, got in zip(np.atleast_2d(gains), np.atleast_2d(mine)):
             for k in range(len(row)):
                 ref = oracles.interference(0.1, row, dists, 2.7, k)
                 assert got[k] == pytest.approx(ref, rel=1e-12)
+
+
+def _device_rows(shape, values, seed):
+    """An array of ``shape`` drawn from ``values``; every third device row
+    from 0.0 and -0.0 alone, so sums of signed zeros are covered. The shape
+    "broadcast" is a stride-0 (82, 25, 5) view of (25, 5) draws, as a
+    realization broadcasts its gains over placement candidates."""
+    if shape == "broadcast":
+        return np.broadcast_to(_device_rows((25, 5), values, seed), (82, 25, 5))
+    rng = np.random.default_rng(seed)
+    a = rng.choice(values, shape)
+    rows = a.reshape(-1, shape[-1])
+    rows[1::3] = rng.choice([0.0, -0.0], rows[1::3].shape)
+    return a
+
+
+def test_device_axis_reductions_match_the_last_axis_bit_for_bit():
+    """Interference sums and device maxima give the bits of the last-axis
+    expressions on both sides of the device-major rule, a stride-0 view
+    included; the uint64 views compare the sign of a zero too."""
+    shapes = [(1,), (5,), (4, 4), (5, 1, 200), (30, 10, 5), (82, 25, 5), "broadcast"]
+    powers = [0.0, -0.0, 1e-300, 1e300, 1.0, 3.7]
+    times = [0.0, 1e-300, 1.0, 2.5, 1e300, math.inf]
+    device_major = set()
+    for seed, shape in enumerate(shapes):
+        for values, got, ref in [
+            (powers, interference_power, oracles.last_axis_interference),
+            (times, device_max, oracles.last_axis_max),
+        ]:
+            a = _device_rows(shape, values, seed)
+            device_major.add(channel._device_major(a) is not None)
+            mine, theirs = np.asarray(got(a)), np.asarray(ref(a))
+            assert mine.shape == theirs.shape
+            assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64)), shape
+    assert device_major == {True, False}
 
 
 def test_sinr_hand_values():

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -695,6 +696,22 @@ def test_diverging_run_exits_3(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["outputs"] == ["sweep.csv"]
 
 
+def _die(scenario, trials):
+    os._exit(1)
+
+
+def test_dead_worker_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    """A worker process that dies ends the run with exit code 4 and one
+    error line, not a traceback, and leaves no output directory."""
+    monkeypatch.setattr(scenario_module, "run_trial", _die)
+    out = tmp_path / "o"
+    code = run_cli(["run", "--config", write_config(tmp_path), "--out", str(out), "--workers", "2"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_diverging_run_prints_only_its_failures(tmp_path, capsys):
     """A trial whose loss overflows fails in that round, which gets no
     record, and no numpy warning is printed. At 1e60 the loss overflows in
@@ -769,11 +786,12 @@ def test_workers_default_keeps_the_config_value():
 
 def test_cli_import_leaves_multiprocessing_unloaded():
     """The process pool is imported only when a run uses more than one
-    worker, so a one-worker run never loads multiprocessing. The config
-    module sits below the simulation and the command line: it loads neither."""
+    worker, so a one-worker run never loads multiprocessing or
+    concurrent.futures. The config module sits below the simulation and the
+    command line: it loads neither."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     for module, unloaded in [
-        ("swiptfl.cli", ["multiprocessing"]),
+        ("swiptfl.cli", ["multiprocessing", "concurrent.futures"]),
         ("swiptfl.config", ["multiprocessing", "swiptfl.cli", "swiptfl.scenario"]),
     ]:
         script = (

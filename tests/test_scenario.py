@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from swiptfl import channel
 from swiptfl import optimizer as optimizer_module
 from swiptfl.channel import DELTA_MAX, DELTA_MIN, ChannelRealization, downlink_budget
 from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy
@@ -802,7 +803,9 @@ def test_stopped_trial_keeps_its_row_and_its_late_reports_change_nothing(monkeyp
         assert_same_trial(a, b)
 
 
-# Five rounds, so two-round chunks split a block 2 + 2 + 1.
+# Five rounds, so two-round chunks split a block 2 + 2 + 1. In "device-major"
+# the whole-block chunk's 200 fading states over 3 devices reduce device-major
+# and a one-round chunk's 20 along the last axis.
 CHUNKED = {
     "fixed": dict(monte_carlo_trials=3, rounds=5, delta_fixed=0.37),
     "optimized-battery": dict(OPTIMIZED_BATTERY, rounds=5),
@@ -814,6 +817,7 @@ CHUNKED = {
     ),
     # Every trial's loss overflows in round 1, so the block stops inside a chunk.
     "diverging": dict(monte_carlo_trials=3, rounds=5, trainer=TrainerConfig(learning_rate=1e60)),
+    "device-major": dict(monte_carlo_trials=20, rounds=10),
 }
 
 
@@ -835,6 +839,10 @@ def test_chunking_leaves_every_record_unchanged(monkeypatch, name):
             assert len(chunked) == len(whole)
             for a, b in zip(chunked, whole):
                 assert_same_trial(a, b)
+    if name == "device-major":  # the whole block and one round take different paths
+        shape = (cfg.monte_carlo_trials, cfg.device_count)
+        wide, narrow = (np.zeros((r, *shape)) for r in (cfg.rounds, 1))
+        assert channel._device_major(wide) is not None and channel._device_major(narrow) is None
     if name == "grid":  # some rounds solved on the grid and some by bisection
         assert {rm.delta_method for tr in whole for rm in tr.rounds} == {"grid", "bisection"}
     if name == "diverging":
