@@ -34,8 +34,8 @@ import numpy as np
 from . import __version__
 from .channel import ChannelRealization
 from .config import ConfigError, ScenarioConfig, load_config, merged, parse_yaml
-from .fl_core import DivergenceError, check_candidates, select_rounds
-from .scenario import build, fading_draws, link_round, rng_stream, run_monte_carlo, sweep
+from .fl_core import DivergenceError, best_budget, check_candidates
+from .scenario import build, fading_draws, link_round, run_monte_carlo, sweep
 
 SWEEP_COLUMNS = ["param_value", "mean_t_total_s", "std_t_total_s", "p5", "p95", "outage_rate"]
 ROUNDS_COLUMNS = [
@@ -58,7 +58,8 @@ ROUNDS_COLUMNS = [
 def resolve_config(args) -> ScenarioConfig:
     """The config a subcommand runs: its ``--config`` file merged in one step
     with every ``--override``, then ``--seed``, then ``--workers``, then the
-    fields the subcommand fixes; a later value for the same key wins."""
+    fields the subcommand fixes from its arguments; a later value for the
+    same key wins."""
     pairs = []
     for text in args.override or []:
         path, eq, value = text.partition("=")
@@ -68,7 +69,7 @@ def resolve_config(args) -> ScenarioConfig:
     options = {"master_seed": args.seed, "workers": args.workers}
     pairs += [item for item in options.items() if item[1] is not None]
     changes = {}
-    for key, value in [*pairs, *args.fixed.items()]:
+    for key, value in [*pairs, *args.fixed(args).items()]:
         changes.pop(key, None)  # re-inserted last, so it applies after every earlier key
         changes[key] = value
     return merged(load_config(args.config), changes)
@@ -210,35 +211,32 @@ def cmd_accuracy_curve(config: ScenarioConfig, args, out: Path) -> tuple[list[st
     return ["accuracy.csv"], 3 if result.n_failed else 0
 
 
-def cmd_select_rounds(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
+def _candidates(args) -> list[int]:
     try:
-        candidates = check_candidates([int(c) for c in args.candidates.split(",") if c.strip()])
+        return check_candidates([int(c) for c in args.candidates.split(",") if c.strip()])
     except ValueError as exc:
         raise ConfigError(f"bad --candidates: {exc}") from exc
 
-    scenario = build(config)
-    selection = select_rounds(
-        candidates,
-        scenario.train_sets,
-        scenario.val_set,
-        scenario.test_set,
-        config.trainer,
-        config.compute.local_iters,
-        rng_stream(config.master_seed, "select"),
-        scenario.w0,
-    )
 
-    _write_csv(
-        out / "selection.csv",
-        ["rounds", "val_metric"],
-        [[row["rounds"], row["val_metric"]] for row in selection.table],
-    )
-    _write_json(
-        out / "selection.json",
-        {"best_rounds": selection.best_rounds, "test_metric": selection.test_metric},
-    )
-    print(f"chosen rounds: {selection.best_rounds} (test metric {selection.test_metric:.6g})")
-    return ["selection.csv", "selection.json"], 0
+def cmd_select_rounds(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
+    # One Monte Carlo run to the largest candidate, which resolve_config fixes
+    # as ``rounds``. A budget's val metric is its round's mean over the trials
+    # that did not fail, reduced as metric_mean is.
+    candidates, result = _candidates(args), run_monte_carlo(config)
+    if result.n_failed == len(result.trials):
+        raise DivergenceError(f"every trial failed; trial 0: {result.trials[0].error}")
+    ok = np.array([error is None for error in result.record["error"]])
+    val = result.record["val_metric"][ok].T.copy().mean(axis=1)
+    metrics = [float(val[r - 1]) for r in candidates]
+    best = candidates[best_budget(metrics, config.trainer.task)]
+    test_metric = float(result.metric_mean[best - 1])
+
+    _write_csv(out / "selection.csv", ["rounds", "val_metric"], zip(candidates, metrics))
+    _write_json(out / "selection.json", {"best_rounds": best, "test_metric": test_metric})
+    print(f"chosen rounds: {best} (test metric {test_metric:.6g})")
+    if result.n_failed:
+        print(f"{result.n_failed} trials failed", file=sys.stderr)
+    return ["selection.csv", "selection.json"], 3 if result.n_failed else 0
 
 
 def cmd_optimize_delta(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
@@ -290,7 +288,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="trial worker processes (default: the config's workers)",
     )
-    sub.set_defaults(fixed={})
+    sub.set_defaults(fixed=lambda args: {})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_accuracy_curve)
 
-    p = subs.add_parser("select-rounds", help="cross-validate the round budget")
+    p = subs.add_parser("select-rounds", help="pick the round budget by mean val metric")
     _add_common(p)
     p.add_argument("--candidates", required=True, help="comma-separated round budgets, ascending")
-    p.set_defaults(func=cmd_select_rounds)
+    p.set_defaults(func=cmd_select_rounds, fixed=lambda args: {"rounds": _candidates(args)[-1]})
 
     p = subs.add_parser("optimize-delta", help="per-device power-splitting ratios for one round")
     _add_common(p)
-    p.set_defaults(func=cmd_optimize_delta, fixed={"delta_mode": "optimized"})
+    p.set_defaults(func=cmd_optimize_delta, fixed=lambda args: {"delta_mode": "optimized"})
 
     p = subs.add_parser("place-uav", help="choose the UAV position; writes placement.json")
     _add_common(p)

@@ -9,8 +9,9 @@ work on a block of T independent trials at once: global models are (T, d)
 arrays, one round trains every participating (trial, device) pair in one
 kernel, and one evaluation pass scores every model of the block; one model
 is a (1, d) block. Every dataset is a stack of sets, a held-out one a stack
-of one. Also provides the round-budget cross-validation and the synthetic
-problem with a planted weight vector, every set drawn by one recipe.
+of one. Also provides the tie rule that picks a round budget from one
+metric per budget, and the synthetic problem with a planted weight vector,
+every set drawn by one recipe.
 """
 
 from __future__ import annotations
@@ -260,18 +261,20 @@ def _better(candidate: float, incumbent: float, task: str) -> bool:
     return a > b if task == TASK_LOGISTIC else a < b
 
 
-@dataclass(frozen=True)
-class RoundSelection:
-    """Outcome of the round-budget cross-validation."""
-
-    best_rounds: int
-    test_metric: float
-    table: list[dict]
+def best_budget(metrics: Sequence[float], task: str) -> int:
+    """Index of the best of ``metrics``, one per round budget in ascending
+    order: the highest accuracy or the lowest loss. An exact tie goes to the
+    smaller budget, which costs less to communicate."""
+    best = 0
+    for i, metric in enumerate(metrics):
+        if _better(metric, metrics[best], task):
+            best = i
+    return best
 
 
 def check_candidates(candidates: list[int]) -> list[int]:
-    """``candidates`` if they are round budgets :func:`select_rounds` takes:
-    nonempty, strictly ascending and >= 1; ValueError otherwise."""
+    """``candidates`` if they are round budgets to choose among: nonempty,
+    strictly ascending and >= 1; ValueError otherwise."""
     if not candidates:
         raise ValueError("candidates must be nonempty")
     if sorted(candidates) != list(candidates) or len(set(candidates)) != len(candidates):
@@ -279,56 +282,6 @@ def check_candidates(candidates: list[int]) -> list[int]:
     if candidates[0] < 1:
         raise ValueError("candidates must be >= 1")
     return candidates
-
-
-def select_rounds(
-    candidates: list[int],
-    train_sets: FederatedData,
-    val_set: FederatedData,
-    test_set: FederatedData,
-    cfg: TrainerConfig,
-    local_iters: int,
-    rng: np.random.Generator,
-    w0: np.ndarray,
-) -> RoundSelection:
-    """Pick the communication-round budget by validation performance.
-
-    Trains one model from the (d,) vector ``w0``, as a block of one trial of
-    ``local_iters`` local iterations a round, up to the largest candidate
-    and snapshots it at every candidate checkpoint (training to R and
-    continuing is identical to training straight to R' > R, since every
-    round draws its minibatches from the one generator ``rng``), then scores
-    every checkpoint in one evaluation pass. Returns the candidate with the
-    best validation metric; exact ties go to the smaller budget, which costs
-    less to communicate. The test metric is reported only for the chosen
-    budget. Raises ValueError for candidates that :func:`check_candidates`
-    rejects and :class:`DivergenceError` if training diverges or a score is
-    not finite: the val metric of a candidate, the first such one named, or
-    the chosen budget's test metric.
-    """
-    check_candidates(candidates)
-    checkpoints, wanted, w = [], set(candidates), np.asarray(w0, dtype=float)[None]
-    for r in range(1, candidates[-1] + 1):
-        step = run_round(w, train_sets, cfg, local_iters, [rng])
-        if step.errors:
-            raise DivergenceError(step.errors[0])
-        w = step.models
-        if r in wanted:
-            checkpoints.append(w[0])
-
-    metrics = evaluate_metric(np.array(checkpoints), val_set, cfg.task).tolist()
-    for r, metric in zip(candidates, metrics):
-        if not math.isfinite(metric):
-            raise DivergenceError(f"non-finite val metric at round budget {r}")
-    best = 0
-    for i, metric in enumerate(metrics):
-        if _better(metric, metrics[best], cfg.task):
-            best = i
-    table = [{"rounds": r, "val_metric": v} for r, v in zip(candidates, metrics)]
-    test_metric = float(evaluate_metric(checkpoints[best][None], test_set, cfg.task)[0])
-    if not math.isfinite(test_metric):
-        raise DivergenceError(f"non-finite test metric at round budget {candidates[best]}")
-    return RoundSelection(best_rounds=candidates[best], test_metric=test_metric, table=table)
 
 
 def _draw_sets(

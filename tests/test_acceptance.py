@@ -31,9 +31,10 @@ from swiptfl import fl_core
 from swiptfl.fl_core import (
     FederatedData,
     TrainerConfig,
+    best_budget,
+    evaluate_metric,
     global_loss,
     run_round,
-    select_rounds,
 )
 from swiptfl.optimizer import optimize_delta_all
 from swiptfl.config import DataConfig, ScenarioConfig
@@ -537,28 +538,34 @@ def test_criterion_10_round_selection_tie_breaks():
     y = x @ w_true
     train = FederatedData(x[None], y[None])
     val = FederatedData(x[None], y[None])
-    test = FederatedData(x[None], y[None])
-    w0 = np.zeros(dim)
+
+    def chosen(candidates, cfg):
+        """The val metrics of one trial trained from zero at each candidate
+        budget, and the budget the tie rule picks among them."""
+        w, metrics = np.zeros((1, dim)), []
+        for r in range(1, candidates[-1] + 1):
+            w = run_round(w, train, cfg, 1).models
+            if r in candidates:
+                metrics.append(float(evaluate_metric(w, val, cfg.task)[0]))
+        return metrics, candidates[best_budget(metrics, cfg.task)]
 
     # Error contracts by 0.25 per round: every extra round strictly helps.
     cfg = TrainerConfig(learning_rate=0.75 * dim, task="linear")
-    strict = select_rounds([1, 2, 4, 8], train, val, test, cfg, 1, np.random.default_rng(0), w0)
-    metrics = [row["val_metric"] for row in strict.table]
+    metrics, strict = chosen([1, 2, 4, 8], cfg)
     strictly_improving = all(a > b for a, b in zip(metrics, metrics[1:]))
-    largest_wins = strict.best_rounds == 8
+    largest_wins = strict == 8
 
     # Error contracts by 2e-5 per round: at 12-decimal resolution the metric
     # plateaus from the second round on, so the smallest such budget wins.
     cfg = TrainerConfig(learning_rate=(1.0 - 2e-5) * dim, task="linear")
-    plateau = select_rounds([1, 2, 3, 4], train, val, test, cfg, 1, np.random.default_rng(0), w0)
-    rounded = [round(row["val_metric"], 12) for row in plateau.table]
+    metrics, plateau = chosen([1, 2, 3, 4], cfg)
+    rounded = [round(metric, 12) for metric in metrics]
     plateau_shape = rounded[0] > rounded[1] and rounded[1] == rounded[2] == rounded[3]
-    smallest_wins = plateau.best_rounds == 2
+    smallest_wins = plateau == 2
 
     ok = strictly_improving and largest_wins and plateau_shape and smallest_wins
     _report(
         10,
         ok,
-        f"strict improvement picks {strict.best_rounds} (want 8); "
-        f"plateau picks {plateau.best_rounds} (want 2)",
+        f"strict improvement picks {strict} (want 8); plateau picks {plateau} (want 2)",
     )

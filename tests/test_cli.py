@@ -9,7 +9,7 @@ import subprocess
 import sys
 import typing
 import warnings
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
-from swiptfl import cli, fl_core
+from swiptfl import cli
 from swiptfl import config as config_module
 from swiptfl import scenario as scenario_module
 from swiptfl.channel import ChannelRealization
@@ -455,11 +455,57 @@ def test_select_rounds_picks_a_candidate(tmp_path, capsys):
 
 
 
-def test_select_rounds_on_a_diverged_trajectory_exits_3(tmp_path, capsys, monkeypatch):
-    """At a learning rate of 1e30 the val metric overflows to inf by the
-    third round: select-rounds names that budget in one ``numeric failure:``
-    line and exits 3 instead of choosing a budget. A non-finite test metric
-    at the chosen budget fails the same way."""
+@pytest.mark.parametrize("candidates", ["2,1", "0,1", "1.5", ""])
+def test_select_rounds_rejects_bad_candidates(tmp_path, capsys, candidates):
+    out = tmp_path / "o"
+    args = ["select-rounds", "--config", write_config(tmp_path), "--out", str(out)]
+    assert run_cli([*args, "--candidates", candidates]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --candidates") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_select_rounds_reads_the_monte_carlo_record(tmp_path, capsys):
+    """select-rounds trains through run_monte_carlo alone: on the contested
+    battery regime, where participation differs by trial, each candidate's
+    val metric is its round's mean over the trials, bit for bit, and the
+    test metric is metric_mean at the chosen budget, at any worker count.
+    The manifest records the budgets that ran and replays them."""
+    outs = {}
+    for workers in ("1", "2"):
+        outs[workers] = tmp_path / workers
+        args = ["select-rounds", "--config", str(CONFIGS / "default.yaml"), "--workers", workers]
+        for text in CONTESTED:
+            args += ["--override", text]
+        assert run_cli([*args, "--candidates", "2,4,7", "--out", str(outs[workers])]) == 0
+    capsys.readouterr()
+    csv_bytes = (outs["1"] / "selection.csv").read_bytes()
+    assert csv_bytes == (outs["2"] / "selection.csv").read_bytes()
+    assert (outs["1"] / "selection.json").read_bytes() == (outs["2"] / "selection.json").read_bytes()
+
+    config = cli.load_config(str(outs["1"] / "manifest.json"))
+    assert config.rounds == 7 and config.battery_ledger
+    result = scenario_module.run_monte_carlo(replace(config, workers=1))
+    assert result.n_failed == 0
+    val = result.record["val_metric"]
+    assert (val.min(axis=0) < val.max(axis=0)).any()  # the trials' trajectories differ
+    means = val.T.copy().mean(axis=1).tolist()
+    rows = read_rows(outs["1"] / "selection.csv")
+    assert rows == [["rounds", "val_metric"], *([str(r), repr(means[r - 1])] for r in (2, 4, 7))]
+    chosen = json.loads((outs["1"] / "selection.json").read_text())
+    assert chosen["test_metric"] == result.metric_mean[chosen["best_rounds"] - 1]
+
+    replay = tmp_path / "replay"
+    args = ["select-rounds", "--config", str(outs["1"] / "manifest.json"), "--out", str(replay)]
+    assert run_cli([*args, "--candidates", "2,4,7"]) == 0
+    assert (replay / "selection.csv").read_bytes() == csv_bytes
+
+
+def test_select_rounds_on_a_diverged_trajectory_exits_3(tmp_path, capsys):
+    """At a learning rate of 1e30 every trial's train loss overflows in its
+    third round: with no trial left to average, select-rounds names trial
+    0's error in one ``numeric failure:`` line and exits 3 instead of
+    choosing a budget."""
     args = ["select-rounds", "--config", str(CONFIGS / "default.yaml"), "--out", str(tmp_path)]
     args += ["--override", "trainer.learning_rate=1e30", "--candidates", "1,2,3"]
     with warnings.catch_warnings():
@@ -467,21 +513,42 @@ def test_select_rounds_on_a_diverged_trajectory_exits_3(tmp_path, capsys, monkey
         assert cli.main(args) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "numeric failure: non-finite val metric at round budget 3\n"
+    assert captured.err == (
+        "numeric failure: every trial failed; trial 0: non-finite train loss in round 2\n"
+    )
     assert not (tmp_path / "selection.csv").exists()
 
-    real_metric = fl_core.evaluate_metric
 
-    def test_set_overflows(models, data, task):
+def test_select_rounds_averages_the_trials_that_did_not_fail(tmp_path, capsys, monkeypatch):
+    """A test metric that overflows in trial 0's first round stops trial 0;
+    select-rounds averages the other trials, says how many failed and exits 3."""
+    config = cli.load_config(str(CONFIGS / "default.yaml"))
+    config = replace(config, monte_carlo_trials=4, workers=1, rounds=3)
+    clean = scenario_module.run_monte_carlo(config).record
+    real_metric, seen = scenario_module.evaluate_metric, []
+
+    def first_test_score_overflows(models, data, task):
         scores = real_metric(models, data, task)
-        return np.full_like(scores, np.inf) if data.count == 400 else scores
+        if data.count == config.data.test_samples and not seen:
+            seen.append(True)
+            scores[0] = np.inf  # round 0 of trial 0, the first row of the first pass
+        return scores
 
-    monkeypatch.setattr(fl_core, "evaluate_metric", test_set_overflows)
-    args = ["select-rounds", "--config", str(CONFIGS / "default.yaml"), "--out", str(tmp_path)]
-    assert cli.main([*args, "--candidates", "1,2,3"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure: non-finite test metric at round budget ")
-    assert err.count("\n") == 1
+    monkeypatch.setattr(scenario_module, "evaluate_metric", first_test_score_overflows)
+    out = tmp_path / "o"
+    args = ["select-rounds", "--config", str(CONFIGS / "default.yaml"), "--out", str(out)]
+    args += ["--override", "monte_carlo_trials=4", "--workers", "1", "--candidates", "1,3"]
+    assert cli.main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "1 trials failed\n"
+    assert captured.out.startswith("chosen rounds: ")
+    val = clean["val_metric"][1:].T.copy().mean(axis=1).tolist()
+    rows = read_rows(out / "selection.csv")
+    assert rows == [["rounds", "val_metric"], ["1", repr(val[0])], ["3", repr(val[2])]]
+    test = clean["test_metric"][1:].T.copy().mean(axis=1)
+    chosen = json.loads((out / "selection.json").read_text())
+    assert chosen["test_metric"] == test[chosen["best_rounds"] - 1]
+
 
 # The contested regime of one optimize-delta round, as the CI smoke step runs it.
 CONTESTED_DELTA = (
@@ -1066,7 +1133,7 @@ def test_every_numeric_leaf_takes_or_rejects_bad_values_cleanly(tmp_path, capsys
     "command, module, name",
     [
         (["run"], cli, "run_monte_carlo"),
-        (["select-rounds", "--candidates", "1,2"], fl_core, "run_round"),
+        (["select-rounds", "--candidates", "1,2"], cli, "run_monte_carlo"),
     ],
     ids=["run", "select-rounds"],
 )

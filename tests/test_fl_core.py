@@ -1,4 +1,4 @@
-"""Federated training core: losses, gradients, rounds, round selection."""
+"""Federated training core: losses, gradients, rounds, the round-budget tie rule."""
 
 import math
 import warnings
@@ -10,14 +10,14 @@ import pytest
 import oracles
 from swiptfl import fl_core
 from swiptfl.fl_core import (
-    DivergenceError,
     FederatedData,
     TrainerConfig,
+    best_budget,
+    check_candidates,
     evaluate_metric,
     global_loss,
     make_federated_problem,
     run_round,
-    select_rounds,
 )
 
 
@@ -389,13 +389,6 @@ def test_logistic_training_of_a_confident_model_warns_nothing():
     assert step.errors == {} and np.isfinite(step.models).all()
 
 
-def test_select_rounds_raises_on_divergence():
-    train, val, test, _ = _identity_problem()
-    cfg = linear_cfg(learning_rate=1e200)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
-        select_rounds([1, 2], train, val, test, cfg, 50, np.random.default_rng(0), np.ones(4))
-
-
 def test_evaluate_metric_semantics():
     x = np.array([[1.0], [-1.0], [2.0]])
     y = np.array([1.0, 0.0, 1.0])
@@ -406,32 +399,39 @@ def test_evaluate_metric_semantics():
 
 
 def _identity_problem(dim=4, seed=7):
-    """One device whose features form the identity, so a full-batch step at
-    the right rate contracts the error by an exact chosen factor."""
+    """One device whose features form the identity, as training and val
+    sets, so a full-batch step at the right rate contracts the error by an
+    exact chosen factor."""
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(dim)
     x = np.eye(dim)
-    train = one_set(x, x @ w_true)
-    val = one_set(x, x @ w_true)
-    test = one_set(x, x @ w_true)
-    return train, val, test, w_true
+    return one_set(x, x @ w_true), one_set(x, x @ w_true)
+
+
+def val_metrics(candidates, train, val, cfg, w0):
+    """The val metric of one model trained from ``w0`` as a block of one
+    trial, one local iteration a round, at each candidate round budget."""
+    w, metrics = np.asarray(w0, dtype=float)[None], []
+    for r in range(1, candidates[-1] + 1):
+        w = run_round(w, train, cfg, 1).models
+        if r in candidates:
+            metrics.append(float(evaluate_metric(w, val, cfg.task)[0]))
+    return metrics
 
 
 def test_select_rounds_single_candidate():
-    train, val, test, _ = _identity_problem()
-    sel = select_rounds([5], train, val, test, linear_cfg(), 1, np.random.default_rng(0),
-                        np.zeros(4))
-    assert sel.best_rounds == 5
+    train, val = _identity_problem()
+    metrics = val_metrics([5], train, val, linear_cfg(), np.zeros(4))
+    assert best_budget(metrics, "linear") == 0
 
 
 def test_select_rounds_strict_improvement_returns_largest():
-    train, val, test, _ = _identity_problem(seed=9)
+    train, val = _identity_problem(seed=9)
     cfg = linear_cfg(learning_rate=1.0)  # contraction 0.75 per round at lr=1, features=I, n=4
-    sel = select_rounds([1, 2, 4, 8], train, val, test, cfg, 1, np.random.default_rng(0),
-                        np.zeros(4))
-    metrics = [row["val_metric"] for row in sel.table]
+    candidates = [1, 2, 4, 8]
+    metrics = val_metrics(candidates, train, val, cfg, np.zeros(4))
     assert all(a > b for a, b in zip(metrics, metrics[1:]))
-    assert sel.best_rounds == 8
+    assert candidates[best_budget(metrics, "linear")] == 8
 
 
 def test_select_rounds_plateau_ties_to_smallest():
@@ -439,26 +439,24 @@ def test_select_rounds_plateau_ties_to_smallest():
     12-decimal comparison floor from round 2 on; the tie must resolve to
     the cheapest budget."""
     dim = 4
-    train, val, test, _ = _identity_problem(dim=dim, seed=11)
+    train, val = _identity_problem(dim=dim, seed=11)
     lr = dim * (1.0 - 2e-5)
     cfg = linear_cfg(learning_rate=lr)
-    sel = select_rounds([1, 2, 3, 4], train, val, test, cfg, 1, np.random.default_rng(0),
-                        np.zeros(dim))
-    metrics = [round(row["val_metric"], 12) for row in sel.table]
-    assert metrics[0] > metrics[1]
-    assert metrics[1] == metrics[2] == metrics[3]
-    assert sel.best_rounds == 2
+    candidates = [1, 2, 3, 4]
+    metrics = val_metrics(candidates, train, val, cfg, np.zeros(dim))
+    rounded = [round(metric, 12) for metric in metrics]
+    assert rounded[0] > rounded[1]
+    assert rounded[1] == rounded[2] == rounded[3]
+    assert candidates[best_budget(metrics, "linear")] == 2
 
 
 def test_select_rounds_validation():
-    train, val, test, _ = _identity_problem()
-    w0 = np.zeros(4)
     with pytest.raises(ValueError):
-        select_rounds([], train, val, test, linear_cfg(), 1, np.random.default_rng(0), w0)
+        check_candidates([])
     with pytest.raises(ValueError):
-        select_rounds([4, 2], train, val, test, linear_cfg(), 1, np.random.default_rng(0), w0)
+        check_candidates([4, 2])
     with pytest.raises(ValueError):
-        select_rounds([0, 1], train, val, test, linear_cfg(), 1, np.random.default_rng(0), w0)
+        check_candidates([0, 1])
 
 
 def test_make_federated_problem_shapes_and_shared_weight():
