@@ -14,8 +14,10 @@ the fading draws. The downlink receiver is a power splitter: a fraction
 The elementwise helpers are the arithmetic alone: the config fixes and
 checks the scalar constants once (:class:`LinkParams`), and
 :class:`ChannelRealization` and :func:`downlink_budget` check the arrays
-that do not come from the config, so the ratio solver's interior probes
-call the chain's own tail, :func:`chain_tail`.
+that do not come from the config. Every budget is built by :func:`chain`
+from its direction's received power and interference, which each direction
+computes for itself, so the ratio solver's interior probes call
+:func:`chain` unchecked on the powers of its bracket ends.
 """
 
 from __future__ import annotations
@@ -164,23 +166,15 @@ def tx_time(payload_bits: float, rate_bps):
         return payload_bits / rate
 
 
-def chain_tail(prx_w, interference_w, decode_share, noise_w, bandwidth_hz, payload_bits):
-    """The chain after the powers: (SINR, rate, time) at decode shares ``decode_share``.
+def chain(prx_w, interference_w, decode_share, noise_w, bandwidth_hz, payload_bits) -> LinkBudget:
+    """The budget of one direction from its two powers: SINR, rate and time
+    at decode shares ``decode_share``, 1.0 for the uplink.
 
-    Every budget ends with it, and the ratio solver's probes call it alone,
-    since received and interference power do not depend on the share."""
+    The caller passes the direction's own interference; the ratio solver's
+    probes call it alone, since neither power depends on the share."""
     g = sinr(decode_share * prx_w, interference_w, noise_w)
     rate = achievable_rate(bandwidth_hz, g)
-    return g, rate, tx_time(payload_bits, rate)
-
-
-def _link_budget(ptx_w, noise_w, decode_share, params, realization, payload_bits):
-    prx = received_power(
-        ptx_w, realization.distances_m, params.pathloss_exponent, realization.gains_sq
-    )
-    interf = interference_power(prx)
-    tail = chain_tail(prx, interf, decode_share, noise_w, params.bandwidth_hz, payload_bits)
-    return LinkBudget(prx, interf, *tail)
+    return LinkBudget(prx_w, interference_w, g, rate, tx_time(payload_bits, rate))
 
 
 def uplink_budget(
@@ -188,10 +182,13 @@ def uplink_budget(
     realization: ChannelRealization,
     payload_bits: float,
 ) -> LinkBudget:
-    """Full uplink chain of every device: power, interference, SINR, rate, time."""
-    return _link_budget(
-        params.ptx_ul_w, params.noise_power_ul_w, 1.0, params, realization, payload_bits
-    )
+    """Full uplink chain of every device: power, interference, SINR, rate, time.
+
+    Device j is interfered with by every other device's transmission."""
+    g, d = realization.gains_sq, realization.distances_m
+    prx = received_power(params.ptx_ul_w, d, params.pathloss_exponent, g)
+    link = params.noise_power_ul_w, params.bandwidth_hz, payload_bits
+    return chain(prx, interference_power(prx), 1.0, *link)
 
 
 def downlink_budget(
@@ -212,6 +209,9 @@ def downlink_budget(
     deltas = np.asarray(deltas, dtype=float)
     if not ((deltas >= DELTA_MIN) & (deltas <= DELTA_MAX)).all():
         raise ValueError(f"deltas must be in [{DELTA_MIN}, {DELTA_MAX}], got {deltas!r}")
-    return _link_budget(
-        params.ptx_dl_w, params.noise_power_dl_w, deltas, params, realization, payload_bits
-    )
+    g, d = realization.gains_sq, realization.distances_m
+    prx = received_power(params.ptx_dl_w, d, params.pathloss_exponent, g)
+    link = params.noise_power_dl_w, params.bandwidth_hz, payload_bits
+    # The uplink's co-channel sum; the unicast to device i reaches device j over
+    # j's own channel, so the physical value is (M - 1) * prx_j (ROADMAP).
+    return chain(prx, interference_power(prx), deltas, *link)

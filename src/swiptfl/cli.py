@@ -35,7 +35,7 @@ from . import __version__
 from .channel import ChannelRealization
 from .config import ConfigError, ScenarioConfig, load_config, merged, parse_yaml
 from .fl_core import DivergenceError, best_budget, check_candidates
-from .scenario import build, fading_draws, link_round, run_monte_carlo, sweep
+from .scenario import build, link_round, run_monte_carlo, sweep, trial_fading
 
 SWEEP_COLUMNS = ["param_value", "mean_t_total_s", "std_t_total_s", "p5", "p95", "outage_rate"]
 ROUNDS_COLUMNS = [
@@ -241,7 +241,7 @@ def cmd_select_rounds(config: ScenarioConfig, args, out: Path) -> tuple[list[str
 
 def cmd_optimize_delta(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
     scenario = build(config)
-    gains = fading_draws(config.master_seed, ("trial", 0, "fading", 0), config.device_count)
+    gains = trial_fading(config.master_seed, [0], [0], config.device_count)[0, 0]
     rnd = link_round(config, ChannelRealization(gains, scenario.distances_m))
     feasible = rnd.energy.feasible.astype(int)  # written as 1 or 0
     rows = zip(range(config.device_count), rnd.deltas, feasible, rnd.downlink.tx_time_s)

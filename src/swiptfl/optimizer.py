@@ -12,9 +12,9 @@ device of every fading state in a batch (..., M) is solved at once, as
 arrays. Only the two bracket ends run the whole chain (``downlink_budget``,
 then ``ledger``); every interior probe, bisection or grid, and the downlink
 at the solved ratios, which the solver hands to the round, reuse the
-ratio-independent terms it produced and run the rest through the chain's
-own tails, :func:`~swiptfl.channel.chain_tail` and
-:func:`~swiptfl.energy.balance`.
+ratio-independent powers and bill they produced and run the rest through
+:func:`~swiptfl.channel.chain`, which builds every budget, and the ledger's
+own tail, :func:`~swiptfl.energy.balance`.
 
 Grid-search placement scores all candidate UAV positions with one call of
 an array objective, (C, 3) positions to (C,) expected delays, and picks the
@@ -26,20 +26,15 @@ to whoever reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .channel import (
-    DELTA_MAX,
-    DELTA_MIN,
-    ChannelRealization,
-    LinkBudget,
-    LinkParams,
-    chain_tail,
-    downlink_budget,
-)
+from .channel import DELTA_MAX, DELTA_MIN, ChannelRealization, LinkParams, chain, downlink_budget
 from .energy import ComputeProfile, HarvestModel, balance, compute_energy, ledger, transmit_energy
+
+if TYPE_CHECKING:  # budgets are built by channel.chain alone
+    from .channel import LinkBudget
 
 METHOD_BISECTION = "bisection"
 METHOD_GRID = "grid"
@@ -99,10 +94,10 @@ def optimize_delta_all(
     ``downlink_budget`` and ``ledger`` are called once each, on both
     bracket ends stacked. Each interior probe reuses their received power,
     interference and compute + uplink bill, which do not depend on the
-    ratio, and runs only the ratio-dependent tails of that chain,
-    ``chain_tail`` and ``balance``, under one ``np.errstate`` for the whole
-    probe loop. The returned downlink at the solved ratios is completed by
-    ``chain_tail`` too: the round needs no second budget.
+    ratio, and runs only what does: ``chain`` on those two powers, then
+    ``balance``, under one ``np.errstate`` for the whole probe loop. The
+    returned downlink at the solved ratios is ``chain``'s too: the round
+    needs no second budget.
     """
     shape = realization.gains_sq.shape
     lo, hi = np.full(shape, DELTA_MIN), np.full(shape, DELTA_MAX)
@@ -112,11 +107,11 @@ def optimize_delta_all(
     ok_lo, ok_hi = ledger(*args, device_pays_downlink=device_pays_downlink).feasible
     prx, interf = ends.prx_w, ends.interference_w
     e_fixed = compute_energy(profile) + transmit_energy(uplink.tx_time_s, params.ptx_ul_w)
-    link = params.noise_power_dl_w, params.bandwidth_hz, payload_dl_bits  # chain_tail's constants
+    link = params.noise_power_dl_w, params.bandwidth_hz, payload_dl_bits  # chain's constants
     bill = params.ptx_dl_w, device_pays_downlink  # balance's
 
     def feasible_at(deltas):
-        t_dl = chain_tail(prx, interf, deltas, *link)[2]
+        t_dl = chain(prx, interf, deltas, *link).tx_time_s
         return balance(e_fixed, harvest, prx, t_dl, deltas, *bill)[2]
 
     # The harvest input (1 - delta) * prx spans [0, prx]. Where the curve
@@ -147,8 +142,7 @@ def optimize_delta_all(
             deltas = np.where(dips, np.where(best > 0, best, DELTA_MIN), deltas)
             feasible = np.where(dips, best > 0, feasible)
 
-    downlink = LinkBudget(prx, interf, *chain_tail(prx, interf, deltas, *link))
-    return DeltaSolution(deltas, feasible, dips, downlink)
+    return DeltaSolution(deltas, feasible, dips, chain(prx, interf, deltas, *link))
 
 
 def place_uav(

@@ -22,7 +22,7 @@ identical fading (common random numbers). Stream tags used here:
   candidate in the one batched round of :func:`mean_round_delay`
 * ``("data",)`` synthetic datasets, in draw order ``w_true``, devices 0..M-1, val, test
 * ``("init",)`` initial global model
-* ``("trial", t, "fading", r)`` per-round channel gains
+* ``("trial", t, "fading", r)`` per-round channel gains, drawn by :func:`trial_fading`
 * ``("trial", t, "train", r)`` minibatch sampling for all M devices of
   trial t in round r; derived only when training draws minibatches, never
   for full batch
@@ -200,6 +200,12 @@ def fading_draws(master_seed: int, path, device_count: int) -> np.ndarray:
     for words, row in zip(seeds.reshape(-1, 4), gains.reshape(-1, device_count)):
         _generator(words).standard_exponential(out=row)  # exponential(1.0)'s bits
     return gains
+
+
+def trial_fading(master_seed: int, trials, rounds, device_count: int) -> np.ndarray:
+    """Squared gains of the ``("trial", t, "fading", r)`` streams, shape (R, T, M)."""
+    path = ("trial", np.asarray(trials)[None, :], "fading", np.asarray(rounds)[:, None])
+    return fading_draws(master_seed, path, device_count)
 
 
 class _ExpectedDelay:
@@ -544,18 +550,17 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     grid, columns = (len(trials), cfg.rounds), dict.fromkeys(_COLUMNS)
     rounds_done = np.full(len(trials), cfg.rounds)
     error = np.full(len(trials), None, dtype=object)
-    block = np.array(trials)[None, :]  # the trial part of the block's (round, trial) stream paths
     if minibatch:  # every training stream's seed words, (R, T, 4), in one pass
-        train = _stream_seeds(seed, ("trial", block, "train", np.arange(cfg.rounds)[:, None]))
+        path = ("trial", np.array(trials)[None, :], "train", np.arange(cfg.rounds)[:, None])
+        train = _stream_seeds(seed, path)
     sets = (scenario.train_sets, scenario.val_set, scenario.test_set)
     metrics = (global_loss, evaluate_metric, evaluate_metric)
     for start in range(0, cfg.rounds, chunk):
         # The chunk's physics, then its battery recurrence round by round.
         n = min(chunk, cfg.rounds - start)
         rounds = np.arange(start, start + n)
-        path = ("trial", block, "fading", rounds[:, None])
-        realization = ChannelRealization(fading_draws(seed, path, shape[1]), scenario.distances_m)
-        phys = link_round(cfg, realization)
+        gains = trial_fading(seed, trials, rounds, shape[1])
+        phys = link_round(cfg, ChannelRealization(gains, scenario.distances_m))
         e_total, e_harvest = phys.energy.e_total_j, phys.energy.e_harvest_j
         participate = np.ones(e_total.shape, dtype=bool)
         levels = None if battery is None else np.empty(e_total.shape)

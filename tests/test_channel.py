@@ -14,6 +14,7 @@ from swiptfl.channel import (
     ChannelRealization,
     LinkParams,
     achievable_rate,
+    chain,
     device_max,
     downlink_budget,
     interference_power,
@@ -226,6 +227,40 @@ def test_uplink_budget_matches_oracle_chain():
             assert budget.tx_time_s[i] == pytest.approx(
                 oracles.transmit_time(512.0, rate), rel=1e-12
             )
+
+
+def assert_same_budget(got, expected):
+    """Every field of two budgets at the same shape and bits, zero signs included."""
+    for field in fields(got):
+        mine, theirs = (np.asarray(getattr(b, field.name), dtype=float) for b in (got, expected))
+        assert mine.shape == theirs.shape, field.name
+        assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64)), field.name
+
+
+@pytest.mark.parametrize(
+    "gains_shape, deltas_shape",
+    [((1,), (1,)), ((5,), (5,)), ((4, 5), (4, 5)), ((3, 5), (2, 3, 5))],
+    ids=["one-device", "devices", "batch", "bracket"],
+)
+def test_each_direction_chains_its_own_power_and_interference(gains_shape, deltas_shape):
+    """Each budget is chain() on its direction's own received power and that
+    power's co-channel sum, bit for bit, and one device sees no interference
+    either way; the (2, 3, M) ratios over (3, M) states are the ratio
+    solver's stacked bracket ends."""
+    rng = np.random.default_rng(len(deltas_shape))
+    params = make_params(pathloss_exponent=2.7)
+    m = gains_shape[-1]
+    r = ChannelRealization(rng.exponential(1.0, gains_shape), rng.uniform(10, 200, m))
+    deltas = rng.uniform(DELTA_MIN, DELTA_MAX, deltas_shape)
+    for ptx, noise, share, budget in [
+        (params.ptx_ul_w, params.noise_power_ul_w, 1.0, uplink_budget(params, r, 512.0)),
+        (params.ptx_dl_w, params.noise_power_dl_w, deltas, downlink_budget(params, r, deltas, 512.0)),
+    ]:
+        prx = received_power(ptx, r.distances_m, 2.7, r.gains_sq)
+        expected = chain(prx, interference_power(prx), share, noise, params.bandwidth_hz, 512.0)
+        assert_same_budget(budget, expected)
+        assert budget.tx_time_s.shape == np.broadcast_shapes(gains_shape, np.shape(share))
+        assert (budget.interference_w == 0).all() == (m == 1)
 
 
 def test_downlink_budget_keeps_full_received_power():

@@ -559,12 +559,25 @@ CONTESTED_DELTA = (
 )
 
 
+# The sha256 of deltas.csv per solver path pins every device's ratio, flag and
+# downlink time through the CLI; the grid case is the one golden of the dense scan.
 @pytest.mark.parametrize(
-    "dip, method",
-    [([], "bisection"), (["harvest.a2=-0.1", "harvest.a3=0.003"], "grid")],
+    "dip, method, golden",
+    [
+        (
+            [],
+            "bisection",
+            "9b509711d2b8b4d5125a1dcf02d32fdac694129d566c4f8f42c16ffaef1c36b7",
+        ),
+        (
+            ["harvest.a2=-0.1", "harvest.a3=0.003"],
+            "grid",
+            "efe483c34610d4ee740293eaacef5f1bb2896aebee6372a426ec90a28c96b96f",
+        ),
+    ],
     ids=["bisection", "grid"],
 )
-def test_optimize_delta_writes_per_device_ratios(tmp_path, capsys, dip, method):
+def test_optimize_delta_writes_per_device_ratios(tmp_path, capsys, dip, method, golden):
     """In the contested regime the printed label and round delay are those
     of the link round on the same draw; a dipping harvest curve is scanned."""
     out = tmp_path / "o"
@@ -587,6 +600,7 @@ def test_optimize_delta_writes_per_device_ratios(tmp_path, capsys, dip, method):
     assert [float(row[1]) for row in rows[1:]] == rnd.deltas.tolist()
     for row in rows[1:]:
         assert 0.0 < float(row[1]) < 1.0
+    assert hashlib.sha256((out / "deltas.csv").read_bytes()).hexdigest() == golden
 
 
 # Grid-search placements of the shipped configs, recorded when every

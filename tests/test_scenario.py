@@ -33,6 +33,7 @@ from swiptfl.scenario import (
     run_monte_carlo,
     run_trial,
     sweep,
+    trial_fading,
 )
 from swiptfl.timing import local_train_time
 
@@ -187,6 +188,22 @@ def test_fading_draws_are_what_rng_stream_draws(master_seed):
         assert gains.shape == (6,)
         assert np.array_equal(gains, rng_stream(master_seed, *path).exponential(1.0, 6))
 
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, 2**33 + 5])
+def test_trial_fading_draws_the_named_trial_streams(master_seed):
+    """trial_fading's (R, T, M) rows are the ("trial", t, "fading", r) streams
+    of the given trials and rounds, in any order; its one-trial, one-round
+    array path equals the scalar path bit for bit."""
+    trials, rounds = [2, 5, 0], [4, 1]
+    gains = trial_fading(master_seed, trials, rounds, 6)
+    assert gains.shape == (2, 3, 6)
+    for (i, k), row in zip(np.ndindex(2, 3), gains.reshape(-1, 6)):
+        reference = rng_stream(master_seed, "trial", trials[k], "fading", rounds[i])
+        assert np.array_equal(row.view(np.uint64), reference.exponential(1.0, 6).view(np.uint64))
+    first = trial_fading(master_seed, [0], [0], 6)[0, 0]
+    scalar = fading_draws(master_seed, ("trial", 0, "fading", 0), 6)
+    assert np.array_equal(first.view(np.uint64), scalar.view(np.uint64))
 
 # ------------------------------------------------------------- config checks
 
