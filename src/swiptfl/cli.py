@@ -167,9 +167,9 @@ def cmd_run(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
         f"ran {config.monte_carlo_trials} trials x {config.rounds} rounds: "
         f"mean delay {result.delay_mean_s:.6g} s, outage rate {result.outage_rate:.4f}"
     )
-    for tr in result.trials:
-        if tr.failed:
-            print(f"trial {tr.trial_index} failed: {tr.error}", file=sys.stderr)
+    for trial, error in zip(rec["trial_index"].tolist(), rec["error"]):
+        if error is not None:
+            print(f"trial {trial} failed: {error}", file=sys.stderr)
     return ["rounds.csv", "summary.json"], 3 if result.n_failed else 0
 
 
@@ -223,9 +223,9 @@ def cmd_select_rounds(config: ScenarioConfig, args, out: Path) -> tuple[list[str
     # as ``rounds``. A budget's val metric is its round's mean over the trials
     # that did not fail, reduced as metric_mean is.
     candidates, result = _candidates(args), run_monte_carlo(config)
-    if result.n_failed == len(result.trials):
-        raise DivergenceError(f"every trial failed; trial 0: {result.trials[0].error}")
-    ok = np.array([error is None for error in result.record["error"]])
+    ok = np.equal(result.record["error"], None)
+    if not ok.any():
+        raise DivergenceError(f"every trial failed; trial 0: {result.record['error'][0]}")
     val = result.record["val_metric"][ok].T.copy().mean(axis=1)
     metrics = [float(val[r - 1]) for r in candidates]
     best = candidates[best_budget(metrics, config.trainer.task)]

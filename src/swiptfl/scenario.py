@@ -285,9 +285,10 @@ class BlockRecord(dict):
 
     Each :class:`RoundMetrics` field after ``round_index`` names its (T, R)
     column, or (T, R, M) for a per-device field; ``battery_j`` is None
-    without a battery ledger. ``trial_index``, ``rounds_done``, ``outage_count``,
-    ``outage_unreachable`` and ``error`` are (T,) columns. Trial k's records
-    are its first ``rounds_done[k]`` rounds, and the rest of its row is filler.
+    without a battery ledger. ``trial_index``, ``rounds_done`` and ``error``
+    are (T,) columns, and so are ``outage_count`` and ``outage_unreachable``,
+    which :func:`run_monte_carlo` adds to the record it joins. Trial k's
+    records are its first ``rounds_done[k]`` rounds, and the rest of its row is filler.
     """
 
     def recorded(self) -> np.ndarray:
@@ -315,8 +316,9 @@ class TrialRounds(Sequence):
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One Monte Carlo trial: its round records (a :class:`TrialRounds` view,
-    or a list), how many are in outage, and outcome flags."""
+    """One Monte Carlo trial: its round records (a :class:`TrialRounds` view
+    of its row of the record, or a list), how many are in outage, and
+    outcome flags. Only :attr:`MonteCarloResult.trials` builds it."""
 
     trial_index: int
     rounds: Sequence[RoundMetrics]
@@ -330,8 +332,8 @@ class MonteCarloResult:
     """Aggregates over recorded rounds. ``outage_rate`` covers every trial's,
     failed trials included; the delay statistics cover the finite delays of
     the trials that did not fail, and ``metric_mean`` and ``metric_std`` at
-    round r their round r. ``record`` holds every trial's rounds as columns:
-    the blocks' records, whose rows ``trials`` read, joined in trial order."""
+    round r their round r. ``record`` holds every trial's rounds and outage
+    counts as columns, the blocks' records joined in trial order; ``trials`` views its rows."""
 
     scenario: Scenario
     trials: list[TrialResult]
@@ -496,7 +498,7 @@ def build(config: ScenarioConfig) -> Scenario:
     )
 
 
-def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
+def run_trial(scenario: Scenario, trial_indices) -> BlockRecord:
     """A block of seeded trials: fresh fading each round, training, bookkeeping.
 
     The physics of a chunk of rounds of the whole block runs in one link
@@ -518,13 +520,11 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
     finite. It keeps the rounds before. ``rounds_done`` starts at the round
     count and only falls. A stopped trial stays in the block: later rounds
     hand it no participant, so :func:`run_round` keeps its model, and what
-    it reports or scores for the trial changes nothing. A recorded round is
-    in outage when a device is unreachable (an infinite delay) or short of
-    energy; the record counts them, and the unreachable ones among them.
-    Each chunk writes every column of one :class:`BlockRecord` in one loop
-    and builds no per-round object; every result's ``rounds`` is a
-    :class:`TrialRounds` view of its row, so a pickled block carries the
-    record's arrays once.
+    it reports or scores for the trial changes nothing. The block returns
+    its :class:`BlockRecord`: the round columns, ``trial_index``,
+    ``rounds_done`` and ``error``, the message of each stopped trial and
+    None for the others. Each chunk writes every column in one loop and
+    builds no per-round object.
 
     Without battery tracking every device runs every round and energy
     shortfalls only show up as infeasible flags (and outage counts). With
@@ -610,47 +610,46 @@ def run_trial(scenario: Scenario, trial_indices) -> list[TrialResult]:
                     columns[name] = np.zeros((*grid, *value.shape[2:]), value.dtype)
                 columns[name][:, start : start + n] = value.swapaxes(0, 1)
 
-    record = BlockRecord(columns, trial_index=np.array(trials), rounds_done=rounds_done)
-    unreachable = ~np.isfinite(columns["t_total_s"]) & record.recorded()
-    short = ~columns["feasible"].all(axis=-1) & record.recorded()
-    outages = np.count_nonzero(unreachable | short, axis=1)
-    record["outage_count"] = outages
-    record["outage_unreachable"] = np.count_nonzero(unreachable, axis=1)
-    record["error"] = error
-    return [
-        TrialResult(t, TrialRounds(record, k), n, e is not None, e)
-        for k, (t, n, e) in enumerate(zip(trials, outages.tolist(), error))
-    ]
+    return BlockRecord(columns, trial_index=np.array(trials), rounds_done=rounds_done, error=error)
 
 
 def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) -> MonteCarloResult:
     """Run all trials in contiguous blocks, one per worker, and aggregate.
 
-    Results are ordered by trial index, and a trial's records do not depend
-    on its block, so the output is identical for any worker count. The
-    blocks' records join into one :class:`BlockRecord`, and every statistic
-    is a masked reduction over its columns, summed in trial order, then
-    round order, as over a list of the records. ``outage_unreachable`` sums
-    the trials' counts of recorded rounds with an unreachable device, and
-    ``outage_energy_short`` is the rest of their outage rounds.
+    A given ``scenario`` must be the one built from ``config``, or ValueError
+    is raised. Results are ordered by trial index, and a trial's records do
+    not depend on its block, so the output is identical for any worker
+    count. The blocks' records join into one :class:`BlockRecord`, which
+    gains each trial's ``outage_count``, its recorded rounds with a device
+    unreachable (an infinite delay) or short of energy, and its
+    ``outage_unreachable``, those with an unreachable device. Every
+    statistic is a masked reduction over its columns, summed in trial order,
+    then round order, as over a list of the records; ``outage_energy_short``
+    is the outage rounds that are not unreachable.
     """
     if scenario is None:
         scenario = build(config)
+    elif scenario.config != config:
+        raise ValueError("run_monte_carlo: the scenario was built from another config")
     n, workers = config.monte_carlo_trials, min(config.workers, config.monte_carlo_trials)
     blocks = [range(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, repeat(scenario), blocks))
+            rec, *others = pool.map(run_trial, repeat(scenario), blocks)
     else:
-        results = [run_trial(scenario, blocks[0])]
-    trials = [tr for block in results for tr in block]
-    rec, *others = [block[0].rounds.record for block in results]
+        rec, others = run_trial(scenario, blocks[0]), []
     if others:  # join the blocks' columns in trial order
         cols = {name: [r[name] for r in (rec, *others)] for name in rec}
         rec = BlockRecord({k: c[0] if c[0] is None else np.concatenate(c) for k, c in cols.items()})
+    unreachable = ~np.isfinite(rec["t_total_s"]) & rec.recorded()
+    short = ~rec["feasible"].all(axis=-1) & rec.recorded()
+    rec["outage_count"] = np.count_nonzero(unreachable | short, axis=1)
+    rec["outage_unreachable"] = np.count_nonzero(unreachable, axis=1)
+    views = enumerate(zip(rec["trial_index"].tolist(), rec["outage_count"].tolist(), rec["error"]))
+    trials = [TrialResult(t, TrialRounds(rec, k), n, e is not None, e) for k, (t, n, e) in views]
 
-    ok = np.array([error is None for error in rec["error"]])  # these record every round
+    ok = np.equal(rec["error"], None)  # these record every round
     kept = rec["t_total_s"][ok]
     finite = kept[np.isfinite(kept)]  # trial-major, as the records list them
     if finite.size:

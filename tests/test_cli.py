@@ -979,14 +979,27 @@ def test_stopping_trials_rounds_match_golden_hash(tmp_path, capsys, rate):
 
 
 
+class UnreadTrial:
+    """A stand-in for TrialResult that fails on any read of an attribute."""
+
+    def __init__(self, *args):
+        pass
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a command read TrialResult.{name}")
+
+
 def test_commands_build_no_round_record(tmp_path, capsys, monkeypatch):
-    """run, sweep and accuracy-curve read the block record's columns and
-    build no RoundMetrics; run's rounds.csv still matches its golden."""
+    """run, sweep, accuracy-curve and select-rounds read the block record's
+    columns: they build no RoundMetrics and read no TrialResult, also when
+    every trial stops. Each keeps its exit code and its stderr lines, and
+    run's rounds.csv still matches its golden."""
 
     def no_records(*args, **kwargs):
         raise AssertionError("a command built a RoundMetrics")
 
     monkeypatch.setattr(scenario_module, "RoundMetrics", no_records)
+    monkeypatch.setattr(scenario_module, "TrialResult", UnreadTrial)
     config, overrides, golden = GOLDEN_ROUNDS_SHA256["default.yaml"]
     args = ["--config", str(CONFIGS / config), "--out", str(tmp_path)]
     for text in overrides:
@@ -995,7 +1008,26 @@ def test_commands_build_no_round_record(tmp_path, capsys, monkeypatch):
     assert hashlib.sha256((tmp_path / "rounds.csv").read_bytes()).hexdigest() == golden
     assert run_cli(["sweep", *args, "--param", "link.ptx_dl_w", "--values", "0.5,2.0"]) == 0
     assert run_cli(["accuracy-curve", *args]) == 0
-    capsys.readouterr()
+    assert run_cli(["select-rounds", *args, "--candidates", "1,2"]) == 0
+    assert capsys.readouterr().err == ""
+
+    # Every trial stops, each with its own line from run.
+    _, golden = GOLDEN_STOPPING_ROUNDS["4e306"]
+    out = tmp_path / "stopping"
+    args = ["--config", str(CONFIGS / "accuracy.yaml"), "--out", str(out)]
+    for text in ("monte_carlo_trials=8", "rounds=8", "trainer.learning_rate=4e306"):
+        args += ["--override", text]
+    assert run_cli(["run", *args]) == 3
+    lines = [f"trial {t} failed: aggregated model overflowed" for t in range(8)]
+    assert capsys.readouterr().err.splitlines() == lines
+    assert hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest() == golden
+    assert run_cli(["sweep", *args, "--param", "link.ptx_dl_w", "--values", "1.0"]) == 3
+    assert capsys.readouterr().err == "link.ptx_dl_w=1.0: 8 trials failed\n"
+    assert run_cli(["accuracy-curve", *args]) == 3
+    assert capsys.readouterr().err == "8 trials failed\n"
+    assert run_cli(["select-rounds", *args, "--candidates", "4,8"]) == 3
+    message = "every trial failed; trial 0: aggregated model overflowed"
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
 
 
 def test_summary_splits_outage_into_unreachable_and_energy_short(tmp_path, capsys):
