@@ -182,7 +182,11 @@ def run_round(
     ``rngs[t].random((M, n))`` for all M devices of trial t, participants
     or not, into one (T, M, n) buffer; a row's batch is the first
     ``batch_size`` indices of its device's argsort, so it never depends on
-    who else takes part. Full-batch training draws nothing and needs no ``rngs``.
+    who else takes part. The generators carry over between calls:
+    :func:`~swiptfl.scenario.run_trial` hands every round the same T, one
+    ``("trial", t, "train")`` stream per trial, so each round draws exactly
+    ``local_iters`` arrays from each, a stopped trial's included. Full-batch
+    training draws nothing and needs no ``rngs``.
 
     A trial whose gradient, parameters or aggregate stop being finite is
     reported in :attr:`BlockRound.errors` and keeps its input model; the

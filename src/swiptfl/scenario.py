@@ -23,16 +23,16 @@ identical fading (common random numbers). Stream tags used here:
 * ``("data",)`` synthetic datasets, in draw order ``w_true``, devices 0..M-1, val, test
 * ``("init",)`` initial global model
 * ``("trial", t, "fading", r)`` per-round channel gains, drawn by :func:`trial_fading`
-* ``("trial", t, "train", r)`` minibatch sampling for all M devices of
-  trial t in round r; derived only when training draws minibatches, never
-  for full batch
+* ``("trial", t, "train")`` minibatch sampling for all M devices of trial
+  t, one generator consumed round after round; derived only when training
+  draws minibatches, never for full batch
 
 :func:`rng_stream` defines each stream. A block names its fading or training
 streams, and placement its draws, by one path whose trial and round parts
 are broadcast integer arrays; :func:`_stream_seeds` derives all their seed
 words from one entropy array in one vectorized pass of numpy's SeedSequence
-algorithm, bit-identical to the per-stream rule. Only training keeps a
-block's seed words, (R, T, 4) uint64, and each round builds only its own generators.
+algorithm, bit-identical to the per-stream rule. A minibatch block builds
+its T training generators once, before its first round.
 """
 
 from __future__ import annotations
@@ -512,7 +512,10 @@ def run_trial(scenario: Scenario, trial_indices) -> BlockRecord:
     chunk's end scores all its (R_c, T) models on the training sets, then
     the val and test sets, in passes of at most ``EVAL_BLOCK`` (model,
     sample) pairs, samples counted over all of a dataset's sets. No model's
-    score depends on its batch, so neither does a trial's record.
+    score depends on its batch, so neither does a trial's record. Minibatch
+    training draws from one generator per trial, built before the first
+    round and handed to every round, so a trial's draws depend on neither
+    its participation, its stopping, its chunking nor its block.
 
     A trial stops at its training's first error, in that round, or at its
     first round with a non-finite score, whichever is earlier; the message
@@ -523,8 +526,8 @@ def run_trial(scenario: Scenario, trial_indices) -> BlockRecord:
     it reports or scores for the trial changes nothing. The block returns
     its :class:`BlockRecord`: the round columns, ``trial_index``,
     ``rounds_done`` and ``error``, the message of each stopped trial and
-    None for the others. Each chunk writes every column in one loop and
-    builds no per-round object.
+    None for the others. Each chunk keeps its (R_c, T, ...) values, each
+    column is built once at the block's end, and no per-round object is built.
 
     Without battery tracking every device runs every round and energy
     shortfalls only show up as infeasible flags (and outage counts). With
@@ -545,14 +548,11 @@ def run_trial(scenario: Scenario, trial_indices) -> BlockRecord:
     iters = cfg.compute.local_iters
     models = np.tile(scenario.w0, (len(trials), 1))  # one row per trial, stopped or not
     battery = np.full(shape, cfg.battery_initial_j, dtype=float) if cfg.battery_ledger else None
-    # The block record's columns, trial-major: (T, R), or (T, R, M) per device,
-    # typed as the first chunk's values are; battery_j stays None without a battery.
-    grid, columns = (len(trials), cfg.rounds), dict.fromkeys(_COLUMNS)
+    parts = []  # each chunk's values of the columns, (n, T) or (n, T, M); battery_j's may be None
     rounds_done = np.full(len(trials), cfg.rounds)
     error = np.full(len(trials), None, dtype=object)
-    if minibatch:  # every training stream's seed words, (R, T, 4), in one pass
-        path = ("trial", np.array(trials)[None, :], "train", np.arange(cfg.rounds)[:, None])
-        train = _stream_seeds(seed, path)
+    path = ("trial", np.array(trials), "train")  # one training stream per trial
+    rngs = [_generator(words) for words in _stream_seeds(seed, path)] if minibatch else None
     sets = (scenario.train_sets, scenario.val_set, scenario.test_set)
     metrics = (global_loss, evaluate_metric, evaluate_metric)
     for start in range(0, cfg.rounds, chunk):
@@ -574,7 +574,6 @@ def run_trial(scenario: Scenario, trial_indices) -> BlockRecord:
         # Train round by round; a training error stops a trial at once.
         trained = np.empty((n, *models.shape))
         for i, r in enumerate(rounds.tolist()):
-            rngs = [_generator(words) for words in train[r]] if minibatch else None
             running = participate[i] & (rounds_done > r)[:, None]
             step = run_round(models, scenario.train_sets, cfg.trainer, iters, rngs, running)
             for k, message in step.errors.items():
@@ -603,13 +602,12 @@ def run_trial(scenario: Scenario, trial_indices) -> BlockRecord:
         maxima = map(device_max, stages)
         t_uav = np.broadcast_to(phys.t_uav_s, total.shape)
         energy = (e_total, e_harvest, phys.energy.feasible, participate, levels)
-        values = (total, *maxima, t_uav, phys.deltas, phys.methods(), *energy, *scores)
-        for name, value in zip(_COLUMNS, values):  # the fields t_total_s to test_metric
-            if value is not None:
-                if columns[name] is None:
-                    columns[name] = np.zeros((*grid, *value.shape[2:]), value.dtype)
-                columns[name][:, start : start + n] = value.swapaxes(0, 1)
+        # The fields t_total_s to test_metric, in _COLUMNS order.
+        parts.append((total, *maxima, t_uav, phys.deltas, phys.methods(), *energy, *scores))
 
+    # Each column once, trial-major: (T, R), or (T, R, M) per device.
+    columns = (None if c[0] is None else np.concatenate(c).swapaxes(0, 1) for c in zip(*parts))
+    columns = dict(zip(_COLUMNS, columns))
     return BlockRecord(columns, trial_index=np.array(trials), rounds_done=rounds_done, error=error)
 
 

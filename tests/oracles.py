@@ -205,6 +205,30 @@ def delta_feasibility_grid(
     return np.isfinite(spend) & (spend <= e_h)
 
 
+def exponential_mass(holds, g_lo=1e-9, g_hi=50.0, points=2000):
+    """P(holds(g)) for g ~ Exp(1), the squared gain of a Rayleigh fade.
+
+    The verdict's changes on a log grid of g from ``g_lo`` to ``g_hi`` are
+    each refined by bisection to an edge, and the edges bound the intervals
+    where it holds; [a, b] has mass e^-a - e^-b. The verdict is taken as
+    constant below ``g_lo`` and above ``g_hi``, whose masses are below
+    1e-9 and 2e-22 by default, and between neighbours of the grid."""
+    grid = [g_lo * (g_hi / g_lo) ** (k / (points - 1)) for k in range(points)]
+    verdicts = [bool(holds(g)) for g in grid]
+    edges = []
+    for a, b, before, after in zip(grid, grid[1:], verdicts, verdicts[1:]):
+        if before != after:
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                if bool(holds(mid)) == before:
+                    a = mid
+                else:
+                    b = mid
+            edges.append(0.5 * (a + b))
+    bounds = ([0.0] if verdicts[0] else []) + edges + ([math.inf] if verdicts[-1] else [])
+    return sum(math.exp(-a) - math.exp(-b) for a, b in zip(bounds[::2], bounds[1::2]))
+
+
 def largest_feasible_delta(feasible_mask, deltas):
     """Largest delta whose verdict is feasible, or None."""
     idx = np.flatnonzero(feasible_mask)

@@ -911,7 +911,7 @@ GOLDEN_ROUNDS_SHA256 = {
     "accuracy.yaml": (
         "accuracy.yaml",
         SMALL,
-        "410196d9c38af7077eeeaa87c165ad4cbc24096661a60da361ce1c2111253c6d",
+        "d63f230700b6440c00b080369e0c5ca63f919ff2066a1351e407a0e174fa99ea",
     ),
     "contested": (
         "default.yaml",
@@ -923,7 +923,7 @@ GOLDEN_ROUNDS_SHA256 = {
     "minibatch-battery": (
         "accuracy.yaml",
         CONTESTED,
-        "e22ca09d9b286359aa66a735b5dd9dccf57228e13ead0cd654b65e6d45913540",
+        "58f08bf0c9381d22dc1dfaf3eacd1091346820a7d828fa99ce7522b9b4c8c37b",
     ),
 }
 
@@ -943,15 +943,15 @@ def test_shipped_config_rounds_match_golden_hash(tmp_path, capsys, name):
 
 # Runs whose trials stop, on accuracy.yaml with 8 trials of 8 rounds: sha256 of
 # rounds.csv and the rounds each trial records, per learning rate. The server's
-# aggregate overflows: at 4e306 in every trial, at 3e306 in trial 1 alone.
+# aggregate overflows: at 5e306 in every trial, at 3e306 in trial 7 alone.
 GOLDEN_STOPPING_ROUNDS = {
-    "4e306": (
-        [4, 4, 4, 5, 2, 1, 1, 6],
-        "a47b1c36c24fbcb93a84599c291c7d91e80be8c41367e45509ff54d0d040f3e7",
+    "5e306": (
+        [0, 0, 1, 0, 1, 5, 0, 0],
+        "151c9f5612d2be5b9b9c0d8dd333ced787e1370acae1ced7b02bcc440115d7f7",
     ),
     "3e306": (
-        [8, 6, 8, 8, 8, 8, 8, 8],
-        "7f84d7b67054618472dc075713586c5eb277d0f64b05e1f489bd9a7d48eca963",
+        [8, 8, 8, 8, 8, 8, 8, 4],
+        "2ae60cb0ac52474bd255011657ef8aee1ee6c9875616562402cff09aec48ed89",
     ),
 }
 
@@ -1012,10 +1012,10 @@ def test_commands_build_no_round_record(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
     # Every trial stops, each with its own line from run.
-    _, golden = GOLDEN_STOPPING_ROUNDS["4e306"]
+    _, golden = GOLDEN_STOPPING_ROUNDS["5e306"]
     out = tmp_path / "stopping"
     args = ["--config", str(CONFIGS / "accuracy.yaml"), "--out", str(out)]
-    for text in ("monte_carlo_trials=8", "rounds=8", "trainer.learning_rate=4e306"):
+    for text in ("monte_carlo_trials=8", "rounds=8", "trainer.learning_rate=5e306"):
         args += ["--override", text]
     assert run_cli(["run", *args]) == 3
     lines = [f"trial {t} failed: aggregated model overflowed" for t in range(8)]

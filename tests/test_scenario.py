@@ -23,7 +23,7 @@ from swiptfl.config import (
     merge,
     with_override,
 )
-from swiptfl.fl_core import BlockRound, TrainerConfig, global_loss
+from swiptfl.fl_core import BlockRound, TrainerConfig, evaluate_metric, global_loss, run_round
 from swiptfl.scenario import (
     BlockRecord,
     RoundMetrics,
@@ -619,6 +619,54 @@ def test_uplink_stage_law_of_each_device_at_ten_devices():
     assert len(z) == 20 and max(map(abs, z)) < 4.0, z
 
 
+# ptx_ul_w / kappa / bandwidth_hz of three energy regimes at M = 1, without
+# the downlink bill; their outage at fixed / optimized delta is about 0.93 /
+# 0.45, 0.63 / 0.21 and 0.24 / 0.05.
+SINGLE_DEVICE_REGIMES = [(1e-5, 1e-33, 1e4), (1e-5, 1e-33, 1e3), (1e-6, 1e-34, 1e4)]
+
+
+def test_single_device_outage_matches_semi_analytic_law():
+    """With one device nothing interferes, so a round is in outage exactly
+    when its one fading gain g ~ Exp(1) leaves the device short of energy.
+    Its verdict at g comes from the scalar oracles, at delta_fixed or
+    anywhere on the solver's delta grid, and its outage probability from
+    the edges of the set where it holds (Nasir, Zhou, Durrani and Kennedy,
+    IEEE TWC 2013). On round 0 of trials 0-19999 of default.yaml at M = 1,
+    one link round per regime and mode gives an outage rate within 4
+    binomial standard errors of it, in each of three regimes."""
+    base = load_config(str(ROOT / "configs" / "default.yaml"))
+    base = merge(base, {"device_count": 1, "device_pays_downlink": False})
+    n, dist = 20000, float(build(base).distances_m[0])
+    gains = trial_fading(base.master_seed, np.arange(n), [0], 1)[0]
+    solver_grid = np.append(np.arange(DELTA_MIN, DELTA_MAX, 1e-3), DELTA_MAX)
+    payload = 32.0 * base.data.dim  # payload_bits unset: 32 bits per model coordinate
+    z = []
+    for ptx_ul, kappa, bandwidth in SINGLE_DEVICE_REGIMES:
+        regime = {"link.ptx_ul_w": ptx_ul, "compute.kappa": kappa, "link.bandwidth_hz": bandwidth}
+        for mode in ("fixed", "optimized"):
+            cfg = merge(base, {**regime, "delta_mode": mode})
+            link, c, h = cfg.link, cfg.compute, cfg.harvest
+            phys = link_round(cfg, ChannelRealization(gains, np.array([dist])))
+            outage = ~phys.energy.feasible.all(axis=-1) | ~np.isfinite(phys.delay())
+            compute = c.kappa, c.cycles_per_bit, c.data_bits, c.local_iters, c.cpu_hz
+            e_compute = oracles.e_compute(*compute)
+            deltas = [cfg.delta_fixed] if mode == "fixed" else solver_grid
+
+            def feasible(g):
+                prx = oracles.rx_power(link.ptx_ul_w, dist, link.pathloss_exponent, g)
+                snr = oracles.sinr_value(prx, 0.0, link.noise_power_ul_w)
+                t_up = oracles.transmit_time(payload, oracles.shannon_rate(link.bandwidth_hz, snr))
+                spend = e_compute + oracles.e_transmit(t_up, link.ptx_ul_w)
+                downlink = link.ptx_dl_w, dist, link.pathloss_exponent, g, 0.0
+                downlink += link.noise_power_dl_w, link.bandwidth_hz, payload, spend, False
+                verdicts = oracles.delta_feasibility_grid(*downlink, h.a1, h.a2, h.a3, deltas)
+                return verdicts.any()
+
+            law = 1.0 - oracles.exponential_mass(feasible)
+            z.append((np.count_nonzero(outage) / n - law) / math.sqrt(law * (1.0 - law) / n))
+    assert len(z) == 6 and max(map(abs, z)) < 4.0, z
+
+
 # -------------------------------------------------------------- battery mode
 
 
@@ -788,6 +836,9 @@ OPTIMIZED_BATTERY = dict(
     battery_ledger=True,
     battery_initial_j=1e-4,
 )
+MINIBATCH = TrainerConfig(learning_rate=0.1, batch_size=5)
+# Minibatch training over two local iterations a round.
+TWO_ITERS = replace(ScenarioConfig().compute, local_iters=2)
 
 
 @pytest.mark.parametrize(
@@ -796,13 +847,16 @@ OPTIMIZED_BATTERY = dict(
         dict(monte_carlo_trials=4, rounds=3, delta_fixed=0.37),
         OPTIMIZED_BATTERY,
         MIXED_GRID,
+        dict(monte_carlo_trials=4, rounds=4, trainer=MINIBATCH, compute=TWO_ITERS),
+        dict(OPTIMIZED_BATTERY, trainer=MINIBATCH),
     ],
-    ids=["fixed", "optimized-battery", "mixed-grid"],
+    ids=["fixed", "optimized-battery", "mixed-grid", "minibatch", "minibatch-battery"],
 )
 def test_block_of_trials_equals_single_trials(kwargs):
     """A block gives, field for field, the trials run one by one: its
-    trials share one batched link round per round but nothing else, and
-    each is labelled by how its own ratios were solved."""
+    trials share one batched link round per round but nothing else, each
+    draws its minibatches from its own training stream, and each is
+    labelled by how its own ratios were solved."""
     cfg = small_config(**kwargs)
     scenario = build(cfg)
     trials = range(cfg.monte_carlo_trials)
@@ -815,6 +869,27 @@ def test_block_of_trials_equals_single_trials(kwargs):
     if kwargs is MIXED_GRID:
         labels = block["delta_method"][:, 2].tolist()
         assert labels == ["grid", "bisection", "bisection", "bisection"]
+
+
+def test_minibatch_training_consumes_one_stream_per_trial():
+    """Each trial trains from one ``("trial", t, "train")`` generator,
+    consumed round after round: a loop that trains every trial alone from
+    its own ``rng_stream`` gives run_trial's models, so its scores, bit for bit."""
+    overrides = {"monte_carlo_trials": 3, "rounds": 4, "compute.local_iters": 2}
+    cfg = merge(load_config(str(ROOT / "configs" / "accuracy.yaml")), overrides)
+    scenario, task = build(cfg), cfg.trainer.task
+    assert cfg.trainer.minibatch(scenario.train_sets.count)
+    block = run_trial(scenario, range(3))
+    assert block["rounds_done"].tolist() == [4] * 3 and block["participate"].all()
+    sets = (scenario.train_sets, scenario.val_set, scenario.test_set)
+    metrics = (global_loss, evaluate_metric, evaluate_metric)
+    for t in range(3):
+        rng, w = rng_stream(cfg.master_seed, "trial", t, "train"), scenario.w0[None, :]
+        for r in range(4):
+            w = run_round(w, scenario.train_sets, cfg.trainer, 2, [rng]).models
+            scores = [float(metric(w, data, task)[0]) for metric, data in zip(metrics, sets)]
+            names = ("train_loss", "val_metric", "test_metric")
+            assert [block[name][t, r] for name in names] == scores, (t, r)
 
 
 def test_diverging_trial_stops_alone(monkeypatch):
@@ -895,11 +970,7 @@ CHUNKED = {
     "fixed": dict(monte_carlo_trials=3, rounds=5, delta_fixed=0.37),
     "optimized-battery": dict(OPTIMIZED_BATTERY, rounds=5),
     "grid": dict(MIXED_GRID, rounds=5),
-    "minibatch": dict(
-        monte_carlo_trials=3,
-        rounds=5,
-        trainer=TrainerConfig(learning_rate=0.1, batch_size=5),
-    ),
+    "minibatch": dict(monte_carlo_trials=3, rounds=5, trainer=MINIBATCH),
     # Every trial's loss overflows in round 1, so the block stops inside a chunk.
     "diverging": dict(monte_carlo_trials=3, rounds=5, trainer=TrainerConfig(learning_rate=1e60)),
     "device-major": dict(monte_carlo_trials=20, rounds=10),
@@ -933,8 +1004,6 @@ def test_chunking_leaves_every_record_unchanged(monkeypatch, name):
         stopped = zip(whole["error"], whole["rounds_done"].tolist())
         assert [(e is not None, n) for e, n in stopped] == [(True, 1)] * 3
 
-
-MINIBATCH = TrainerConfig(learning_rate=0.1, batch_size=5)
 
 
 def test_held_out_failure_mid_chunk_stops_the_trial_at_its_round(monkeypatch):
