@@ -5,13 +5,14 @@ config file, which :func:`~swiptfl.config.load_config` reads, with one
 mapping of every ``--override dotted.path=value`` (or ``section={...}``),
 then ``--seed``, then ``--workers``, then what the subcommand fixes, a later
 value for the same key winning, in one :func:`~swiptfl.config.merge`. The
-command runs on that config and :func:`main` writes a manifest next to its
-outputs that snapshots the config; passing a manifest as ``--config``
-replays the run it records. Power fields accept a ``dBm`` suffix (e.g.
-``"20 dBm"``).
+command runs on that config and writes nothing: it returns its outputs, its
+stdout lines and its failed-trial lines. :func:`main` writes the outputs,
+prints the lines and writes a manifest next to the outputs that snapshots
+the config; passing a manifest as ``--config`` replays the run it records.
+Power fields accept a ``dBm`` suffix (e.g. ``"20 dBm"``).
 
-Exit codes: 0 success, 2 config, argument or I/O error, 3 numeric failure,
-4 a worker process died. Any other exception is a bug and propagates with
+Exit codes: 0 success, 2 config, argument or I/O error, 3 a failed trial or
+another numeric failure, 4 a worker process died. Any other exception is a bug and propagates with
 its traceback.
 """
 
@@ -26,7 +27,6 @@ import platform
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .channel import ChannelRealization
 from .config import ConfigError, ScenarioConfig, load_config, merged, parse_yaml
-from .fl_core import DivergenceError, best_budget, check_candidates
+from .fl_core import best_budget, check_candidates
 from .scenario import build, link_round, run_monte_carlo, sweep, trial_fading
 
 SWEEP_COLUMNS = ["param_value", "mean_t_total_s", "std_t_total_s", "p5", "p95", "outage_rate"]
@@ -75,30 +75,6 @@ def resolve_config(args) -> ScenarioConfig:
     return merged(load_config(args.config), changes)
 
 
-def _write_atomic(path: Path, write) -> None:
-    """Write ``path`` through ``write(fh)`` atomically: a crash mid-write leaves
-    neither a half file nor the temporary file, and an earlier ``path`` stays intact.
-    The first write makes the directory, so a command that fails before it leaves none."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    def write(fh):  # rows of ints, floats and text; csv writes a float as its repr
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    _write_atomic(path, write)
-
-
 def _json_safe(value):
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
@@ -114,23 +90,48 @@ def _json_safe(value):
     return value
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    def write(fh):
-        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    _write_atomic(path, write)
+def _write(path: Path, output) -> None:
+    """Write one output of a command to ``path``: a mapping as JSON, a
+    ``(header, rows)`` table as CSV (a float as its repr, a bool as 1 or 0),
+    anything else as ready text. The write is atomic: a crash mid-write
+    leaves neither a half file nor the temporary file, and an earlier ``path``
+    stays intact. The first write makes the directory, so a command that
+    fails before it leaves none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            if isinstance(output, dict):
+                json.dump(_json_safe(output), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            elif isinstance(output, tuple):
+                header, rows = output
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                bits = (bool, np.bool_)
+                writer.writerows([int(v) if isinstance(v, bits) else v for v in r] for r in rows)
+            else:
+                fh.write(output)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-# Each cmd_* runs on the resolved config, writes its outputs into ``out`` and
-# returns their names with the exit code; main records them in the manifest.
+class DivergenceError(ArithmeticError):
+    """Every trial of a select-rounds run failed, so no round budget can be chosen."""
 
 
-def cmd_run(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
+# Each cmd_* returns its outputs, each file name mapped to a JSON mapping, a
+# CSV (header, rows) table or ready text; its stdout lines; and one line per
+# failure among its trials, which makes main exit 3.
+
+
+def cmd_run(config: ScenarioConfig, args) -> tuple[dict, list[str], list[str]]:
     result = run_monte_carlo(config)
 
     # rounds.csv from the record's columns: the recorded rounds trial by trial,
@@ -144,7 +145,6 @@ def cmd_run(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
     columns = [trial, rnd, *map(rec.__getitem__, times), *sums, *map(rec.__getitem__, scores)]
     rows = zip(*(map(repr, (c if c.ndim == 1 else c[done]).tolist()) for c in columns))
     text = "\n".join(map(",".join, [ROUNDS_COLUMNS, *rows])) + "\n"
-    _write_atomic(out / "rounds.csv", lambda fh: fh.write(text))
 
     summary = {
         "trials": config.monte_carlo_trials,
@@ -161,54 +161,46 @@ def cmd_run(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
         "final_round_metric_std": float(result.metric_std[-1]),
         "uav_position": list(result.scenario.uav_position),
     }
-    _write_json(out / "summary.json", summary)
-
-    print(
+    line = (
         f"ran {config.monte_carlo_trials} trials x {config.rounds} rounds: "
         f"mean delay {result.delay_mean_s:.6g} s, outage rate {result.outage_rate:.4f}"
     )
-    for trial, error in zip(rec["trial_index"].tolist(), rec["error"]):
-        if error is not None:
-            print(f"trial {trial} failed: {error}", file=sys.stderr)
-    return ["rounds.csv", "summary.json"], 3 if result.n_failed else 0
+    errors = zip(rec["trial_index"].tolist(), rec["error"])
+    failures = [f"trial {trial} failed: {error}" for trial, error in errors if error is not None]
+    return {"rounds.csv": text, "summary.json": summary}, [line], failures
 
 
-def cmd_sweep(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
+def cmd_sweep(config: ScenarioConfig, args) -> tuple[dict, list[str], list[str]]:
     if "," in args.param:
         raise ConfigError(f"--param takes one dotted path, got {args.param!r}")
     items = parse_yaml(f"[{args.values}]", f"--values {args.values!r}")
-    # Each value as its field takes it, e.g. "20 dBm" as 0.1, before the first run.
-    field = attrgetter(args.param)
-    values = [field(merged(config, {args.param: item})) for item in items]
-    if not values:
+    if not items:
         raise ConfigError("--values must list at least one value")
 
-    rows = sweep(config, args.param, values)
-    table = [[row[c] for c in SWEEP_COLUMNS] for row in rows]
-    table = [[int(v) if isinstance(v, bool) else v for v in line] for line in table]  # bool: 0/1
-    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, table)
+    rows, lines, failures = sweep(config, args.param, items), [], []
     for row in rows:
         point = f"{args.param}={row['param_value']}"
-        print(f"{point}: mean delay {row['mean_t_total_s']:.6g} s")
+        lines.append(f"{point}: mean delay {row['mean_t_total_s']:.6g} s")
         if row["failed_trials"]:
-            print(f"{point}: {row['failed_trials']} trials failed", file=sys.stderr)
-    return ["sweep.csv"], 3 if any(row["failed_trials"] for row in rows) else 0
+            failures.append(f"{point}: {row['failed_trials']} trials failed")
+    table = [[row[c] for c in SWEEP_COLUMNS] for row in rows]
+    return {"sweep.csv": (SWEEP_COLUMNS, table)}, lines, failures
 
 
-def cmd_accuracy_curve(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
+def _failed_trials(result) -> list[str]:
+    return [f"{result.n_failed} trials failed"] if result.n_failed else []
+
+
+def cmd_accuracy_curve(config: ScenarioConfig, args) -> tuple[dict, list[str], list[str]]:
     result = run_monte_carlo(config)
-    rows = [
-        [r, float(result.metric_mean[r]), float(result.metric_std[r])]
-        for r in range(config.rounds)
-    ]
-    _write_csv(out / "accuracy.csv", ["round", "mean_test_metric", "std"], rows)
-    print(
+    header = ["round", "mean_test_metric", "std"]
+    mean, std = result.metric_mean.tolist(), result.metric_std.tolist()
+    rows = [[r, mean[r], std[r]] for r in range(config.rounds)]
+    line = (
         f"metric over {config.rounds} rounds: first {result.metric_mean[0]:.4f}, "
         f"final {result.metric_mean[-1]:.4f}"
     )
-    if result.n_failed:
-        print(f"{result.n_failed} trials failed", file=sys.stderr)
-    return ["accuracy.csv"], 3 if result.n_failed else 0
+    return {"accuracy.csv": (header, rows)}, [line], _failed_trials(result)
 
 
 def _candidates(args) -> list[int]:
@@ -218,7 +210,7 @@ def _candidates(args) -> list[int]:
         raise ConfigError(f"bad --candidates: {exc}") from exc
 
 
-def cmd_select_rounds(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
+def cmd_select_rounds(config: ScenarioConfig, args) -> tuple[dict, list[str], list[str]]:
     # One Monte Carlo run to the largest candidate, which resolve_config fixes
     # as ``rounds``. A budget's val metric is its round's mean over the trials
     # that did not fail, reduced as metric_mean is.
@@ -230,42 +222,30 @@ def cmd_select_rounds(config: ScenarioConfig, args, out: Path) -> tuple[list[str
     metrics = [float(val[r - 1]) for r in candidates]
     best = candidates[best_budget(metrics, config.trainer.task)]
     test_metric = float(result.metric_mean[best - 1])
+    outputs = {
+        "selection.csv": (["rounds", "val_metric"], zip(candidates, metrics)),
+        "selection.json": {"best_rounds": best, "test_metric": test_metric},
+    }
+    line = f"chosen rounds: {best} (test metric {test_metric:.6g})"
+    return outputs, [line], _failed_trials(result)
 
-    _write_csv(out / "selection.csv", ["rounds", "val_metric"], zip(candidates, metrics))
-    _write_json(out / "selection.json", {"best_rounds": best, "test_metric": test_metric})
-    print(f"chosen rounds: {best} (test metric {test_metric:.6g})")
-    if result.n_failed:
-        print(f"{result.n_failed} trials failed", file=sys.stderr)
-    return ["selection.csv", "selection.json"], 3 if result.n_failed else 0
 
-
-def cmd_optimize_delta(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
+def cmd_optimize_delta(config: ScenarioConfig, args) -> tuple[dict, list[str], list[str]]:
     scenario = build(config)
     gains = trial_fading(config.master_seed, [0], [0], config.device_count)[0, 0]
     rnd = link_round(config, ChannelRealization(gains, scenario.distances_m))
-    feasible = rnd.energy.feasible.astype(int)  # written as 1 or 0
-    rows = zip(range(config.device_count), rnd.deltas, feasible, rnd.downlink.tx_time_s)
-    _write_csv(out / "deltas.csv", ["device", "delta", "feasible", "t_downlink_s"], rows)
-    print(f"solved ratios via {rnd.methods().item()}: round delay {rnd.delay():.6g} s")
-    return ["deltas.csv"], 0
+    header = ["device", "delta", "feasible", "t_downlink_s"]
+    rows = zip(range(config.device_count), rnd.deltas, rnd.energy.feasible, rnd.downlink.tx_time_s)
+    line = f"solved ratios via {rnd.methods().item()}: round delay {rnd.delay():.6g} s"
+    return {"deltas.csv": (header, rows)}, [line], []
 
 
-def cmd_place_uav(config: ScenarioConfig, args, out: Path) -> tuple[list[str], int]:
+def cmd_place_uav(config: ScenarioConfig, args) -> tuple[dict, list[str], list[str]]:
     scenario = build(config)
-    _write_json(
-        out / "placement.json",
-        {
-            "position": list(scenario.uav_position),
-            "objective_s": scenario.placement_objective_s,
-            "mode": config.placement_mode,
-        },
-    )
-    x, y, z = scenario.uav_position
-    print(
-        f"uav at ({x:.3f}, {y:.3f}, {z:.3f}): "
-        f"expected delay {scenario.placement_objective_s:.6g} s"
-    )
-    return ["placement.json"], 0
+    (x, y, z), objective = scenario.uav_position, scenario.placement_objective_s
+    placement = {"position": [x, y, z], "objective_s": objective, "mode": config.placement_mode}
+    line = f"uav at ({x:.3f}, {y:.3f}, {z:.3f}): expected delay {objective:.6g} s"
+    return {"placement.json": placement}, [line], []
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -334,7 +314,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config, started, out = resolve_config(args), _utc_now(), Path(args.out)
-        outputs, code = args.func(config, args, out)
+        outputs, lines, failures = args.func(config, args)
+        for name, output in outputs.items():
+            _write(out / name, output)
+        for stream, text in ((sys.stdout, lines), (sys.stderr, failures)):
+            stream.writelines(f"{line}\n" for line in text)
         manifest = {
             "tool": "swiptfl",
             "version": __version__,
@@ -348,8 +332,8 @@ def main(argv=None) -> int:
             "outputs": sorted(outputs),
             "config": asdict(config),
         }
-        _write_json(out / "manifest.json", manifest)
-        return code
+        _write(out / "manifest.json", manifest)
+        return 3 if failures else 0
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,8 @@ every leaf, for config files, manifests and overrides alike.
 manifest, onto the defaults. What a user wrote wrong, in a file or on the
 command line, is a :class:`ConfigError` through :func:`merged`,
 :func:`parse_yaml` and :func:`load_config`; the config classes and
-:func:`merge` raise ValueError, as any library code does.
+:func:`merge` raise ValueError, as any library code does, and a ConfigError
+is a ValueError too.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ DELTA_MODE_OPTIMIZED = "optimized"
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Bad config file, unknown key, or malformed override."""
 
 

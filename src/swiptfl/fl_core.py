@@ -29,10 +29,6 @@ TASK_LOGISTIC = "logistic"
 _TASKS = (TASK_LINEAR, TASK_LOGISTIC)
 
 
-class DivergenceError(ArithmeticError):
-    """Local training produced a non-finite gradient or parameter vector."""
-
-
 @dataclass(frozen=True)
 class FederatedData:
     """M datasets of n samples each, stacked: ``features`` (M, n, d) and

@@ -42,11 +42,13 @@ import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
 from .channel import ChannelRealization, LinkBudget, device_max, downlink_budget, uplink_budget
-from .config import DELTA_MODE_FIXED, DELTA_MODE_OPTIMIZED, ScenarioConfig, with_override
+# with_override is re-exported: the benchmark applies its overrides as scenario.with_override.
+from .config import DELTA_MODE_FIXED, DELTA_MODE_OPTIMIZED, ScenarioConfig, merged, with_override
 from .energy import EnergyLedger, ledger
 from .fl_core import FederatedData, evaluate_metric, global_loss, make_federated_problem, run_round
 from .optimizer import METHOD_BISECTION, METHOD_GRID, optimize_delta_all, place_uav
@@ -701,17 +703,23 @@ def _std(x: np.ndarray, axis=None) -> np.ndarray:
 def sweep(config: ScenarioConfig, param_path: str, values) -> list[dict]:
     """Monte Carlo at each value of one config field, same seed throughout.
 
-    ``param_path`` is one dotted path, which each point sets to its value
-    by :func:`with_override`. Reusing the master seed pairs the fading draws
-    across sweep points, so observed trends are not noise from re-rolled
-    channels. Each row also counts the point's ``failed_trials``.
+    ``param_path`` is one dotted path, and each value is what an override of
+    it takes: a section's value is a mapping that merges into the section.
+    Every point's config is built by :func:`~swiptfl.config.merged` before
+    the first run, so a value its field rejects raises ConfigError (a
+    ValueError) with nothing run. A row's ``param_value`` is the point's
+    field value, so ``"20 dBm"`` reads 0.1. Reusing the master seed pairs the
+    fading draws across sweep points, so observed trends are not noise from
+    re-rolled channels. Each row also counts the point's ``failed_trials``.
     """
+    points = [merged(config, {param_path: value}) for value in values]
+    field = attrgetter(param_path)
     rows = []
-    for v in values:
-        res = run_monte_carlo(with_override(config, param_path, v))
+    for point in points:
+        res = run_monte_carlo(point)
         rows.append(
             {
-                "param_value": v,
+                "param_value": field(point),
                 "mean_t_total_s": res.delay_mean_s,
                 "std_t_total_s": res.delay_std_s,
                 "p5": res.delay_p5_s,

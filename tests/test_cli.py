@@ -394,6 +394,32 @@ def test_sweep_of_the_local_iteration_count(tmp_path, capsys):
     assert float(rows[2][1]) > float(rows[1][1])
 
 
+def test_sweep_of_a_section(tmp_path, capsys):
+    """A section sweeps as its override does: each item merges into the
+    section, one row per item, and the row's value is the merged section.
+    An item the section rejects exits 2 with one line and writes nothing."""
+    cfg = write_config(tmp_path)
+    for param, values, merged in [
+        ("link", "{ptx_dl_w: 1},{ptx_dl_w: 2}", ["ptx_dl_w=1.0", "ptx_dl_w=2.0"]),
+        ("harvest", "{a1: 0.2}", ["a1=0.2"]),
+    ]:
+        out = tmp_path / param
+        args = ["sweep", "--config", cfg, "--out", str(out), "--workers", "1", "--param", param]
+        assert run_cli([*args, "--values", values]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_rows(out / "sweep.csv")
+        assert rows[0] == cli.SWEEP_COLUMNS and len(rows) == 1 + len(merged)
+        for row, field in zip(rows[1:], merged):
+            assert field in row[0]
+
+    out = tmp_path / "rejected"
+    args = ["sweep", "--config", cfg, "--out", str(out), "--param", "link"]
+    assert run_cli([*args, "--values", "{no_such: 1}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "no_such" in err
+    assert not out.exists()
+
+
 def test_zero_local_iterations_run_and_train_nothing(tmp_path, capsys, monkeypatch):
     """compute.local_iters=0 is a run: no local time, and every model the
     run trains is the initial model up to the rounding of the average."""
@@ -977,6 +1003,61 @@ def test_stopping_trials_rounds_match_golden_hash(tmp_path, capsys, rate):
         ]
         assert hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest() == golden
 
+
+# Every command on BASE_CONFIG at one worker: its arguments, its stdout, and
+# the sha256 of each output it writes besides the manifest. A bool sweep
+# value is written as 1 or 0.
+GOLDEN_OUTPUTS = {
+    "run": (
+        ["run"],
+        "ran 2 trials x 2 rounds: mean delay 0.0267133 s, outage rate 1.0000\n",
+        {
+            "rounds.csv": "73e88e088c0783cb942d9e51acfd33c97b44a11c92350f4a1705c1e8626d4d98",
+            "summary.json": "0c51142a3be55553682d650ee5fda830102d6b663f3a20300fbd55eff0a19108",
+        },
+    ),
+    "sweep": (
+        ["sweep", "--param", "link.ptx_dl_w", "--values", "0.5,2.0"],
+        "link.ptx_dl_w=0.5: mean delay 0.0267133 s\nlink.ptx_dl_w=2.0: mean delay 0.0267133 s\n",
+        {"sweep.csv": "8f135f57fd6e4f309037556a8affa67f2de65efc16fb054e5f265acf74a7e187"},
+    ),
+    "sweep-bool": (
+        ["sweep", "--param", "battery_ledger", "--values", "true,false"],
+        "battery_ledger=True: mean delay 0.0044738 s\nbattery_ledger=False: mean delay 0.0267133 s\n",
+        {"sweep.csv": "c05aaca20f89cefd1eef964934f9aeed83b7967fa9faa3ccc05522cf6967f679"},
+    ),
+    "accuracy-curve": (
+        ["accuracy-curve"],
+        "metric over 2 rounds: first 1.4640, final 1.0236\n",
+        {"accuracy.csv": "7baf654c2fe6c780fec887bde5869f5191bc9e9cf6885c8ca268ee02aab94f86"},
+    ),
+    "select-rounds": (
+        ["select-rounds", "--candidates", "1,2"],
+        "chosen rounds: 2 (test metric 1.02364)\n",
+        {
+            "selection.csv": "9579dbddc2089d40919f476653fe7a43cef71037293486b3868740f2f6df6863",
+            "selection.json": "e01874c8bc6833990219cb611005206264631815947d4717123306100caddf78",
+        },
+    ),
+    "place-uav": (
+        ["place-uav"],
+        "uav at (50.000, 50.000, 20.000): expected delay 0.0265942 s\n",
+        {"placement.json": "d330360da4797396de906ad50dc063ce5c052ff11911b8abc410aecf7d26064d"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_command_outputs_match_golden_bytes(tmp_path, capsys, name):
+    command, stdout, goldens = GOLDEN_OUTPUTS[name]
+    out = tmp_path / "o"
+    args = [*command, "--config", write_config(tmp_path), "--out", str(out), "--workers", "1"]
+    assert run_cli(args) == 0
+    assert capsys.readouterr() == (stdout, "")
+    assert sorted(p.name for p in out.iterdir()) == sorted([*goldens, "manifest.json"])
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == sorted(goldens)
+    for file, golden in goldens.items():
+        assert hashlib.sha256((out / file).read_bytes()).hexdigest() == golden, file
 
 
 class UnreadTrial:

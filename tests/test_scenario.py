@@ -1404,6 +1404,20 @@ def test_sweep_reuses_fading_across_points():
     assert rows[0]["outage_rate"] == rows[1]["outage_rate"]
 
 
+def test_sweep_checks_every_value_before_its_first_run(monkeypatch):
+    """Every point's config is built before the first Monte Carlo run, so a
+    value its field rejects raises with nothing run; a point records its
+    field's value, so "20 dBm" reads 0.1 W."""
+    runs = []
+    monkeypatch.setattr(scenario_module, "run_monte_carlo", runs.append)
+    with pytest.raises(ValueError, match="rounds expects an int, got 1.5"):
+        sweep(ScenarioConfig(monte_carlo_trials=2, rounds=2), "rounds", [2, 3, 1.5])
+    assert runs == []
+    monkeypatch.undo()
+    rows = sweep(ScenarioConfig(monte_carlo_trials=1, rounds=1), "link.ptx_ul_w", ["20 dBm"])
+    assert rows[0]["param_value"] == pytest.approx(0.1, rel=1e-12)
+
+
 def test_compute_profile_is_shared_per_device():
     """The config's one compute profile sets every device's local time and
     compute bill: with a negligible payload and the downlink billed to the
