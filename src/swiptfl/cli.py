@@ -37,22 +37,31 @@ from .config import ConfigError, ScenarioConfig, load_config, merged, parse_yaml
 from .fl_core import best_budget, check_candidates
 from .scenario import build, link_round, run_monte_carlo, sweep, trial_fading
 
-SWEEP_COLUMNS = ["param_value", "mean_t_total_s", "std_t_total_s", "p5", "p95", "outage_rate"]
-ROUNDS_COLUMNS = [
-    "trial",
-    "round",
-    "t_total_s",
-    "t_uplink_max_s",
-    "t_local_max_s",
-    "t_downlink_max_s",
-    "t_uav_s",
-    "e_total_j_sum",
-    "e_harvest_j_sum",
-    "feasible_devices",
-    "train_loss",
-    "val_metric",
-    "test_metric",
-]
+# The scenario.statistics entries that sweep.csv reports, each by its header in
+# column order, and the summary.json keys that differ from an entry's name.
+SWEEP_COLUMNS = {
+    "param_value": "param_value",
+    "delay_mean_s": "mean_t_total_s",
+    "delay_std_s": "std_t_total_s",
+    "delay_p5_s": "p5",
+    "delay_p95_s": "p95",
+    "outage_rate": "outage_rate",
+}
+SUMMARY_NAMES = {
+    "n_failed": "failed_trials",
+    "outage_unreachable": "outage_unreachable_rounds",
+    "outage_energy_short": "outage_energy_short_rounds",
+}
+# rounds.csv's record columns after trial and round: the stage times, three
+# per-device columns summed over the devices, each by its header, and the scores.
+_TIMES = ("t_total_s", "t_uplink_max_s", "t_local_max_s", "t_downlink_max_s", "t_uav_s")
+_SUMS = {
+    "e_total_j": "e_total_j_sum",
+    "e_harvest_j": "e_harvest_j_sum",
+    "feasible": "feasible_devices",
+}
+_SCORES = ("train_loss", "val_metric", "test_metric")
+ROUNDS_COLUMNS = ["trial", "round", *_TIMES, *_SUMS.values(), *_SCORES]
 
 
 def resolve_config(args) -> ScenarioConfig:
@@ -139,24 +148,15 @@ def cmd_run(config: ScenarioConfig, args) -> tuple[dict, list[str], list[str]]:
     # (written as its repr), so no cell needs csv quoting.
     rec, done = result.record, result.record.recorded()
     trial, rnd = np.broadcast_arrays(rec["trial_index"][:, None], np.arange(config.rounds))
-    times = ("t_total_s", "t_uplink_max_s", "t_local_max_s", "t_downlink_max_s", "t_uav_s")
-    sums = [rec[name][done].sum(axis=-1) for name in ("e_total_j", "e_harvest_j", "feasible")]
-    scores = ("train_loss", "val_metric", "test_metric")
-    columns = [trial, rnd, *map(rec.__getitem__, times), *sums, *map(rec.__getitem__, scores)]
+    sums = [rec[name][done].sum(axis=-1) for name in _SUMS]
+    columns = [trial, rnd, *map(rec.__getitem__, _TIMES), *sums, *map(rec.__getitem__, _SCORES)]
     rows = zip(*(map(repr, (c if c.ndim == 1 else c[done]).tolist()) for c in columns))
     text = "\n".join(map(",".join, [ROUNDS_COLUMNS, *rows])) + "\n"
 
     summary = {
+        **{SUMMARY_NAMES.get(name, name): v for name, v in result.scalars().items()},
         "trials": config.monte_carlo_trials,
         "rounds": config.rounds,
-        "delay_mean_s": result.delay_mean_s,
-        "delay_std_s": result.delay_std_s,
-        "delay_p5_s": result.delay_p5_s,
-        "delay_p95_s": result.delay_p95_s,
-        "outage_rate": result.outage_rate,
-        "outage_unreachable_rounds": result.outage_unreachable,
-        "outage_energy_short_rounds": result.outage_energy_short,
-        "failed_trials": result.n_failed,
         "final_round_metric_mean": float(result.metric_mean[-1]),
         "final_round_metric_std": float(result.metric_std[-1]),
         "uav_position": list(result.scenario.uav_position),
@@ -180,11 +180,11 @@ def cmd_sweep(config: ScenarioConfig, args) -> tuple[dict, list[str], list[str]]
     rows, lines, failures = sweep(config, args.param, items), [], []
     for row in rows:
         point = f"{args.param}={row['param_value']}"
-        lines.append(f"{point}: mean delay {row['mean_t_total_s']:.6g} s")
-        if row["failed_trials"]:
-            failures.append(f"{point}: {row['failed_trials']} trials failed")
-    table = [[row[c] for c in SWEEP_COLUMNS] for row in rows]
-    return {"sweep.csv": (SWEEP_COLUMNS, table)}, lines, failures
+        lines.append(f"{point}: mean delay {row['delay_mean_s']:.6g} s")
+        if row["n_failed"]:
+            failures.append(f"{point}: {row['n_failed']} trials failed")
+    table = [[row[name] for name in SWEEP_COLUMNS] for row in rows]
+    return {"sweep.csv": (list(SWEEP_COLUMNS.values()), table)}, lines, failures
 
 
 def _failed_trials(result) -> list[str]:
@@ -212,14 +212,11 @@ def _candidates(args) -> list[int]:
 
 def cmd_select_rounds(config: ScenarioConfig, args) -> tuple[dict, list[str], list[str]]:
     # One Monte Carlo run to the largest candidate, which resolve_config fixes
-    # as ``rounds``. A budget's val metric is its round's mean over the trials
-    # that did not fail, reduced as metric_mean is.
+    # as ``rounds``. A budget's val metric is its round's val_metric_mean.
     candidates, result = _candidates(args), run_monte_carlo(config)
-    ok = np.equal(result.record["error"], None)
-    if not ok.any():
+    if result.n_failed == config.monte_carlo_trials:
         raise DivergenceError(f"every trial failed; trial 0: {result.record['error'][0]}")
-    val = result.record["val_metric"][ok].T.copy().mean(axis=1)
-    metrics = [float(val[r - 1]) for r in candidates]
+    metrics = [float(result.val_metric_mean[r - 1]) for r in candidates]
     best = candidates[best_budget(metrics, config.trainer.task)]
     test_metric = float(result.metric_mean[best - 1])
     outputs = {

@@ -9,7 +9,8 @@ one batched :func:`link_round`; centroid placement scores its one position
 only when the scenario's ``placement_objective_s`` is first read. Monte
 Carlo trials run in contiguous blocks, one block per worker; :func:`run_trial`
 runs a block chunk by chunk into one columnar :class:`BlockRecord`, and
-:func:`run_monte_carlo` reduces its columns.
+every reported statistic is one named reduction in the :func:`statistics`
+table of the joined record, which :func:`run_monte_carlo` and :func:`sweep` report.
 Models are plain arrays: the scenario's initial model ``w0`` is a (d,) vector.
 
 Randomness discipline: every random draw comes from a named stream derived
@@ -288,9 +289,12 @@ class BlockRecord(dict):
     Each :class:`RoundMetrics` field after ``round_index`` names its (T, R)
     column, or (T, R, M) for a per-device field; ``battery_j`` is None
     without a battery ledger. ``trial_index``, ``rounds_done`` and ``error``
-    are (T,) columns, and so are ``outage_count`` and ``outage_unreachable``,
-    which :func:`run_monte_carlo` adds to the record it joins. Trial k's
-    records are its first ``rounds_done[k]`` rounds, and the rest of its row is filler.
+    are (T,) columns. Trial k's records are its first ``rounds_done[k]``
+    rounds, and the rest of its row is filler. The record that
+    :func:`run_monte_carlo` joins adds two (T,) columns: ``outage_count``,
+    each trial's recorded rounds with a device unreachable (an infinite
+    delay) or short of energy, and ``outage_unreachable``, those with an
+    unreachable device.
     """
 
     def recorded(self) -> np.ndarray:
@@ -331,25 +335,29 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Aggregates over recorded rounds. ``outage_rate`` covers every trial's,
-    failed trials included; the delay statistics cover the finite delays of
-    the trials that did not fail, and ``metric_mean`` and ``metric_std`` at
-    round r their round r. ``record`` holds every trial's rounds and outage
-    counts as columns, the blocks' records joined in trial order; ``trials`` views its rows."""
+    """A Monte Carlo run: ``record`` holds every trial's rounds and outage
+    counts as columns, the blocks' records joined in trial order, and
+    ``trials`` views its rows. Every field after ``record`` is the entry of
+    that name in the :func:`statistics` table of ``record``, in its order."""
 
     scenario: Scenario
     trials: list[TrialResult]
+    record: BlockRecord
     delay_mean_s: float
     delay_std_s: float
     delay_p5_s: float
     delay_p95_s: float
     outage_rate: float
-    metric_mean: np.ndarray
-    metric_std: np.ndarray
-    n_failed: int
     outage_unreachable: int
     outage_energy_short: int
-    record: BlockRecord
+    n_failed: int
+    metric_mean: np.ndarray
+    metric_std: np.ndarray
+    val_metric_mean: np.ndarray
+
+    def scalars(self) -> dict:
+        """The table's scalar entries, in its order: every field that is a number."""
+        return {k: v for k, v in vars(self).items() if isinstance(v, (int, float))}
 
 
 @dataclass(frozen=True)
@@ -620,12 +628,8 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
     is raised. Results are ordered by trial index, and a trial's records do
     not depend on its block, so the output is identical for any worker
     count. The blocks' records join into one :class:`BlockRecord`, which
-    gains each trial's ``outage_count``, its recorded rounds with a device
-    unreachable (an infinite delay) or short of energy, and its
-    ``outage_unreachable``, those with an unreachable device. Every
-    statistic is a masked reduction over its columns, summed in trial order,
-    then round order, as over a list of the records; ``outage_energy_short``
-    is the outage rounds that are not unreachable.
+    gains its outage columns, and the result's statistics are the
+    :func:`statistics` table of that record.
     """
     if scenario is None:
         scenario = build(config)
@@ -648,40 +652,40 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
     rec["outage_unreachable"] = np.count_nonzero(unreachable, axis=1)
     views = enumerate(zip(rec["trial_index"].tolist(), rec["outage_count"].tolist(), rec["error"]))
     trials = [TrialResult(t, TrialRounds(rec, k), n, e is not None, e) for k, (t, n, e) in views]
+    return MonteCarloResult(scenario=scenario, trials=trials, record=rec, **statistics(rec))
 
-    ok = np.equal(rec["error"], None)  # these record every round
-    kept = rec["t_total_s"][ok]
+
+def statistics(record: BlockRecord) -> dict:
+    """Every reported statistic of a record joined by :func:`run_monte_carlo`,
+    by its :class:`MonteCarloResult` field name: one masked reduction each,
+    summed in trial order, then round order, as over a list of the records."""
+    ok = np.equal(record["error"], None)  # the trials that did not fail record every round
+    kept = record["t_total_s"][ok]
     finite = kept[np.isfinite(kept)]  # trial-major, as the records list them
+    delay = [float("nan")] * 4
     if finite.size:
-        delay_mean = float(np.mean(finite))
-        delay_std = float(_std(finite))
-        delay_p5, delay_p95 = np.percentile(finite, [5, 95]).tolist()
-    else:
-        delay_mean = delay_std = delay_p5 = delay_p95 = float("nan")
+        delay = [float(np.mean(finite)), float(_std(finite))]
+        delay += np.percentile(finite, [5, 95]).tolist()
 
-    if ok.any():  # row r reduces as np.mean and np.std of round r's list: a pairwise sum
-        test = rec["test_metric"][ok].T.copy()
-        metric_mean, metric_std = test.mean(axis=1), _std(test, axis=1)
-    else:
-        metric_mean, metric_std = np.full(config.rounds, np.nan), np.full(config.rounds, np.nan)
+    def per_round(column, reduce):  # round r over the trials that did not fail; NaN if none
+        rounds = record[column][ok].T.copy()  # round-major: np.mean's pairwise sum per row
+        return reduce(rounds, axis=1) if ok.any() else np.full(len(rounds), np.nan)
 
-    executed, outages = int(rec["rounds_done"].sum()), int(rec["outage_count"].sum())
-    unreachable = int(rec["outage_unreachable"].sum())
-    return MonteCarloResult(
-        scenario=scenario,
-        trials=trials,
-        delay_mean_s=delay_mean,
-        delay_std_s=delay_std,
-        delay_p5_s=delay_p5,
-        delay_p95_s=delay_p95,
-        outage_rate=outages / executed if executed else float("nan"),
-        metric_mean=metric_mean,
-        metric_std=metric_std,
-        n_failed=int(np.count_nonzero(~ok)),
-        outage_unreachable=unreachable,
-        outage_energy_short=outages - unreachable,
-        record=rec,
-    )
+    executed, outages = int(record["rounds_done"].sum()), int(record["outage_count"].sum())
+    unreachable = int(record["outage_unreachable"].sum())
+    return {  # the outage entries count the recorded rounds of every trial, failed or not
+        "delay_mean_s": delay[0],
+        "delay_std_s": delay[1],
+        "delay_p5_s": delay[2],
+        "delay_p95_s": delay[3],
+        "outage_rate": outages / executed if executed else float("nan"),
+        "outage_unreachable": unreachable,
+        "outage_energy_short": outages - unreachable,
+        "n_failed": int(np.count_nonzero(~ok)),
+        "metric_mean": per_round("test_metric", np.mean),
+        "metric_std": per_round("test_metric", _std),
+        "val_metric_mean": per_round("val_metric", np.mean),
+    }
 
 
 def _std(x: np.ndarray, axis=None) -> np.ndarray:
@@ -707,25 +711,18 @@ def sweep(config: ScenarioConfig, param_path: str, values) -> list[dict]:
     it takes: a section's value is a mapping that merges into the section.
     Every point's config is built by :func:`~swiptfl.config.merged` before
     the first run, so a value its field rejects raises ConfigError (a
-    ValueError) with nothing run. A row's ``param_value`` is the point's
-    field value, so ``"20 dBm"`` reads 0.1. Reusing the master seed pairs the
+    ValueError) with nothing run. A row is ``param_value``, the point's
+    field value (``"20 dBm"`` reads 0.1; a section item reads ``{name:
+    merged value}`` for each field it names), then the point's
+    :meth:`MonteCarloResult.scalars`. Reusing the master seed pairs the
     fading draws across sweep points, so observed trends are not noise from
-    re-rolled channels. Each row also counts the point's ``failed_trials``.
+    re-rolled channels.
     """
-    points = [merged(config, {param_path: value}) for value in values]
-    field = attrgetter(param_path)
+    points = [(value, merged(config, {param_path: value})) for value in values]
     rows = []
-    for point in points:
-        res = run_monte_carlo(point)
-        rows.append(
-            {
-                "param_value": field(point),
-                "mean_t_total_s": res.delay_mean_s,
-                "std_t_total_s": res.delay_std_s,
-                "p5": res.delay_p5_s,
-                "p95": res.delay_p95_s,
-                "outage_rate": res.outage_rate,
-                "failed_trials": res.n_failed,
-            }
-        )
+    for value, point in points:
+        swept = attrgetter(param_path)(point)
+        if isinstance(value, dict):  # a section item: the fields it names, as merged
+            swept = {name: attrgetter(name)(swept) for name in value}
+        rows.append({"param_value": swept, **run_monte_carlo(point).scalars()})
     return rows

@@ -368,7 +368,7 @@ def test_sweep_writes_table(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out.count("mean delay") == 2
     rows = read_rows(out / "sweep.csv")
-    assert rows[0] == cli.SWEEP_COLUMNS
+    assert rows[0] == list(cli.SWEEP_COLUMNS.values())
     assert len(rows) == 3
     assert [r[0] for r in rows[1:]] == ["0.5", "2.0"]
 
@@ -376,7 +376,7 @@ def test_sweep_writes_table(tmp_path, capsys):
     args = ["sweep", "--config", cfg, "--out", str(out), "--workers", "1", "--param", "area_bounds"]
     assert run_cli([*args, "--values", "[0, 50, 0, 50],[0,80,0,80]"]) == 0
     rows = read_rows(out / "sweep.csv")
-    assert rows[0] == cli.SWEEP_COLUMNS
+    assert rows[0] == list(cli.SWEEP_COLUMNS.values())
     assert [r[0] for r in rows[1:]] == ["(0.0, 50.0, 0.0, 50.0)", "(0.0, 80.0, 0.0, 80.0)"]
     capsys.readouterr()
 
@@ -396,21 +396,25 @@ def test_sweep_of_the_local_iteration_count(tmp_path, capsys):
 
 def test_sweep_of_a_section(tmp_path, capsys):
     """A section sweeps as its override does: each item merges into the
-    section, one row per item, and the row's value is the merged section.
+    section, one row per item, and the row's value is each field the item
+    names, as merged, in the item's order, in the cell and on stdout.
     An item the section rejects exits 2 with one line and writes nothing."""
     cfg = write_config(tmp_path)
     for param, values, merged in [
-        ("link", "{ptx_dl_w: 1},{ptx_dl_w: 2}", ["ptx_dl_w=1.0", "ptx_dl_w=2.0"]),
-        ("harvest", "{a1: 0.2}", ["a1=0.2"]),
+        ("link", "{ptx_dl_w: 1},{ptx_dl_w: 2}", ["{'ptx_dl_w': 1.0}", "{'ptx_dl_w': 2.0}"]),
+        ("link", "{ptx_dl_w: 20 dBm, ptx_ul_w: 1}", ["{'ptx_dl_w': 0.1, 'ptx_ul_w': 1.0}"]),
+        ("harvest", "{a2: 0.4, a1: 0.2}", ["{'a2': 0.4, 'a1': 0.2}"]),
     ]:
         out = tmp_path / param
         args = ["sweep", "--config", cfg, "--out", str(out), "--workers", "1", "--param", param]
         assert run_cli([*args, "--values", values]) == 0
-        assert capsys.readouterr().err == ""
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        points = [line.partition(": mean delay")[0] for line in captured.out.splitlines()]
+        assert points == [f"{param}={cell}" for cell in merged]
         rows = read_rows(out / "sweep.csv")
-        assert rows[0] == cli.SWEEP_COLUMNS and len(rows) == 1 + len(merged)
-        for row, field in zip(rows[1:], merged):
-            assert field in row[0]
+        assert rows[0] == list(cli.SWEEP_COLUMNS.values())
+        assert [row[0] for row in rows[1:]] == merged
 
     out = tmp_path / "rejected"
     args = ["sweep", "--config", cfg, "--out", str(out), "--param", "link"]
@@ -419,6 +423,31 @@ def test_sweep_of_a_section(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "no_such" in err
     assert not out.exists()
 
+
+def test_reported_names_follow_the_statistics_table(tmp_path, capsys):
+    """summary.json holds every scalar entry of scenario.statistics, under
+    the CLI's renames, plus the run's own keys; a sweep row holds
+    param_value plus the same entries. So a new entry reaches both."""
+    cfg = write_config(tmp_path)
+    config = cli.load_config(cfg)
+    result = scenario_module.run_monte_carlo(config)
+    table = scenario_module.statistics(result.record)
+    scalars = {name: v for name, v in table.items() if np.ndim(v) == 0}
+    assert result.scalars() == scalars and list(result.scalars()) == list(scalars)
+
+    out = tmp_path / "run"
+    assert run_cli(["run", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    own = ["trials", "rounds", "final_round_metric_mean", "final_round_metric_std", "uav_position"]
+    assert sorted(summary) == sorted([*(cli.SUMMARY_NAMES.get(n, n) for n in scalars), *own])
+    for name, value in scalars.items():
+        assert summary[cli.SUMMARY_NAMES.get(name, name)] == value
+
+    (row,) = scenario_module.sweep(config, "rounds", [config.rounds])
+    assert list(row) == ["param_value", *scalars]
+    assert {name: row[name] for name in scalars} == scalars
+    assert set(cli.SWEEP_COLUMNS) <= set(row)
 
 def test_zero_local_iterations_run_and_train_nothing(tmp_path, capsys, monkeypatch):
     """compute.local_iters=0 is a run: no local time, and every model the
@@ -799,7 +828,7 @@ def test_diverging_run_exits_3(tmp_path, capsys):
     assert run_cli(args) == 3
     assert capsys.readouterr().err == "trainer.learning_rate=1e+200: 2 trials failed\n"
     rows = read_rows(out / "sweep.csv")
-    assert rows[0] == cli.SWEEP_COLUMNS and len(rows) == 3
+    assert rows[0] == list(cli.SWEEP_COLUMNS.values()) and len(rows) == 3
     assert json.loads((out / "manifest.json").read_text())["outputs"] == ["sweep.csv"]
 
 

@@ -26,6 +26,7 @@ from swiptfl.config import (
 from swiptfl.fl_core import BlockRound, TrainerConfig, evaluate_metric, global_loss, run_round
 from swiptfl.scenario import (
     BlockRecord,
+    MonteCarloResult,
     RoundMetrics,
     build,
     fading_draws,
@@ -33,6 +34,7 @@ from swiptfl.scenario import (
     rng_stream,
     run_monte_carlo,
     run_trial,
+    statistics,
     sweep,
     trial_fading,
 )
@@ -1289,6 +1291,79 @@ def test_statistics_from_columns_equal_the_list_formulas(monkeypatch, overrides,
     assert res.record["outage_unreachable"].tolist() == per_trial
 
 
+def _percentile(values, q):
+    """The q-th percentile of ``values`` by linear interpolation between ranks."""
+    ranked = sorted(values)
+    pos = q / 100 * (len(ranked) - 1)
+    lo = math.floor(pos)
+    return ranked[lo] + (pos - lo) * (ranked[min(lo + 1, len(ranked) - 1)] - ranked[lo])
+
+
+def test_statistics_table_of_a_hand_built_record():
+    """Every entry of the table over a 3-trial, 3-round, 2-device record, in
+    the order of MonteCarloResult's fields, against a plain loop over the
+    trial rows. Trial 0 has an unreachable round (an infinite delay) and an
+    energy-short one; trial 1 stopped in round 1, and the filler past its
+    stop must not count. With every trial failed, each per-round entry is
+    a NaN array of its own."""
+    t_total = np.array([[1.0, math.inf, 3.5], [2.0, 99.0, math.inf], [0.5, 1.5, 4.0]])
+    feasible = np.ones((3, 3, 2), dtype=bool)
+    feasible[0, 2, 1] = False  # trial 0's energy-short round
+    feasible[1, 1:] = False  # filler past trial 1's stop
+    test = np.array([[0.1, 0.25, 0.3], [0.4, -7.0, 9.0], [0.75, 0.8, 0.95]])
+    stopped = "non-finite train loss in round 1"
+    rec = BlockRecord(
+        t_total_s=t_total,
+        feasible=feasible,
+        test_metric=test,
+        val_metric=1.0 - test,
+        trial_index=np.arange(3),
+        rounds_done=np.array([3, 1, 3]),
+        error=np.array([None, stopped, None], dtype=object),
+    )
+    # The outage columns run_monte_carlo adds, by a loop over the recorded rounds.
+    trials = recorded_rows(rec, "t_total_s", "feasible")
+    rec["outage_unreachable"] = np.array([sum(not math.isfinite(t) for t, _ in r) for r in trials])
+    short = [sum(math.isfinite(t) and not f.all() for t, f in rows) for rows in trials]
+    rec["outage_count"] = rec["outage_unreachable"] + short
+    assert rec["outage_count"].tolist() == [2, 0, 0]
+
+    table = statistics(rec)
+    assert list(table) == [f.name for f in fields(MonteCarloResult)][3:]
+    ok = [k for k in range(3) if rec["error"][k] is None]
+    finite = [t for k in ok for t in t_total[k] if math.isfinite(t)]
+    assert finite == [1.0, 3.5, 0.5, 1.5, 4.0]
+    mean = sum(finite) / len(finite)
+    expected = {
+        "delay_mean_s": mean,
+        "delay_std_s": math.sqrt(sum((t - mean) ** 2 for t in finite) / len(finite)),
+        "delay_p5_s": _percentile(finite, 5),
+        "delay_p95_s": _percentile(finite, 95),
+        "outage_rate": 2 / 7,
+        "outage_unreachable": 1,
+        "outage_energy_short": 1,
+        "n_failed": 1,
+    }
+    for name, column in [("metric_mean", test), ("val_metric_mean", 1.0 - test)]:
+        expected[name] = [sum(column[k, r] for k in ok) / len(ok) for r in range(3)]
+    means = expected["metric_mean"]
+    expected["metric_std"] = [
+        math.sqrt(sum((test[k, r] - means[r]) ** 2 for k in ok) / len(ok)) for r in range(3)
+    ]
+    for name, value in expected.items():
+        assert table[name] == pytest.approx(value, rel=1e-12, abs=0), name
+    assert [type(table[name]) for name in ("outage_unreachable", "n_failed")] == [int, int]
+
+    rec["error"] = np.array(["a", stopped, "c"], dtype=object)
+    table = statistics(rec)
+    assert table["n_failed"] == 3 and table["outage_rate"] == 2 / 7
+    delays = [table[name] for name in list(table)[:4]]
+    per_round = [table[name] for name in ("metric_mean", "metric_std", "val_metric_mean")]
+    assert all(math.isnan(d) for d in delays)
+    for column in per_round:
+        assert column.shape == (3,) and np.isnan(column).all()
+    assert len({id(column) for column in per_round}) == 3
+
 def test_trial_rounds_view_reads_the_block_record():
     """A trial's rounds are a read-only sequence view of the Monte Carlo
     record: len, index (negative too), slice and iteration give records
@@ -1384,14 +1459,16 @@ def test_sweep_rows_have_the_reporting_columns():
     for row in rows:
         assert list(row) == [
             "param_value",
-            "mean_t_total_s",
-            "std_t_total_s",
-            "p5",
-            "p95",
+            "delay_mean_s",
+            "delay_std_s",
+            "delay_p5_s",
+            "delay_p95_s",
             "outage_rate",
-            "failed_trials",
+            "outage_unreachable",
+            "outage_energy_short",
+            "n_failed",
         ]
-    assert rows[0]["mean_t_total_s"] != rows[1]["mean_t_total_s"]
+    assert rows[0]["delay_mean_s"] != rows[1]["delay_mean_s"]
 
 
 def test_sweep_reuses_fading_across_points():
@@ -1399,8 +1476,8 @@ def test_sweep_reuses_fading_across_points():
     bit-identical, which is exactly what common random numbers promise."""
     cfg = small_config()
     rows = sweep(cfg, "trainer.learning_rate", [0.05, 0.2])
-    assert rows[0]["mean_t_total_s"] == rows[1]["mean_t_total_s"]
-    assert rows[0]["p95"] == rows[1]["p95"]
+    assert rows[0]["delay_mean_s"] == rows[1]["delay_mean_s"]
+    assert rows[0]["delay_p95_s"] == rows[1]["delay_p95_s"]
     assert rows[0]["outage_rate"] == rows[1]["outage_rate"]
 
 
