@@ -4,14 +4,16 @@ Two built-in learning tasks: linear regression under mean squared loss and
 two-class logistic regression under mean negative log-likelihood. Devices
 run plain gradient descent locally (full batch or minibatch); the server
 aggregates local models weighted by dataset size at the end of
-:func:`run_round`. Models are plain float arrays. Training and evaluation
-work on a block of T independent trials at once: global models are (T, d)
-arrays, one round trains every participating (trial, device) pair in one
-kernel, and one evaluation pass scores every model of the block; one model
-is a (1, d) block. Every dataset is a stack of sets, a held-out one a stack
-of one. Also provides the tie rule that picks a round budget from one
-metric per budget, and the synthetic problem with a planted weight vector,
-every set drawn by one recipe.
+:func:`run_round`, each coordinate of a trial's sum correctly rounded: an
+exact array sum over the whole block, with a ``math.fsum`` loop kept only
+as its fallback, and the same bits either way. Models are plain float
+arrays. Training and evaluation work on a block of T independent trials at
+once: global models are (T, d) arrays, one round trains every
+participating (trial, device) pair in one kernel, and one evaluation pass
+scores every model of the block; one model is a (1, d) block. Every
+dataset is a stack of sets, a held-out one a stack of one. Also provides
+the tie rule that picks a round budget from one metric per budget, and the
+synthetic problem with a planted weight vector, every set drawn by one recipe.
 """
 
 from __future__ import annotations
@@ -136,6 +138,68 @@ def _gradients(w: np.ndarray, x: np.ndarray, y: np.ndarray, task: str) -> np.nda
     return np.einsum("mnd,mn->md", x, err) / y.shape[1]
 
 
+def _fsum_sums(weighted: np.ndarray, trial: np.ndarray, t_count: int) -> np.ndarray:
+    """Each trial's per-coordinate ``math.fsum`` of its contiguous rows of
+    ``weighted``, (T, d); inf throughout a trial where one of its sums
+    overflows or adds inf and -inf."""
+    sums, start = np.zeros((t_count, weighted.shape[1])), 0
+    for k, count in enumerate(np.bincount(trial, minlength=t_count).tolist()):
+        if count:
+            try:
+                sums[k] = list(map(math.fsum, weighted[start : start + count].T.tolist()))
+            except (OverflowError, ValueError):  # a sum overflows, or adds inf and -inf
+                sums[k] = math.inf
+        start += count
+    return sums
+
+
+def _server_sums(
+    weighted: np.ndarray, trial: np.ndarray, device: np.ndarray, shape: tuple[int, int]
+) -> np.ndarray:
+    """Each trial's sum of its (trial, device) rows of ``weighted``, per
+    coordinate, (T, d): correctly rounded, ``math.fsum``'s value bit for bit,
+    so it does not depend on the order of the devices.
+
+    The rows are laid into a (T, M, d) block V and split by two error-free
+    extractions on one grid for the whole block (the ExtractVector step of
+    Rump, Ogita and Oishi, "Accurate floating-point summation part I", SIAM
+    J. Sci. Comput. 31(1), 2008). With max|V| < 2^e, g = M.bit_length() + 1
+    and sigma = 2^(e + g), ``q1 = (sigma + V) - sigma`` is a multiple of
+    2^(e + g - 53) and ``p = V - q1`` is the exact rest, at most that in size.
+    Where ``(s2 + p) - s2 == p`` everywhere, for s2 = 2^(e + 2g - 53), p is a
+    multiple of 2^(e + 2g - 106) as well. A sum of M < 2^(g - 1) terms on
+    either grid then stays below 2^52 grid steps, so numpy adds it exactly
+    in whatever order it takes, and the one rounding of Σq1 + Σp is the
+    correctly rounded total, ties to even; a zero total is +0.0, as
+    ``math.fsum`` gives it on CPython 3.10 to 3.13. Otherwise, or when
+    max|V| is not finite or lies outside [2^-900, 2^(1020 - g)), where a
+    grid would overflow or drop below the subnormals, :func:`_fsum_sums`
+    gives the sums.
+    """
+    t_count, m = shape
+    # One buffer holds V and then its two parts, so the extraction makes few
+    # temporaries and one einsum sums both parts.
+    q = np.zeros((2, t_count, m, weighted.shape[1]))
+    q1, p = q
+    if len(trial) == t_count * m:  # every row present, in (trial, device) order
+        p[...] = weighted.reshape(p.shape)
+    else:
+        p[trial, device] = weighted
+    mu, g = float(np.abs(p).max()), m.bit_length() + 1
+    if 2.0**-900 <= mu < 2.0 ** (1020 - g):  # false for inf and nan
+        sigma = math.ldexp(1.0, math.frexp(mu)[1] + g)
+        s2 = math.ldexp(sigma, g - 53)
+        np.add(p, sigma, out=q1)
+        q1 -= sigma  # q1 = (sigma + V) - sigma
+        p -= q1  # p = V - q1, exact
+        q2 = p + s2
+        q2 -= s2  # q2 = (s2 + p) - s2
+        if (q2 == p).all():
+            sums = np.einsum("stmd->std", q)  # Σq1 and Σp of each trial, in whatever order
+            return sums[0] + sums[1]
+    return _fsum_sums(weighted, trial, t_count)
+
+
 @dataclass(frozen=True)
 class BlockRound:
     """One communication round of a block of T trials.
@@ -172,7 +236,11 @@ def run_round(
     d)`` batch straight from ``data``: 1.0 MB for
     ``accuracy.yaml``'s block of 200 trials of 5 devices with batches of 8
     samples of 16 features, against 3.8 MB for their full sets. Each trial
-    then aggregates its own rows by dataset size.
+    then aggregates its own rows by dataset size: the sum of its weighted
+    rows, per coordinate, is correctly rounded (:func:`_server_sums`, an
+    exact array sum over the whole block that falls back to ``math.fsum``
+    per coordinate, with the same bits), so a trial's model depends neither
+    on the order of its devices nor on its block.
 
     Minibatch training draws, per local iteration, one
     ``rngs[t].random((M, n))`` for all M devices of trial t, participants
@@ -226,18 +294,11 @@ def run_round(
             xb, yb, stepped, trial, device = (a[keep] for a in (xb, yb, stepped, trial, device))
         w = stepped
 
-    # A trial sums its contiguous (count, d) block with a math.fsum per coordinate,
-    # correctly rounded, so its model does not depend on the order of its devices.
     with np.errstate(over="ignore"):  # an overflowed row or sum fails its trial below
-        out, weighted, start = models.copy(), float(n) * w, 0
-    for k, count in enumerate(np.bincount(trial, minlength=t_count).tolist()):
-        if count:
-            try:
-                out[k] = list(map(math.fsum, weighted[start : start + count].T.tolist()))
-            except (OverflowError, ValueError):  # a sum overflows, or adds inf and -inf
-                out[k] = math.inf
-            out[k] /= n * count
-        start += count
+        weighted = float(n) * w
+    counts = np.bincount(trial, minlength=t_count)[:, None]
+    sums = _server_sums(weighted, trial, device, (t_count, m))
+    out = np.divide(sums, n * counts, out=models.copy(), where=counts > 0)
     if not np.isfinite(out).all():
         for k in np.flatnonzero(~np.isfinite(out).all(axis=1)).tolist():
             out[k], errors[k] = models[k], "aggregated model overflowed"

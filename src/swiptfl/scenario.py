@@ -288,13 +288,12 @@ class BlockRecord(dict):
 
     Each :class:`RoundMetrics` field after ``round_index`` names its (T, R)
     column, or (T, R, M) for a per-device field; ``battery_j`` is None
-    without a battery ledger. ``trial_index``, ``rounds_done`` and ``error``
-    are (T,) columns. Trial k's records are its first ``rounds_done[k]``
-    rounds, and the rest of its row is filler. The record that
-    :func:`run_monte_carlo` joins adds two (T,) columns: ``outage_count``,
-    each trial's recorded rounds with a device unreachable (an infinite
-    delay) or short of energy, and ``outage_unreachable``, those with an
-    unreachable device.
+    without a battery ledger. ``trial_index``, ``rounds_done``, ``error``,
+    ``outage_count`` and ``outage_unreachable`` are (T,) columns. Trial k's
+    records are its first ``rounds_done[k]`` rounds, and the rest of its row
+    is filler. ``outage_count`` counts each trial's recorded rounds with a
+    device unreachable (an infinite delay) or short of energy, and
+    ``outage_unreachable`` those with an unreachable device.
     """
 
     def recorded(self) -> np.ndarray:
@@ -535,9 +534,11 @@ def run_trial(scenario: Scenario, trial_indices) -> BlockRecord:
     hand it no participant, so :func:`run_round` keeps its model, and what
     it reports or scores for the trial changes nothing. The block returns
     its :class:`BlockRecord`: the round columns, ``trial_index``,
-    ``rounds_done`` and ``error``, the message of each stopped trial and
-    None for the others. Each chunk keeps its (R_c, T, ...) values, each
-    column is built once at the block's end, and no per-round object is built.
+    ``rounds_done``, ``error``, the message of each stopped trial and None
+    for the others, and the outage counts of its recorded rounds, so
+    :func:`statistics` reduces it as it stands. Each chunk keeps its
+    (R_c, T, ...) values, each column is built once at the block's end, and
+    no per-round object is built.
 
     Without battery tracking every device runs every round and energy
     shortfalls only show up as infeasible flags (and outage counts). With
@@ -618,7 +619,13 @@ def run_trial(scenario: Scenario, trial_indices) -> BlockRecord:
     # Each column once, trial-major: (T, R), or (T, R, M) per device.
     columns = (None if c[0] is None else np.concatenate(c).swapaxes(0, 1) for c in zip(*parts))
     columns = dict(zip(_COLUMNS, columns))
-    return BlockRecord(columns, trial_index=np.array(trials), rounds_done=rounds_done, error=error)
+    rec = BlockRecord(columns, trial_index=np.array(trials), rounds_done=rounds_done, error=error)
+    recorded = rec.recorded()
+    unreachable = ~np.isfinite(rec["t_total_s"]) & recorded
+    short = ~rec["feasible"].all(axis=-1) & recorded
+    rec["outage_count"] = np.count_nonzero(unreachable | short, axis=1)
+    rec["outage_unreachable"] = np.count_nonzero(unreachable, axis=1)
+    return rec
 
 
 def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) -> MonteCarloResult:
@@ -627,8 +634,8 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
     A given ``scenario`` must be the one built from ``config``, or ValueError
     is raised. Results are ordered by trial index, and a trial's records do
     not depend on its block, so the output is identical for any worker
-    count. The blocks' records join into one :class:`BlockRecord`, which
-    gains its outage columns, and the result's statistics are the
+    count. The blocks' records join column by column into one
+    :class:`BlockRecord`, and the result's statistics are the
     :func:`statistics` table of that record.
     """
     if scenario is None:
@@ -646,19 +653,16 @@ def run_monte_carlo(config: ScenarioConfig, scenario: Scenario | None = None) ->
     if others:  # join the blocks' columns in trial order
         cols = {name: [r[name] for r in (rec, *others)] for name in rec}
         rec = BlockRecord({k: c[0] if c[0] is None else np.concatenate(c) for k, c in cols.items()})
-    unreachable = ~np.isfinite(rec["t_total_s"]) & rec.recorded()
-    short = ~rec["feasible"].all(axis=-1) & rec.recorded()
-    rec["outage_count"] = np.count_nonzero(unreachable | short, axis=1)
-    rec["outage_unreachable"] = np.count_nonzero(unreachable, axis=1)
     views = enumerate(zip(rec["trial_index"].tolist(), rec["outage_count"].tolist(), rec["error"]))
     trials = [TrialResult(t, TrialRounds(rec, k), n, e is not None, e) for k, (t, n, e) in views]
     return MonteCarloResult(scenario=scenario, trials=trials, record=rec, **statistics(rec))
 
 
 def statistics(record: BlockRecord) -> dict:
-    """Every reported statistic of a record joined by :func:`run_monte_carlo`,
-    by its :class:`MonteCarloResult` field name: one masked reduction each,
-    summed in trial order, then round order, as over a list of the records."""
+    """Every reported statistic of a record, one block's from :func:`run_trial`
+    or their join in :func:`run_monte_carlo`, by its :class:`MonteCarloResult`
+    field name: one masked reduction each, summed in trial order, then round
+    order, as over a list of the records."""
     ok = np.equal(record["error"], None)  # the trials that did not fail record every round
     kept = record["t_total_s"][ok]
     finite = kept[np.isfinite(kept)]  # trial-major, as the records list them

@@ -146,6 +146,30 @@ def local_gd(w0, x, y, task, lr, iters, batch_indices=None):
     return np.array(w)
 
 
+def fsum_aggregate(models, weighted, trial, n):
+    """The server's size-weighted average, trial by trial and coordinate by
+    coordinate: each trial's rows of ``weighted`` (``n`` times the local
+    models, row i belonging to trial ``trial[i]``) summed with math.fsum and
+    divided by ``n`` times their count. A trial with no row keeps its model,
+    and so does a trial whose sum overflows, adds inf and -inf or is not
+    finite after the division; the returned set names those trials."""
+    out, overflowed = [], set()
+    for k, model in enumerate(models):
+        rows = [[float(v) for v in row] for row, t in zip(weighted, trial) if t == k]
+        mean = [float(v) for v in model]
+        if rows:
+            try:
+                average = [math.fsum(column) / (n * len(rows)) for column in zip(*rows)]
+            except (OverflowError, ValueError):
+                average = [math.inf]
+            if all(math.isfinite(v) for v in average):
+                mean = average
+            else:
+                overflowed.add(k)
+        out.append(mean)
+    return np.array(out), overflowed
+
+
 def make_linear_data(rng, n, w_true, noise_std):
     """One dataset of the linear synthetic problem, drawn alone: Gaussian
     features, then targets from the planted weight vector plus noise.

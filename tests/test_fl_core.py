@@ -377,6 +377,141 @@ def test_aggregate_overflow_fails_its_trial_alone():
     assert np.array_equal(huge.models, w0[[0, 2]])
 
 
+def _count_fallbacks(monkeypatch):
+    """A list that gains one entry each time the server sums fall back to math.fsum."""
+    calls, real = [], fl_core._fsum_sums
+
+    def fsum_sums(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fl_core, "_fsum_sums", fsum_sums)
+    return calls
+
+
+def _fsum_reference(block, present):
+    """Each trial's math.fsum of its present rows of a (T, M, d) block, per
+    coordinate, and 0.0 for a trial with none; a trial where some
+    coordinate's fsum raises (an overflow, or inf and -inf) is inf throughout."""
+    sums = []
+    for rows, mask in zip(block.tolist(), present.tolist()):
+        kept = [row for row, on in zip(rows, mask) if on] or [[0.0] * block.shape[2]]
+        try:
+            sums.append([math.fsum(column) for column in zip(*kept)])
+        except (OverflowError, ValueError):
+            sums.append([math.inf] * block.shape[2])
+    return np.array(sums)
+
+
+def _sums_of(block, present=None):
+    """The server sums of the present rows of a (T, M, d) block (all by default)."""
+    block = np.asarray(block, dtype=float)
+    present = np.ones(block.shape[:2], bool) if present is None else np.asarray(present)
+    trial, device = np.nonzero(present)
+    return fl_core._server_sums(block[trial, device], trial, device, present.shape), present
+
+
+def _column(*values):
+    """A one-trial block of one coordinate: one device per value."""
+    return [[[v] for v in values]]
+
+
+_NO_PARTICIPANT = np.array([[True, True], [False, False], [True, False]])
+
+_SUM_CASES = {
+    # 1 + 2^-53 and 1 + 3 * 2^-53 lie halfway between two floats.
+    "ties to even, down": (_column(1.0, 2.0**-53), None, "exact"),
+    "ties to even, up": (_column(1 + 2.0**-52, 2.0**-53), None, "exact"),
+    # 2^-105 sits below the second grid and breaks the tie upward.
+    "sticky bit below the second extraction": (_column(1.0, 2.0**-53, 2.0**-105), None, "fsum"),
+    "cancellation to a tiny sum": ([[[0.1, 1.0], [0.2, 2.0**-60], [-0.3, -1.0]]], None, "exact"),
+    "cancellation to exactly zero": (_column(1.5, -1.5, 0.25, -0.25), None, "exact"),
+    "a column of -0.0": ([[[-0.0, 1.0], [-0.0, 2.0]]], None, "exact"),  # fsum gives +0.0
+    "largest magnitude 2^-900": (_column(2.0**-900, 3 * 2.0**-960), None, "exact"),
+    "largest magnitude below 2^-900": (_column(2.0**-901, 2.0**-950), None, "fsum"),
+    "a subnormal below the second grid": (_column(2.0**-900, 2.0**-1074), None, "fsum"),
+    "largest magnitude below 2^(1020 - g)": (_column(1.5 * 2.0**1015, -(2.0**1000)), None, "exact"),
+    "largest magnitude near overflow": (_column(1e308, -1e308, 5.0), None, "fsum"),
+    "an overflowing sum": (_column(1e308, 1e308), None, "fsum"),
+    "an inf row": ([[[math.inf, 1.0], [1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]], None, "fsum"),
+    "inf and -inf rows": ([[[math.inf], [-math.inf]], [[1.0], [2.0]]], None, "fsum"),
+    "a trial with no participant": (
+        np.random.default_rng(50).standard_normal((3, 2, 2)), _NO_PARTICIPANT, "exact",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SUM_CASES))
+def test_server_sums_equal_fsum_bit_for_bit(case, monkeypatch):
+    """The server's per-trial sums are math.fsum's, sign bit included, on
+    the cases that decide a correctly rounded sum, each taking the branch it
+    should: the exact array sum, or the fsum loop when a term has bits below
+    the second extraction or the block's largest magnitude is out of range
+    or not finite. Where fsum raises, the trial's sums are inf."""
+    block, present, branch = _SUM_CASES[case]
+    fallbacks = _count_fallbacks(monkeypatch)
+    got, present = _sums_of(block, present)
+    want = _fsum_reference(np.asarray(block, dtype=float), present)
+    assert got.tobytes() == want.tobytes(), (got, want)
+    assert ("fsum" if fallbacks else "exact") == branch
+
+
+def test_server_sums_equal_fsum_on_random_blocks(monkeypatch):
+    """Random blocks of terms of every sign and of exponents spread over
+    ranges from 1 to 200 binades, with random rows present: every sum is
+    math.fsum's, bit for bit, on both branches, and both are taken."""
+    rng = np.random.default_rng(52)
+    fallbacks, taken = _count_fallbacks(monkeypatch), []
+    for _ in range(300):
+        t_count, m, dim = rng.integers(1, 5), rng.integers(1, 10), rng.integers(1, 5)
+        spread = rng.integers(1, 200)
+        exponents = rng.integers(-spread // 2, spread // 2 + 1, (t_count, m, dim))
+        block = rng.uniform(-2, 2, (t_count, m, dim)) * 2.0**exponents
+        present = rng.random((t_count, m)) < 0.8
+        before = len(fallbacks)
+        got, _ = _sums_of(block, present)
+        assert got.tobytes() == _fsum_reference(block, present).tobytes()
+        taken.append(len(fallbacks) > before)
+    assert any(taken) and not all(taken)
+
+
+@pytest.mark.parametrize("task", ["linear", "logistic"])
+@pytest.mark.parametrize("batch_size", [None, 3])
+def test_run_round_aggregate_matches_fsum_oracle(task, batch_size, monkeypatch):
+    """run_round's new models are, bit for bit, the per-trial math.fsum
+    average of the weighted rows it trained, on random blocks under random
+    participation masks; a trial with no participant keeps its model, and so
+    does a trial whose aggregate overflows. The trials' models span 40
+    orders of magnitude, some reach 1e308 / n, so some blocks' sums fall back
+    to math.fsum and the others take the exact array sum."""
+    rows, real = [], fl_core._server_sums
+
+    def server_sums(weighted, trial, device, shape):
+        rows.append((weighted.copy(), trial.copy()))
+        return real(weighted, trial, device, shape)
+
+    monkeypatch.setattr(fl_core, "_server_sums", server_sums)
+    fallbacks, taken = _count_fallbacks(monkeypatch), []
+    rng = np.random.default_rng(54)
+    for _ in range(12):
+        t_count, m, n, dim = rng.integers(1, 7), rng.integers(1, 8), rng.integers(4, 9), 3
+        data, w0, _ = _block_problem(task, m, n, dim, t_count, seed=int(rng.integers(1000)))
+        w0 *= 10.0 ** rng.uniform(-20, 20, (t_count, 1))
+        if rng.random() < 0.5:  # trial 0's weighted rows near 1e308: their sum overflows
+            w0[0] = 1e308 / n * (w0[0] / np.max(np.abs(w0[0])))
+        participate = rng.random((t_count, m)) < 0.7
+        cfg = TrainerConfig(learning_rate=0.1, task=task, batch_size=batch_size)
+        streams = [np.random.default_rng(t) for t in range(t_count)]
+        before = len(fallbacks)
+        out = run_round(w0, data, cfg, 2, streams, participate)
+        taken.append(len(fallbacks) > before)
+        want, overflowed = oracles.fsum_aggregate(w0, *rows[-1], n)
+        assert out.models.tobytes() == want.tobytes()
+        overflows = {k for k, e in out.errors.items() if e == "aggregated model overflowed"}
+        assert overflowed == overflows
+    assert any(taken) and not all(taken)
+
+
 def test_logistic_training_of_a_confident_model_warns_nothing():
     """e^-z overflows where a model is confident; the sigmoid there is its
     limit 0, so the round runs without a numpy warning."""

@@ -1064,9 +1064,11 @@ def test_held_out_failure_mid_chunk_stops_the_trial_at_its_round(monkeypatch):
     ]
     assert whole["rounds_done"].tolist() == [3, 1, 2, 5]
     kept = BlockRecord(clean, rounds_done=whole["rounds_done"], error=whole["error"])
-    assert_same_records(whole, kept)
-    rows = recorded_rows(kept, "t_total_s", "feasible")
+    rows = recorded_rows(kept, "t_total_s", "feasible")  # the outages of the kept rounds only
     outages = [sum(not math.isfinite(t) or not f.all() for t, f in row) for row in rows]
+    unreachable = [sum(not math.isfinite(t) for t, _ in row) for row in rows]
+    kept["outage_count"], kept["outage_unreachable"] = np.array(outages), np.array(unreachable)
+    assert_same_records(whole, kept)
     assert run_monte_carlo(cfg, scenario).record["outage_count"].tolist() == outages
     monkeypatch.setattr(scenario_module, "ROUND_BLOCK", 4 * cfg.device_count)  # one-round chunks
     injected.clear()
@@ -1299,6 +1301,25 @@ def _percentile(values, q):
     return ranked[lo] + (pos - lo) * (ranked[min(lo + 1, len(ranked) - 1)] - ranked[lo])
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, CONTESTED_RUN, {"trainer.learning_rate": 1e30}],
+    ids=["default", "contested", "rate-1e30"],
+)
+def test_statistics_reduce_a_record_from_run_trial(overrides):
+    """run_trial records its block's outage counts, so statistics reduces a
+    record straight from run_trial: on one block of every trial it gives
+    run_monte_carlo's table at one worker, bit for bit."""
+    cfg = merge(load_config(str(ROOT / "configs" / "default.yaml")), {"monte_carlo_trials": 4})
+    cfg = merge(cfg, {**overrides, "workers": 1})
+    scenario = build(cfg)
+    table = statistics(run_trial(scenario, range(cfg.monte_carlo_trials)))
+    res = run_monte_carlo(cfg, scenario)
+    assert list(table) == [f.name for f in fields(MonteCarloResult)][3:]
+    for name, value in table.items():
+        assert np.asarray(value).tobytes() == np.asarray(getattr(res, name)).tobytes(), name
+
+
 def test_statistics_table_of_a_hand_built_record():
     """Every entry of the table over a 3-trial, 3-round, 2-device record, in
     the order of MonteCarloResult's fields, against a plain loop over the
@@ -1321,7 +1342,7 @@ def test_statistics_table_of_a_hand_built_record():
         rounds_done=np.array([3, 1, 3]),
         error=np.array([None, stopped, None], dtype=object),
     )
-    # The outage columns run_monte_carlo adds, by a loop over the recorded rounds.
+    # The outage columns run_trial records, by a loop over the recorded rounds.
     trials = recorded_rows(rec, "t_total_s", "feasible")
     rec["outage_unreachable"] = np.array([sum(not math.isfinite(t) for t, _ in r) for r in trials])
     short = [sum(math.isfinite(t) and not f.all() for t, f in rows) for rows in trials]
