@@ -46,6 +46,7 @@ SWEEP_COLUMNS = {
     "delay_p5_s": "p5",
     "delay_p95_s": "p95",
     "outage_rate": "outage_rate",
+    "n_failed": "failed_trials",
 }
 SUMMARY_NAMES = {
     "n_failed": "failed_trials",

@@ -7,10 +7,11 @@ realization; the payloads follow from the config. Grid-search placement
 scores every candidate UAV position against every placement fading draw in
 one batched :func:`link_round`; centroid placement scores its one position
 only when the scenario's ``placement_objective_s`` is first read. Monte
-Carlo trials run in contiguous blocks, one block per worker; :func:`run_trial`
-runs a block chunk by chunk into one columnar :class:`BlockRecord`, and
-every reported statistic is one named reduction in the :func:`statistics`
-table of the joined record, which :func:`run_monte_carlo` and :func:`sweep` report.
+Carlo trials run in contiguous blocks, one block per worker. :func:`run_trial`
+runs a block's physics chunk by chunk, then its learning on the participation
+mask the physics leaves, into one columnar :class:`BlockRecord`; every
+reported statistic is one named reduction in the :func:`statistics` table of
+the joined record, which :func:`run_monte_carlo` and :func:`sweep` report.
 Models are plain arrays: the scenario's initial model ``w0`` is a (d,) vector.
 
 Randomness discipline: every random draw comes from a named stream derived
@@ -55,9 +56,9 @@ from .fl_core import FederatedData, evaluate_metric, global_loss, make_federated
 from .optimizer import METHOD_BISECTION, METHOD_GRID, optimize_delta_all, place_uav
 from .timing import local_train_time, round_total, uav_aggregation_time
 
-ROUND_BLOCK = 1 << 16  # (round, trial, device) fading states per link round of run_trial
-EVAL_BLOCK = 1 << 13  # (model, sample) pairs per scoring pass of run_trial
-_SCORES = ("train loss", "val metric", "test metric")  # what run_trial records each round
+ROUND_BLOCK = 1 << 16  # (round, trial, device) fading states per link round of the physics pass
+EVAL_BLOCK = 1 << 13  # (model, sample) pairs per scoring pass of the learning pass
+_SCORES = ("train loss", "val metric", "test metric")  # what the learning pass records each round
 
 
 def rng_stream(master_seed: int, *path) -> np.random.Generator:
@@ -507,70 +508,30 @@ def build(config: ScenarioConfig) -> Scenario:
     )
 
 
-def run_trial(scenario: Scenario, trial_indices) -> BlockRecord:
-    """A block of seeded trials: fresh fading each round, training, bookkeeping.
+def _physics(scenario: Scenario, trials: list[int]) -> dict:
+    """A block's columns ``t_total_s`` to ``battery_j``, (T, R) or (T, R, M).
 
-    The physics of a chunk of rounds of the whole block runs in one link
-    round over an (R_c, T, M) realization of the trials' own fading
+    Up to ``max(1, ROUND_BLOCK // (T * M))`` rounds of the block run in one
+    link round over an (R_c, T, M) realization of the trials' own fading
     streams. That is exact: no term of a round's physics reads an earlier
     round, and the battery recurrence, the one state carried across
-    rounds, runs round by round after the chunk's ledger. A chunk holds up
-    to ``max(1, ROUND_BLOCK // (T * M))`` rounds, so a link round covers at
-    most ``max(ROUND_BLOCK, T * M)`` fading states. A round runs only what
-    carries state to the next: one :func:`run_round` of all T models. The
-    chunk's end scores all its (R_c, T) models on the training sets, then
-    the val and test sets, in passes of at most ``EVAL_BLOCK`` (model,
-    sample) pairs, samples counted over all of a dataset's sets. No model's
-    score depends on its batch, so neither does a trial's record. Minibatch
-    training draws from one generator per trial, built before the first
-    round and handed to every round, so a trial's draws depend on neither
-    its participation, its stopping, its chunking nor its block.
+    rounds, runs round by round after the chunk's ledger.
 
-    A trial stops at its training's first error, in that round, or at its
-    first round with a non-finite score, whichever is earlier; the message
-    names the train loss, val metric or test metric, the first of them not
-    finite. It keeps the rounds before. ``rounds_done`` starts at the round
-    count and only falls. A stopped trial stays in the block: later rounds
-    hand it no participant, so :func:`run_round` keeps its model, and what
-    it reports or scores for the trial changes nothing. The block returns
-    its :class:`BlockRecord`: the round columns, ``trial_index``,
-    ``rounds_done``, ``error``, the message of each stopped trial and None
-    for the others, and the outage counts of its recorded rounds, so
-    :func:`statistics` reduces it as it stands. Each chunk keeps its
-    (R_c, T, ...) values, each column is built once at the block's end, and
-    no per-round object is built.
-
-    Without battery tracking every device runs every round and energy
-    shortfalls only show up as infeasible flags (and outage counts). With
-    ``battery_ledger`` a device skips rounds it cannot afford from stored
-    plus harvested energy; a skipping device still receives the downlink
-    and harvests from it, but trains and uploads nothing. One mask per chunk
-    zeroes its uplink and compute times, and the round total and the three
-    stage maxima come from those masked stages, so its download still gates
-    the round. Batteries are not capped.
+    Without ``battery_ledger`` every device takes part in every round, and
+    energy shortfalls only show up as infeasible flags. With it a device
+    skips a round it cannot afford from stored plus harvested energy: it
+    still receives the downlink and harvests from it, so its download
+    still gates the round, but its uplink and compute times are zeroed
+    before the round total and stage maxima. Batteries are not capped.
     """
     cfg = scenario.config
-    seed, trials, task = cfg.master_seed, list(trial_indices), cfg.trainer.task
-    if not trials:
-        raise ValueError("a block of trials must not be empty")
     shape = (len(trials), cfg.device_count)
     chunk = min(cfg.rounds, max(1, ROUND_BLOCK // (shape[0] * shape[1])))
-    minibatch = cfg.trainer.minibatch(scenario.train_sets.count)
-    iters = cfg.compute.local_iters
-    models = np.tile(scenario.w0, (len(trials), 1))  # one row per trial, stopped or not
     battery = np.full(shape, cfg.battery_initial_j, dtype=float) if cfg.battery_ledger else None
     parts = []  # each chunk's values of the columns, (n, T) or (n, T, M); battery_j's may be None
-    rounds_done = np.full(len(trials), cfg.rounds)
-    error = np.full(len(trials), None, dtype=object)
-    path = ("trial", np.array(trials), "train")  # one training stream per trial
-    rngs = [_generator(words) for words in _stream_seeds(seed, path)] if minibatch else None
-    sets = (scenario.train_sets, scenario.val_set, scenario.test_set)
-    metrics = (global_loss, evaluate_metric, evaluate_metric)
     for start in range(0, cfg.rounds, chunk):
-        # The chunk's physics, then its battery recurrence round by round.
-        n = min(chunk, cfg.rounds - start)
-        rounds = np.arange(start, start + n)
-        gains = trial_fading(seed, trials, rounds, shape[1])
+        rounds = np.arange(start, min(start + chunk, cfg.rounds))
+        gains = trial_fading(cfg.master_seed, trials, rounds, shape[1])
         phys = link_round(cfg, ChannelRealization(gains, scenario.distances_m))
         e_total, e_harvest = phys.energy.e_total_j, phys.energy.e_harvest_j
         participate = np.ones(e_total.shape, dtype=bool)
@@ -582,43 +543,80 @@ def run_trial(scenario: Scenario, trial_indices) -> BlockRecord:
                 part[...] = np.isfinite(bill) & (battery + gain - bill >= 0.0)
                 battery = level[...] = battery + gain - np.where(part, bill, 0.0)
 
-        # Train round by round; a training error stops a trial at once.
-        trained = np.empty((n, *models.shape))
-        for i, r in enumerate(rounds.tolist()):
-            running = participate[i] & (rounds_done > r)[:, None]
-            step = run_round(models, scenario.train_sets, cfg.trainer, iters, rngs, running)
-            for k, message in step.errors.items():
-                if rounds_done[k] > r:  # a report for a stopped trial changes nothing
-                    rounds_done[k], error[k] = r, message
-            models = trained[i] = step.models
-
-        # Score every model of the chunk on the training, val and test sets in
-        # passes of at most EVAL_BLOCK (model, sample) pairs. A trial stops at its
-        # first recorded round with a non-finite score.
-        flat = trained.reshape(-1, models.shape[1])  # round-major
-        scores = np.empty((len(_SCORES), n, len(trials)))
-        for score, dataset, metric in zip(scores.reshape(len(_SCORES), -1), sets, metrics):
-            size = max(1, EVAL_BLOCK // dataset.targets.size)
-            for a in range(0, len(flat), size):
-                score[a : a + size] = metric(flat[a : a + size], dataset, task)
-        bad = ~np.isfinite(scores) & (rounds[:, None] < rounds_done)
-        for k in np.flatnonzero(bad.any(axis=(0, 1))).tolist():
-            i = int(bad[:, :, k].any(axis=0).argmax())  # the trial's first such round
-            rounds_done[k] = start + i
-            error[k] = f"non-finite {_SCORES[bad[:, i, k].argmax()]} in round {start + i}"
-
         masked = (np.where(participate, t, 0.0) for t in (phys.uplink.tx_time_s, phys.t_local_s))
         stages = (*masked, phys.downlink.tx_time_s)  # a device that sits out still downloads
         total = round_total(*stages, phys.t_uav_s)
-        maxima = map(device_max, stages)
         t_uav = np.broadcast_to(phys.t_uav_s, total.shape)
         energy = (e_total, e_harvest, phys.energy.feasible, participate, levels)
-        # The fields t_total_s to test_metric, in _COLUMNS order.
-        parts.append((total, *maxima, t_uav, phys.deltas, phys.methods(), *energy, *scores))
+        parts.append((total, *map(device_max, stages), t_uav, phys.deltas, phys.methods(), *energy))
 
     # Each column once, trial-major: (T, R), or (T, R, M) per device.
     columns = (None if c[0] is None else np.concatenate(c).swapaxes(0, 1) for c in zip(*parts))
-    columns = dict(zip(_COLUMNS, columns))
+    return dict(zip(_COLUMNS[: -len(_SCORES)], columns))
+
+
+def _learning(scenario: Scenario, trials: list[int], participate: np.ndarray) -> tuple:
+    """A block's (3, R, T) scores, in ``_SCORES`` order, ``rounds_done`` and ``error``.
+
+    Round r runs one :func:`run_round` of all T models over the devices
+    that ``participate`` (T, R, M) marks in it. Then all (R, T) models are
+    scored on the training, val and test sets in passes of at most
+    ``EVAL_BLOCK`` (model, sample) pairs, samples counted over all of a
+    dataset's sets. Minibatch training draws from one generator per trial,
+    built before round 0, so a trial's draws depend on neither its
+    participation, its stopping nor its block.
+
+    A trial stops at its training's first error, in that round, or at its
+    first round with a non-finite score, whichever is earlier; the message
+    names the first of train loss, val metric and test metric not finite.
+    A trial stopped by an error keeps its row and its model: later rounds
+    hand it no participant, and what :func:`run_round` reports for it is ignored.
+    """
+    cfg, iters = scenario.config, scenario.config.compute.local_iters
+    models = np.tile(scenario.w0, (len(trials), 1))  # one row per trial, stopped or not
+    rounds_done = np.full(len(trials), cfg.rounds)
+    error = np.full(len(trials), None, dtype=object)
+    path = ("trial", np.array(trials), "train")  # one training stream per trial
+    minibatch = cfg.trainer.minibatch(scenario.train_sets.count)
+    rngs = [_generator(w) for w in _stream_seeds(cfg.master_seed, path)] if minibatch else None
+    trained = np.empty((cfg.rounds, *models.shape))
+    for r in range(cfg.rounds):  # a training error stops a trial at once
+        running = participate[:, r] & (rounds_done > r)[:, None]
+        step = run_round(models, scenario.train_sets, cfg.trainer, iters, rngs, running)
+        for k, message in step.errors.items():
+            if rounds_done[k] > r:  # a report for a stopped trial changes nothing
+                rounds_done[k], error[k] = r, message
+        models = trained[r] = step.models
+
+    flat = trained.reshape(-1, models.shape[1])  # round-major
+    scores = np.empty((len(_SCORES), cfg.rounds, len(trials)))
+    sets = (scenario.train_sets, scenario.val_set, scenario.test_set)
+    metrics = (global_loss, evaluate_metric, evaluate_metric)
+    for score, dataset, metric in zip(scores.reshape(len(_SCORES), -1), sets, metrics):
+        size = max(1, EVAL_BLOCK // dataset.targets.size)
+        for a in range(0, len(flat), size):
+            score[a : a + size] = metric(flat[a : a + size], dataset, cfg.trainer.task)
+    bad = ~np.isfinite(scores) & (np.arange(cfg.rounds)[:, None] < rounds_done)
+    for k in np.flatnonzero(bad.any(axis=(0, 1))).tolist():
+        r = int(bad[:, :, k].any(axis=0).argmax())  # the trial's first such round
+        rounds_done[k], error[k] = r, f"non-finite {_SCORES[bad[:, r, k].argmax()]} in round {r}"
+    return scores, rounds_done, error
+
+
+def run_trial(scenario: Scenario, trial_indices) -> BlockRecord:
+    """A block of seeded trials as one :class:`BlockRecord`: the physics pass
+    :func:`_physics`, then the learning pass :func:`_learning` on the one
+    thing the physics hands it, the participation mask. The record holds
+    the round columns, ``trial_index``, ``rounds_done``, ``error`` (each
+    stopped trial's message, else None) and the outage counts of the
+    recorded rounds, so :func:`statistics` reduces it as it stands.
+    """
+    trials = list(trial_indices)
+    if not trials:
+        raise ValueError("a block of trials must not be empty")
+    columns = _physics(scenario, trials)
+    scores, rounds_done, error = _learning(scenario, trials, columns["participate"])
+    columns.update(zip(_COLUMNS[-len(_SCORES) :], scores.swapaxes(1, 2)))
     rec = BlockRecord(columns, trial_index=np.array(trials), rounds_done=rounds_done, error=error)
     recorded = rec.recorded()
     unreachable = ~np.isfinite(rec["t_total_s"]) & recorded

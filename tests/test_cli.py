@@ -829,6 +829,7 @@ def test_diverging_run_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "trainer.learning_rate=1e+200: 2 trials failed\n"
     rows = read_rows(out / "sweep.csv")
     assert rows[0] == list(cli.SWEEP_COLUMNS.values()) and len(rows) == 3
+    assert [row[-1] for row in rows] == ["failed_trials", "0", "2"]
     assert json.loads((out / "manifest.json").read_text())["outputs"] == ["sweep.csv"]
 
 
@@ -1048,12 +1049,12 @@ GOLDEN_OUTPUTS = {
     "sweep": (
         ["sweep", "--param", "link.ptx_dl_w", "--values", "0.5,2.0"],
         "link.ptx_dl_w=0.5: mean delay 0.0267133 s\nlink.ptx_dl_w=2.0: mean delay 0.0267133 s\n",
-        {"sweep.csv": "8f135f57fd6e4f309037556a8affa67f2de65efc16fb054e5f265acf74a7e187"},
+        {"sweep.csv": "016c6748ae380086fc9f90d2f8eb14e8a24b7ad4d967143bb6cf6b84598506b0"},
     ),
     "sweep-bool": (
         ["sweep", "--param", "battery_ledger", "--values", "true,false"],
         "battery_ledger=True: mean delay 0.0044738 s\nbattery_ledger=False: mean delay 0.0267133 s\n",
-        {"sweep.csv": "c05aaca20f89cefd1eef964934f9aeed83b7967fa9faa3ccc05522cf6967f679"},
+        {"sweep.csv": "5165dc3fa522d76e6140045227a835ec35fd081b2c422eb6beb33398a719d1db"},
     ),
     "accuracy-curve": (
         ["accuracy-curve"],

@@ -983,17 +983,30 @@ CHUNKED = {
 def test_chunking_leaves_every_record_unchanged(monkeypatch, name):
     """A block runs all its rounds in one chunk here. One-round chunks and
     uneven ones (2 + 2 + 1) give every record and every trial result bit
-    for bit: nothing in a round's physics reads an earlier round."""
+    for bit: nothing in a round's physics reads an earlier round. The
+    learning pass makes the same run_round calls, inputs and masks bit for
+    bit, at every chunking: chunks split only the physics."""
     cfg = small_config(**CHUNKED[name])
     scenario = build(cfg)
     trials = range(cfg.monte_carlo_trials)
     states = cfg.monte_carlo_trials * cfg.device_count
     assert cfg.rounds * states <= scenario_module.ROUND_BLOCK
+    real_run_round, calls = scenario_module.run_round, []
+
+    def run_round(models, *args):
+        calls.append((np.asarray(models).tobytes(), np.asarray(args[-1]).tobytes()))
+        return real_run_round(models, *args)
+
+    monkeypatch.setattr(scenario_module, "run_round", run_round)
     with np.errstate(over="ignore", invalid="ignore"):
         whole = run_trial(scenario, trials)
+        whole_calls = calls[:]
+        assert len(whole_calls) == cfg.rounds
         for rounds_per_chunk in (1, 2):
             monkeypatch.setattr(scenario_module, "ROUND_BLOCK", rounds_per_chunk * states)
+            calls.clear()
             chunked = run_trial(scenario, trials)
+            assert calls == whole_calls, rounds_per_chunk
             assert len(chunked["trial_index"]) == len(whole["trial_index"])
             assert_same_records(chunked, whole)
     if name == "device-major":  # the whole block and one round take different paths
@@ -1007,12 +1020,44 @@ def test_chunking_leaves_every_record_unchanged(monkeypatch, name):
         assert [(e is not None, n) for e, n in stopped] == [(True, 1)] * 3
 
 
+@pytest.mark.parametrize("name", sorted(CHUNKED))
+def test_physics_does_not_depend_on_the_learning(monkeypatch, name):
+    """A block whose every trial reports a training error in round 0 has
+    the physics columns, t_total_s to battery_j, of the clean run bit for
+    bit: the learning pass reads the participation mask and changes nothing
+    the physics pass records."""
+    cfg = small_config(**CHUNKED[name])
+    scenario = build(cfg)
+    trials = range(cfg.monte_carlo_trials)
+    real_run_round, calls = scenario_module.run_round, []
+
+    def run_round(models, *args):
+        step = real_run_round(models, *args)
+        calls.append(len(models))
+        if len(calls) == 1:  # round 0: every trial's training fails
+            return BlockRound(step.models, dict.fromkeys(range(len(models)), "injected"))
+        return step
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        clean = run_trial(scenario, trials)
+        monkeypatch.setattr(scenario_module, "run_round", run_round)
+        failed = run_trial(scenario, trials)
+    assert failed["rounds_done"].tolist() == [0] * cfg.monte_carlo_trials
+    assert failed["error"].tolist() == ["injected"] * cfg.monte_carlo_trials
+    names = [f.name for f in fields(RoundMetrics)]
+    for column in names[names.index("t_total_s") : names.index("battery_j") + 1]:
+        x, y = clean[column], failed[column]
+        if x is None or y is None:
+            assert x is y, column
+        else:
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), column
+
 
 def test_held_out_failure_mid_chunk_stops_the_trial_at_its_round(monkeypatch):
     """A trial whose train loss, val or test metric is not finite in a round
     inside a chunk stops at that round with the per-round message: train
     loss before val before test, and before a training error the trial meets
-    in a later round of the chunk. It keeps the rounds before and their
+    in a later round. It keeps the rounds before and their
     outages, and a run in one-round chunks gives every trial result bit for bit."""
     cfg = small_config(monte_carlo_trials=4, rounds=5, trainer=MINIBATCH)
     scenario = build(cfg)
@@ -1055,7 +1100,7 @@ def test_held_out_failure_mid_chunk_stops_the_trial_at_its_round(monkeypatch):
     monkeypatch.setattr(scenario_module, "evaluate_metric", poisoning(real_evaluate))
     monkeypatch.setattr(scenario_module, "run_round", run_round)
     whole = run_trial(scenario, range(4))
-    assert injected == [1, 2]  # the chunk trained trials 1 and 2 past their failing rounds
+    assert injected == [1, 2]  # the learning pass trained trials 1 and 2 past their failing rounds
     assert whole["error"].tolist() == [
         "non-finite test metric in round 3",
         "non-finite val metric in round 1",
@@ -1073,7 +1118,7 @@ def test_held_out_failure_mid_chunk_stops_the_trial_at_its_round(monkeypatch):
     monkeypatch.setattr(scenario_module, "ROUND_BLOCK", 4 * cfg.device_count)  # one-round chunks
     injected.clear()
     chunked = run_trial(scenario, range(4))
-    assert injected == [2, 2]  # trial 2, stopped in round 2, keeps its row in rounds 3 and 4
+    assert injected == [1, 2]  # one-round physics chunks change nothing the learning trains
     assert_same_records(chunked, whole)
 
 
