@@ -35,7 +35,7 @@ from . import __version__
 from .channel import ChannelRealization
 from .config import ConfigError, ScenarioConfig, load_config, merged, parse_yaml
 from .fl_core import best_budget, check_candidates
-from .scenario import build, link_round, run_monte_carlo, sweep, trial_fading
+from .scenario import SCORES, STAGE_TIMES, build, link_round, run_monte_carlo, sweep, trial_fading
 
 # The scenario.statistics entries that sweep.csv reports, each by its header in
 # column order, and the summary.json keys that differ from an entry's name.
@@ -55,14 +55,12 @@ SUMMARY_NAMES = {
 }
 # rounds.csv's record columns after trial and round: the stage times, three
 # per-device columns summed over the devices, each by its header, and the scores.
-_TIMES = ("t_total_s", "t_uplink_max_s", "t_local_max_s", "t_downlink_max_s", "t_uav_s")
 _SUMS = {
     "e_total_j": "e_total_j_sum",
     "e_harvest_j": "e_harvest_j_sum",
     "feasible": "feasible_devices",
 }
-_SCORES = ("train_loss", "val_metric", "test_metric")
-ROUNDS_COLUMNS = ["trial", "round", *_TIMES, *_SUMS.values(), *_SCORES]
+ROUNDS_COLUMNS = ["trial", "round", *STAGE_TIMES, *_SUMS.values(), *SCORES]
 
 
 def resolve_config(args) -> ScenarioConfig:
@@ -150,7 +148,7 @@ def cmd_run(config: ScenarioConfig, args) -> tuple[dict, list[str], list[str]]:
     rec, done = result.record, result.record.recorded()
     trial, rnd = np.broadcast_arrays(rec["trial_index"][:, None], np.arange(config.rounds))
     sums = [rec[name][done].sum(axis=-1) for name in _SUMS]
-    columns = [trial, rnd, *map(rec.__getitem__, _TIMES), *sums, *map(rec.__getitem__, _SCORES)]
+    columns = [trial, rnd, *map(rec.__getitem__, STAGE_TIMES), *sums, *map(rec.__getitem__, SCORES)]
     rows = zip(*(map(repr, (c if c.ndim == 1 else c[done]).tolist()) for c in columns))
     text = "\n".join(map(",".join, [ROUNDS_COLUMNS, *rows])) + "\n"
 
@@ -234,7 +232,8 @@ def cmd_optimize_delta(config: ScenarioConfig, args) -> tuple[dict, list[str], l
     rnd = link_round(config, ChannelRealization(gains, scenario.distances_m))
     header = ["device", "delta", "feasible", "t_downlink_s"]
     rows = zip(range(config.device_count), rnd.deltas, rnd.energy.feasible, rnd.downlink.tx_time_s)
-    line = f"solved ratios via {rnd.methods().item()}: round delay {rnd.delay():.6g} s"
+    method = "grid" if rnd.grid.any() else "bisection"
+    line = f"solved ratios via {method}: round delay {rnd.delay():.6g} s"
     return {"deltas.csv": (header, rows)}, [line], []
 
 

@@ -36,9 +36,6 @@ from .energy import ComputeProfile, HarvestModel, balance, compute_energy, ledge
 if TYPE_CHECKING:  # budgets are built by channel.chain alone
     from .channel import LinkBudget
 
-METHOD_BISECTION = "bisection"
-METHOD_GRID = "grid"
-
 MODE_CENTROID = "centroid"
 MODE_GRID_SEARCH = "grid_search"
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
 
@@ -50,15 +50,18 @@ import numpy as np
 
 from .channel import ChannelRealization, LinkBudget, device_max, downlink_budget, uplink_budget
 # with_override is re-exported: the benchmark applies its overrides as scenario.with_override.
-from .config import DELTA_MODE_FIXED, DELTA_MODE_OPTIMIZED, ScenarioConfig, merged, with_override
+from .config import DELTA_MODE_OPTIMIZED, ScenarioConfig, merged, with_override
 from .energy import EnergyLedger, ledger
 from .fl_core import FederatedData, evaluate_metric, global_loss, make_federated_problem, run_round
-from .optimizer import METHOD_BISECTION, METHOD_GRID, optimize_delta_all, place_uav
+from .optimizer import optimize_delta_all, place_uav
 from .timing import local_train_time, round_total, uav_aggregation_time
 
 ROUND_BLOCK = 1 << 16  # (round, trial, device) fading states per link round of the physics pass
 EVAL_BLOCK = 1 << 13  # (model, sample) pairs per scoring pass of the learning pass
-_SCORES = ("train loss", "val metric", "test metric")  # what the learning pass records each round
+STAGE_TIMES = ("t_total_s", "t_uplink_max_s", "t_local_max_s", "t_downlink_max_s", "t_uav_s")
+PER_DEVICE = ("deltas", "grid", "e_total_j", "e_harvest_j", "feasible", "participate", "battery_j")
+SCORES = ("train_loss", "val_metric", "test_metric")
+_COLUMNS = (*STAGE_TIMES, *PER_DEVICE, *SCORES)  # a block record's round columns, in order
 
 
 def rng_stream(master_seed: int, *path) -> np.random.Generator:
@@ -270,7 +273,7 @@ class RoundMetrics:
     t_downlink_max_s: float
     t_uav_s: float
     deltas: np.ndarray
-    delta_method: str
+    grid: np.ndarray
     e_total_j: np.ndarray
     e_harvest_j: np.ndarray
     feasible: np.ndarray
@@ -281,20 +284,17 @@ class RoundMetrics:
     test_metric: float
 
 
-_COLUMNS = [f.name for f in fields(RoundMetrics)][1:]  # a block record's round columns
-
-
 class BlockRecord(dict):
     """Every round of a block of T trials as columns, the trials in block order.
 
-    Each :class:`RoundMetrics` field after ``round_index`` names its (T, R)
-    column, or (T, R, M) for a per-device field; ``battery_j`` is None
-    without a battery ledger. ``trial_index``, ``rounds_done``, ``error``,
-    ``outage_count`` and ``outage_unreachable`` are (T,) columns. Trial k's
-    records are its first ``rounds_done[k]`` rounds, and the rest of its row
-    is filler. ``outage_count`` counts each trial's recorded rounds with a
-    device unreachable (an infinite delay) or short of energy, and
-    ``outage_unreachable`` those with an unreachable device.
+    ``STAGE_TIMES`` and ``SCORES`` name its (T, R) round columns and
+    ``PER_DEVICE`` its (T, R, M) ones, :attr:`LinkRound.grid` among them;
+    ``battery_j`` is None without a battery ledger. ``trial_index``,
+    ``rounds_done``, ``error``, ``outage_count`` and ``outage_unreachable``
+    are (T,) columns. Trial k's records are its first ``rounds_done[k]``
+    rounds, and the rest of its row is filler. ``outage_count`` counts each
+    trial's recorded rounds with a device unreachable (an infinite delay) or
+    short of energy, and ``outage_unreachable`` those with an unreachable device.
     """
 
     def recorded(self) -> np.ndarray:
@@ -317,7 +317,8 @@ class TrialRounds(Sequence):
         if isinstance(r, range):
             return [self[i] for i in r]
         cells = [c if c is None else c[self.k, r] for c in map(self.record.get, _COLUMNS)]
-        return RoundMetrics(r, *(c.item() if isinstance(c, np.generic) else c for c in cells))
+        cells = (c.item() if isinstance(c, np.generic) else c for c in cells)
+        return RoundMetrics(round_index=r, **dict(zip(_COLUMNS, cells)))
 
 
 @dataclass(frozen=True)
@@ -364,8 +365,9 @@ class MonteCarloResult:
 class LinkRound:
     """One round's physics, stage times included, for all devices at one or a batch of states.
 
-    ``energy`` is built from ``config`` on its first read and kept, so a
-    reader of the delay alone, such as placement, never builds a ledger."""
+    ``grid`` marks the devices the solver scanned on the dense grid, all
+    False at a fixed ratio. ``energy`` is built from ``config`` on its first
+    read and kept, so a reader of the delay alone, such as placement, never builds a ledger."""
 
     config: ScenarioConfig
     deltas: np.ndarray
@@ -381,14 +383,6 @@ class LinkRound:
         cfg, up, down = self.config, self.uplink, self.downlink
         args = cfg.compute, cfg.harvest, up, down, self.deltas, cfg.link.ptx_ul_w, cfg.link.ptx_dl_w
         return ledger(*args, device_pays_downlink=cfg.device_pays_downlink)
-
-    def methods(self) -> np.ndarray:
-        """How the ratios of each fading state were set, one label per state:
-        "grid" if one of its own devices needed the dense scan, else "fixed"
-        or "bisection" as ``config.delta_mode`` says."""
-        solved = self.config.delta_mode == DELTA_MODE_OPTIMIZED
-        label = METHOD_BISECTION if solved else DELTA_MODE_FIXED
-        return np.where(self.grid.any(axis=-1), METHOD_GRID, label)
 
     def delay(self) -> float | np.ndarray:
         """Round delay with every device taking part: a float, or shape (...) for a batch."""
@@ -548,15 +542,15 @@ def _physics(scenario: Scenario, trials: list[int]) -> dict:
         total = round_total(*stages, phys.t_uav_s)
         t_uav = np.broadcast_to(phys.t_uav_s, total.shape)
         energy = (e_total, e_harvest, phys.energy.feasible, participate, levels)
-        parts.append((total, *map(device_max, stages), t_uav, phys.deltas, phys.methods(), *energy))
+        parts.append((total, *map(device_max, stages), t_uav, phys.deltas, phys.grid, *energy))
 
     # Each column once, trial-major: (T, R), or (T, R, M) per device.
     columns = (None if c[0] is None else np.concatenate(c).swapaxes(0, 1) for c in zip(*parts))
-    return dict(zip(_COLUMNS[: -len(_SCORES)], columns))
+    return dict(zip((*STAGE_TIMES, *PER_DEVICE), columns))
 
 
 def _learning(scenario: Scenario, trials: list[int], participate: np.ndarray) -> tuple:
-    """A block's (3, R, T) scores, in ``_SCORES`` order, ``rounds_done`` and ``error``.
+    """A block's (3, R, T) scores, in ``SCORES`` order, ``rounds_done`` and ``error``.
 
     Round r runs one :func:`run_round` of all T models over the devices
     that ``participate`` (T, R, M) marks in it. Then all (R, T) models are
@@ -589,17 +583,17 @@ def _learning(scenario: Scenario, trials: list[int], participate: np.ndarray) ->
         models = trained[r] = step.models
 
     flat = trained.reshape(-1, models.shape[1])  # round-major
-    scores = np.empty((len(_SCORES), cfg.rounds, len(trials)))
+    scores = np.empty((len(SCORES), cfg.rounds, len(trials)))
     sets = (scenario.train_sets, scenario.val_set, scenario.test_set)
     metrics = (global_loss, evaluate_metric, evaluate_metric)
-    for score, dataset, metric in zip(scores.reshape(len(_SCORES), -1), sets, metrics):
+    for score, dataset, metric in zip(scores.reshape(len(SCORES), -1), sets, metrics):
         size = max(1, EVAL_BLOCK // dataset.targets.size)
         for a in range(0, len(flat), size):
             score[a : a + size] = metric(flat[a : a + size], dataset, cfg.trainer.task)
     bad = ~np.isfinite(scores) & (np.arange(cfg.rounds)[:, None] < rounds_done)
     for k in np.flatnonzero(bad.any(axis=(0, 1))).tolist():
-        r = int(bad[:, :, k].any(axis=0).argmax())  # the trial's first such round
-        rounds_done[k], error[k] = r, f"non-finite {_SCORES[bad[:, r, k].argmax()]} in round {r}"
+        r, i = np.argwhere(bad[:, :, k].T)[0].tolist()  # the first such round, then score in it
+        rounds_done[k], error[k] = r, f"non-finite {SCORES[i].replace('_', ' ')} in round {r}"
     return scores, rounds_done, error
 
 
@@ -616,7 +610,7 @@ def run_trial(scenario: Scenario, trial_indices) -> BlockRecord:
         raise ValueError("a block of trials must not be empty")
     columns = _physics(scenario, trials)
     scores, rounds_done, error = _learning(scenario, trials, columns["participate"])
-    columns.update(zip(_COLUMNS[-len(_SCORES) :], scores.swapaxes(1, 2)))
+    columns.update(zip(SCORES, scores.swapaxes(1, 2)))
     rec = BlockRecord(columns, trial_index=np.array(trials), rounds_done=rounds_done, error=error)
     recorded = rec.recorded()
     unreachable = ~np.isfinite(rec["t_total_s"]) & recorded

@@ -21,7 +21,7 @@ from swiptfl import cli
 from swiptfl import config as config_module
 from swiptfl import scenario as scenario_module
 from swiptfl.channel import ChannelRealization
-from swiptfl.config import ScenarioConfig
+from swiptfl.config import ConfigError, ScenarioConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -165,6 +165,22 @@ def test_malformed_yaml_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1
         assert ", column " in err
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("", None), ("- 1\n- 2\n", "config root must be a mapping")],
+    ids=["empty", "list-root"],
+)
+def test_config_file_without_a_mapping(tmp_path, text, error):
+    """A config file with no document gives the defaults; any other root
+    that is not a mapping is a ConfigError."""
+    path = write_config(tmp_path, text)
+    if error is None:
+        assert cli.load_config(path) == ScenarioConfig()
+    else:
+        with pytest.raises(ConfigError, match=error):
+            cli.load_config(path)
 
 
 def test_run_writes_outputs(tmp_path, capsys):
@@ -646,7 +662,7 @@ def test_optimize_delta_writes_per_device_ratios(tmp_path, capsys, dip, method, 
     draw = ("trial", 0, "fading", 0)
     gains = scenario_module.fading_draws(config.master_seed, draw, config.device_count)
     rnd = scenario_module.link_round(config, ChannelRealization(gains, scenario.distances_m))
-    assert rnd.methods().item() == method
+    assert rnd.grid.any() == (method == "grid")
     printed = capsys.readouterr().out
     assert printed == f"solved ratios via {method}: round delay {rnd.delay():.6g} s\n"
     rows = read_rows(out / "deltas.csv")
@@ -847,6 +863,27 @@ def test_dead_worker_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("futures_loaded", [True, False], ids=["pool-module-loaded", "unloaded"])
+def test_runtime_error_that_is_no_dead_worker_propagates(
+    tmp_path, capsys, monkeypatch, futures_loaded
+):
+    """Exit code 4 is for a BrokenExecutor alone: any other RuntimeError is a
+    bug and propagates, whether or not the pool's module has been loaded."""
+    import concurrent.futures  # noqa: F401
+
+    if not futures_loaded:
+        monkeypatch.delitem(sys.modules, "concurrent.futures")
+
+    def broken(*args):
+        raise RuntimeError("not a dead worker")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", broken)
+    out = tmp_path / "o"
+    with pytest.raises(RuntimeError, match="not a dead worker"):
+        run_cli(["run", "--config", write_config(tmp_path), "--out", str(out)])
+    assert capsys.readouterr().err == "" and not out.exists()
 
 
 def test_diverging_run_prints_only_its_failures(tmp_path, capsys):

@@ -66,6 +66,46 @@ def test_global_loss_rejects_unknown_task():
         global_loss(np.array([[0.5]]), data, "bogus")
 
 
+ONE_DEVICE = one_set(np.eye(2), np.ones(2))  # two samples, d = 2
+NOT_A_BLOCK = r"models must be a \(T, d\) block"
+WRONG_DIM = "model dim 3 != feature dim 2"
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: linear_cfg(task="bogus"), "task must be one of"),
+        (lambda: global_loss(np.zeros(2), ONE_DEVICE, "linear"), NOT_A_BLOCK),
+        (lambda: global_loss(np.zeros((1, 3)), ONE_DEVICE, "linear"), WRONG_DIM),
+        (lambda: run_round(np.zeros(2), ONE_DEVICE, linear_cfg(), 1), NOT_A_BLOCK),
+        (lambda: run_round(np.zeros((1, 3)), ONE_DEVICE, linear_cfg(), 1), WRONG_DIM),
+        (
+            lambda: run_round(
+                np.zeros((1, 2)), ONE_DEVICE, linear_cfg(), 1, participate=np.ones((2, 1), bool)
+            ),
+            r"participate must have shape \(1, 1\)",
+        ),
+        (
+            lambda: make_federated_problem(np.random.default_rng(0), "bogus", 2, 3, 2, 0.1, 4, 4),
+            "unknown task 'bogus'",
+        ),
+    ],
+    ids=[
+        "trainer-task",
+        "loss-not-a-block",
+        "loss-dim",
+        "round-not-a-block",
+        "round-dim",
+        "round-participate-shape",
+        "problem-task",
+    ],
+)
+def test_malformed_arguments_raise_value_error(call, match):
+    """Each argument check raises a ValueError that names what is wrong."""
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_global_loss_single_device_equals_local():
     rng = np.random.default_rng(4)
     x, y = rng.standard_normal((5, 2)), rng.standard_normal(5)

@@ -13,7 +13,7 @@ import oracles
 from swiptfl import channel
 from swiptfl import optimizer as optimizer_module
 from swiptfl.channel import DELTA_MAX, DELTA_MIN, ChannelRealization, downlink_budget
-from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy
+from swiptfl.energy import ComputeProfile, HarvestModel, compute_energy, transmit_energy
 from swiptfl import scenario as scenario_module
 from swiptfl.config import (
     ConfigError,
@@ -424,11 +424,11 @@ def test_outage_count_matches_round_records():
 
 def test_fixed_and_optimized_delta_modes():
     fixed = run_trial(build(small_config(delta_fixed=0.37)), [0])
-    assert fixed["delta_method"][0, 0] == "fixed"
+    assert fixed["grid"].shape == fixed["deltas"].shape and not fixed["grid"].any()
     assert np.all(fixed["deltas"][0, 0] == 0.37)
 
     opt = run_trial(build(small_config(delta_mode="optimized")), [0])
-    assert opt["delta_method"][0, 0] in ("bisection", "grid")
+    assert opt["grid"].shape == opt["deltas"].shape and not opt["grid"].any()  # bisected
     assert np.all((opt["deltas"][0, 0] > 0.0) & (opt["deltas"][0, 0] < 1.0))
 
 
@@ -519,7 +519,7 @@ def test_batched_link_round_equals_per_slice(delta_mode, harvest, method):
     gains[1, 2, 0] = 1e20
     dists = rng.uniform(20.0, 150.0, (3, 1, 4))
     batched = link_round(cfg, ChannelRealization(gains, dists))
-    assert (batched.methods() == method).all()
+    assert (batched.grid == (method == "grid")).all()
     singles = [
         [link_round(cfg, ChannelRealization(gains[c, t], dists[c, 0])) for t in range(5)]
         for c in range(3)
@@ -540,8 +540,6 @@ def test_batched_link_round_equals_per_slice(delta_mode, harvest, method):
     for name, got in per_device(batched).items():
         want = np.array([[per_device(rnd)[name] for rnd in row] for row in singles])
         assert np.array_equal(got, want), name
-    for c, row in enumerate(singles):
-        assert batched.methods()[c].tolist() == [rnd.methods().item() for rnd in row]
 
 
 @pytest.mark.parametrize(
@@ -579,7 +577,7 @@ def test_optimized_round_takes_the_solvers_downlink(monkeypatch, harvest, method
     counted(scenario_module)
     counted(optimizer_module)
     rnd = link_round(cfg, realization)
-    assert (rnd.methods() == method).all() and calls == ["swiptfl.optimizer"]
+    assert (rnd.grid == (method == "grid")).all() and calls == ["swiptfl.optimizer"]
     assert ((rnd.deltas > DELTA_MIN) & (rnd.deltas < DELTA_MAX)).any()  # solved inside
     assert "energy" not in vars(rnd)  # nothing read it yet
     assert rnd.energy is rnd.energy and "energy" in vars(rnd)
@@ -619,6 +617,23 @@ def test_uplink_stage_law_of_each_device_at_ten_devices():
             observed = np.count_nonzero(t_up[:, j] <= x) / n
             z.append((observed - law) / math.sqrt(law * (1.0 - law) / n))
     assert len(z) == 20 and max(map(abs, z)) < 4.0, z
+
+
+def test_uplink_power_moves_the_energy_bill_not_the_delay():
+    """Every device sends at one power p, so the uplink SINR
+    p a_j / (p sum_{i != j} a_i + N) loses p once the interference outweighs
+    the noise. On round 0 of trial 0 of default.yaml at M = 200, 0.01 W and
+    1 W give the same uplink times within 1e-6, and uplink energies 100 times apart."""
+    cfg = merge(load_config(str(ROOT / "configs" / "default.yaml")), {"device_count": 200})
+    gains = trial_fading(cfg.master_seed, [0], [0], cfg.device_count)[0, 0]
+    realization = ChannelRealization(gains, build(cfg).distances_m)
+    times, energies = [], []
+    for power in (0.01, 1.0):
+        t_up = link_round(merge(cfg, {"link.ptx_ul_w": power}), realization).uplink.tx_time_s
+        times.append(t_up)
+        energies.append(transmit_energy(t_up, power))
+    np.testing.assert_allclose(times[1], times[0], rtol=1e-6)
+    np.testing.assert_allclose(energies[1], 100.0 * energies[0], rtol=1e-6)
 
 
 # ptx_ul_w / kappa / bandwidth_hz of three energy regimes at M = 1, without
@@ -857,8 +872,8 @@ TWO_ITERS = replace(ScenarioConfig().compute, local_iters=2)
 def test_block_of_trials_equals_single_trials(kwargs):
     """A block gives, field for field, the trials run one by one: its
     trials share one batched link round per round but nothing else, each
-    draws its minibatches from its own training stream, and each is
-    labelled by how its own ratios were solved."""
+    draws its minibatches from its own training stream, and each records
+    which of its own devices the solver scanned on the grid."""
     cfg = small_config(**kwargs)
     scenario = build(cfg)
     trials = range(cfg.monte_carlo_trials)
@@ -869,8 +884,7 @@ def test_block_of_trials_equals_single_trials(kwargs):
     with pytest.raises(ValueError):
         run_trial(scenario, [])  # an empty block is a driver bug, never silently empty
     if kwargs is MIXED_GRID:
-        labels = block["delta_method"][:, 2].tolist()
-        assert labels == ["grid", "bisection", "bisection", "bisection"]
+        assert block["grid"][:, 2].any(-1).tolist() == [True, False, False, False]
 
 
 def test_minibatch_training_consumes_one_stream_per_trial():
@@ -1014,7 +1028,7 @@ def test_chunking_leaves_every_record_unchanged(monkeypatch, name):
         wide, narrow = (np.zeros((r, *shape)) for r in (cfg.rounds, 1))
         assert channel._device_major(wide) is not None and channel._device_major(narrow) is None
     if name == "grid":  # some rounds solved on the grid and some by bisection
-        assert set(whole["delta_method"][whole.recorded()].tolist()) == {"grid", "bisection"}
+        assert set(whole["grid"][whole.recorded()].any(-1).tolist()) == {True, False}
     if name == "diverging":
         stopped = zip(whole["error"], whole["rounds_done"].tolist())
         assert [(e is not None, n) for e, n in stopped] == [(True, 1)] * 3
@@ -1450,9 +1464,9 @@ def test_trial_rounds_view_reads_the_block_record():
     for item in fields(RoundMetrics):
         if item.type == "float":
             assert type(getattr(rm, item.name)) is float, item.name
-    assert type(rm.round_index) is int and type(rm.delta_method) is str
-    assert rm.deltas.shape == rm.battery_j.shape == (cfg.device_count,)
-    assert rm.feasible.dtype == rm.participate.dtype == bool
+    assert type(rm.round_index) is int
+    assert rm.deltas.shape == rm.grid.shape == rm.battery_j.shape == (cfg.device_count,)
+    assert rm.grid.dtype == rm.feasible.dtype == rm.participate.dtype == bool
     with pytest.raises(TypeError):
         view[0] = rm
 
@@ -1462,6 +1476,41 @@ def test_trial_rounds_view_reads_the_block_record():
         assert_same_trial(a, b)
     one = len(pickle.dumps(replace(res, trials=[])))
     assert len(pickle.dumps(res)) < one + 2000  # the record once, not once per trial
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(delta_fixed=0.37), dict(delta_mode="optimized"), MIXED_GRID],
+    ids=["fixed", "bisection", "mixed-grid"],
+)
+def test_record_columns_are_the_round_fields(kwargs):
+    """A record's round columns are the fields of RoundMetrics after
+    round_index, and a trial's view fills each field from its own column.
+    ``grid`` is each round's link-round mask, bit for bit: all False at a
+    fixed ratio or when every device bisects, and True for the dipping devices."""
+    cfg = small_config(**kwargs)
+    scenario = build(cfg)
+    res = run_monte_carlo(cfg, scenario)
+    rec = res.record
+    per_trial = {"trial_index", "rounds_done", "error", "outage_count", "outage_unreachable"}
+    assert set(rec) - per_trial == {f.name for f in fields(RoundMetrics)[1:]}
+
+    k = cfg.monte_carlo_trials - 1
+    for rm in res.trials[k].rounds:
+        for f in fields(RoundMetrics)[1:]:
+            got, column = getattr(rm, f.name), rec[f.name]
+            if column is None:
+                assert got is None, f.name
+            else:
+                assert np.array_equal(got, column[k, rm.round_index]), f.name
+
+    assert rec["grid"].dtype == bool
+    assert rec["grid"].shape == (cfg.monte_carlo_trials, cfg.rounds, cfg.device_count)
+    for t, r in np.ndindex(cfg.monte_carlo_trials, cfg.rounds):
+        gains = trial_fading(cfg.master_seed, [t], [r], cfg.device_count)[0, 0]
+        rnd = link_round(cfg, ChannelRealization(gains, scenario.distances_m))
+        assert rnd.grid.tobytes() == rec["grid"][t, r].tobytes(), (t, r)
+    assert rec["grid"].any() == (kwargs is MIXED_GRID)
 
 
 # ------------------------------------------------------------ overrides, sweep
