@@ -5,11 +5,9 @@ sections are the config classes of the physics and learning modules.
 :func:`merge` is the one walk over a config tree, with one type rule for
 every leaf, for config files, manifests and overrides alike.
 :func:`load_config` reads a YAML file, or replays the config snapshot of a
-manifest, onto the defaults. What a user wrote wrong, in a file or on the
-command line, is a :class:`ConfigError` through :func:`merged`,
-:func:`parse_yaml` and :func:`load_config`; the config classes and
-:func:`merge` raise ValueError, as any library code does, and a ConfigError
-is a ValueError too.
+manifest, onto the defaults. Everything that :func:`merge`,
+:func:`parse_yaml` and :func:`load_config` reject is a :class:`ConfigError`,
+which is a ValueError.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
-    """Bad config file, unknown key, or malformed override."""
+    """A config value, key, file or override that is rejected; the message names it."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,8 @@ _DBM = re.compile(r"\s*([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*dBm\s*")
 
 
 def _coerce(kind: type, optional: bool, value, path: str):
-    """``value`` for the leaf at ``path`` of declared type ``kind``, or ValueError."""
+    """``value`` for the leaf at ``path`` of declared type ``kind``, or ConfigError.
+    A tuple field holds numbers: entry i is read as the float leaf ``path[i]``."""
     if value is None and optional:
         return None
     if isinstance(value, str) and kind in (int, float):
@@ -163,28 +162,30 @@ def _coerce(kind: type, optional: bool, value, path: str):
     if kind is float and number:
         return float(value)
     if kind is tuple and isinstance(value, (list, tuple)):
-        return tuple(value)
+        return tuple(_coerce(float, False, v, f"{path}[{i}]") for i, v in enumerate(value))
     if kind in (bool, str) and isinstance(value, kind):
         return value
-    raise ValueError(f"{path} expects {_EXPECTS[kind]}, got {value!r}")
+    raise ConfigError(f"{path} expects {_EXPECTS[kind]}, got {value!r}")
 
 
 def merge(config, mapping: dict, prefix: str = ""):
-    """``config`` with every field that ``mapping`` names replaced, or ValueError.
+    """``config`` with every field that ``mapping`` names replaced, or ConfigError.
 
-    The one walk over a config tree, for config files, manifests and
-    overrides alike. A key is a field name or a dotted path into sections
-    (``"link.ptx_dl_w"``), and the keys apply in order, so a later key for a
-    section merges into the section as earlier keys left it and a later key
-    for the same leaf wins. The config is checked once, with every key
-    applied. A section field takes a mapping, which merges into the section,
-    so a section lists only the fields it changes. A leaf takes the type its
-    field declares: 30.0 is the int 30 for an int field but 1.5 is rejected,
-    and an optional field (``X | None``) takes null or a value by the rule
-    of X. A number field also reads numeric text, such as the ``1.0e6`` that
-    YAML leaves as a string, and a power field (its name ends in ``_w``)
+    The one walk from a mapping to a config, for config files, manifests,
+    overrides and sweep points alike. A key is a field name or a dotted path
+    into sections (``"link.ptx_dl_w"``), and the keys apply in order, so a
+    later key for a section merges into the section as earlier keys left it and
+    a later key for the same leaf wins. The config is checked once, with every
+    key applied. A section field takes a mapping, which merges into the
+    section, so a section lists only the fields it changes. A leaf takes the
+    type its field declares: 30.0 is the int 30 for an int field but 1.5 is
+    rejected, and an optional field (``X | None``) takes null or a value by the
+    rule of X. A number field also reads numeric text, such as the ``1.0e6``
+    that YAML leaves as a string, and a power field (its name ends in ``_w``)
     also reads ``"<x> dBm"`` as watts. ``prefix`` is the dotted path of
-    ``config`` within the tree, which error messages name.
+    ``config`` within the tree, which error messages name. An unknown key, a
+    leaf of the wrong type, a section given anything but a mapping, and a value
+    that a config class's own check refuses are each a ConfigError.
     """
     types, changes = _field_types(type(config)), {}
     for key, value in mapping.items():
@@ -192,7 +193,7 @@ def merge(config, mapping: dict, prefix: str = ""):
         path = f"{prefix}{name}"
         if name not in types:
             owner = type(config).__name__
-            raise ValueError(f"unknown config field {path!r} (no {name!r} on {owner})")
+            raise ConfigError(f"unknown config field {path!r} (no {name!r} on {owner})")
         kind, optional = types[name]
         if dot:
             value = {rest: value}
@@ -201,23 +202,18 @@ def merge(config, mapping: dict, prefix: str = ""):
         elif isinstance(value, dict):
             changes[name] = merge(changes.get(name, getattr(config, name)), value, path + ".")
         else:
-            raise ValueError(f"{path} expects a mapping, got {value!r}")
-    return replace(config, **changes)
+            raise ConfigError(f"{path} expects a mapping, got {value!r}")
+    try:
+        return replace(config, **changes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def with_override(config, path: str, value):
     """New config with the dotted-path field replaced: ``merge(config, {path: value})``,
     so ``rounds=30.0`` becomes the int 30, ``rounds=1.5`` and unknown field
-    names raise ValueError, and ``link.ptx_ul_w="20 dBm"`` is 0.1 W."""
+    names raise ConfigError, and ``link.ptx_ul_w="20 dBm"`` is 0.1 W."""
     return merge(config, {path: value})
-
-
-def merged(config, mapping: dict):
-    """:func:`merge` of values from a file or the command line: its errors are ConfigError."""
-    try:
-        return merge(config, mapping)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def parse_yaml(text: str, what: str):
@@ -253,7 +249,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError("config root must be a mapping")
     trainer = raw.get("trainer")
     legacy = trainer.pop("local_iters", None) if isinstance(trainer, dict) else None
-    config = merged(ScenarioConfig(), raw)
+    config = merge(ScenarioConfig(), raw)
     if legacy is not None and legacy != config.compute.local_iters:
         raise ConfigError(
             f"trainer.local_iters ({legacy!r}) differs from compute.local_iters "

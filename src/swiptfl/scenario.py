@@ -50,7 +50,7 @@ import numpy as np
 
 from .channel import ChannelRealization, LinkBudget, device_max, downlink_budget, uplink_budget
 # with_override is re-exported: the benchmark applies its overrides as scenario.with_override.
-from .config import DELTA_MODE_OPTIMIZED, ScenarioConfig, merged, with_override
+from .config import DELTA_MODE_OPTIMIZED, ScenarioConfig, merge, with_override
 from .energy import EnergyLedger, ledger
 from .fl_core import FederatedData, evaluate_metric, global_loss, make_federated_problem, run_round
 from .optimizer import optimize_delta_all, place_uav
@@ -703,18 +703,17 @@ def _std(x: np.ndarray, axis=None) -> np.ndarray:
 def sweep(config: ScenarioConfig, param_path: str, values) -> list[dict]:
     """Monte Carlo at each value of one config field, same seed throughout.
 
-    ``param_path`` is one dotted path, and each value is what an override of
-    it takes: a section's value is a mapping that merges into the section.
-    Every point's config is built by :func:`~swiptfl.config.merged` before
-    the first run, so a value its field rejects raises ConfigError (a
-    ValueError) with nothing run. A row is ``param_value``, the point's
-    field value (``"20 dBm"`` reads 0.1; a section item reads ``{name:
-    merged value}`` for each field it names), then the point's
-    :meth:`MonteCarloResult.scalars`. Reusing the master seed pairs the
-    fading draws across sweep points, so observed trends are not noise from
+    ``param_path`` is one dotted path, and each value is what an override of it
+    takes: a section's value is a mapping that merges into the section. Every
+    point's config is built by :func:`~swiptfl.config.merge` before the first
+    run, so a value its field rejects raises ConfigError with nothing run. A row
+    is ``param_value``, the point's field value (``"20 dBm"`` reads 0.1; a
+    section item reads ``{name: merged value}`` for each field it names), then
+    the point's :meth:`MonteCarloResult.scalars`. Reusing the master seed pairs
+    the fading draws across sweep points, so observed trends are not noise from
     re-rolled channels.
     """
-    points = [(value, merged(config, {param_path: value})) for value in values]
+    points = [(value, merge(config, {param_path: value})) for value in values]
     rows = []
     for value, point in points:
         swept = attrgetter(param_path)(point)

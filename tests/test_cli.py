@@ -81,6 +81,36 @@ def test_bad_overrides_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "override, named",
+    [
+        ("mystery_knob=1", "'mystery_knob'"),
+        ("link.mystery_knob=1", "'link.mystery_knob'"),
+        ("rounds=1.5", "rounds expects an int"),
+        ("link=5", "link expects a mapping"),
+        ("link.ptx_dl_w=-1", "LinkParams.ptx_dl_w must be > 0"),
+        ("area_bounds=[0,.inf,0,100]", "ScenarioConfig.area_bounds must be finite"),
+        ("area_bounds=[0,null,0,100]", "area_bounds[1] expects a number, got None"),
+        ("area_bounds=[0,[1],0,100]", "area_bounds[1] expects a number, got [1]"),
+        ("area_bounds=[0,true,0,100]", "area_bounds[1] expects a number, got True"),
+    ],
+)
+def test_merge_rejections_are_config_errors_naming_the_field(tmp_path, capsys, override, named):
+    """merge raises ConfigError for an unknown key, a leaf of the wrong type,
+    a section given a non-mapping and a value a config class refuses, tuple
+    entries included, and its message names the field; the command line
+    exits 2 with that one error line and writes nothing."""
+    path, _, text = override.partition("=")
+    with pytest.raises(ConfigError) as err:
+        config_module.merge(ScenarioConfig(), {path: yaml.safe_load(text)})
+    assert named in str(err.value)
+    out = tmp_path / "o"
+    args = ["run", "--config", write_config(tmp_path), "--out", str(out), "--override", override]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert not out.exists()
+
+
 def test_yaml_leaves_follow_the_override_type_rule(tmp_path, capsys):
     """A config file value is typed exactly as the same --override would be."""
     out = str(tmp_path / "o")
