@@ -110,7 +110,8 @@ class ScenarioConfig:
     data: DataConfig = field(default_factory=DataConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "area_bounds", tuple(float(v) for v in self.area_bounds))
+        bounds = _coerce(tuple, False, self.area_bounds, "area_bounds")  # merge's rule
+        object.__setattr__(self, "area_bounds", bounds)
         check_domains(self)
         if len(self.area_bounds) != 4:
             raise ValueError("area_bounds must be (xmin, xmax, ymin, ymax)")

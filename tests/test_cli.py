@@ -1029,7 +1029,7 @@ GOLDEN_ROUNDS_SHA256 = {
     "default.yaml": (
         "default.yaml",
         SMALL,
-        "a25d8766b6064d75ddf9736f985d0d8c54b34eaa8cd4c6e5deed441562086881",
+        "ca9e3df9cc018db6c330259952869642d7f0864c65a78afe2193221fe50e60a8",
     ),
     "accuracy.yaml": (
         "accuracy.yaml",
@@ -1039,7 +1039,7 @@ GOLDEN_ROUNDS_SHA256 = {
     "contested": (
         "default.yaml",
         CONTESTED,
-        "4d912c1dd7203afe0064558e1a1ad83a21d8f5d1ffa34c3c6d7aedd0654fca5d",
+        "07be99debbb6763f4be34481c147aeebd0824f83462a6176f0044a438ad00ad3",
     ),
     # Minibatch training under per-trial participation masks: the battery
     # sits devices out differently in each trial of a block (outage 0.5).
@@ -1109,7 +1109,7 @@ GOLDEN_OUTPUTS = {
         ["run"],
         "ran 2 trials x 2 rounds: mean delay 0.0267133 s, outage rate 1.0000\n",
         {
-            "rounds.csv": "73e88e088c0783cb942d9e51acfd33c97b44a11c92350f4a1705c1e8626d4d98",
+            "rounds.csv": "ace4441794e56b8d0558ac4a390399b729d78a80bc9596c19c03f48d8830224c",
             "summary.json": "0c51142a3be55553682d650ee5fda830102d6b663f3a20300fbd55eff0a19108",
         },
     ),
@@ -1126,7 +1126,7 @@ GOLDEN_OUTPUTS = {
     "accuracy-curve": (
         ["accuracy-curve"],
         "metric over 2 rounds: first 1.4640, final 1.0236\n",
-        {"accuracy.csv": "7baf654c2fe6c780fec887bde5869f5191bc9e9cf6885c8ca268ee02aab94f86"},
+        {"accuracy.csv": "c6118d3c6a6be02fecaddcd0d9f05b455a6ba3111dae0d856abd547be7bf7453"},
     ),
     "select-rounds": (
         ["select-rounds", "--candidates", "1,2"],

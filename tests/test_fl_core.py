@@ -288,6 +288,26 @@ def test_run_round_matches_per_device_oracle(task, batch_size):
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+def test_moments_round_matches_local_gd_and_fsum_oracles():
+    """Linear full-batch rounds step on each set's moments A w - b; the new
+    models equal the sample-by-sample trainer followed by the per-trial
+    math.fsum average, under a mask that leaves out other devices in each
+    trial, and the trial with no participant keeps its model bit for bit."""
+    data, w0, _ = _block_problem("linear", m=5, n=7, dim=3, trials=3, seed=38)
+    participate = np.array([[True, False, True, True, False],
+                            [False, True, False, True, True],
+                            [False] * 5])
+    lr, iters, n = 0.2, 2, data.count
+    out = run_round(w0, data, linear_cfg(learning_rate=lr), iters, participate=participate)
+    trial, device = np.nonzero(participate)
+    local = [oracles.local_gd(w0[t], data.features[j], data.targets[j], "linear", lr, iters)
+             for t, j in zip(trial, device)]
+    want, overflowed = oracles.fsum_aggregate(w0, n * np.array(local), trial, n)
+    assert out.errors == {} and overflowed == set()
+    assert np.max(np.abs(out.models - want) / np.abs(want)) <= 1e-12
+    assert out.models[2].tobytes() == w0[2].tobytes()
+
+
 def test_device_sitting_out_cannot_fail_the_round():
     """A device whose gradient step overflows fails its trial only when it trains."""
     rng = np.random.default_rng(36)

@@ -254,6 +254,20 @@ def test_config_validation():
         DataConfig(noise=-0.1)
 
 
+@pytest.mark.parametrize("entry", [True, None, [1]])
+def test_area_bounds_entries_follow_the_merge_number_rule(entry):
+    """Built directly, ScenarioConfig reads each area_bounds entry as merge
+    reads the float leaf area_bounds[i]: a bool, None or a list is a
+    ConfigError that names the entry, not a 1 m-wide area or a TypeError."""
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig(area_bounds=(0, entry, 0, 100))
+    assert str(err.value) == f"area_bounds[1] expects a number, got {entry!r}"
+    with pytest.raises(ConfigError) as merged:
+        merge(ScenarioConfig(), {"area_bounds": [0, entry, 0, 100]})
+    assert str(merged.value) == str(err.value)
+    assert ScenarioConfig(area_bounds=(0, 100, 0, 50)).area_bounds == (0.0, 100.0, 0.0, 50.0)
+
+
 def test_logistic_noise_is_a_flip_probability():
     logistic = TrainerConfig(learning_rate=0.1, task="logistic")
     with pytest.raises(ValueError, match=r"DataConfig.noise must be in \[0, 1\] for the logistic"):
@@ -885,6 +899,21 @@ def test_block_of_trials_equals_single_trials(kwargs):
         run_trial(scenario, [])  # an empty block is a driver bug, never silently empty
     if kwargs is MIXED_GRID:
         assert block["grid"][:, 2].any(-1).tolist() == [True, False, False, False]
+
+
+def test_moments_training_block_equals_single_trials():
+    """Linear full-batch training steps every (trial, device) row on its
+    set's moments in one batched A @ w; on default.yaml in the contested
+    regime, where the battery sits other devices out in each trial, a block
+    of 7 trials gives, field for field and bit for bit, 7 one-trial blocks."""
+    cfg = merge(load_config(str(ROOT / "configs" / "default.yaml")), CONTESTED_RUN)
+    scenario = build(replace(cfg, monte_carlo_trials=7))
+    assert cfg.trainer.task == "linear"
+    assert not cfg.trainer.minibatch(scenario.train_sets.count)
+    block = run_trial(scenario, range(7))
+    participate = block["participate"]
+    assert not participate.all() and len({m.tobytes() for m in participate}) > 1
+    assert_same_records(block, joined([run_trial(scenario, [t]) for t in range(7)]))
 
 
 def test_minibatch_training_consumes_one_stream_per_trial():
