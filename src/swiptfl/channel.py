@@ -15,9 +15,9 @@ The elementwise helpers are the arithmetic alone: the config fixes and
 checks the scalar constants once (:class:`LinkParams`), and
 :class:`ChannelRealization` and :func:`downlink_budget` check the arrays
 that do not come from the config. Every budget is built by :func:`chain`
-from its direction's received power and interference, which each direction
-computes for itself, so the ratio solver's interior probes call
-:func:`chain` unchecked on the powers of its bracket ends.
+from its direction's transmit and received powers and interference, which
+each direction computes for itself, so the ratio solver's interior probes
+call :func:`chain` unchecked on the powers of its bracket ends.
 """
 
 from __future__ import annotations
@@ -77,10 +77,13 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Derived link quantities in one direction, one entry per device (and state)."""
+    """Derived link quantities in one direction, one entry per device (and state),
+    at transmit power ``ptx_w`` and decode share ``decode_share`` (1.0 uplink)."""
 
+    ptx_w: float
     prx_w: np.ndarray
     interference_w: np.ndarray
+    decode_share: float | np.ndarray
     sinr: np.ndarray
     rate_bps: np.ndarray
     tx_time_s: np.ndarray
@@ -166,15 +169,16 @@ def tx_time(payload_bits: float, rate_bps):
         return payload_bits / rate
 
 
-def chain(prx_w, interference_w, decode_share, noise_w, bandwidth_hz, payload_bits) -> LinkBudget:
-    """The budget of one direction from its two powers: SINR, rate and time
-    at decode shares ``decode_share``, 1.0 for the uplink.
+def chain(ptx_w, prx_w, interference_w, decode_share, noise_w, bandwidth_hz, payload_bits):
+    """The budget of one direction sent at ``ptx_w`` from its two powers: SINR,
+    rate and time at decode shares ``decode_share``, 1.0 for the uplink.
 
     The caller passes the direction's own interference; the ratio solver's
     probes call it alone, since neither power depends on the share."""
     g = sinr(decode_share * prx_w, interference_w, noise_w)
     rate = achievable_rate(bandwidth_hz, g)
-    return LinkBudget(prx_w, interference_w, g, rate, tx_time(payload_bits, rate))
+    t = tx_time(payload_bits, rate)
+    return LinkBudget(ptx_w, prx_w, interference_w, decode_share, g, rate, t)
 
 
 def uplink_budget(
@@ -188,7 +192,7 @@ def uplink_budget(
     g, d = realization.gains_sq, realization.distances_m
     prx = received_power(params.ptx_ul_w, d, params.pathloss_exponent, g)
     link = params.noise_power_ul_w, params.bandwidth_hz, payload_bits
-    return chain(prx, interference_power(prx), 1.0, *link)
+    return chain(params.ptx_ul_w, prx, interference_power(prx), 1.0, *link)
 
 
 def downlink_budget(
@@ -201,10 +205,10 @@ def downlink_budget(
 
     ``deltas`` is one ratio for all devices or one per device; a leading
     axis of candidate ratios broadcasts against the devices. ``prx_w`` in
-    the result is the full received power; only ``deltas`` of it reaches
-    the decoder (reflected in the SINR), and the remaining
-    ``(1 - deltas) * prx_w`` is what the harvester sees (consumed by the
-    energy module, not stored here).
+    the result is the full received power; only its ``decode_share``, the
+    ``deltas``, reaches the decoder (reflected in the SINR), and the
+    remaining ``(1 - deltas) * prx_w`` is what the harvester sees (consumed
+    by the energy module, not stored here).
     """
     deltas = np.asarray(deltas, dtype=float)
     if not ((deltas >= DELTA_MIN) & (deltas <= DELTA_MAX)).all():
@@ -214,4 +218,4 @@ def downlink_budget(
     link = params.noise_power_dl_w, params.bandwidth_hz, payload_bits
     # The uplink's co-channel sum; the unicast to device i reaches device j over
     # j's own channel, so the physical value is (M - 1) * prx_j (ROADMAP).
-    return chain(prx, interference_power(prx), deltas, *link)
+    return chain(params.ptx_dl_w, prx, interference_power(prx), deltas, *link)

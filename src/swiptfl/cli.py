@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="re-run while varying one config field; writes sweep.csv")
     _add_common(p)
-    p.add_argument("--param", required=True, help="dotted config path, e.g. link.ptx_dl_w")
+    p.add_argument("--param", required=True, help="dotted config path, e.g. compute.local_iters")
     p.add_argument("--values", required=True, help="comma-separated YAML values, lists included")
     p.set_defaults(func=cmd_sweep)
 

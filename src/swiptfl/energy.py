@@ -4,7 +4,7 @@ Covers the three consumption terms (local compute, uplink transmit, and the
 UAV's downlink transmit, which by convention is billed to the device), the
 nonlinear quadratic harvesting curve fed by the power splitter's harvest
 branch, and the round feasibility verdict: consumed energy must not exceed
-harvested energy.
+harvested energy. Each direction bills at the power its budget was sent at.
 """
 
 from __future__ import annotations
@@ -95,19 +95,25 @@ def harvest_power(model: HarvestModel, x):
     return np.maximum(0.0, model.a1 * x * x + model.a2 * x + model.a3)
 
 
-def balance(e_fixed_j, model: HarvestModel, prx_w, t_dl_s, delta, ptx_dl_w, device_pays_downlink):
+def fixed_bill(profile: ComputeProfile, uplink: LinkBudget):
+    """The compute + uplink bill of every device, which no power-splitting ratio changes."""
+    return compute_energy(profile) + transmit_energy(uplink.tx_time_s, uplink.ptx_w)
+
+
+def balance(e_fixed_j, model: HarvestModel, downlink: LinkBudget, device_pays_downlink):
     """The ratio-dependent end of the ledger: (billed total, harvest, verdict).
 
-    ``e_fixed_j`` is the compute + uplink bill, which no ratio changes; the
-    ratio solver's probes call this alone. Zero harvested power yields zero
-    harvested energy even over an infinite downlink time (an unreachable
-    device harvests nothing); that product is invalid, so callers ignore it.
+    ``e_fixed_j`` is the :func:`fixed_bill`; the ratio solver's probes call
+    this alone. The downlink bills at its own power and harvests on its
+    share ``1 - decode_share``. Zero harvested power yields zero harvested
+    energy even over an infinite downlink time (an unreachable device
+    harvests nothing); that product is invalid, so callers ignore it.
     """
     e_total = e_fixed_j
     if device_pays_downlink:
-        e_total = e_total + transmit_energy(t_dl_s, ptx_dl_w)
-    p_h = harvest_power(model, (1.0 - delta) * prx_w)
-    e_h = np.where(p_h > 0.0, t_dl_s * p_h, 0.0)
+        e_total = e_total + transmit_energy(downlink.tx_time_s, downlink.ptx_w)
+    p_h = harvest_power(model, (1.0 - downlink.decode_share) * downlink.prx_w)
+    e_h = np.where(p_h > 0.0, downlink.tx_time_s * p_h, 0.0)
     return e_total, e_h, np.isfinite(e_total) & (e_total <= e_h)
 
 
@@ -116,21 +122,15 @@ def ledger(
     harvest_model: HarvestModel,
     uplink: LinkBudget,
     downlink: LinkBudget,
-    delta,
-    ptx_ul_w: float,
-    ptx_dl_w: float,
     *,
     device_pays_downlink: bool = True,
 ) -> EnergyLedger:
     """Assemble the energy balance of every device for one round.
 
-    Harvesting runs for the downlink transmission time on the harvest
-    branch's share ``(1 - delta)`` of the received power, as
-    :func:`balance` says. A device with an infinite billed total is never
-    feasible, even if the harvested energy is infinite as well.
+    The bill and the harvest follow from the budgets, as :func:`balance`
+    says. A device with an infinite billed total is never feasible, even if
+    the harvested energy is infinite as well.
     """
-    e_fixed = compute_energy(profile) + transmit_energy(uplink.tx_time_s, ptx_ul_w)
-    down = downlink.prx_w, downlink.tx_time_s
+    e_fixed = fixed_bill(profile, uplink)
     with np.errstate(invalid="ignore"):
-        verdict = balance(e_fixed, harvest_model, *down, delta, ptx_dl_w, device_pays_downlink)
-    return EnergyLedger(*verdict)
+        return EnergyLedger(*balance(e_fixed, harvest_model, downlink, device_pays_downlink))

@@ -14,7 +14,7 @@ then ``ledger``); every interior probe, bisection or grid, and the downlink
 at the solved ratios, which the solver hands to the round, reuse the
 ratio-independent powers and bill they produced and run the rest through
 :func:`~swiptfl.channel.chain`, which builds every budget, and the ledger's
-own tail, :func:`~swiptfl.energy.balance`.
+own tail, :func:`~swiptfl.energy.balance`, which bills a budget at its power.
 
 Grid-search placement scores all candidate UAV positions with one call of
 an array objective, (C, 3) positions to (C,) expected delays, and picks the
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .channel import DELTA_MAX, DELTA_MIN, ChannelRealization, LinkParams, chain, downlink_budget
-from .energy import ComputeProfile, HarvestModel, balance, compute_energy, ledger, transmit_energy
+from .energy import ComputeProfile, HarvestModel, balance, fixed_bill, ledger
 
 if TYPE_CHECKING:  # budgets are built by channel.chain alone
     from .channel import LinkBudget
@@ -89,27 +89,25 @@ def optimize_delta_all(
     harvests as much as possible and is flagged infeasible.
 
     ``downlink_budget`` and ``ledger`` are called once each, on both
-    bracket ends stacked. Each interior probe reuses their received power,
-    interference and compute + uplink bill, which do not depend on the
-    ratio, and runs only what does: ``chain`` on those two powers, then
-    ``balance``, under one ``np.errstate`` for the whole probe loop. The
-    returned downlink at the solved ratios is ``chain``'s too: the round
-    needs no second budget.
+    bracket ends stacked. Each interior probe reuses their transmit and
+    received power, interference and ``fixed_bill``, which do not depend on
+    the ratio, and runs only what does: ``chain`` on those powers, then
+    ``balance`` on its budget, under one ``np.errstate`` for the whole probe
+    loop. The returned downlink at the solved ratios is ``chain``'s too: the
+    round needs no second budget.
     """
     shape = realization.gains_sq.shape
     lo, hi = np.full(shape, DELTA_MIN), np.full(shape, DELTA_MAX)
     bounds = np.stack([lo, hi])
     ends = downlink_budget(params, realization, bounds, payload_dl_bits)
-    args = profile, harvest, uplink, ends, bounds, params.ptx_ul_w, params.ptx_dl_w
-    ok_lo, ok_hi = ledger(*args, device_pays_downlink=device_pays_downlink).feasible
-    prx, interf = ends.prx_w, ends.interference_w
-    e_fixed = compute_energy(profile) + transmit_energy(uplink.tx_time_s, params.ptx_ul_w)
+    pays = device_pays_downlink
+    ok_lo, ok_hi = ledger(profile, harvest, uplink, ends, device_pays_downlink=pays).feasible
+    ptx, prx, interf = ends.ptx_w, ends.prx_w, ends.interference_w
+    e_fixed = fixed_bill(profile, uplink)
     link = params.noise_power_dl_w, params.bandwidth_hz, payload_dl_bits  # chain's constants
-    bill = params.ptx_dl_w, device_pays_downlink  # balance's
 
     def feasible_at(deltas):
-        t_dl = chain(prx, interf, deltas, *link).tx_time_s
-        return balance(e_fixed, harvest, prx, t_dl, deltas, *bill)[2]
+        return balance(e_fixed, harvest, chain(ptx, prx, interf, deltas, *link), pays)[2]
 
     # The harvest input (1 - delta) * prx spans [0, prx]. Where the curve
     # is nondecreasing there, feasibility is a prefix interval; elsewhere
@@ -139,7 +137,7 @@ def optimize_delta_all(
             deltas = np.where(dips, np.where(best > 0, best, DELTA_MIN), deltas)
             feasible = np.where(dips, best > 0, feasible)
 
-    return DeltaSolution(deltas, feasible, dips, chain(prx, interf, deltas, *link))
+    return DeltaSolution(deltas, feasible, dips, chain(ptx, prx, interf, deltas, *link))
 
 
 def place_uav(

@@ -366,8 +366,8 @@ class LinkRound:
     """One round's physics, stage times included, for all devices at one or a batch of states.
 
     ``grid`` marks the devices the solver scanned on the dense grid, all
-    False at a fixed ratio. ``energy`` is built from ``config`` on its first
-    read and kept, so a reader of the delay alone, such as placement, never builds a ledger."""
+    False at a fixed ratio. ``energy`` bills the budgets with ``config``'s compute, harvest and
+    payer on its first read and is kept, so a reader of the delay alone never builds a ledger."""
 
     config: ScenarioConfig
     deltas: np.ndarray
@@ -380,8 +380,8 @@ class LinkRound:
     @functools.cached_property
     def energy(self) -> EnergyLedger:
         """Every device's energy ledger at these links and ratios."""
-        cfg, up, down = self.config, self.uplink, self.downlink
-        args = cfg.compute, cfg.harvest, up, down, self.deltas, cfg.link.ptx_ul_w, cfg.link.ptx_dl_w
+        cfg = self.config
+        args = cfg.compute, cfg.harvest, self.uplink, self.downlink
         return ledger(*args, device_pays_downlink=cfg.device_pays_downlink)
 
     def delay(self) -> float | np.ndarray:

@@ -276,9 +276,6 @@ def full_chain_delta_solve(
             harvest,
             uplink,
             down,
-            deltas,
-            params.ptx_ul_w,
-            params.ptx_dl_w,
             device_pays_downlink=device_pays_downlink,
         ).feasible
 

@@ -407,9 +407,6 @@ def test_criterion_07_ratio_solver_matches_grid_oracle():
             harvest,
             uplink,
             down,
-            delta,
-            params.ptx_ul_w,
-            params.ptx_dl_w,
             device_pays_downlink=case["device_pays_downlink"],
         )
         if not led.feasible[0]:

@@ -243,8 +243,9 @@ def assert_same_budget(got, expected):
     ids=["one-device", "devices", "batch", "bracket"],
 )
 def test_each_direction_chains_its_own_power_and_interference(gains_shape, deltas_shape):
-    """Each budget is chain() on its direction's own received power and that
-    power's co-channel sum, bit for bit, and one device sees no interference
+    """Each budget is chain() on its direction's own transmit power, received
+    power and that power's co-channel sum, bit for bit, and carries the
+    power and decode share it was built at; one device sees no interference
     either way; the (2, 3, M) ratios over (3, M) states are the ratio
     solver's stacked bracket ends."""
     rng = np.random.default_rng(len(deltas_shape))
@@ -257,8 +258,11 @@ def test_each_direction_chains_its_own_power_and_interference(gains_shape, delta
         (params.ptx_dl_w, params.noise_power_dl_w, deltas, downlink_budget(params, r, deltas, 512.0)),
     ]:
         prx = received_power(ptx, r.distances_m, 2.7, r.gains_sq)
-        expected = chain(prx, interference_power(prx), share, noise, params.bandwidth_hz, 512.0)
+        link = noise, params.bandwidth_hz, 512.0
+        expected = chain(ptx, prx, interference_power(prx), share, *link)
         assert_same_budget(budget, expected)
+        assert budget.ptx_w == ptx
+        assert np.array_equal(budget.decode_share, share)
         assert budget.tx_time_s.shape == np.broadcast_shapes(gains_shape, np.shape(share))
         assert (budget.interference_w == 0).all() == (m == 1)
 

@@ -113,10 +113,7 @@ def test_ledger_sum_identity():
     params, up, down = _budgets(0.4)
     e_compute = oracles.e_compute(1e-28, 1e3, 1e4, 5, 1e9)
     for pays in (True, False):
-        led = ledger(
-            make_profile(), model, up, down, 0.4, params.ptx_ul_w, params.ptx_dl_w,
-            device_pays_downlink=pays,
-        )
+        led = ledger(make_profile(), model, up, down, device_pays_downlink=pays)
         for i in range(2):
             expected = e_compute + oracles.e_transmit(up.tx_time_s[i], params.ptx_ul_w)
             if pays:
@@ -126,8 +123,8 @@ def test_ledger_sum_identity():
 
 def test_ledger_harvest_energy_definition():
     model = HarvestModel(0.2, 0.3, 0.01)
-    params, up, down = _budgets(0.6)
-    led = ledger(make_profile(), model, up, down, 0.6, params.ptx_ul_w, params.ptx_dl_w)
+    _, up, down = _budgets(0.6)
+    led = ledger(make_profile(), model, up, down)
     for i in range(2):
         expected_power = oracles.p_harvest(0.2, 0.3, 0.01, (1.0 - 0.6) * down.prx_w[i])
         assert expected_power > 0.0
@@ -135,13 +132,13 @@ def test_ledger_harvest_energy_definition():
 
 
 def test_ledger_feasibility_is_energy_balance():
-    params, up, down = _budgets(0.5)
-    poor = ledger(make_profile(), HarvestModel(0.1, 0.5, 0.0), up, down, 0.5,
-                  params.ptx_ul_w, params.ptx_dl_w)
+    _, up, down = _budgets(0.5)
+    poor = ledger(make_profile(), HarvestModel(0.1, 0.5, 0.0), up, down)
     assert np.all(poor.e_total_j > poor.e_harvest_j)
     assert not np.any(poor.feasible)
-    rich = ledger(make_profile(local_iters=0), HarvestModel(0.0, 0.0, 100.0), up, down, 0.5,
-                  params.ptx_ul_w, 0.001, device_pays_downlink=True)
+    _, up, down = _budgets(0.5, ptx_dl=0.001)
+    rich = ledger(make_profile(local_iters=0), HarvestModel(0.0, 0.0, 100.0), up, down,
+                  device_pays_downlink=True)
     assert np.all(rich.e_total_j <= rich.e_harvest_j)
     assert np.all(rich.feasible)
 
@@ -153,8 +150,7 @@ def test_ledger_zero_harvest_power_gives_zero_energy_even_when_unreachable():
     r = ChannelRealization([0.0, 1.0], [25.0, 40.0])  # zero gain: rate 0, time inf
     down = downlink_budget(params, r, 0.5, 2048.0)
     assert down.tx_time_s[0] == math.inf
-    led = ledger(make_profile(), HarvestModel(0.0, 0.0, 0.0), up, down, 0.5,
-                 params.ptx_ul_w, params.ptx_dl_w)
+    led = ledger(make_profile(), HarvestModel(0.0, 0.0, 0.0), up, down)
     assert led.e_harvest_j[0] == 0.0
     assert not math.isnan(led.e_total_j[0])
     assert not led.feasible[0]
@@ -164,8 +160,7 @@ def test_ledger_infinite_total_never_feasible():
     params, up, _ = _budgets(0.5)
     r = ChannelRealization([0.0, 1.0], [25.0, 40.0])
     down = downlink_budget(params, r, 0.5, 2048.0)
-    led = ledger(make_profile(), HarvestModel(0.0, 0.5, 0.1), up, down, 0.5,
-                 params.ptx_ul_w, params.ptx_dl_w)
+    led = ledger(make_profile(), HarvestModel(0.0, 0.5, 0.1), up, down)
     # The constant curve term keeps harvesting through the endless downlink,
     # but an infinite bill is still a bill.
     assert led.e_harvest_j[0] == math.inf
@@ -182,6 +177,6 @@ def test_harvested_energy_nonincreasing_in_delta():
         profile = make_profile()
         ptx_dl = float(rng.uniform(0.5, 2.0))
         deltas = np.linspace(0.05, 0.95, 10)[:, None]
-        params, up, down = _budgets(deltas, ptx_dl=ptx_dl)
-        energies = ledger(profile, model, up, down, deltas, params.ptx_ul_w, params.ptx_dl_w).e_harvest_j
+        _, up, down = _budgets(deltas, ptx_dl=ptx_dl)
+        energies = ledger(profile, model, up, down).e_harvest_j
         assert np.all(energies[1:] <= energies[:-1] + 1e-18)

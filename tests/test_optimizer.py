@@ -111,9 +111,6 @@ def _feasible(case, delta):
         case.harvest,
         case.uplink,
         down,
-        delta,
-        case.params.ptx_ul_w,
-        case.params.ptx_dl_w,
         device_pays_downlink=case.device_pays_downlink,
     ).feasible
 
@@ -233,7 +230,7 @@ def test_solution_invariant_under_joint_energy_rescale():
 
     c = 4.0
     scaled = case._replace(
-        params=replace(case.params, ptx_ul_w=c * case.params.ptx_ul_w),
+        uplink=replace(case.uplink, ptx_w=c * case.uplink.ptx_w),
         profile=replace(case.profile, kappa=c * case.profile.kappa),
         harvest=HarvestModel(c * case.harvest.a1, c * case.harvest.a2, c * case.harvest.a3),
     )

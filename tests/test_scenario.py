@@ -446,10 +446,16 @@ def test_fixed_and_optimized_delta_modes():
     assert np.all((opt["deltas"][0, 0] > 0.0) & (opt["deltas"][0, 0] < 1.0))
 
 
-def test_single_device_round_matches_closed_form():
+@pytest.mark.parametrize(
+    "powers",
+    [{}, {"link.ptx_ul_w": 1e-3, "link.ptx_dl_w": 2.0}],
+    ids=["default-powers", "own-powers"],
+)
+def test_single_device_round_matches_closed_form(powers):
     """With one device there is no interference, so every recorded quantity
     follows from the raw definitions; rebuild them all through the
-    independent helpers, reproducing the fading from the named stream."""
+    independent helpers, reproducing the fading from the named stream.
+    Each direction's energy is billed at that direction's own power."""
     cfg = ScenarioConfig(
         master_seed=11,
         device_count=1,
@@ -457,6 +463,7 @@ def test_single_device_round_matches_closed_form():
         rounds=1,
         placement_trials=2,
     )
+    cfg = merge(cfg, powers)
     scenario = build(cfg)
     rec = run_trial(scenario, [0])
 
