@@ -329,22 +329,15 @@ def evaluate_metric(models, data: FederatedData, task: str) -> np.ndarray:
     return global_loss(models, data, task)
 
 
-def _better(candidate: float, incumbent: float, task: str) -> bool:
-    # Metrics are compared after rounding to 12 decimals so float dust can
-    # never steal a tie from the cheaper (smaller) round budget.
-    a, b = round(candidate, 12), round(incumbent, 12)
-    return a > b if task == TASK_LOGISTIC else a < b
-
-
 def best_budget(metrics: Sequence[float], task: str) -> int:
     """Index of the best of ``metrics``, one per round budget in ascending
     order: the highest accuracy or the lowest loss. An exact tie goes to the
     smaller budget, which costs less to communicate."""
-    best = 0
-    for i, metric in enumerate(metrics):
-        if _better(metric, metrics[best], task):
-            best = i
-    return best
+    # Metrics are compared after rounding to 12 decimals so float dust can
+    # never steal a tie from the cheaper budget; min and max keep the first
+    # of equal keys.
+    pick = max if task == TASK_LOGISTIC else min
+    return pick(range(len(metrics)), key=lambda i: round(metrics[i], 12))
 
 
 def check_candidates(candidates: list[int]) -> list[int]:

@@ -18,13 +18,15 @@ own tail, :func:`~swiptfl.energy.balance`, which bills a budget at its power.
 
 Grid-search placement scores all candidate UAV positions with one call of
 an array objective, (C, 3) positions to (C,) expected delays, and picks the
-winner with one lexicographic sort. Centroid placement has one candidate and
-nothing to compare, so it calls no objective and leaves the expected delay
-to whoever reads it.
+winner with one lexicographic sort; centroid placement calls no objective.
+Both return decisions only: ratios with the downlink at them, whose ledger
+is the feasibility verdict, and a position, whose expected delay the
+scenario computes when it is read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -39,8 +41,9 @@ if TYPE_CHECKING:  # budgets are built by channel.chain alone
 MODE_CENTROID = "centroid"
 MODE_GRID_SEARCH = "grid_search"
 
-TOL = 1e-6  # bisection stops once the bracket is this narrow
-MAX_ITERS = 60
+TOL = 1e-6  # the bisection leaves every bracket at most this wide
+# Every bracket starts as [DELTA_MIN, DELTA_MAX] and halves per step, whatever the batch.
+BISECTIONS = math.ceil(math.log2((DELTA_MAX - DELTA_MIN) / TOL))
 GRID_STEP = 1e-3  # spacing of the dense scan for dipping harvest curves
 GRID_BLOCK = 1 << 16  # (ratio, state, device) entries per block of that scan
 
@@ -50,25 +53,14 @@ class DeltaSolution:
     """Per-device ratios for a realization, shaped like its gains.
 
     ``grid`` marks the devices that needed the dense scan; the others were
-    bisected. Infeasible devices carry ``delta_min`` (maximum harvest share)
-    and a False flag. ``downlink`` is the downlink budget at ``deltas``,
-    equal to ``downlink_budget``'s.
+    bisected. Devices with no feasible ratio carry ``delta_min`` (maximum
+    harvest share). ``downlink`` is the downlink budget at ``deltas``, equal
+    to ``downlink_budget``'s; its ledger is the feasibility verdict.
     """
 
     deltas: np.ndarray
-    feasible: np.ndarray
     grid: np.ndarray
     downlink: LinkBudget
-
-
-@dataclass(frozen=True)
-class PlacementSolution:
-    """Chosen UAV position and the expected round delay there.
-
-    ``objective_s`` is None for centroid placement, which scores nothing."""
-
-    position: tuple[float, float, float]
-    objective_s: float | None
 
 
 def optimize_delta_all(
@@ -85,8 +77,8 @@ def optimize_delta_all(
 
     Devices are independent: a device's ratio enters only its own decode
     SINR and harvest branch, never the interference seen by others. A
-    device with no feasible ratio gets ``(delta_min, False)``: it then
-    harvests as much as possible and is flagged infeasible.
+    device with no feasible ratio gets ``delta_min``: it then harvests as
+    much as possible, and the ledger on the returned downlink flags it.
 
     ``downlink_budget`` and ``ledger`` are called once each, on both
     bracket ends stacked. Each interior probe reuses their transmit and
@@ -116,14 +108,11 @@ def optimize_delta_all(
 
     with np.errstate(divide="ignore", invalid="ignore"):  # unreachable devices probe inf
         if (ok_lo & ~ok_hi & ~dips).any():  # some device's edge lies inside the bracket
-            for _ in range(MAX_ITERS):
-                if np.max(hi - lo) <= TOL:
-                    break
+            for _ in range(BISECTIONS):
                 mid = 0.5 * (lo + hi)
                 ok = feasible_at(mid)
                 lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
         deltas = np.where(ok_hi, DELTA_MAX, np.where(ok_lo, lo, DELTA_MIN))
-        feasible = ok_lo | ok_hi
         if dips.any():
             # The scan runs in blocks of ratios in front of the batch axes, so its
             # temporaries stay near GRID_BLOCK entries however large the batch is.
@@ -135,9 +124,8 @@ def optimize_delta_all(
                 block = grid[start : start + step].reshape((-1,) + (1,) * len(shape))
                 best = np.maximum(best, np.where(feasible_at(block), block, 0.0).max(axis=0))
             deltas = np.where(dips, np.where(best > 0, best, DELTA_MIN), deltas)
-            feasible = np.where(dips, best > 0, feasible)
 
-    return DeltaSolution(deltas, feasible, dips, chain(ptx, prx, interf, deltas, *link))
+    return DeltaSolution(deltas, dips, chain(ptx, prx, interf, deltas, *link))
 
 
 def place_uav(
@@ -146,21 +134,20 @@ def place_uav(
     mode: str,
     objective: Callable[[np.ndarray], np.ndarray],
     grid_points: int = 9,
-) -> PlacementSolution:
-    """Pick the UAV position: area center, or expected-delay grid search.
+) -> tuple[float, float, float]:
+    """The UAV position (x, y, z): area center, or expected-delay grid search.
 
     ``objective`` maps a (C, 3) array of candidate positions to their (C,)
     expected delays. Grid search calls it exactly once, on every candidate;
-    the centroid is returned without calling it, with ``objective_s`` None.
-    The grid always contains the exact centroid so the search can never do
-    worse than the centroid choice under the same objective. Ties go to the
-    candidate nearest the centroid, then to the smaller (x, y) for full
-    determinism.
+    the centroid is returned without calling it. The grid always contains
+    the exact centroid so the search can never do worse than the centroid
+    choice under the same objective. Ties go to the candidate nearest the
+    centroid, then to the smaller (x, y) for full determinism.
     """
     xmin, xmax, ymin, ymax = area_bounds
     centroid = np.array([[0.5 * (xmin + xmax), 0.5 * (ymin + ymax)]])
     if mode == MODE_CENTROID:
-        return PlacementSolution((*map(float, centroid[0]), float(altitude_m)), None)
+        return (*map(float, centroid[0]), float(altitude_m))
     if mode != MODE_GRID_SEARCH:
         raise ValueError(f"unknown placement mode {mode!r}")
     if grid_points < 2:
@@ -173,4 +160,4 @@ def place_uav(
     delays = np.asarray(objective(candidates), dtype=float)
     d2 = (xy[:, 0] - centroid[0, 0]) ** 2 + (xy[:, 1] - centroid[0, 1]) ** 2
     best = np.lexsort((xy[:, 1], xy[:, 0], d2, delays))[0]
-    return PlacementSolution(tuple(map(float, candidates[best])), float(delays[best]))
+    return tuple(map(float, candidates[best]))

@@ -5,9 +5,9 @@ classes and the merge that builds a config live in :mod:`swiptfl.config`.
 The round kernel :func:`link_round` takes only the config and a fading
 realization; the payloads follow from the config. Grid-search placement
 scores every candidate UAV position against every placement fading draw in
-one batched :func:`link_round`; centroid placement scores its one position
-only when the scenario's ``placement_objective_s`` is first read. Monte
-Carlo trials run in contiguous blocks, one block per worker. :func:`run_trial`
+one batched :func:`link_round` to choose one; in both placement modes the
+scenario's ``placement_objective_s`` is computed when it is first read.
+Monte Carlo trials run in contiguous blocks, one block per worker. :func:`run_trial`
 runs a block's physics chunk by chunk, then its learning on the participation
 mask the physics leaves, into one columnar :class:`BlockRecord`; every
 reported statistic is one named reduction in the :func:`statistics` table of
@@ -218,11 +218,11 @@ def trial_fading(master_seed: int, trials, rounds, device_count: int) -> np.ndar
 class _ExpectedDelay:
     """A :class:`Scenario` field holding the expected round delay at the UAV.
 
-    Set to None, it is computed on first read, by the call grid search
-    makes, ``mean_round_delay(config, device_positions, [uav_position])``,
-    and kept on the instance. Pickling copies what is stored, so a copy sent
-    to a worker computes nothing. Read on the class it raises AttributeError,
-    so the dataclass field has no default.
+    Set to None, as :func:`build` sets it, it is computed on first read, as
+    ``mean_round_delay(config, device_positions, [uav_position])``, and kept
+    on the instance. Pickling copies what is stored, so a copy sent to a
+    worker computes nothing. Read on the class it raises AttributeError, so
+    the dataclass field has no default.
     """
 
     def __set_name__(self, owner, name):
@@ -247,9 +247,8 @@ class Scenario:
     """A fully materialized experiment: geometry, data, and initial model.
 
     ``val_set`` and ``test_set`` are stacks of one, drawn as the devices' sets are.
-    ``placement_objective_s`` is the expected round delay at ``uav_position``:
-    grid search scored it while placing the UAV; centroid placement leaves
-    it None, and the first read computes it."""
+    ``placement_objective_s`` is the expected round delay at ``uav_position``,
+    computed when it is first read."""
 
     config: ScenarioConfig
     device_positions: np.ndarray
@@ -459,21 +458,21 @@ def build(config: ScenarioConfig) -> Scenario:
     """Materialize geometry, placement, datasets, and the initial model.
 
     Grid-search placement scores every candidate in one batched link round;
-    centroid placement scores nothing here, and the scenario's
-    ``placement_objective_s`` is computed when it is first read."""
+    centroid placement scores nothing. The scenario's
+    ``placement_objective_s`` is left to its first read."""
     xmin, xmax, ymin, ymax = config.area_bounds
     place_rng = rng_stream(config.master_seed, "placement")
     xs = place_rng.uniform(xmin, xmax, config.device_count)
     ys = place_rng.uniform(ymin, ymax, config.device_count)
     positions = np.column_stack([xs, ys])
-    placement = place_uav(
+    uav = place_uav(
         config.area_bounds,
         config.uav_altitude_m,
         config.placement_mode,
         lambda xyz: mean_round_delay(config, positions, xyz),
         config.placement_grid_points,
     )
-    distances = _distances(positions, np.array([placement.position]))[0]
+    distances = _distances(positions, np.array([uav]))[0]
 
     train_sets, val_set, test_set, _ = make_federated_problem(
         rng_stream(config.master_seed, "data"),
@@ -492,8 +491,8 @@ def build(config: ScenarioConfig) -> Scenario:
     return Scenario(
         config=config,
         device_positions=positions,
-        uav_position=placement.position,
-        placement_objective_s=placement.objective_s,
+        uav_position=uav,
+        placement_objective_s=None,
         distances_m=distances,
         train_sets=train_sets,
         val_set=val_set,

@@ -370,11 +370,12 @@ def test_criterion_07_ratio_solver_matches_grid_oracle():
     for _ in range(500):
         case = _context_case(rng)
         sol = optimize_delta_all(**case)
-        delta, feasible = float(sol.deltas[0]), bool(sol.feasible[0])
-
         params, realization, uplink = case["params"], case["realization"], case["uplink"]
+        harvest, pays = case["harvest"], case["device_pays_downlink"]
+        solved = ledger(case["profile"], harvest, uplink, sol.downlink, device_pays_downlink=pays)
+        delta, feasible = float(sol.deltas[0]), bool(solved.feasible[0])
+
         fixed = compute_energy(case["profile"]) + uplink.tx_time_s[0] * params.ptx_ul_w
-        harvest = case["harvest"]
         mask = oracles.delta_feasibility_grid(
             params.ptx_dl_w,
             realization.distances_m[0],

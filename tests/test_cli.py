@@ -742,7 +742,8 @@ def test_place_uav_reports_position(tmp_path, capsys, monkeypatch):
     x, y, z = placement["position"]
     assert 0.0 <= x <= 100.0 and 0.0 <= y <= 100.0 and z == 20.0
     assert placement["objective_s"] > 0.0
-    assert len(uplink_calls) == 1  # every candidate in one link round
+    # Every candidate in one link round at build, the chosen one on read.
+    assert len(uplink_calls) == 2
 
     for name, overrides, position, objective in PLACEMENT_CHARACTERIZATIONS:
         uplink_calls.clear()
@@ -754,7 +755,7 @@ def test_place_uav_reports_position(tmp_path, capsys, monkeypatch):
         placement = json.loads((out / "placement.json").read_text())
         assert placement["position"] == position
         assert placement["objective_s"] == objective
-        assert len(uplink_calls) == 1
+        assert len(uplink_calls) == 2
 
 
 def test_placement_builds_no_energy_ledger(tmp_path, capsys, monkeypatch):

@@ -98,10 +98,21 @@ def solve(case):
     )
 
 
+def verdict(case, sol):
+    """The ledger's feasibility flags at the solved ratios."""
+    return ledger(
+        case.profile,
+        case.harvest,
+        case.uplink,
+        sol.downlink,
+        device_pays_downlink=case.device_pays_downlink,
+    ).feasible
+
+
 def solve_one(case):
     """(delta, feasible) of the single device of an M=1 case."""
     sol = solve(case)
-    return float(sol.deltas[0]), bool(sol.feasible[0])
+    return float(sol.deltas[0]), bool(verdict(case, sol)[0])
 
 
 def _feasible(case, delta):
@@ -207,7 +218,7 @@ def test_solver_falls_back_to_grid_on_nonmonotone_feasibility():
 
     sol = solve(case)
     assert sol.grid.tolist() == [True]
-    assert sol.feasible[0]
+    assert verdict(case, sol)[0]
     assert sol.deltas[0] == DELTA_MAX
 
 
@@ -254,17 +265,26 @@ def test_optimize_delta_all_solves_interfering_devices_together():
             local_iters=1,
         )
         sol = solve(case)
-        assert sol.deltas.shape == (m,) and sol.feasible.shape == (m,)
+        feasible = verdict(case, sol)
+        assert sol.deltas.shape == (m,) and feasible.shape == (m,)
         assert not sol.grid.any()
         for i in range(m):
             ref = _oracle_solve(case, device=i)
-            assert sol.feasible[i] == (ref is not None)
+            assert feasible[i] == (ref is not None)
             if ref is not None:
                 assert abs(sol.deltas[i] - ref) <= 1e-4 + 1e-6
                 solved += 1
             else:
                 assert sol.deltas[i] == DELTA_MIN
     assert 10 <= solved <= 20 * m - 10
+
+
+def test_bisection_count_is_the_least_that_reaches_tol():
+    """Every bracket starts as [DELTA_MIN, DELTA_MAX] and halves at each
+    step, so BISECTIONS steps leave it within TOL and one fewer would not."""
+    width = DELTA_MAX - DELTA_MIN
+    n = optimizer.BISECTIONS
+    assert width / 2**n <= optimizer.TOL < width / 2 ** (n - 1)
 
 
 def random_batch(rng, harvest, shape=(4, 6), peak_gain=1e20):
@@ -308,12 +328,14 @@ def test_solver_equals_full_chain_reference(harvest, pays_downlink):
         args = random_batch(rng, harvest)
         sol = optimize_delta_all(*args, device_pays_downlink=pays_downlink)
         deltas, feasible, grid = oracles.full_chain_delta_solve(*args, pays_downlink)
+        _, _, uplink, profile, _, _ = args
+        solved = ledger(profile, harvest, uplink, sol.downlink, device_pays_downlink=pays_downlink)
         assert np.array_equal(sol.deltas, deltas)
-        assert np.array_equal(sol.feasible, feasible)
+        assert np.array_equal(solved.feasible, feasible)
         assert np.array_equal(sol.grid, grid)
         assert sol.grid.any() == (harvest.a2 < 0)
-        assert not sol.feasible.all() and sol.feasible.any()
-        interior += int((sol.feasible & (sol.deltas < DELTA_MAX)).sum())
+        assert not feasible.all() and feasible.any()
+        interior += int((feasible & (sol.deltas < DELTA_MAX)).sum())
     assert interior >= 40
 
 
@@ -338,8 +360,10 @@ def test_solver_runs_the_full_chain_once(monkeypatch, shape, a2):
     rng = np.random.default_rng(73)
     args = random_batch(rng, HarvestModel(0.1, a2, 0.1), shape, peak_gain=1.0)
     sol = optimize_delta_all(*args, device_pays_downlink=False)
+    _, _, uplink, profile, harvest, _ = args
+    feasible = ledger(profile, harvest, uplink, sol.downlink, device_pays_downlink=False).feasible
     assert sol.deltas.shape == shape
-    assert (sol.feasible & (sol.deltas > DELTA_MIN) & (sol.deltas < DELTA_MAX)).any()
+    assert (feasible & (sol.deltas > DELTA_MIN) & (sol.deltas < DELTA_MAX)).any()
     assert sol.grid.any() == (a2 < 0)
     assert calls == {"downlink_budget": 1, "ledger": 1}
 
@@ -433,9 +457,8 @@ def test_place_uav_centroid_of_square():
         calls.append(candidates)
         return np.ones(len(candidates))
 
-    sol = place_uav((0.0, 100.0, 0.0, 100.0), 20.0, "centroid", objective)
-    assert sol.position == (50.0, 50.0, 20.0)
-    assert sol.objective_s is None
+    position = place_uav((0.0, 100.0, 0.0, 100.0), 20.0, "centroid", objective)
+    assert position == (50.0, 50.0, 20.0)
     assert calls == []
 
 
@@ -463,16 +486,16 @@ def test_place_uav_single_device_picks_nearest_lattice_point():
         calls.append(candidates.shape)
         return mean_round_delay(config, device, candidates)
 
-    sol = place_uav(
+    position = place_uav(
         config.area_bounds, config.uav_altitude_m, "grid_search", objective, grid_points=5
     )
     assert calls == [(26, 3)]
 
     candidates = lattice_and_centroid(config)
     nearest = min(candidates[:-1], key=lambda p: (p[0] - 83.0) ** 2 + (p[1] - 22.0) ** 2)
-    assert sol.position == nearest
+    assert position == nearest
     exhaustive = per_candidate_objective(config, device, candidates)
-    assert sol.objective_s == exhaustive.min()
+    assert objective(np.array([position]))[0] == exhaustive.min()
 
 
 def test_place_uav_symmetric_devices_prefer_centroid():
@@ -489,8 +512,9 @@ def test_place_uav_symmetric_devices_prefer_centroid():
         )
         return np.max(np.sqrt(d2), axis=1)
 
-    sol = place_uav((0.0, 100.0, 0.0, 100.0), 20.0, "grid_search", worst_distance, grid_points=9)
-    assert sol.position == (50.0, 50.0, 20.0)
+    area = (0.0, 100.0, 0.0, 100.0)
+    position = place_uav(area, 20.0, "grid_search", worst_distance, grid_points=9)
+    assert position == (50.0, 50.0, 20.0)
 
 
 def test_grid_search_objective_never_worse_than_centroid():
@@ -502,11 +526,10 @@ def test_grid_search_objective_never_worse_than_centroid():
         return mean_round_delay(config, devices, candidates)
 
     centroid = place_uav(config.area_bounds, config.uav_altitude_m, "centroid", objective)
-    at_centroid = objective(np.array([centroid.position]))[0]
     grid = place_uav(
         config.area_bounds, config.uav_altitude_m, "grid_search", objective, grid_points=5
     )
-    assert grid.objective_s <= at_centroid
+    assert objective(np.array([grid]))[0] <= objective(np.array([centroid]))[0]
 
 
 def test_batched_placement_grid_scan_stays_small():

@@ -383,14 +383,29 @@ def test_replaced_placement_objective_is_kept(monkeypatch):
         scenario_module.Scenario.placement_objective_s
 
 
-def test_grid_search_scores_every_candidate_in_one_call(monkeypatch):
+@pytest.mark.parametrize("device_count", [1, 3, 5, 50])
+@pytest.mark.parametrize("delta_mode", ["fixed", "optimized"])
+def test_grid_search_scores_every_candidate_in_one_call(monkeypatch, delta_mode, device_count):
     """Grid search scores its 9 x 9 lattice and the centroid in one call at
-    build, and reading the objective then computes nothing."""
-    calls = counted_mean_round_delay(monkeypatch)
-    scenario = build(small_config(placement_mode="grid_search"))
+    build. The first read of the objective scores the chosen position alone,
+    and equals its row of the build's batch bit for bit."""
+    calls, rows, real = [], [], scenario_module.mean_round_delay
+
+    def counted(config, device_positions, candidates):
+        calls.append(candidates.shape)
+        rows.append((candidates, real(config, device_positions, candidates)))
+        return rows[-1][1]
+
+    monkeypatch.setattr(scenario_module, "mean_round_delay", counted)
+    modes = dict(placement_mode="grid_search", delta_mode=delta_mode)
+    scenario = build(small_config(device_count=device_count, **modes))
     assert calls == [(82, 3)]
-    assert scenario.placement_objective_s > 0.0
-    assert calls == [(82, 3)]
+    objective = scenario.placement_objective_s
+    assert calls == [(82, 3), (1, 3)]
+    candidates, delays = rows[0]
+    chosen = np.flatnonzero((candidates == scenario.uav_position).all(axis=1))
+    assert math.isfinite(objective) and objective > 0.0
+    assert {repr(float(delays[i])) for i in chosen} == {repr(objective)}
 
 
 def test_link_round_payloads_follow_the_config():
