@@ -1,9 +1,12 @@
 """Federated averaging on flat parameter vectors.
 
 Two built-in learning tasks: linear regression under mean squared loss and
-two-class logistic regression under mean negative log-likelihood. Devices
-run plain gradient descent locally (full batch or minibatch), the linear
-task in full batch on each set's moments XᵀX / n and Xᵀy / n; the server
+two-class logistic regression under mean negative log-likelihood, scored
+as max(z, 0) + log1p(e^-|z|) - y*z on numpy's vectorized ``exp`` and
+``log1p``. Devices run plain gradient descent locally (full batch or
+minibatch), the linear task in full batch on each set's moments XᵀX / n and
+Xᵀy / n, minibatches picked from uniforms that :func:`minibatch_draws`
+fills one generator per trial for a chunk of rounds at a time; the server
 aggregates local models weighted by dataset size at the end of
 :func:`run_round`, each coordinate of a trial's sum correctly rounded: an
 exact array sum over the whole block, with a ``math.fsum`` loop kept only
@@ -117,13 +120,21 @@ def _per_model_mean(values: np.ndarray) -> np.ndarray:
     return values.reshape(len(values), -1).mean(axis=1)
 
 
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + e^z) in the overflow-safe form max(z, 0) + log1p(e^-|z|), on
+    numpy's vectorized ``exp`` and ``log1p``: within 3 ulp of
+    ``np.logaddexp(0, z)``, which runs a scalar loop, and warning-free at nan."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
 def _sample_losses(w: np.ndarray, x: np.ndarray, y: np.ndarray, task: str) -> np.ndarray:
+    """Each sample's loss under each model, (T, M, n): half the squared
+    residual, or the logistic NLL log(1 + e^z) - y*z."""
     z = _predictions(w, x)
     if task == TASK_LINEAR:
         r = z - y
         return 0.5 * r * r
-    # logistic NLL in the overflow-safe form log(1 + e^z) - v*z
-    return np.logaddexp(0.0, z) - y * z
+    return _softplus(z) - y * z
 
 
 def global_loss(models, data: FederatedData, task: str) -> np.ndarray:
@@ -228,7 +239,7 @@ def run_round(
     data: FederatedData,
     cfg: TrainerConfig,
     local_iters: int,
-    rngs: Sequence[np.random.Generator] | None = None,
+    draws: np.ndarray | None = None,
     participate: np.ndarray | None = None,
 ) -> BlockRound:
     """One communication round of T independent trials: broadcast, local GD/SGD, aggregate.
@@ -254,15 +265,15 @@ def run_round(
     per coordinate, with the same bits), so a trial's model depends neither
     on the order of its devices nor on its block.
 
-    Minibatch training draws, per local iteration, one
-    ``rngs[t].random((M, n))`` for all M devices of trial t, participants
-    or not, into one (T, M, n) buffer; a row's batch is the first
-    ``batch_size`` indices of its device's argsort, so it never depends on
-    who else takes part. The generators carry over between calls:
-    :func:`~swiptfl.scenario.run_trial` hands every round the same T, one
-    ``("trial", t, "train")`` stream per trial, so each round draws exactly
-    ``local_iters`` arrays from each, a stopped trial's included. Full-batch
-    training draws nothing and needs no ``rngs``.
+    Minibatch training reads the round's uniforms from ``draws``, shaped
+    (T, local_iters, M, n): at local iteration i, the batch of device j in
+    trial t is the first ``batch_size`` indices of the argsort of
+    ``draws[t, i, j]``, a row drawn for all M devices, participants or not,
+    so it never depends on who else takes part. :func:`minibatch_draws`
+    fills them from one generator per trial for a chunk of rounds;
+    :func:`~swiptfl.scenario.run_trial` hands each round its slice of one
+    ``("trial", t, "train")`` stream per trial, a stopped trial's included.
+    Full-batch training draws nothing and needs no ``draws``.
 
     A trial whose gradient, parameters or aggregate stop being finite is
     reported in :attr:`BlockRound.errors` and keeps its input model; the
@@ -274,8 +285,11 @@ def run_round(
     if active.shape != (t_count, m):
         raise ValueError(f"participate must have shape ({t_count}, {m})")
     minibatch = cfg.minibatch(n)
-    if minibatch and (rngs is None or len(rngs) != t_count):
-        raise ValueError("minibatch training needs one rng per trial")
+    if minibatch:
+        shape = (t_count, local_iters, m, n)
+        if draws is None or np.shape(draws) != shape:
+            got = "none" if draws is None else np.shape(draws)
+            raise ValueError(f"minibatch training needs draws of shape {shape}, got {got}")
 
     trial, device = np.nonzero(active)  # rows grouped by trial, devices ascending
     moments = not minibatch and cfg.task == TASK_LINEAR  # the rows take A, b, not x, y
@@ -283,13 +297,11 @@ def run_round(
     w = models[trial]
     if not minibatch and (len(device) != m or t_count > 1):  # a copy unless the identity
         xb, yb = xb[device], yb[device]
-    draws = np.empty((t_count, m, n)) if minibatch else None
     errors: dict[int, str] = {}
     for it in range(local_iters):
         if minibatch:
-            for rng, buffer in zip(rngs, draws):
-                rng.random(out=buffer)
-            batch = device[:, None], np.argsort(draws[trial, device], axis=1)[:, : cfg.batch_size]
+            order = np.argsort(draws[trial, it, device], axis=1)
+            batch = device[:, None], order[:, : cfg.batch_size]
             xb, yb = data.features[batch], data.targets[batch]
         with np.errstate(over="ignore", invalid="ignore"):  # e^-z = inf: the sigmoid's limit 0
             g = (xb @ w[..., None])[..., 0] - yb if moments else _gradients(w, xb, yb, cfg.task)
@@ -317,6 +329,22 @@ def run_round(
         for k in np.flatnonzero(~np.isfinite(out).all(axis=1)).tolist():
             out[k], errors[k] = models[k], "aggregated model overflowed"
     return BlockRound(out, errors)
+
+
+def minibatch_draws(
+    rngs: Sequence[np.random.Generator], rounds: int, local_iters: int, shape: tuple[int, int]
+) -> np.ndarray:
+    """The minibatch uniforms of ``rounds`` successive rounds of T trials,
+    (T, rounds, local_iters, M, n) for ``shape`` (M, n): one
+    ``rngs[t].random`` fill per trial. A generator's doubles concatenate, so
+    these are the values of ``rounds * local_iters`` successive
+    ``rngs[t].random((M, n))`` calls, bit for bit, however the rounds are
+    chunked. Round r's ``draws`` for :func:`run_round` are ``[:, r]``.
+    """
+    draws = np.empty((len(rngs), rounds, local_iters, *shape))
+    for rng, rows in zip(rngs, draws):
+        rng.random(out=rows)
+    return draws
 
 
 def evaluate_metric(models, data: FederatedData, task: str) -> np.ndarray:

@@ -26,8 +26,9 @@ identical fading (common random numbers). Stream tags used here:
 * ``("init",)`` initial global model
 * ``("trial", t, "fading", r)`` per-round channel gains, drawn by :func:`trial_fading`
 * ``("trial", t, "train")`` minibatch sampling for all M devices of trial
-  t, one generator consumed round after round; derived only when training
-  draws minibatches, never for full batch
+  t, one generator consumed round after round, its uniforms drawn a chunk
+  of rounds at a time by :func:`~swiptfl.fl_core.minibatch_draws`; derived
+  only when training draws minibatches, never for full batch
 
 :func:`rng_stream` defines each stream. A block names its fading or training
 streams, and placement its draws, by one path whose trial and round parts
@@ -52,12 +53,22 @@ from .channel import ChannelRealization, LinkBudget, device_max, downlink_budget
 # with_override is re-exported: the benchmark applies its overrides as scenario.with_override.
 from .config import DELTA_MODE_OPTIMIZED, ScenarioConfig, merge, with_override
 from .energy import EnergyLedger, ledger
-from .fl_core import FederatedData, evaluate_metric, global_loss, make_federated_problem, run_round
+from .fl_core import (
+    FederatedData,
+    evaluate_metric,
+    global_loss,
+    make_federated_problem,
+    minibatch_draws,
+    run_round,
+)
 from .optimizer import optimize_delta_all, place_uav
 from .timing import local_train_time, round_total, uav_aggregation_time
 
 ROUND_BLOCK = 1 << 16  # (round, trial, device) fading states per link round of the physics pass
 EVAL_BLOCK = 1 << 13  # (model, sample) pairs per scoring pass of the learning pass
+# Minibatch uniforms per chunk of rounds of the learning pass, 512 KB:
+# accuracy.yaml's block of 200 trials draws two rounds at a time.
+DRAW_BLOCK = 1 << 16
 STAGE_TIMES = ("t_total_s", "t_uplink_max_s", "t_local_max_s", "t_downlink_max_s", "t_uav_s")
 PER_DEVICE = ("deltas", "grid", "e_total_j", "e_harvest_j", "feasible", "participate", "battery_j")
 SCORES = ("train_loss", "val_metric", "test_metric")
@@ -556,8 +567,10 @@ def _learning(scenario: Scenario, trials: list[int], participate: np.ndarray) ->
     scored on the training, val and test sets in passes of at most
     ``EVAL_BLOCK`` (model, sample) pairs, samples counted over all of a
     dataset's sets. Minibatch training draws from one generator per trial,
-    built before round 0, so a trial's draws depend on neither its
-    participation, its stopping nor its block.
+    built before round 0: :func:`minibatch_draws` fills the uniforms of up
+    to ``max(1, DRAW_BLOCK // (T * local_iters * M * n))`` rounds at a time,
+    one fill per trial, stopped trials included, so a trial's draws depend
+    on neither its participation, its stopping, its chunking nor its block.
 
     A trial stops at its training's first error, in that round, or at its
     first round with a non-finite score, whichever is earlier; the message
@@ -572,10 +585,15 @@ def _learning(scenario: Scenario, trials: list[int], participate: np.ndarray) ->
     path = ("trial", np.array(trials), "train")  # one training stream per trial
     minibatch = cfg.trainer.minibatch(scenario.train_sets.count)
     rngs = [_generator(w) for w in _stream_seeds(cfg.master_seed, path)] if minibatch else None
+    shape = scenario.train_sets.targets.shape
+    chunk = max(1, DRAW_BLOCK // max(1, len(trials) * iters * scenario.train_sets.targets.size))
     trained = np.empty((cfg.rounds, *models.shape))
     for r in range(cfg.rounds):  # a training error stops a trial at once
+        if minibatch and r % chunk == 0:
+            draws = minibatch_draws(rngs, min(chunk, cfg.rounds - r), iters, shape)
         running = participate[:, r] & (rounds_done > r)[:, None]
-        step = run_round(models, scenario.train_sets, cfg.trainer, iters, rngs, running)
+        round_draws = draws[:, r % chunk] if minibatch else None
+        step = run_round(models, scenario.train_sets, cfg.trainer, iters, round_draws, running)
         for k, message in step.errors.items():
             if rounds_done[k] > r:  # a report for a stopped trial changes nothing
                 rounds_done[k], error[k] = r, message

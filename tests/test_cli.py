@@ -1035,7 +1035,7 @@ GOLDEN_ROUNDS_SHA256 = {
     "accuracy.yaml": (
         "accuracy.yaml",
         SMALL,
-        "d63f230700b6440c00b080369e0c5ca63f919ff2066a1351e407a0e174fa99ea",
+        "2b900fc3a26b8f06832053fd2ad15954a7021f0f0292d917980e56b6c0f9cf59",
     ),
     "contested": (
         "default.yaml",
@@ -1047,7 +1047,7 @@ GOLDEN_ROUNDS_SHA256 = {
     "minibatch-battery": (
         "accuracy.yaml",
         CONTESTED,
-        "58f08bf0c9381d22dc1dfaf3eacd1091346820a7d828fa99ce7522b9b4c8c37b",
+        "58d6248f557af33bccb55d6fc46378065ffebee568855feccdff306daa9d7b98",
     ),
 }
 

@@ -17,6 +17,7 @@ from swiptfl.fl_core import (
     evaluate_metric,
     global_loss,
     make_federated_problem,
+    minibatch_draws,
     run_round,
 )
 
@@ -58,6 +59,33 @@ def test_local_loss_duplication_invariant():
     once = global_loss(w, one_set(x, y), "linear")[0]
     twice = global_loss(w, one_set(np.vstack([x, x]), np.concatenate([y, y])), "linear")[0]
     assert twice == pytest.approx(once, rel=1e-15)
+
+
+# Where log(1 + e^z) crosses from log 2 + z/2 to z or to e^z, where e^-|z|
+# turns subnormal (|z| > 708.4) or zero (|z| > 745), and the non-finite inputs.
+SOFTPLUS_EDGES = [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 709.78, -709.78, 710.0, -710.0,
+                  1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 5.0, 30.0, 300.0, None], ids=str)
+def test_softplus_is_logaddexp_within_3_ulp(scale):
+    """The logistic loss's softplus term, max(z, 0) + log1p(e^-|z|), lies
+    within 3 ulp of ``np.logaddexp(0, z)`` on 10^6 standard-normal draws at
+    each scale and on the edge values (``None``), with inf and nan at the same
+    positions, and raises no numpy warning, nan included, where
+    ``np.logaddexp`` warns "invalid value"."""
+    rng = np.random.default_rng(60)
+    z = np.array(SOFTPLUS_EDGES) if scale is None else scale * rng.standard_normal(10**6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fl_core._softplus(z)
+    with np.errstate(invalid="ignore"):
+        want = np.logaddexp(0.0, z)
+    for special in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(special(got), special(want))
+    finite = np.isfinite(want)
+    gap = np.abs(got[finite] - want[finite])
+    assert (gap <= 3 * np.spacing(np.abs(want[finite]))).all(), np.max(gap)
 
 
 def test_global_loss_rejects_unknown_task():
@@ -225,17 +253,53 @@ def test_federated_data_rejects_unequal_sizes():
         FederatedData(np.zeros((1, 0, 2)), np.zeros((1, 0)))
 
 
+def streams_draws(seeds, local_iters, data):
+    """One round's minibatch uniforms, (T, local_iters, M, n), from one
+    ``default_rng(seed)`` per trial."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    return minibatch_draws(rngs, 1, local_iters, data.targets.shape)[:, 0]
+
+
 def test_run_round_deterministic_given_streams():
     rng = np.random.default_rng(22)
     sets = [one_set(rng.standard_normal((6, 3)), rng.standard_normal(6)) for _ in range(3)]
     data = stacked(sets)
     w0 = rng.standard_normal(3)[None]
     cfg = linear_cfg(batch_size=2)
-    out1 = run_round(w0, data, cfg, 3, [np.random.default_rng(99)])
-    out2 = run_round(w0, data, cfg, 3, [np.random.default_rng(99)])
+    out1 = run_round(w0, data, cfg, 3, streams_draws([99], 3, data))
+    out2 = run_round(w0, data, cfg, 3, streams_draws([99], 3, data))
     assert np.array_equal(out1.models, out2.models)
-    with pytest.raises(ValueError, match="rng"):
-        run_round(w0, data, cfg, 3)
+
+
+@pytest.mark.parametrize(
+    "draws, got",
+    [
+        (None, "none"),
+        (np.zeros((1, 3, 3)), r"\(1, 3, 3\)"),
+        (np.zeros((2, 3, 3, 6)), r"\(2, 3, 3, 6\)"),
+    ],
+    ids=["missing", "too-few-axes", "too-many-trials"],
+)
+def test_minibatch_round_without_its_draws_names_their_shape(draws, got):
+    """Minibatch training with missing or wrongly shaped uniforms raises a
+    ValueError that names the (T, local_iters, M, n) shape it needs."""
+    data = stacked([one_set(np.ones((6, 2)), np.ones(6)) for _ in range(3)])
+    with pytest.raises(ValueError, match=rf"draws of shape \(1, 3, 3, 6\), got {got}$"):
+        run_round(np.zeros((1, 2)), data, linear_cfg(batch_size=2), 3, draws)
+
+
+def test_minibatch_draws_are_successive_random_calls():
+    """Each trial's uniforms are, bit for bit, what successive ``random((M, n))``
+    calls on its generator give, round-major and then local iteration,
+    whatever the number of rounds drawn at once."""
+    rngs = [np.random.default_rng(seed) for seed in (3, 4)]
+    chunks = [minibatch_draws(rngs, rounds, 2, (3, 5)) for rounds in (1, 3, 2)]
+    whole = np.concatenate(chunks, axis=1)
+    assert whole.shape == (2, 6, 2, 3, 5)
+    for seed, rows in zip((3, 4), whole):
+        twin = np.random.default_rng(seed)
+        want = [twin.random((3, 5)) for _ in range(12)]
+        assert rows.reshape(12, 3, 5).tobytes() == np.array(want).tobytes()
 
 
 def test_run_round_nobody_participates_keeps_global():
@@ -273,8 +337,9 @@ def test_run_round_matches_per_device_oracle(task, batch_size):
     participate = np.array([True, False, True, True])
     cfg = TrainerConfig(learning_rate=lr, task=task, batch_size=batch_size)
 
+    data = FederatedData(x, y)
     out = run_round(
-        w0[None], FederatedData(x, y), cfg, iters, [np.random.default_rng(seed)], participate[None]
+        w0[None], data, cfg, iters, streams_draws([seed], iters, data), participate[None]
     ).models[0]
 
     draws = np.random.default_rng(seed)
@@ -355,7 +420,7 @@ def test_block_round_equals_per_trial_calls(task, batch_size):
     cfg = TrainerConfig(learning_rate=0.3, task=task, batch_size=batch_size)
 
     def streams(trials):
-        return [np.random.default_rng(100 + t) for t in trials]
+        return streams_draws([100 + t for t in trials], 3, data)
 
     block = run_round(w0, data, cfg, 3, streams(range(6)), participate)
     assert block.errors == {}
@@ -395,7 +460,7 @@ def test_diverging_trial_fails_alone(batch_size):
     cfg = linear_cfg(learning_rate=1e60, batch_size=batch_size)
 
     def streams(trials):
-        return [np.random.default_rng(200 + t) for t in trials]
+        return streams_draws([200 + t for t in trials], 3, data)
 
     with np.errstate(over="ignore", invalid="ignore"):
         block = run_round(w0, data, cfg, 3, streams(range(5)), participate)
@@ -561,7 +626,7 @@ def test_run_round_aggregate_matches_fsum_oracle(task, batch_size, monkeypatch):
             w0[0] = 1e308 / n * (w0[0] / np.max(np.abs(w0[0])))
         participate = rng.random((t_count, m)) < 0.7
         cfg = TrainerConfig(learning_rate=0.1, task=task, batch_size=batch_size)
-        streams = [np.random.default_rng(t) for t in range(t_count)]
+        streams = streams_draws(range(t_count), 2, data)
         before = len(fallbacks)
         out = run_round(w0, data, cfg, 2, streams, participate)
         taken.append(len(fallbacks) > before)
@@ -580,7 +645,7 @@ def test_logistic_training_of_a_confident_model_warns_nothing():
     cfg = TrainerConfig(learning_rate=1000.0, task="logistic", batch_size=8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        step = run_round(w0, data, cfg, 2, [np.random.default_rng(t) for t in range(4)])
+        step = run_round(w0, data, cfg, 2, streams_draws(range(4), 2, data))
     assert step.errors == {} and np.isfinite(step.models).all()
 
 

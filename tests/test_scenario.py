@@ -23,7 +23,14 @@ from swiptfl.config import (
     merge,
     with_override,
 )
-from swiptfl.fl_core import BlockRound, TrainerConfig, evaluate_metric, global_loss, run_round
+from swiptfl.fl_core import (
+    BlockRound,
+    TrainerConfig,
+    evaluate_metric,
+    global_loss,
+    minibatch_draws,
+    run_round,
+)
 from swiptfl.scenario import (
     BlockRecord,
     MonteCarloResult,
@@ -953,10 +960,54 @@ def test_minibatch_training_consumes_one_stream_per_trial():
     for t in range(3):
         rng, w = rng_stream(cfg.master_seed, "trial", t, "train"), scenario.w0[None, :]
         for r in range(4):
-            w = run_round(w, scenario.train_sets, cfg.trainer, 2, [rng]).models
+            draws = minibatch_draws([rng], 1, 2, scenario.train_sets.targets.shape)[:, 0]
+            w = run_round(w, scenario.train_sets, cfg.trainer, 2, draws).models
             scores = [float(metric(w, data, task)[0]) for metric, data in zip(metrics, sets)]
             names = ("train_loss", "val_metric", "test_metric")
             assert [block[name][t, r] for name in names] == scores, (t, r)
+
+
+def test_draw_chunking_leaves_every_record_unchanged(monkeypatch):
+    """The learning pass draws a block's minibatch uniforms a chunk of
+    rounds at a time. On accuracy.yaml under the contested battery overrides,
+    where the trials' devices sit out different rounds, and with trial 1
+    stopped in round 2, one-round chunks and uneven ones (4 + 2) give the
+    record of the one chunk that the default bound draws, bit for bit."""
+    cfg = merge(load_config(str(ROOT / "configs" / "accuracy.yaml")), CONTESTED_RUN)
+    scenario = build(cfg)
+    per_round = cfg.monte_carlo_trials * cfg.compute.local_iters * scenario.train_sets.targets.size
+    assert cfg.trainer.minibatch(scenario.train_sets.count)
+    real_run_round, real_draws = scenario_module.run_round, scenario_module.minibatch_draws
+    calls, chunks = [], []
+
+    def run_round(models, *args):
+        step = real_run_round(models, *args)
+        calls.append(len(models))
+        if len(calls) == 3:  # round 2: trial 1 stops and keeps its input model
+            kept = step.models.copy()
+            kept[1] = models[1]
+            return BlockRound(kept, {1: "injected"})
+        return step
+
+    def minibatch_draws(rngs, rounds, *args):
+        chunks.append(rounds)
+        return real_draws(rngs, rounds, *args)
+
+    monkeypatch.setattr(scenario_module, "run_round", run_round)
+    monkeypatch.setattr(scenario_module, "minibatch_draws", minibatch_draws)
+    trials = range(cfg.monte_carlo_trials)
+    whole = run_trial(scenario, trials)
+    assert chunks == [cfg.rounds]
+    assert whole["rounds_done"].tolist() == [6, 2, 6, 6, 6] and whole["error"][1] == "injected"
+    participate = whole["participate"]
+    assert not participate.all() and len({m.tobytes() for m in participate}) > 1
+    for rounds_per_chunk, expected in ((1, [1] * 6), (4, [4, 2])):
+        monkeypatch.setattr(scenario_module, "DRAW_BLOCK", rounds_per_chunk * per_round)
+        calls.clear()
+        chunks.clear()
+        chunked = run_trial(scenario, trials)
+        assert chunks == expected
+        assert_same_records(chunked, whole)
 
 
 def test_diverging_trial_stops_alone(monkeypatch):
